@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comfort import WindowMetrics
-from .features import AUX_FEATURES, MAIN_FEATURES, WindowFeatures
+from .features import WindowFeatures, feature_matrix
 from .som import ClusterPartition, SomModel
 
 LABELS = ("Low", "Medium", "High")
@@ -45,10 +45,16 @@ class ClusterProfile:
 
 def profile_clusters(partition: ClusterPartition, bmu_indices,
                      metrics: list[WindowMetrics]) -> list[ClusterProfile]:
-    """Average and population variance of each metric over member windows."""
+    """Average and population variance of each metric over member windows.
+
+    ``bmu_indices`` holds one BMU index per window of ``metrics`` (one table
+    per record), in the same order.
+    """
     bmu_indices = np.asarray(bmu_indices, dtype=int)
-    if len(bmu_indices) != len(metrics):
+    if len(bmu_indices) != sum(len(m.window_start) for m in metrics):
         raise AdvisorError("bmu assignment and metrics counts differ")
+    columns = {name: np.concatenate([getattr(m, name) for m in metrics]).astype(float)
+               for name in PROFILE_METRICS}
     cluster_ids = partition.assignment[bmu_indices]
     profiles = []
     for cid in range(partition.cluster_count):
@@ -58,7 +64,7 @@ def profile_clusters(partition: ClusterPartition, bmu_indices,
         averages = {}
         variances = {}
         for name in PROFILE_METRICS:
-            vals = np.array([getattr(metrics[i], name) for i in member_idx], dtype=float)
+            vals = columns[name][member_idx]
             averages[name] = float(vals.mean())
             variances[name] = float(vals.var())
         profiles.append(ClusterProfile(cluster_id=cid, member_count=int(member_idx.size),
@@ -168,12 +174,24 @@ def build_advice_matrix() -> AdviceMatrix:
 # ---------------------------------------------------------------------------
 # Online classification
 
+@dataclass
+class Classification:
+    """BMU index of each window of one record in both maps, and the window's
+    (comfort label, fuel label) pair."""
+
+    main_bmus: np.ndarray
+    aux_bmus: np.ndarray
+    pairs: list[tuple[str, str]]
+
+
 def classify_window(window_features: WindowFeatures, main_model: SomModel,
-                    aux_model: SomModel) -> tuple[str, str]:
-    """(comfort label, fuel label) via BMU -> cluster -> label in each map."""
-    comfort = main_model.label_of(window_features.vector(main_model.feature_names))
-    fuel = aux_model.label_of(window_features.vector(aux_model.feature_names))
-    return comfort, fuel
+                    aux_model: SomModel) -> Classification:
+    """Classify every window of one record: BMU -> cluster -> label in each
+    map, with one batched BMU search per map."""
+    main_bmus = main_model.bmu_indices(feature_matrix(window_features, main_model.feature_names))
+    aux_bmus = aux_model.bmu_indices(feature_matrix(window_features, aux_model.feature_names))
+    pairs = list(zip(main_model.labels_at(main_bmus), aux_model.labels_at(aux_bmus)))
+    return Classification(main_bmus=main_bmus, aux_bmus=aux_bmus, pairs=pairs)
 
 
 def intersect(classified: list[tuple[str, str]]) -> np.ndarray:
@@ -221,12 +239,14 @@ class AdviceEvent:
 
 
 def stream_advise(state: AdviceState, classification: tuple[str, str],
-                  metrics: WindowMetrics, matrix: AdviceMatrix) -> AdviceEvent | None:
+                  window_start: int, n_x_neg: int,
+                  matrix: AdviceMatrix) -> AdviceEvent | None:
     """Advance the stability state machine with one classified window.
 
     Emits only once the same (comfort, fuel) pair has been seen for
     ``k_stable`` consecutive windows and differs from the last emitted pair.
-    The braking-peak conditional is evaluated on the triggering window.
+    The braking-peak conditional is evaluated on the triggering window: it
+    holds when that window has at least one braking peak (``n_x_neg``).
     """
     if classification == state.candidate:
         state.consecutive = min(state.consecutive + 1, state.k_stable)
@@ -236,7 +256,7 @@ def stream_advise(state: AdviceState, classification: tuple[str, str],
     if state.consecutive >= state.k_stable and classification != state.last_emitted:
         state.last_emitted = classification
         comfort, fuel = classification
-        lines = matrix.advice(comfort, fuel, braking_peak=metrics.n_x_neg >= 1)
-        return AdviceEvent(window_start=metrics.window_start, comfort=comfort,
+        lines = matrix.advice(comfort, fuel, braking_peak=n_x_neg >= 1)
+        return AdviceEvent(window_start=window_start, comfort=comfort,
                            fuel=fuel, lines=lines)
     return None

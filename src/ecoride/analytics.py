@@ -27,18 +27,12 @@ class DriverSummary:
 
 
 def driver_summary(metrics: list[WindowMetrics]) -> list[DriverSummary]:
-    """Arithmetic means of each metric per driver, in driver-id order."""
-    by_driver: dict[str, list[WindowMetrics]] = {}
-    for m in metrics:
-        by_driver.setdefault(m.driver_id, []).append(m)
-    out = []
-    for driver_id in sorted(by_driver):
-        group = by_driver[driver_id]
-        means = {name: float(np.mean([getattr(m, name) for m in group]))
-                 for name in SUMMARY_METRICS}
-        out.append(DriverSummary(driver_id=driver_id, window_count=len(group),
-                                 means=means))
-    return out
+    """Arithmetic means of each metric per driver (one metrics table each), in
+    driver-id order; a driver with no kept window has no summary."""
+    return [DriverSummary(driver_id=m.driver_id, window_count=len(m.window_start),
+                          means={name: float(np.mean(getattr(m, name)))
+                                 for name in SUMMARY_METRICS})
+            for m in sorted(metrics, key=lambda m: m.driver_id) if len(m.window_start)]
 
 
 def write_summary_csv(summaries: list[DriverSummary], path) -> None:

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import advisor, analytics, comfort, features, pipeline, synthgen, telemetry
+from . import advisor, analytics, features, pipeline, synthgen, telemetry
 from .advisor import AdvisorError
 from .analytics import AnalyticsError
 from .comfort import ComfortError
@@ -54,16 +55,14 @@ def _load_config(path) -> dict:
 
 def _run_config(args, cfg: dict) -> RunConfig:
     """Build a RunConfig from config-file values; explicit flags win."""
-    kwargs = {}
-    for name in ("grid_main", "grid_aux", "clusters", "seed", "k_stable",
-                 "peak_threshold", "speed_threshold", "train_split",
-                 "kmeans_restarts"):
-        if name in cfg:
-            value = cfg[name]
-            if name in ("grid_main", "grid_aux"):
-                value = tuple(value)
-            kwargs[name] = value
-    if getattr(args, "seed", None) is not None:
+    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise PipelineError(f"unknown config key(s): {', '.join(unknown)}")
+    kwargs = dict(cfg)
+    for name in ("grid_main", "grid_aux"):
+        if name in kwargs:
+            kwargs[name] = tuple(kwargs[name])
+    if args.seed is not None:
         kwargs["seed"] = args.seed
     return RunConfig(**kwargs)
 
@@ -80,6 +79,10 @@ def _load_records(data_dir) -> list[telemetry.DriveRecord]:
         channels = telemetry.load_csv(p)
         records.append(telemetry.resample(channels, driver_id=p.stem))
     return records
+
+
+def _analyze_records(data_dir, config: RunConfig) -> list[pipeline.AnalyzedRecord]:
+    return [pipeline.analyze_record(r, config) for r in _load_records(data_dir)]
 
 
 def _load_models(model_dir) -> tuple[SomModel, SomModel]:
@@ -126,12 +129,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, cfg: dict) -> int:
+def cmd_train(args, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = _load_records(args.data)
-    config = _run_config(args, cfg)
-    result = pipeline.train_models(records, config)
+    result = pipeline.train_models(_load_records(args.data), config)
     result.main_model.save(out / MAIN_MODEL_FILE)
     result.aux_model.save(out / AUX_MODEL_FILE)
     for tag, model in (("main", result.main_model), ("aux", result.aux_model)):
@@ -143,63 +144,48 @@ def cmd_train(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _classify_records(records, main_model, aux_model, config):
-    """Per record: (analyzed, [(comfort, fuel)] aligned with windows)."""
-    out = []
-    for record in records:
-        analyzed = pipeline.analyze_record(record, config)
-        pairs = [advisor.classify_window(f, main_model, aux_model)
-                 for f in analyzed.features]
-        out.append((analyzed, pairs))
-    return out
-
-
-def cmd_classify(args, cfg: dict) -> int:
+def cmd_classify(args, config: RunConfig) -> int:
     main_model, aux_model = _load_models(args.models)
-    records = _load_records(args.data)
-    config = _run_config(args, cfg)
-    classified = _classify_records(records, main_model, aux_model, config)
+    analyzed = _analyze_records(args.data, config)
+    classified = pipeline.classify_all(analyzed, main_model, aux_model)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
-        for analyzed, pairs in classified:
-            for w, (c, f) in zip(analyzed.windows, pairs):
-                writer.writerow([analyzed.record.driver_id, w.start, c, f])
-    n = sum(len(pairs) for _, pairs in classified)
+        for a, c in zip(analyzed, classified):
+            for start, (comfort, fuel) in zip(a.windows, c.pairs):
+                writer.writerow([a.record.driver_id, start, comfort, fuel])
+    n = sum(len(a.windows) for a in analyzed)
     print(f"classified {n} windows -> {args.out}")
     return EXIT_OK
 
 
-def cmd_advise(args, cfg: dict) -> int:
+def cmd_advise(args, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     main_model, aux_model = _load_models(args.models)
-    records = _load_records(args.data)
-    config = _run_config(args, cfg)
-    classified = _classify_records(records, main_model, aux_model, config)
+    analyzed = _analyze_records(args.data, config)
+    classified = pipeline.classify_all(analyzed, main_model, aux_model)
     matrix = advisor.build_advice_matrix()
 
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
-        for analyzed, pairs in classified:
+        for a, c in zip(analyzed, classified):
             state = advisor.AdviceState(k_stable=config.k_stable)
-            for metrics, pair in zip(analyzed.metrics, pairs):
-                event = advisor.stream_advise(state, pair, metrics, matrix)
+            for pair, start, n_x_neg in zip(c.pairs, a.metrics.window_start,
+                                            a.metrics.n_x_neg):
+                event = advisor.stream_advise(state, pair, start, n_x_neg, matrix)
                 if event is not None:
-                    fh.write(f"{analyzed.record.driver_id} {event.format()}\n")
+                    fh.write(f"{a.record.driver_id} {event.format()}\n")
 
-    all_pairs = [p for _, pairs in classified for p in pairs]
+    all_pairs = [p for c in classified for p in c.pairs]
     advisor.write_intersection_csv(advisor.intersect(all_pairs),
                                    out / "intersection.csv")
 
-    all_metrics = [m for analyzed, _ in classified for m in analyzed.metrics]
-    for tag, model, report_metrics in (
-            ("main", main_model, ("vr", "msdv_y")),
-            ("aux", aux_model, ("fuel",))):
-        bmus = []
-        for analyzed, _ in classified:
-            for f in analyzed.features:
-                bmus.append(model.bmu_index(f.vector(model.feature_names)))
-        profiles = advisor.profile_clusters(model.partition, bmus, all_metrics)
+    all_metrics = [a.metrics for a in analyzed]
+    for tag, model, bmus, report_metrics in (
+            ("main", main_model, [c.main_bmus for c in classified], ("vr", "msdv_y")),
+            ("aux", aux_model, [c.aux_bmus for c in classified], ("fuel",))):
+        profiles = advisor.profile_clusters(model.partition, np.concatenate(bmus),
+                                            all_metrics)
         for p in profiles:
             p.label = model.labels[p.cluster_id]
         rows = advisor.improvement_report(profiles, metrics=report_metrics)
@@ -209,26 +195,28 @@ def cmd_advise(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, cfg: dict) -> int:
+def cmd_report(args, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     main_model, aux_model = _load_models(args.models)
-    records = _load_records(args.data)
-    config = _run_config(args, cfg)
-    classified = _classify_records(records, main_model, aux_model, config)
+    analyzed = _analyze_records(args.data, config)
+    classified = pipeline.classify_all(analyzed, main_model, aux_model)
 
-    all_metrics = [m for analyzed, _ in classified for m in analyzed.metrics]
-    analytics.write_summary_csv(analytics.driver_summary(all_metrics),
+    analytics.write_summary_csv(analytics.driver_summary([a.metrics for a in analyzed]),
                                 out / "driver_summary.csv")
 
-    by_driver = {analyzed.record.driver_id: pairs for analyzed, pairs in classified}
+    by_driver = {a.record.driver_id: c.pairs
+                 for a, c in zip(analyzed, classified) if len(a.windows)}
     for driver_id, table in analytics.driver_heatmap(by_driver).items():
         advisor.write_intersection_csv(table, out / f"heatmap_{driver_id}.csv")
 
-    for analyzed, _ in classified:
-        driver_id = analyzed.record.driver_id
-        points = np.array([[m.fuel, m.vr] for m in analyzed.metrics])
-        surface = analytics.kde2d(points)
+    for a in analyzed:
+        driver_id = a.record.driver_id
+        if not len(a.windows):
+            print(f"{driver_id}: no window at or above {config.speed_threshold:g} km/h; "
+                  "heatmap and KDE skipped")
+            continue
+        surface = analytics.kde2d(np.column_stack([a.metrics.fuel, a.metrics.vr]))
         analytics.write_kde_csv(surface, out / f"kde_{driver_id}.csv",
                                 out / f"kde_{driver_id}.json")
         print(f"{driver_id}: KDE integral = {surface.integral():.4f}")
@@ -236,19 +224,17 @@ def cmd_report(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_correlate(args, cfg: dict) -> int:
-    records = _load_records(args.data)
-    config = _run_config(args, cfg)
-    all_features = []
-    all_metrics = []
-    for record in records:
-        analyzed = pipeline.analyze_record(record, config)
-        all_features.extend(analyzed.features)
-        all_metrics.extend(analyzed.metrics)
-    rows, cols, table = features.correlation_table(all_features, all_metrics)
+def cmd_correlate(args, config: RunConfig) -> int:
+    analyzed = _analyze_records(args.data, config)
+    rows, cols, table = features.correlation_table([a.features for a in analyzed],
+                                                   [a.metrics for a in analyzed])
     features.write_correlation_csv(rows, cols, table, args.out)
     print(f"correlation table ({len(rows)} x {len(cols)}) -> {args.out}")
     return EXIT_OK
+
+
+COMMANDS = {"train": cmd_train, "classify": cmd_classify, "advise": cmd_advise,
+            "report": cmd_report, "correlate": cmd_correlate}
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +296,10 @@ def main(argv=None) -> int:
             if args.drivers < 1:
                 raise SynthError("--drivers must be at least 1")
             return cmd_synth(args)
-        if args.command == "train":
-            return cmd_train(args, cfg)
-        if args.command == "classify":
-            return cmd_classify(args, cfg)
-        if args.command == "advise":
-            return cmd_advise(args, cfg)
-        if args.command == "report":
-            return cmd_report(args, cfg)
-        if args.command == "correlate":
-            return cmd_correlate(args, cfg)
-        parser.error(f"unknown command {args.command}")
+        return COMMANDS[args.command](args, _run_config(args, cfg))
     except DATA_ERRORS as exc:
         print(f"ecoride: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

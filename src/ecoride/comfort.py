@@ -7,13 +7,12 @@ vomit rate, and threshold-based acceleration peak counting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
 
-from .telemetry import SAMPLE_RATE_HZ, DriveRecord, Window
+from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_rows
 
 PEAK_THRESHOLD = 1.75  # m/s^2
 
@@ -71,15 +70,16 @@ def apply_filter(filt: WeightingFilter, x: np.ndarray) -> np.ndarray:
     return signal.sosfilt(filt.sos, x)
 
 
-def weighted_rms(values: np.ndarray) -> float:
-    """RMS over a window of already-weighted samples."""
+def weighted_rms(values: np.ndarray):
+    """RMS over the last axis: one window of samples, or one window per row."""
     values = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean(values**2)))
+    out = np.sqrt(np.mean(values**2, axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
-def msdv(filtered_axis: np.ndarray, windows: list[Window]) -> np.ndarray:
+def msdv(filtered_axis: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """Per-window MSDV: the windowed RMS of the motion-sickness-filtered axis."""
-    return np.array([weighted_rms(w.slice_of(filtered_axis)) for w in windows])
+    return weighted_rms(window_rows(filtered_axis, windows))
 
 
 def vomit_rate(msdv_x, msdv_y):
@@ -93,32 +93,31 @@ def vomit_rate(msdv_x, msdv_y):
     return float(out) if out.ndim == 0 else out
 
 
-def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD) -> int:
-    """Number of exceedance events: maximal runs of samples above threshold."""
+def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
+    """Number of exceedance events (maximal runs of samples above threshold)
+    over the last axis: one window, or one window per row."""
     above = np.asarray(window_signal, dtype=float) > threshold
-    if not above.any():
-        return 0
-    rising = np.count_nonzero(above[1:] & ~above[:-1])
-    return int(rising + (1 if above[0] else 0))
+    out = np.count_nonzero(above[..., 1:] & ~above[..., :-1], axis=-1) + above[..., 0]
+    return int(out) if np.ndim(out) == 0 else out
 
 
 @dataclass
 class WindowMetrics:
-    """Comfort and fuel figures for one analysis window."""
+    """Comfort and fuel figures of one record: one array entry per kept window."""
 
     driver_id: str
-    window_start: int
-    msdv_x: float
-    msdv_y: float
-    vr: float
-    n_x_pos: int
-    n_x_neg: int
-    n_y: int
-    fuel: float
+    window_start: np.ndarray
+    msdv_x: np.ndarray
+    msdv_y: np.ndarray
+    vr: np.ndarray
+    n_x_pos: np.ndarray
+    n_x_neg: np.ndarray
+    n_y: np.ndarray
+    fuel: np.ndarray
 
 
-def window_metrics(record: DriveRecord, windows: list[Window],
-                   peak_threshold: float = PEAK_THRESHOLD) -> list[WindowMetrics]:
+def window_metrics(record: DriveRecord, windows: np.ndarray,
+                   peak_threshold: float = PEAK_THRESHOLD) -> WindowMetrics:
     """Compute per-window comfort metrics and mean fuel consumption.
 
     The motion-sickness filter runs once over the full-length XACC/YACC
@@ -131,36 +130,17 @@ def window_metrics(record: DriveRecord, windows: list[Window],
     wf = design_filter("motion_sickness")
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
-    x_filt = apply_filter(wf, xacc)
-    y_filt = apply_filter(wf, yacc)
-
-    out = []
-    for w in windows:
-        mx = weighted_rms(w.slice_of(x_filt))
-        my = weighted_rms(w.slice_of(y_filt))
-        raw_x = w.channel("XACC")
-        raw_y = w.channel("YACC")
-        out.append(WindowMetrics(
-            driver_id=record.driver_id,
-            window_start=w.start,
-            msdv_x=mx,
-            msdv_y=my,
-            vr=vomit_rate(mx, my),
-            n_x_pos=count_peaks(np.maximum(raw_x, 0.0), peak_threshold),
-            n_x_neg=count_peaks(np.maximum(-raw_x, 0.0), peak_threshold),
-            n_y=count_peaks(np.abs(raw_y), peak_threshold),
-            fuel=float(np.mean(w.channel("FUEL"))),
-        ))
-    return out
-
-
-METRICS_CSV_COLUMNS = ("driver_id", "window_start", "msdv_x", "msdv_y", "vr",
-                       "n_x_pos", "n_x_neg", "n_y", "fuel")
-
-
-def write_metrics_csv(metrics: list[WindowMetrics], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_COLUMNS)
-        for m in metrics:
-            writer.writerow([getattr(m, c) for c in METRICS_CSV_COLUMNS])
+    mx = msdv(apply_filter(wf, xacc), windows)
+    my = msdv(apply_filter(wf, yacc), windows)
+    raw_x = window_rows(xacc, windows)
+    return WindowMetrics(
+        driver_id=record.driver_id,
+        window_start=np.asarray(windows, dtype=np.intp),
+        msdv_x=mx,
+        msdv_y=my,
+        vr=vomit_rate(mx, my),
+        n_x_pos=count_peaks(np.maximum(raw_x, 0.0), peak_threshold),
+        n_x_neg=count_peaks(np.maximum(-raw_x, 0.0), peak_threshold),
+        n_y=count_peaks(np.abs(window_rows(yacc, windows)), peak_threshold),
+        fuel=np.mean(window_rows(record.channels["FUEL"], windows), axis=1),
+    )

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comfort import WindowMetrics
-from .telemetry import DriveRecord, Window
+from .comfort import WindowMetrics, weighted_rms
+from .telemetry import DriveRecord, window_rows
 
 # Signals summarized per window (RMS + variance each).
 FEATURE_SIGNALS = ("SWA", "VS", "XACC", "XACC_neg", "XACC_pos", "YACC", "ERPM")
@@ -26,34 +26,24 @@ class FeatureError(Exception):
 
 @dataclass
 class WindowFeatures:
-    """RMS and population variance per driving signal for one window."""
+    """RMS and population variance per driving signal of one record: one
+    array entry per kept window."""
 
-    driver_id: str
-    window_start: int
-    rms: dict[str, float]
-    var: dict[str, float]
-
-    def vector(self, names=MAIN_FEATURES) -> np.ndarray:
-        """Ordered RMS feature vector for the given selection."""
-        return np.array([self.rms[n] for n in names])
+    rms: dict[str, np.ndarray]
+    var: dict[str, np.ndarray]
 
 
-def compute_features(record: DriveRecord, windows: list[Window]) -> list[WindowFeatures]:
+def compute_features(record: DriveRecord, windows: np.ndarray) -> WindowFeatures:
     """RMS and population variance of each driving signal per window."""
     for name in ("SWA", "VS", "XACC", "YACC", "ERPM"):
         if name not in record.channels:
             raise FeatureError(f"record lacks required channel {name}")
-    out = []
-    for w in windows:
-        signals = {name: w.channel(name) for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
-        xacc = signals["XACC"]
-        signals["XACC_pos"] = np.maximum(xacc, 0.0)
-        signals["XACC_neg"] = np.maximum(-xacc, 0.0)
-        rms = {n: float(np.sqrt(np.mean(signals[n] ** 2))) for n in FEATURE_SIGNALS}
-        var = {n: float(np.var(signals[n])) for n in FEATURE_SIGNALS}
-        out.append(WindowFeatures(driver_id=record.driver_id, window_start=w.start,
-                                  rms=rms, var=var))
-    return out
+    signals = {name: window_rows(record.channels[name], windows)
+               for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
+    signals["XACC_pos"] = np.maximum(signals["XACC"], 0.0)
+    signals["XACC_neg"] = np.maximum(-signals["XACC"], 0.0)
+    return WindowFeatures(rms={n: weighted_rms(signals[n]) for n in FEATURE_SIGNALS},
+                          var={n: np.var(signals[n], axis=1) for n in FEATURE_SIGNALS})
 
 
 def pearson(x, y) -> float:
@@ -71,14 +61,15 @@ def pearson(x, y) -> float:
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
-def feature_matrix(features: list[WindowFeatures], names=MAIN_FEATURES) -> np.ndarray:
-    """(n_windows, n_features) matrix of RMS features."""
-    return np.array([f.vector(names) for f in features])
+def feature_matrix(features: WindowFeatures, names=MAIN_FEATURES) -> np.ndarray:
+    """(n_windows, n_features) matrix of RMS features of one record."""
+    return np.column_stack([features.rms[n] for n in names])
 
 
 def correlation_table(features: list[WindowFeatures],
                       metrics: list[WindowMetrics]) -> tuple[list[str], list[str], np.ndarray]:
-    """PCC of every RMS/Var feature column against every comfort/fuel target.
+    """PCC of every RMS/Var feature column against every comfort/fuel target,
+    over the windows of all records (one features/metrics pair per record).
 
     Returns (target row labels, feature column labels, table) where table has
     shape (n_targets, n_feature_columns), columns interleaved RMS then Var per
@@ -86,16 +77,16 @@ def correlation_table(features: list[WindowFeatures],
     """
     if len(features) != len(metrics):
         raise FeatureError("features and metrics counts differ")
-    if len(features) < 2:
+    if sum(len(m.window_start) for m in metrics) < 2:
         raise FeatureError("need at least 2 windows")
     columns: list[str] = []
     data: list[np.ndarray] = []
     for name in FEATURE_SIGNALS:
         columns.append(f"{name} RMS")
-        data.append(np.array([f.rms[name] for f in features]))
+        data.append(np.concatenate([f.rms[name] for f in features]))
         columns.append(f"{name} Var")
-        data.append(np.array([f.var[name] for f in features]))
-    targets = {t: np.array([getattr(m, t) for m in metrics], dtype=float)
+        data.append(np.concatenate([f.var[name] for f in features]))
+    targets = {t: np.concatenate([getattr(m, t) for m in metrics]).astype(float)
                for t in CORRELATION_TARGETS}
     table = np.array([[pearson(targets[t], col) for col in data]
                       for t in CORRELATION_TARGETS])
@@ -120,9 +111,6 @@ class Normalizer:
 
     def transform(self, vectors: np.ndarray) -> np.ndarray:
         return (np.asarray(vectors, dtype=float) - self.mean) / self.std
-
-    def inverse(self, vectors: np.ndarray) -> np.ndarray:
-        return np.asarray(vectors, dtype=float) * self.std + self.mean
 
 
 def fit_normalizer(training: np.ndarray, feature_names=MAIN_FEATURES) -> Normalizer:

@@ -10,7 +10,7 @@ from . import advisor, comfort, features, som, telemetry
 from .comfort import WindowMetrics
 from .features import AUX_FEATURES, MAIN_FEATURES, WindowFeatures
 from .som import SomModel
-from .telemetry import DriveRecord, Window
+from .telemetry import DriveRecord
 
 
 class PipelineError(Exception):
@@ -21,7 +21,6 @@ class PipelineError(Exception):
 class RunConfig:
     grid_main: tuple[int, int] = (15, 15)
     grid_aux: tuple[int, int] = (15, 15)
-    clusters: int = 3
     seed: int = 0
     k_stable: int = 3
     peak_threshold: float = comfort.PEAK_THRESHOLD
@@ -38,17 +37,19 @@ class RunConfig:
 
 @dataclass
 class AnalyzedRecord:
+    """One record's kept window starts and their per-window columns."""
+
     record: DriveRecord
-    windows: list[Window]
-    metrics: list[WindowMetrics]
-    features: list[WindowFeatures]
+    windows: np.ndarray
+    metrics: WindowMetrics
+    features: WindowFeatures
 
 
 def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> AnalyzedRecord:
     """Window a record, drop slow-traffic windows, compute metrics + features."""
     config = config or RunConfig()
     windows = telemetry.filter_by_mean_speed(
-        telemetry.split_windows(record), config.speed_threshold)
+        record, telemetry.split_windows(record), config.speed_threshold)
     return AnalyzedRecord(
         record=record,
         windows=windows,
@@ -57,10 +58,11 @@ def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> Anal
     )
 
 
-def _train_one(train_vectors: np.ndarray, all_vectors: np.ndarray,
-               metrics: list[WindowMetrics], feature_names, grid_dims,
+def _train_one(analyzed: list[AnalyzedRecord], feature_names, grid_dims,
                ordering_metric: str, config: RunConfig,
                seed_offset: int) -> tuple[SomModel, list[advisor.ClusterProfile]]:
+    vectors = [features.feature_matrix(a.features, feature_names) for a in analyzed]
+    train_vectors = np.vstack([v[:int(round(config.train_split * len(v)))] for v in vectors])
     normalizer = features.fit_normalizer(train_vectors, feature_names)
     normalized = normalizer.transform(train_vectors)
     rows, cols = grid_dims
@@ -69,14 +71,14 @@ def _train_one(train_vectors: np.ndarray, all_vectors: np.ndarray,
     trained, qe = som.train(grid, normalized, schedule,
                             seed=config.seed + seed_offset + 1)
     hits = som.hit_histogram(trained, normalized)
-    partition = som.cluster_prototypes(trained, config.clusters,
+    partition = som.cluster_prototypes(trained, len(advisor.LABELS),
                                        restarts=config.kmeans_restarts,
                                        seed=config.seed + seed_offset + 2,
                                        hit_counts=hits)
-    bmus = [som.bmu(trained, v)[0] for v in normalizer.transform(all_vectors)]
-    profiles = advisor.profile_clusters(partition, bmus, metrics)
+    bmus = np.concatenate([som.bmus(trained, normalizer.transform(v))[0] for v in vectors])
+    profiles = advisor.profile_clusters(partition, bmus, [a.metrics for a in analyzed])
     advisor.label_clusters(profiles, ordering_metric=ordering_metric)
-    labels = [None] * config.clusters
+    labels = [None] * len(profiles)
     for p in profiles:
         labels[p.cluster_id] = p.label
     model = SomModel(grid=trained, normalizer=normalizer, partition=partition,
@@ -95,14 +97,6 @@ class TrainResult:
     aux_profiles: list[advisor.ClusterProfile]
     analyzed: list[AnalyzedRecord] = field(repr=False, default_factory=list)
 
-    @property
-    def all_metrics(self) -> list[WindowMetrics]:
-        return [m for a in self.analyzed for m in a.metrics]
-
-    @property
-    def all_features(self) -> list[WindowFeatures]:
-        return [f for a in self.analyzed for f in a.features]
-
 
 def train_models(records: list[DriveRecord], config: RunConfig | None = None) -> TrainResult:
     """Full training pass over a set of drive records.
@@ -113,31 +107,21 @@ def train_models(records: list[DriveRecord], config: RunConfig | None = None) ->
     """
     config = config or RunConfig()
     analyzed = [analyze_record(r, config) for r in records]
-    all_metrics = [m for a in analyzed for m in a.metrics]
-    if len(all_metrics) < 10:
+    n_windows = sum(len(a.windows) for a in analyzed)
+    if n_windows < 10:
         raise PipelineError(
-            f"only {len(all_metrics)} windows after speed filtering; need >= 10")
-
-    train_feats: list[WindowFeatures] = []
-    for a in analyzed:
-        n_train = int(round(config.train_split * len(a.features)))
-        train_feats.extend(a.features[:n_train])
-    all_feats = [f for a in analyzed for f in a.features]
+            f"only {n_windows} windows after speed filtering; need >= 10")
 
     main_model, main_profiles = _train_one(
-        features.feature_matrix(train_feats, MAIN_FEATURES),
-        features.feature_matrix(all_feats, MAIN_FEATURES),
-        all_metrics, MAIN_FEATURES, config.grid_main, "vr", config, seed_offset=0)
+        analyzed, MAIN_FEATURES, config.grid_main, "vr", config, seed_offset=0)
     aux_model, aux_profiles = _train_one(
-        features.feature_matrix(train_feats, AUX_FEATURES),
-        features.feature_matrix(all_feats, AUX_FEATURES),
-        all_metrics, AUX_FEATURES, config.grid_aux, "fuel", config, seed_offset=100)
+        analyzed, AUX_FEATURES, config.grid_aux, "fuel", config, seed_offset=100)
     return TrainResult(main_model=main_model, aux_model=aux_model,
                        main_profiles=main_profiles, aux_profiles=aux_profiles,
                        analyzed=analyzed)
 
 
 def classify_all(analyzed: list[AnalyzedRecord], main_model: SomModel,
-                 aux_model: SomModel) -> list[tuple[str, str]]:
-    return [advisor.classify_window(f, main_model, aux_model)
-            for a in analyzed for f in a.features]
+                 aux_model: SomModel) -> list[advisor.Classification]:
+    """Classify the windows of each record, one record at a time."""
+    return [advisor.classify_window(a.features, main_model, aux_model) for a in analyzed]

@@ -32,14 +32,10 @@ def hex_distance(row_a: int, col_a: int, row_b: int, col_b: int) -> int:
 
 def grid_distance_matrix(rows: int, cols: int) -> np.ndarray:
     """(M, M) matrix of pairwise hex distances, neurons indexed row-major."""
-    coords = [(r, c) for r in range(rows) for c in range(cols)]
-    m = len(coords)
-    d = np.zeros((m, m), dtype=float)
-    for i, (ra, ca) in enumerate(coords):
-        for j, (rb, cb) in enumerate(coords):
-            if j > i:
-                d[i, j] = d[j, i] = hex_distance(ra, ca, rb, cb)
-    return d
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    x = c - (r - (r & 1)) // 2
+    cube = np.stack([x, -x - r, r], axis=1)
+    return (np.abs(cube[:, None, :] - cube[None, :, :]).sum(axis=2) // 2).astype(float)
 
 
 def hex_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
@@ -105,15 +101,6 @@ def default_schedule(n_samples: int, rows: int, cols: int) -> TrainingSchedule:
                             sigma0=max(rows, cols) / 2.0)
 
 
-def vesanto_size(n_samples: int) -> tuple[int, int]:
-    """Square grid side from the 5*sqrt(K) neuron-count heuristic."""
-    if n_samples < 1:
-        raise SomError("need at least one training sample")
-    m = 5.0 * np.sqrt(n_samples)
-    side = max(1, int(np.floor(np.sqrt(m) + 0.5)))
-    return side, side
-
-
 def init_random(rows: int, cols: int, data: np.ndarray, seed: int) -> SomGrid:
     """Prototypes drawn uniformly from the per-feature [min, max] of ``data``."""
     if rows < 1 or cols < 1:
@@ -126,21 +113,38 @@ def init_random(rows: int, cols: int, data: np.ndarray, seed: int) -> SomGrid:
     return SomGrid(rows=rows, cols=cols, weights=weights, rng_seed=seed)
 
 
+BMU_CHUNK = 256
+
+
+def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best matching unit of each row of ``samples``: (indices, distances).
+
+    Each index is that of the nearest prototype, ties to the lowest index.
+    Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons, dim)
+    difference array stays small for a whole training set too.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != grid.dim:
+        raise SomError(f"dimension mismatch: samples {samples.shape}, grid {grid.dim}")
+    idx = np.empty(len(samples), dtype=np.intp)
+    dist = np.empty(len(samples))
+    for lo in range(0, len(samples), BMU_CHUNK):
+        chunk = samples[lo:lo + BMU_CHUNK]
+        d2 = np.sum((chunk[:, None, :] - grid.weights[None, :, :]) ** 2, axis=2)
+        idx[lo:lo + len(chunk)] = np.argmin(d2, axis=1)
+        dist[lo:lo + len(chunk)] = np.sqrt(d2.min(axis=1))
+    return idx, dist
+
+
 def bmu(grid: SomGrid, x: np.ndarray) -> tuple[int, float]:
-    """Best matching unit: index of nearest prototype, ties to lowest index."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != grid.dim:
-        raise SomError(f"dimension mismatch: sample {x.shape[0]}, grid {grid.dim}")
-    d2 = np.sum((grid.weights - x) ** 2, axis=1)
-    idx = int(np.argmin(d2))
-    return idx, float(np.sqrt(d2[idx]))
+    """Best matching unit of one sample: (index, distance), as ``bmus``."""
+    idx, dist = bmus(grid, np.asarray(x, dtype=float)[None, :])
+    return int(idx[0]), float(dist[0])
 
 
 def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
     """Mean distance from samples to their BMU prototypes."""
-    samples = np.asarray(samples, dtype=float)
-    d2 = np.sum((samples[:, None, :] - grid.weights[None, :, :]) ** 2, axis=2)
-    return float(np.mean(np.sqrt(d2.min(axis=1))))
+    return float(np.mean(bmus(grid, samples)[1]))
 
 
 def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
@@ -194,10 +198,7 @@ def u_matrix(grid: SomGrid) -> np.ndarray:
 
 def hit_histogram(grid: SomGrid, samples: np.ndarray) -> np.ndarray:
     """Per-neuron count of samples whose BMU is that neuron."""
-    counts = np.zeros(grid.n_neurons, dtype=int)
-    for x in np.asarray(samples, dtype=float).reshape(-1, grid.dim):
-        counts[bmu(grid, x)[0]] += 1
-    return counts
+    return np.bincount(bmus(grid, samples)[0], minlength=grid.n_neurons)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,14 @@ class SomModel:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return self.normalizer.feature_names
+
+    def bmu_indices(self, raw_vectors: np.ndarray) -> np.ndarray:
+        """BMU index of each row of unnormalized feature vectors."""
+        return bmus(self.grid, self.normalizer.transform(raw_vectors))[0]
+
+    def labels_at(self, bmu_indices: np.ndarray) -> list[str]:
+        """Label of the cluster that holds each BMU index."""
+        return [self.labels[c] for c in self.partition.assignment[bmu_indices]]
 
     def bmu_index(self, raw_vector: np.ndarray) -> int:
         return bmu(self.grid, self.normalizer.transform(raw_vector))[0]

@@ -150,22 +150,6 @@ def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
     return DriveRecord(driver_id=driver_id, channels=channels)
 
 
-@dataclass
-class LabeledRecord:
-    label: str
-    spec: StyleSpec
-    record: DriveRecord
-
-
-def corpus(specs: list[tuple[str, StyleSpec]]) -> list[LabeledRecord]:
-    """Generate one labeled record per (label, spec) pair."""
-    if not specs:
-        raise SynthError("need at least one style spec")
-    return [LabeledRecord(label=label, spec=spec,
-                          record=generate(spec, driver_id=label))
-            for label, spec in specs]
-
-
 COMFORT_KNOBS = (0.1, 0.5, 0.9)          # steering + braking aggressiveness
 FUEL_KNOBS = ((0.3, 0.0), (0.5, 1200.0), (0.7, 0.0))  # (gas, erpm bias)
 

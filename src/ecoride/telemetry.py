@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,34 +101,14 @@ class DriveRecord:
         return self.n_total
 
 
-@dataclass
-class Window:
-    """A 256-sample analysis segment of a DriveRecord."""
-
-    record: DriveRecord = field(repr=False)
-    start: int
-    length: int = WINDOW_LEN
-
-    def __post_init__(self):
-        if self.start + self.length > self.record.n_total:
-            raise TelemetryError(
-                f"window [{self.start}, {self.start + self.length}) exceeds record "
-                f"length {self.record.n_total}"
-            )
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.record.channels[name][self.start : self.start + self.length]
-
-    def slice_of(self, full_signal: np.ndarray) -> np.ndarray:
-        return full_signal[self.start : self.start + self.length]
-
-
 def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
     """Read a telemetry CSV into RawChannels.
 
     ``schema`` maps channel name -> column name; by default every known channel
     maps to a column of the same name.  Rows with unparseable values are
-    rejected (logged with their row index).
+    rejected (logged with their row index); a ``nan``/``inf`` timestamp or
+    value raises, naming the channel and the data row (counted from 1 over the
+    accepted rows).
     """
     if schema is None:
         schema = {name: name for name in CHANNELS}
@@ -169,6 +149,12 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
                 columns[chan].append(v)
 
     ts = np.asarray(times)
+    values = {chan: np.asarray(columns[chan]) for chan in schema}
+    for label, arr in (("timestamp", ts), *((f"{c} value", v) for c, v in values.items())):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise TelemetryError(
+                f"non-finite {label} at data row {int(np.argmax(bad)) + 1} in {path}")
     if len(ts) >= 2:
         dt = np.diff(ts)
         if np.any(dt <= 0):
@@ -178,7 +164,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
     else:
         rate = SAMPLE_RATE_HZ
     return [
-        RawChannel(name=chan, rate=rate, timestamps=ts, values=np.asarray(columns[chan]))
+        RawChannel(name=chan, rate=rate, timestamps=ts, values=values[chan])
         for chan in schema
     ]
 
@@ -213,15 +199,21 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     return DriveRecord(driver_id=driver_id, channels=out, t_start=t0)
 
 
-def split_windows(record: DriveRecord) -> list[Window]:
-    """256-sample windows advancing by 128 samples (50% overlap)."""
-    n = record.n_total
-    if n < WINDOW_LEN:
-        return []
-    starts = range(0, n - WINDOW_LEN + 1, WINDOW_STEP)
-    return [Window(record=record, start=s) for s in starts]
+def split_windows(record: DriveRecord) -> np.ndarray:
+    """Start indices of the 256-sample windows advancing by 128 samples (50% overlap).
+
+    A window is its start index; ``window_rows`` gives its samples.
+    """
+    return np.arange(0, record.n_total - WINDOW_LEN + 1, WINDOW_STEP)
 
 
-def filter_by_mean_speed(windows: list[Window], threshold: float = SPEED_THRESHOLD_KMH) -> list[Window]:
-    """Keep windows whose mean vehicle speed is at or above ``threshold`` km/h."""
-    return [w for w in windows if float(np.mean(w.channel("VS"))) >= threshold]
+def window_rows(signal: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """(len(windows), WINDOW_LEN) samples of ``signal``, one row per window start."""
+    return signal[np.asarray(windows, dtype=np.intp)[:, None] + np.arange(WINDOW_LEN)]
+
+
+def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray,
+                         threshold: float = SPEED_THRESHOLD_KMH) -> np.ndarray:
+    """Starts of the windows whose mean vehicle speed is at or above ``threshold`` km/h."""
+    windows = np.asarray(windows, dtype=np.intp)
+    return windows[np.mean(window_rows(record.channels["VS"], windows), axis=1) >= threshold]

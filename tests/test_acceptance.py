@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from ecoride import advisor, analytics, comfort, pipeline, som, synthgen, telemetry
+from ecoride import advisor, analytics, comfort, features, pipeline, som, synthgen, telemetry
 from ecoride.advisor import AdviceState, ClusterProfile
-from ecoride.comfort import WindowMetrics
 from ecoride.pipeline import RunConfig
 from ecoride.som import SomModel
 
@@ -187,13 +186,13 @@ class TestCriterion6ClusteringPurity:
             label = analyzed.record.driver_id          # "c<i>_f<j>"
             want_comfort = level_to_label[int(label[1])]
             want_fuel = level_to_label[int(label[4])]
-            total += len(analyzed.features)
-            for f in analyzed.features:
-                got_c, got_f = advisor.classify_window(
-                    f, result.main_model, result.aux_model)
+            total += len(analyzed.windows)
+            classified = advisor.classify_window(
+                analyzed.features, result.main_model, result.aux_model)
+            for got_c, got_f in classified.pairs:
                 comfort_hits += got_c == want_comfort
                 fuel_hits += got_f == want_fuel
-        windows_per_style = min(len(a.features) for a in result.analyzed)
+        windows_per_style = min(len(a.windows) for a in result.analyzed)
         c_agree = comfort_hits / total
         f_agree = fuel_hits / total
         dt = time.perf_counter() - t0
@@ -265,10 +264,7 @@ class TestCriterion8AdviceStability:
             state = AdviceState(k_stable=3)
             got = []
             for i, pair in enumerate(pairs):
-                m = WindowMetrics(driver_id="d", window_start=i, msdv_x=0.1,
-                                  msdv_y=0.2, vr=0.2, n_x_pos=0,
-                                  n_x_neg=int(peaks[i]), n_y=0, fuel=3.0)
-                ev = advisor.stream_advise(state, pair, m, matrix)
+                ev = advisor.stream_advise(state, pair, i, int(peaks[i]), matrix)
                 if ev is not None:
                     got.append((ev.window_start, (ev.comfort, ev.fuel), ev.lines))
             want = self.oracle(pairs, peaks)
@@ -315,8 +311,9 @@ class TestCriterion10ModelRoundTrip:
             loaded = SomModel.load(p1)
             loaded.save(p2)
             ok &= p1.read_bytes() == p2.read_bytes()
-            for f in result.all_features[:200]:
-                v = f.vector(model.feature_names)
+            vectors = np.vstack([features.feature_matrix(a.features, model.feature_names)
+                                 for a in result.analyzed])
+            for v in vectors[:200]:
                 ok &= model.label_of(v) == loaded.label_of(v)
         verdict(10, ok, "save->load->save byte-identical, classifications "
                         "unchanged across the round trip")

@@ -10,22 +10,23 @@ from ecoride.comfort import WindowMetrics
 from ecoride.som import ClusterPartition
 
 
-def metric(vr=0.5, fuel=3.0, n_x_neg=0, start=0, driver="d0", **kw):
-    defaults = dict(msdv_x=0.3, msdv_y=0.6, n_x_pos=0, n_y=0)
-    defaults.update(kw)
-    return WindowMetrics(driver_id=driver, window_start=start, vr=vr, fuel=fuel,
-                         n_x_neg=n_x_neg, **defaults)
+def metrics_table(vr, fuel=3.0, driver="d0"):
+    """One record's metrics with the given per-window VR values."""
+    n = len(vr)
+    zeros = np.zeros(n, dtype=int)
+    return WindowMetrics(driver_id=driver, window_start=128 * np.arange(n),
+                         msdv_x=np.full(n, 0.3), msdv_y=np.full(n, 0.6),
+                         vr=np.asarray(vr, dtype=float), n_x_pos=zeros,
+                         n_x_neg=zeros, n_y=zeros,
+                         fuel=np.broadcast_to(np.asarray(fuel, dtype=float), (n,)))
 
 
 def three_cluster_setup(vrs=(0.2, 0.5, 1.0), n_per=4):
     """Partition over 3 neurons, one cluster each; metrics grouped by vr."""
     part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
-    bmus, metrics = [], []
-    for cid, vr in enumerate(vrs):
-        for i in range(n_per):
-            bmus.append(cid)
-            metrics.append(metric(vr=vr + 0.01 * i, fuel=2.0 + cid, start=i))
-    return part, bmus, metrics
+    bmus = np.repeat(np.arange(3), n_per)
+    vr = [v + 0.01 * i for v in vrs for i in range(n_per)]
+    return part, bmus, [metrics_table(vr, fuel=2.0 + bmus)]
 
 
 class TestProfileClusters:
@@ -34,7 +35,7 @@ class TestProfileClusters:
         profiles = advisor.profile_clusters(part, bmus, metrics)
         assert len(profiles) == 3
         p0 = profiles[0]
-        vals = [m.vr for m, b in zip(metrics, bmus) if b == 0]
+        vals = metrics[0].vr[bmus == 0]
         assert p0.member_count == 4
         assert p0.averages["vr"] == pytest.approx(np.mean(vals))
         assert p0.variances["vr"] == pytest.approx(np.var(vals))
@@ -42,12 +43,12 @@ class TestProfileClusters:
     def test_empty_cluster_errors(self):
         part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
         with pytest.raises(AdvisorError, match="no member"):
-            advisor.profile_clusters(part, [0, 0, 1, 1], [metric()] * 4)
+            advisor.profile_clusters(part, [0, 0, 1, 1], [metrics_table([0.5] * 4)])
 
     def test_count_mismatch(self):
         part = ClusterPartition(cluster_count=1, assignment=np.array([0]))
         with pytest.raises(AdvisorError, match="differ"):
-            advisor.profile_clusters(part, [0, 0], [metric()])
+            advisor.profile_clusters(part, [0, 0], [metrics_table([0.5])])
 
 
 class TestLabelClusters:
@@ -146,8 +147,7 @@ class TestStreamAdvise:
         matrix = advisor.build_advice_matrix()
         events = []
         for i, pair in enumerate(pairs):
-            ev = advisor.stream_advise(state, pair, metric(start=i, n_x_neg=n_x_neg),
-                                       matrix)
+            ev = advisor.stream_advise(state, pair, i, n_x_neg, matrix)
             if ev is not None:
                 events.append(ev)
         return events

@@ -1,10 +1,11 @@
 """CLI subcommands, exit codes and artifact layout."""
 
 import json
+import shutil
 
 import pytest
 
-from ecoride import cli
+from ecoride import cli, synthgen
 
 
 def run(argv):
@@ -49,6 +50,41 @@ class TestExitCodes:
         assert run(["train", "--data", str(tmp_path), "--out", str(tmp_path),
                     "--config", str(bad)]) == cli.EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
+                                         "correlate"])
+    def test_unknown_config_key_fails_before_reading_data(self, workspace, tmp_path,
+                                                          capsys, command):
+        _, data, models = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clusters": 4, "k_stable": 2}))
+        # a CSV that cannot be loaded: reading it would fail with another error
+        bad_data = tmp_path / "data"
+        bad_data.mkdir()
+        (bad_data / "x.csv").write_text("no,time,column\n")
+        out = tmp_path / "out"
+        argv = [command, "--data", str(bad_data), "--out", str(out),
+                "--config", str(cfg)]
+        if command in ("classify", "advise", "report"):
+            argv += ["--models", str(models)]
+        assert run(argv) == cli.EXIT_DATA
+        assert "unknown config key(s): clusters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_telemetry(self, workspace, tmp_path, capsys):
+        _, data, models = workspace
+        src = sorted(data.glob("*.csv"))[0]
+        lines = src.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[lines[0].split(",").index("XACC")] = "nan"
+        lines[5] = ",".join(fields)
+        nan_data = tmp_path / "data"
+        nan_data.mkdir()
+        (nan_data / src.name).write_text("\n".join(lines) + "\n")
+        assert run(["classify", "--data", str(nan_data), "--models", str(models),
+                    "--out", str(tmp_path / "c.csv")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "non-finite XACC value at data row 5" in err and src.name in err
 
 
 class TestSynth:
@@ -147,6 +183,24 @@ class TestReport:
         for p in out.glob("kde_*.json"):
             meta = json.loads(p.read_text())
             assert 0.95 <= meta["integral"] <= 1.05
+
+    def test_driver_without_kept_windows_is_skipped(self, workspace, tmp_path, capsys):
+        _, data, models = workspace
+        fleet = tmp_path / "fleet"
+        shutil.copytree(data, fleet)
+        slow = synthgen.generate(synthgen.StyleSpec(base_speed=30.0, duration=60.0,
+                                                    seed=3), driver_id="slow")
+        synthgen.write_csv(slow, fleet / "slow.csv")
+        out = tmp_path / "reports"
+        assert run(["report", "--data", str(fleet), "--models", str(models),
+                    "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "slow: no window at or above 60 km/h; heatmap and KDE skipped" in printed
+        assert len(list(out.glob("heatmap_*.csv"))) == 9
+        assert len(list(out.glob("kde_*.csv"))) == 9
+        assert not (out / "heatmap_slow.csv").exists()
+        summary = (out / "driver_summary.csv").read_text().splitlines()
+        assert len(summary) == 10 and not any(s.startswith("slow,") for s in summary)
 
 
 class TestCorrelate:

@@ -114,13 +114,13 @@ class TestCountPeaks:
 class TestWindowMetrics:
     def test_fields_and_counts(self, record):
         ws = telemetry.split_windows(record)
-        metrics = comfort.window_metrics(record, ws)
-        assert len(metrics) == len(ws)
-        for m, w in zip(metrics, ws):
-            assert m.driver_id == "d0"
-            assert m.window_start == w.start
-            assert m.msdv_x >= 0 and m.msdv_y >= 0
-            assert m.vr == pytest.approx(comfort.vomit_rate(m.msdv_x, m.msdv_y))
+        m = comfort.window_metrics(record, ws)
+        assert m.driver_id == "d0"
+        np.testing.assert_array_equal(m.window_start, ws)
+        for name in ("msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel"):
+            assert getattr(m, name).shape == ws.shape
+        assert np.all(m.msdv_x >= 0) and np.all(m.msdv_y >= 0)
+        np.testing.assert_allclose(m.vr, comfort.vomit_rate(m.msdv_x, m.msdv_y))
 
     def test_peak_counts_pick_up_events(self):
         rec = make_record(n=256)
@@ -128,13 +128,13 @@ class TestWindowMetrics:
         rec.channels["XACC"][100:105] = -3.0   # one braking peak
         rec.channels["YACC"][:] = 0.0
         ws = telemetry.split_windows(rec)
-        m = comfort.window_metrics(rec, ws)[0]
-        assert (m.n_x_pos, m.n_x_neg, m.n_y) == (0, 1, 0)
+        m = comfort.window_metrics(rec, ws)
+        assert (m.n_x_pos[0], m.n_x_neg[0], m.n_y[0]) == (0, 1, 0)
 
     def test_fuel_is_window_mean(self, record):
         ws = telemetry.split_windows(record)
-        m = comfort.window_metrics(record, ws)[0]
-        assert m.fuel == pytest.approx(float(np.mean(ws[0].channel("FUEL"))))
+        m = comfort.window_metrics(record, ws)
+        assert m.fuel[0] == pytest.approx(float(np.mean(record.channels["FUEL"][:256])))
 
     def test_missing_channel(self, record):
         del record.channels["FUEL"]
@@ -149,5 +149,5 @@ class TestWindowMetrics:
         metrics = comfort.window_metrics(rec, ws)
         wf = comfort.design_filter("motion_sickness")
         isolated = comfort.weighted_rms(
-            comfort.apply_filter(wf, ws[1].channel("XACC")))
-        assert metrics[1].msdv_x != pytest.approx(isolated, rel=1e-6)
+            comfort.apply_filter(wf, rec.channels["XACC"][ws[1]:ws[1] + 256]))
+        assert metrics.msdv_x[1] != pytest.approx(isolated, rel=1e-6)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ecoride import pipeline, telemetry
+from ecoride import features, pipeline, telemetry
+from ecoride.features import MAIN_FEATURES
 from ecoride.pipeline import PipelineError, RunConfig
 
 
@@ -11,7 +12,6 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.grid_main == (15, 15)
-        assert cfg.clusters == 3
         assert cfg.train_split == 0.75
 
     def test_validation(self):
@@ -24,10 +24,11 @@ class TestRunConfig:
 class TestAnalyzeRecord:
     def test_aligned_outputs(self, small_corpus):
         analyzed = pipeline.analyze_record(small_corpus[0])
-        assert len(analyzed.windows) == len(analyzed.metrics) \
-            == len(analyzed.features)
-        assert all(m.window_start == w.start
-                   for m, w in zip(analyzed.metrics, analyzed.windows))
+        n = len(analyzed.windows)
+        assert n > 0
+        np.testing.assert_array_equal(analyzed.metrics.window_start, analyzed.windows)
+        assert analyzed.metrics.vr.shape == (n,)
+        assert all(v.shape == (n,) for v in analyzed.features.rms.values())
 
     def test_speed_filter_applied(self, small_corpus):
         fast = pipeline.analyze_record(small_corpus[0], RunConfig())
@@ -53,7 +54,7 @@ class TestTrainModels:
             assert model.qe_history[-1] < model.qe_history[0]
 
     def test_profiles_cover_all_windows(self, result):
-        total = len(result.all_metrics)
+        total = sum(len(a.windows) for a in result.analyzed)
         assert sum(p.member_count for p in result.main_profiles) == total
         assert sum(p.member_count for p in result.aux_profiles) == total
 
@@ -67,9 +68,13 @@ class TestTrainModels:
     def test_classify_all_labels(self, small_corpus, result):
         analyzed = [pipeline.analyze_record(r, RunConfig(seed=5))
                     for r in small_corpus[:2]]
-        pairs = pipeline.classify_all(analyzed, result.main_model,
-                                      result.aux_model)
-        assert len(pairs) == sum(len(a.features) for a in analyzed)
+        classified = pipeline.classify_all(analyzed, result.main_model,
+                                           result.aux_model)
+        for a, c in zip(analyzed, classified):
+            assert len(c.pairs) == len(c.main_bmus) == len(c.aux_bmus) == len(a.windows)
+            assert all(result.main_model.label_of(v) == comfort for v, (comfort, _) in
+                       zip(features.feature_matrix(a.features, MAIN_FEATURES), c.pairs))
+        pairs = [p for c in classified for p in c.pairs]
         assert all(c in ("Low", "Medium", "High")
                    and f in ("Low", "Medium", "High") for c, f in pairs)
 

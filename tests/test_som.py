@@ -38,17 +38,12 @@ class TestHexGeometry:
         d = som.grid_distance_matrix(3, 4)
         assert d.shape == (12, 12)
         assert np.allclose(d, d.T) and np.all(np.diag(d) == 0)
+        coords = [(r, c) for r in range(5) for c in range(6)]
+        ref = [[som.hex_distance(*a, *b) for b in coords] for a in coords]
+        np.testing.assert_array_equal(som.grid_distance_matrix(5, 6), ref)
 
 
 class TestSizingAndInit:
-    def test_vesanto_heuristic(self):
-        rows, cols = som.vesanto_size(2025)  # 5*45 = 225 neurons -> 15x15
-        assert (rows, cols) == (15, 15)
-
-    def test_vesanto_invalid(self):
-        with pytest.raises(SomError):
-            som.vesanto_size(0)
-
     def test_init_within_data_range(self):
         data = blobs()
         grid = som.init_random(10, 10, data, seed=1)
@@ -104,6 +99,20 @@ class TestBmu:
         idx, dist = som.bmu(grid, np.array([0.9]))
         assert idx == 1  # tie between 1 and 2 -> lowest index
         assert dist == pytest.approx(0.1)
+
+    def test_batched_matches_per_sample(self):
+        data = blobs(k=600, seed=2)
+        assert len(data) > 2 * som.BMU_CHUNK  # the search spans several chunks
+        grid = som.init_random(4, 4, data, seed=0)
+        grid.weights[5] = grid.weights[3]  # a tie: the lower index must win
+        data = np.vstack([data, grid.weights[3]])
+        idx, dist = som.bmus(grid, data)
+        for x, i, d in zip(data, idx, dist):
+            d2 = np.sum((grid.weights - x) ** 2, axis=1)
+            assert i == np.argmin(d2) and d == np.sqrt(d2.min())
+        assert idx[-1] == 3
+        np.testing.assert_array_equal(som.hit_histogram(grid, data),
+                                      np.bincount(idx, minlength=16))
 
     def test_dimension_mismatch(self):
         grid = som.init_random(3, 3, blobs(), seed=0)

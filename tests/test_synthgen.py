@@ -106,7 +106,3 @@ class TestCsvRoundTrip:
             np.testing.assert_allclose(back.channels[name][:n],
                                        rec.channels[name][:n], rtol=1e-6,
                                        atol=1e-5)
-
-    def test_corpus_requires_specs(self):
-        with pytest.raises(SynthError):
-            synthgen.corpus([])

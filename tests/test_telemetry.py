@@ -51,6 +51,27 @@ class TestLoadCsv:
         channels = telemetry.load_csv(p)
         assert len(channels[0].values) == 599
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        def mangle(lines):
+            fields = lines[7].split(",")
+            fields[1 + list(telemetry.CHANNELS).index("XACC")] = cell
+            lines[7] = ",".join(fields)
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        with pytest.raises(TelemetryError, match=r"non-finite XACC value at data row 7 in .*a\.csv"):
+            telemetry.load_csv(p)
+
+    def test_non_finite_timestamp_rejected(self, tmp_path):
+        def mangle(lines):
+            lines[7] = "nan" + lines[7][lines[7].index(","):]
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        with pytest.raises(TelemetryError, match=r"non-finite timestamp at data row 7 in .*a\.csv"):
+            telemetry.load_csv(p)
+
     def test_non_monotonic_times(self, tmp_path):
         def mangle(lines):
             lines[10], lines[11] = lines[11], lines[10]
@@ -115,33 +136,29 @@ class TestWindows:
         assert len(telemetry.split_windows(rec)) == expected
 
     def test_starts_and_overlap(self):
-        ws = telemetry.split_windows(make_record(n=512))
-        assert [w.start for w in ws] == [0, 128, 256]
-        assert all(w.length == WINDOW_LEN for w in ws)
-        assert ws[1].start - ws[0].start == WINDOW_STEP
-
-    def test_out_of_range_window(self, record):
-        with pytest.raises(TelemetryError, match="exceeds"):
-            telemetry.Window(record=record, start=record.n_total - 100)
+        rec = make_record(n=512)
+        ws = telemetry.split_windows(rec)
+        assert ws.tolist() == [0, 128, 256]
+        assert telemetry.window_rows(rec.channels["SWA"], ws).shape == (3, WINDOW_LEN)
+        assert ws[1] - ws[0] == WINDOW_STEP
 
     def test_channel_slice(self, record):
-        w = telemetry.Window(record=record, start=128)
-        np.testing.assert_array_equal(w.channel("SWA"),
-                                      record.channels["SWA"][128:384])
+        rows = telemetry.window_rows(record.channels["SWA"], np.array([128]))
+        np.testing.assert_array_equal(rows[0], record.channels["SWA"][128:384])
 
 
 class TestSpeedFilter:
     def test_threshold_is_inclusive(self):
         slow = make_record(n=256, speed=59.9)
         fast = make_record(n=256, speed=60.0)
-        assert telemetry.filter_by_mean_speed(telemetry.split_windows(slow)) == []
-        assert len(telemetry.filter_by_mean_speed(telemetry.split_windows(fast))) == 1
+        assert len(telemetry.filter_by_mean_speed(slow, telemetry.split_windows(slow))) == 0
+        assert len(telemetry.filter_by_mean_speed(fast, telemetry.split_windows(fast))) == 1
 
     def test_mixed_speeds(self):
         rec = make_record(n=512, speed=90.0)
         rec.channels["VS"][:256] = 20.0  # straddling window averages 55 km/h
-        kept = telemetry.filter_by_mean_speed(telemetry.split_windows(rec))
-        assert [w.start for w in kept] == [256]
+        kept = telemetry.filter_by_mean_speed(rec, telemetry.split_windows(rec))
+        assert kept.tolist() == [256]
 
 
 class TestDriveRecord:

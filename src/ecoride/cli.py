@@ -216,6 +216,10 @@ def cmd_report(args, config: RunConfig) -> int:
             print(f"{driver_id}: no window at or above {config.speed_threshold:g} km/h; "
                   "heatmap and KDE skipped")
             continue
+        if len(a.windows) < 2:
+            print(f"{driver_id}: 1 window at or above {config.speed_threshold:g} km/h; "
+                  "KDE skipped")
+            continue
         surface = analytics.kde2d(np.column_stack([a.metrics.fuel, a.metrics.vr]))
         analytics.write_kde_csv(surface, out / f"kde_{driver_id}.csv",
                                 out / f"kde_{driver_id}.json")

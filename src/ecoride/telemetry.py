@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ class TelemetryError(Exception):
     """Raised for malformed telemetry inputs."""
 
 
+def _require_finite(channel: str, what: str, arr: np.ndarray) -> None:
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise TelemetryError(
+            f"channel {channel}: non-finite {what} at sample {int(np.argmax(bad))}")
+
+
 @dataclass
 class RawChannel:
     """One named channel as sampled in the source file, before resampling."""
@@ -52,6 +60,8 @@ class RawChannel:
             raise TelemetryError(f"channel {self.name}: rate must be > 0")
         if self.timestamps.shape != self.values.shape:
             raise TelemetryError(f"channel {self.name}: timestamp/value length mismatch")
+        _require_finite(self.name, "timestamp", self.timestamps)
+        _require_finite(self.name, "value", self.values)
         if len(self.timestamps) >= 2:
             dt = np.diff(self.timestamps)
             if np.any(dt <= 0):
@@ -87,6 +97,8 @@ class DriveRecord:
         lengths = {name: len(v) for name, v in self.channels.items()}
         if len(set(lengths.values())) > 1:
             raise TelemetryError(f"unequal channel lengths: {lengths}")
+        for name, values in self.channels.items():
+            _require_finite(name, "value", values)
         for name in ("VS", "ERPM"):
             if name in self.channels and np.any(self.channels[name] < 0):
                 raise TelemetryError(f"channel {name} has negative values")
@@ -105,10 +117,12 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
     """Read a telemetry CSV into RawChannels.
 
     ``schema`` maps channel name -> column name; by default every known channel
-    maps to a column of the same name.  Rows with unparseable values are
-    rejected (logged with their row index); a ``nan``/``inf`` timestamp or
-    value raises, naming the channel and the data row (counted from 1 over the
-    accepted rows).
+    maps to a column of the same name.  The data rows are parsed in one
+    ``np.loadtxt`` call; only a file that call cannot parse is read row by row,
+    rejecting rows with unparseable values (logged with their row index).  A
+    file with fewer than 2 data rows raises, and so does a ``nan``/``inf``
+    timestamp or value, naming the channel and the data row (counted from 1
+    over the accepted rows).
     """
     if schema is None:
         schema = {name: name for name in CHANNELS}
@@ -117,7 +131,8 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
     except FileNotFoundError:
         raise TelemetryError(f"telemetry file not found: {path}") from None
     with fh:
-        reader = csv.reader(fh)
+        # readline (not file iteration) keeps fh.tell() usable for the fallback
+        reader = csv.reader(iter(fh.readline, ""))
         header = None
         for row in reader:
             if row and any(cell.strip() for cell in row):
@@ -130,43 +145,52 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
         for chan, col in schema.items():
             if col not in header:
                 raise TelemetryError(f"missing required column '{col}' (channel {chan})")
-        col_idx = {name: header.index(name) for name in header}
-        t_idx = col_idx[TIME_COLUMN]
+        cols = [header.index(col) for col in (TIME_COLUMN, *schema.values())]
 
-        times: list[float] = []
-        columns: dict[str, list[float]] = {chan: [] for chan in schema}
-        for i, row in enumerate(reader, start=2):  # 1-based, after header
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            try:
-                t = float(row[t_idx])
-                vals = {chan: float(row[col_idx[col]]) for chan, col in schema.items()}
-            except (ValueError, IndexError):
-                log.warning("rejecting unparseable row %d in %s", i, path)
-                continue
-            times.append(t)
-            for chan, v in vals.items():
-                columns[chan].append(v)
+        data_start = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data": the row count is checked below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != len(header):
+            fh.seek(data_start)
+            table, cols = _parse_rows(fh, cols, path), range(len(cols))
 
-    ts = np.asarray(times)
-    values = {chan: np.asarray(columns[chan]) for chan in schema}
+    ts = table[:, cols[0]]
+    values = {chan: table[:, c] for chan, c in zip(schema, cols[1:])}
+    if len(ts) < 2:
+        raise TelemetryError(f"need at least 2 data rows, got {len(ts)} in {path}")
     for label, arr in (("timestamp", ts), *((f"{c} value", v) for c, v in values.items())):
         bad = ~np.isfinite(arr)
         if bad.any():
             raise TelemetryError(
                 f"non-finite {label} at data row {int(np.argmax(bad)) + 1} in {path}")
-    if len(ts) >= 2:
-        dt = np.diff(ts)
-        if np.any(dt <= 0):
-            bad = int(np.argmax(dt <= 0)) + 1
-            raise TelemetryError(f"non-monotonic timestamps at data row {bad} in {path}")
-        rate = 1.0 / float(np.median(dt))
-    else:
-        rate = SAMPLE_RATE_HZ
+    dt = np.diff(ts)
+    if np.any(dt <= 0):
+        bad = int(np.argmax(dt <= 0)) + 1
+        raise TelemetryError(f"non-monotonic timestamps at data row {bad} in {path}")
+    rate = 1.0 / float(np.median(dt))
     return [
         RawChannel(name=chan, rate=rate, timestamps=ts, values=values[chan])
         for chan in schema
     ]
+
+
+def _parse_rows(fh, cols: list[int], path) -> np.ndarray:
+    """Row-by-row parse of columns ``cols``: blank rows are skipped, unparseable
+    ones logged with their row index and dropped."""
+    rows = []
+    for i, row in enumerate(csv.reader(fh), start=2):  # 1-based, after header
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        try:
+            rows.append([float(row[c]) for c in cols])
+        except (ValueError, IndexError):
+            log.warning("rejecting unparseable row %d in %s", i, path)
+    return np.array(rows, dtype=float).reshape(-1, len(cols))
 
 
 def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:

@@ -203,6 +203,24 @@ class TestReport:
         assert len(summary) == 10 and not any(s.startswith("slow,") for s in summary)
 
 
+    def test_driver_with_one_kept_window_keeps_heatmap(self, workspace, tmp_path, capsys):
+        _, data, models = workspace
+        fleet = tmp_path / "fleet"
+        shutil.copytree(data, fleet)
+        single = synthgen.generate(synthgen.StyleSpec(base_speed=30.0, duration=60.0,
+                                                      seed=3), driver_id="single")
+        single.channels["VS"][:200] = 90.0  # only the first window averages >= 60 km/h
+        synthgen.write_csv(single, fleet / "single.csv")
+        out = tmp_path / "reports"
+        assert run(["report", "--data", str(fleet), "--models", str(models),
+                    "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "single: 1 window at or above 60 km/h; KDE skipped" in printed
+        assert (out / "heatmap_single.csv").is_file()
+        assert not (out / "kde_single.csv").exists()
+        assert len(list(out.glob("kde_*.json"))) == 9
+
+
 class TestCorrelate:
     def test_table(self, workspace, tmp_path, capsys):
         _, data, _ = workspace

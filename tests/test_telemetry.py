@@ -42,6 +42,26 @@ class TestLoadCsv:
         with pytest.raises(TelemetryError, match="SWA"):
             telemetry.load_csv(p)
 
+    def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch, caplog):
+        def no_fallback(*args):
+            raise AssertionError("row-by-row parse used on a clean file")
+        monkeypatch.setattr(telemetry, "_parse_rows", no_fallback)
+        p = tmp_path / "a.csv"
+        _write_csv(p)
+        with caplog.at_level("DEBUG", logger="ecoride.telemetry"):
+            channels = telemetry.load_csv(p)
+        assert len(channels[0].values) == 600
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, tmp_path, recwarn, n):
+        p = tmp_path / "short.csv"
+        _write_csv(p, n=n)
+        with pytest.raises(TelemetryError,
+                           match=rf"need at least 2 data rows, got {n} in .*short\.csv"):
+            telemetry.load_csv(p)
+        assert len(recwarn) == 0
+
     def test_unparseable_rows_rejected(self, tmp_path):
         def mangle(lines):
             lines[5] = lines[5].replace(",", ",junk", 1)
@@ -87,6 +107,16 @@ class TestRawChannel:
         ts = np.arange(100) / 10.0  # actually 10 Hz
         with pytest.raises(TelemetryError, match="inconsistent"):
             RawChannel(name="VS", rate=32.0, timestamps=ts, values=np.zeros(100))
+
+
+    @pytest.mark.parametrize("field", ["timestamps", "values"])
+    def test_non_finite_rejected(self, field):
+        arrays = {"timestamps": np.arange(100) / 32.0, "values": np.zeros(100)}
+        arrays[field][40] = np.nan
+        what = "timestamp" if field == "timestamps" else "value"
+        with pytest.raises(TelemetryError,
+                           match=f"channel VS: non-finite {what} at sample 40"):
+            RawChannel(name="VS", rate=32.0, **arrays)
 
 
 class TestResample:
@@ -166,6 +196,12 @@ class TestDriveRecord:
         with pytest.raises(TelemetryError, match="unequal"):
             DriveRecord(driver_id="x", channels={"VS": np.ones(10),
                                                  "SWA": np.ones(11)})
+
+    def test_non_finite_rejected(self):
+        xacc = np.zeros(4096)
+        xacc[500] = np.inf
+        with pytest.raises(TelemetryError, match="channel XACC: non-finite value at sample 500"):
+            DriveRecord(driver_id="x", channels={"VS": np.ones(4096), "XACC": xacc})
 
     def test_negative_speed_rejected(self):
         with pytest.raises(TelemetryError, match="negative"):

@@ -4,15 +4,13 @@ streaming advice state machine."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .comfort import WindowMetrics
 from .features import WindowFeatures, feature_matrix
-from .som import ClusterPartition, SomModel
-
-LABELS = ("Low", "Medium", "High")
+from .som import LABELS, ClusterPartition, SomModel
 
 PROFILE_METRICS = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
 
@@ -73,17 +71,18 @@ def profile_clusters(partition: ClusterPartition, bmu_indices,
 
 
 def label_clusters(profiles: list[ClusterProfile],
-                   ordering_metric: str = "vr") -> list[ClusterProfile]:
+                   ordering_metric: str = "vr") -> list[str]:
     """Tag three clusters Low/Medium/High by ascending metric average.
 
-    Ties break toward the lower cluster id getting the lower label.
+    Sets each profile's label and returns the labels by cluster id.  Ties
+    break toward the lower cluster id getting the lower label.
     """
     if len(profiles) != len(LABELS):
         raise AdvisorError(f"labeling requires exactly {len(LABELS)} clusters")
     order = sorted(profiles, key=lambda p: (p.averages[ordering_metric], p.cluster_id))
     for label, profile in zip(LABELS, order):
         profile.label = label
-    return profiles
+    return [p.label for p in sorted(profiles, key=lambda p: p.cluster_id)]
 
 
 @dataclass
@@ -129,46 +128,30 @@ def write_improvement_csv(rows: list[ImprovementRow], metrics, path) -> None:
 # Advice matrix
 
 @dataclass
-class AdviceCell:
-    lines: list[str]
-    conditional_lines: list[str] = field(default_factory=list)
-
-    def render(self, braking_peak: bool) -> list[str]:
-        out = list(self.lines)
-        if braking_peak:
-            out.extend(self.conditional_lines)
-        return out
-
-
-@dataclass
 class AdviceMatrix:
-    """3x3 grid of advice lines indexed by (comfort label, fuel label)."""
+    """3x3 grid of advice lines indexed by (comfort label, fuel label).
 
-    cells: dict[tuple[str, str], AdviceCell]
+    ``cells`` holds the unconditional lines: the fuel line first, then the
+    comfort line.  The Low-discomfort comfort line is conditional: ``advice``
+    appends it only when a braking peak occurs in the triggering window.
+    """
+
+    cells: dict[tuple[str, str], list[str]]
 
     def advice(self, comfort_label: str, fuel_label: str,
                braking_peak: bool = False) -> list[str]:
-        return self.cells[(comfort_label, fuel_label)].render(braking_peak)
+        lines = list(self.cells[(comfort_label, fuel_label)])
+        if comfort_label == "Low" and braking_peak:
+            lines.append(COMFORT_ADVICE["Low"])
+        return lines
 
 
 def build_advice_matrix() -> AdviceMatrix:
-    """Joint advice: the fuel line first, then the comfort line.
-
-    The Low-discomfort comfort line is conditional: it is only emitted when a
-    braking peak occurs in the triggering window.
-    """
-    cells = {}
-    for comfort in LABELS:
-        for fuel in LABELS:
-            lines = [FUEL_ADVICE[fuel]]
-            conditional = []
-            if comfort == "Low":
-                conditional.append(COMFORT_ADVICE["Low"])
-            else:
-                lines.append(COMFORT_ADVICE[comfort])
-            cells[(comfort, fuel)] = AdviceCell(lines=lines,
-                                                conditional_lines=conditional)
-    return AdviceMatrix(cells=cells)
+    """Joint advice for every (comfort label, fuel label) pair."""
+    return AdviceMatrix(cells={
+        (comfort, fuel): [FUEL_ADVICE[fuel]] if comfort == "Low"
+        else [FUEL_ADVICE[fuel], COMFORT_ADVICE[comfort]]
+        for comfort in LABELS for fuel in LABELS})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advisor import LABELS, intersect
+from .advisor import intersect
 from .comfort import WindowMetrics
 
 

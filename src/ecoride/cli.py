@@ -95,6 +95,13 @@ def _load_models(model_dir) -> tuple[SomModel, SomModel]:
     return SomModel.load(main_path), SomModel.load(aux_path)
 
 
+def _classify(args, config: RunConfig):
+    """(main model, aux model, analysed records, one Classification per record)."""
+    main_model, aux_model = _load_models(args.models)
+    analyzed = _analyze_records(args.data, config)
+    return main_model, aux_model, analyzed, pipeline.classify_all(analyzed, main_model, aux_model)
+
+
 def _print_profiles(tag: str, profiles) -> None:
     metrics = advisor.PROFILE_METRICS
     print(f"{tag} cluster profiles:")
@@ -145,9 +152,7 @@ def cmd_train(args, config: RunConfig) -> int:
 
 
 def cmd_classify(args, config: RunConfig) -> int:
-    main_model, aux_model = _load_models(args.models)
-    analyzed = _analyze_records(args.data, config)
-    classified = pipeline.classify_all(analyzed, main_model, aux_model)
+    _, _, analyzed, classified = _classify(args, config)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
@@ -162,9 +167,7 @@ def cmd_classify(args, config: RunConfig) -> int:
 def cmd_advise(args, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    main_model, aux_model = _load_models(args.models)
-    analyzed = _analyze_records(args.data, config)
-    classified = pipeline.classify_all(analyzed, main_model, aux_model)
+    main_model, aux_model, analyzed, classified = _classify(args, config)
     matrix = advisor.build_advice_matrix()
 
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
@@ -198,9 +201,7 @@ def cmd_advise(args, config: RunConfig) -> int:
 def cmd_report(args, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    main_model, aux_model = _load_models(args.models)
-    analyzed = _analyze_records(args.data, config)
-    classified = pipeline.classify_all(analyzed, main_model, aux_model)
+    _, _, analyzed, classified = _classify(args, config)
 
     analytics.write_summary_csv(analytics.driver_summary([a.metrics for a in analyzed]),
                                 out / "driver_summary.csv")

@@ -75,17 +75,14 @@ def _train_one(analyzed: list[AnalyzedRecord], feature_names, grid_dims,
                                        restarts=config.kmeans_restarts,
                                        seed=config.seed + seed_offset + 2,
                                        hit_counts=hits)
-    bmus = np.concatenate([som.bmus(trained, normalizer.transform(v))[0] for v in vectors])
-    profiles = advisor.profile_clusters(partition, bmus, [a.metrics for a in analyzed])
-    advisor.label_clusters(profiles, ordering_metric=ordering_metric)
-    labels = [None] * len(profiles)
-    for p in profiles:
-        labels[p.cluster_id] = p.label
     model = SomModel(grid=trained, normalizer=normalizer, partition=partition,
-                     labels=labels, schedule=schedule,
+                     labels=[], schedule=schedule,
                      train_seed=config.seed + seed_offset + 1,
                      cluster_seed=config.seed + seed_offset + 2,
                      qe_history=qe)
+    profiles = advisor.profile_clusters(partition, model.bmu_indices(np.vstack(vectors)),
+                                        [a.metrics for a in analyzed])
+    model.labels = advisor.label_clusters(profiles, ordering_metric=ordering_metric)
     return model, profiles
 
 

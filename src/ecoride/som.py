@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .features import Normalizer
+from .features import FEATURE_SIGNALS, Normalizer
+
+# Cluster tags of both maps, best (lowest metric average) first.
+LABELS = ("Low", "Medium", "High")
 
 
 class SomError(Exception):
@@ -36,20 +39,6 @@ def grid_distance_matrix(rows: int, cols: int) -> np.ndarray:
     x = c - (r - (r & 1)) // 2
     cube = np.stack([x, -x - r, r], axis=1)
     return (np.abs(cube[:, None, :] - cube[None, :, :]).sum(axis=2) // 2).astype(float)
-
-
-def hex_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
-    """In-grid immediate neighbors of a neuron (up to 6)."""
-    if row & 1:
-        offsets = [(0, -1), (0, 1), (-1, 0), (-1, 1), (1, 0), (1, 1)]
-    else:
-        offsets = [(0, -1), (0, 1), (-1, -1), (-1, 0), (1, -1), (1, 0)]
-    out = []
-    for dr, dc in offsets:
-        r, c = row + dr, col + dc
-        if 0 <= r < rows and 0 <= c < cols:
-            out.append((r, c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +174,11 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
 
 def u_matrix(grid: SomGrid) -> np.ndarray:
     """(rows, cols) mean Euclidean distance from each prototype to its neighbors."""
-    out = np.zeros((grid.rows, grid.cols))
+    adjacent = grid_distance_matrix(grid.rows, grid.cols) == 1
     w = grid.weights
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            nbrs = hex_neighbors(r, c, grid.rows, grid.cols)
-            dists = [np.linalg.norm(w[r * grid.cols + c] - w[nr * grid.cols + nc])
-                     for nr, nc in nbrs]
-            out[r, c] = float(np.mean(dists))
-    return out
+    dist = np.sqrt(np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2))
+    mean = np.sum(dist, axis=1, where=adjacent) / adjacent.sum(axis=1)
+    return mean.reshape(grid.rows, grid.cols)
 
 
 def hit_histogram(grid: SomGrid, samples: np.ndarray) -> np.ndarray:
@@ -240,28 +225,27 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
 
 
 def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
-                       seed: int = 0, hit_counts=None) -> ClusterPartition:
-    """Partition prototype vectors by k-means, keeping the best of ``restarts``.
+                       seed: int = 0, *, hit_counts) -> ClusterPartition:
+    """Partition prototype vectors by hit-weighted k-means, keeping the best of
+    ``restarts``.
 
-    With ``hit_counts`` (the hit histogram of the training data) each
-    prototype enters the k-means objective once per hit, so the partition
-    follows where the data mass lies instead of giving interpolating dead
-    units equal say.  Prototypes themselves (hit or not) are then assigned to
-    the nearest resulting center.
+    Each prototype enters the k-means objective once per hit in ``hit_counts``
+    (the hit histogram of the training data), so the partition follows where
+    the data mass lies instead of giving interpolating dead units equal say.
+    Prototypes themselves (hit or not) are then assigned to the nearest
+    resulting center.  Equal counts weigh every prototype alike.
     """
     m = grid.n_neurons
     if not 1 <= cluster_count <= m:
         raise SomError(f"cluster count {cluster_count} outside [1, {m}]")
-    points = grid.weights
-    if hit_counts is not None:
-        hit_counts = np.asarray(hit_counts, dtype=int)
-        if hit_counts.shape != (m,) or np.any(hit_counts < 0):
-            raise SomError("hit_counts must be one nonnegative count per neuron")
-        if np.count_nonzero(hit_counts) < cluster_count:
-            raise SomError(
-                f"only {np.count_nonzero(hit_counts)} hit neurons for "
-                f"{cluster_count} clusters")
-        points = np.repeat(grid.weights, hit_counts, axis=0)
+    hit_counts = np.asarray(hit_counts, dtype=int)
+    if hit_counts.shape != (m,) or np.any(hit_counts < 0):
+        raise SomError("hit_counts must be one nonnegative count per neuron")
+    if np.count_nonzero(hit_counts) < cluster_count:
+        raise SomError(
+            f"only {np.count_nonzero(hit_counts)} hit neurons for "
+            f"{cluster_count} clusters")
+    points = np.repeat(grid.weights, hit_counts, axis=0)
     rng = np.random.default_rng(seed)
     best = None
     best_cost = np.inf
@@ -269,8 +253,6 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
         assignment, cost = _kmeans_once(points, cluster_count, rng)
         if cost < best_cost:
             best, best_cost = assignment, cost
-    if hit_counts is None:
-        return ClusterPartition(cluster_count=cluster_count, assignment=best)
     centers = np.array([points[best == cid].mean(axis=0)
                         for cid in range(cluster_count)])
     d2 = np.sum((grid.weights[:, None, :] - centers[None, :, :]) ** 2, axis=2)
@@ -312,15 +294,6 @@ class SomModel:
         """Label of the cluster that holds each BMU index."""
         return [self.labels[c] for c in self.partition.assignment[bmu_indices]]
 
-    def bmu_index(self, raw_vector: np.ndarray) -> int:
-        return bmu(self.grid, self.normalizer.transform(raw_vector))[0]
-
-    def cluster_of(self, raw_vector: np.ndarray) -> int:
-        return int(self.partition.assignment[self.bmu_index(raw_vector)])
-
-    def label_of(self, raw_vector: np.ndarray) -> str:
-        return self.labels[self.cluster_of(raw_vector)]
-
     def to_dict(self) -> dict:
         return {
             "topology": "hexagonal",
@@ -334,13 +307,7 @@ class SomModel:
             "cluster_count": self.partition.cluster_count,
             "assignment": self.partition.assignment.tolist(),
             "labels": list(self.labels),
-            "schedule": {
-                "total_iterations": self.schedule.total_iterations,
-                "alpha0": self.schedule.alpha0,
-                "alpha_min": self.schedule.alpha_min,
-                "sigma0": self.schedule.sigma0,
-                "sigma_min": self.schedule.sigma_min,
-            },
+            "schedule": asdict(self.schedule),
             "train_seed": self.train_seed,
             "cluster_seed": self.cluster_seed,
             "qe_history": list(self.qe_history),
@@ -353,21 +320,67 @@ class SomModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SomModel":
-        grid = SomGrid(rows=d["rows"], cols=d["cols"],
-                       weights=np.array(d["prototypes"], dtype=float),
-                       rng_seed=d["rng_seed"])
-        normalizer = Normalizer(feature_names=tuple(d["feature_names"]),
-                                mean=np.array(d["normalizer_mean"], dtype=float),
-                                std=np.array(d["normalizer_std"], dtype=float))
-        partition = ClusterPartition(cluster_count=d["cluster_count"],
-                                     assignment=np.array(d["assignment"], dtype=int))
-        schedule = TrainingSchedule(**d["schedule"])
-        return cls(grid=grid, normalizer=normalizer, partition=partition,
-                   labels=list(d["labels"]), schedule=schedule,
-                   train_seed=d["train_seed"], cluster_seed=d["cluster_seed"],
-                   qe_history=list(d["qe_history"]))
+        """Rebuild a model from ``to_dict`` output; raises SomError naming the
+        first field that is missing or cannot make a working map."""
+        def array(key, dtype=float):
+            try:
+                return np.array(d[key], dtype=dtype)
+            except (TypeError, ValueError):
+                raise SomError(f"{key}: not a numeric array") from None
+
+        try:
+            grid = SomGrid(rows=d["rows"], cols=d["cols"], weights=array("prototypes"),
+                           rng_seed=d["rng_seed"])
+            normalizer = Normalizer(feature_names=tuple(d["feature_names"]),
+                                    mean=array("normalizer_mean"),
+                                    std=array("normalizer_std"))
+            partition = ClusterPartition(cluster_count=d["cluster_count"],
+                                         assignment=array("assignment", int))
+            schedule = TrainingSchedule(**d["schedule"])
+            model = cls(grid=grid, normalizer=normalizer, partition=partition,
+                        labels=list(d["labels"]), schedule=schedule,
+                        train_seed=d["train_seed"], cluster_seed=d["cluster_seed"],
+                        qe_history=list(d["qe_history"]))
+            model._check()
+        except KeyError as exc:
+            raise SomError(f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SomError(f"malformed model: {exc}") from None
+        return model
+
+    def _check(self) -> None:
+        rows, cols = self.grid.rows, self.grid.cols
+        if not all(isinstance(v, int) and v >= 1 for v in (rows, cols)):
+            raise SomError(f"rows/cols: {rows} x {cols} is not a grid")
+        unknown = sorted(set(self.feature_names) - set(FEATURE_SIGNALS))
+        if unknown:
+            raise SomError(f"feature_names: unknown feature(s) {', '.join(unknown)}")
+        n, dim = rows * cols, len(self.feature_names)
+        arrays = {"prototypes": (self.grid.weights, (n, dim)),
+                  "normalizer_mean": (self.normalizer.mean, (dim,)),
+                  "normalizer_std": (self.normalizer.std, (dim,))}
+        for name, (values, shape) in arrays.items():
+            if values.shape != shape:
+                raise SomError(f"{name}: shape {values.shape}, expected {shape}")
+            if not np.all(np.isfinite(values)):
+                raise SomError(f"{name}: non-finite value")
+        if np.any(self.normalizer.std <= 0):
+            raise SomError("normalizer_std: value <= 0")
+        count = self.partition.cluster_count
+        if count != len(LABELS):
+            raise SomError(f"cluster_count: {count}, expected {len(LABELS)}")
+        assignment = self.partition.assignment
+        if assignment.shape != (n,):
+            raise SomError(f"assignment: {assignment.size} values for {n} neurons")
+        if np.any((assignment < 0) | (assignment >= count)):
+            raise SomError(f"assignment: value outside [0, {count})")
+        if sorted(self.labels) != sorted(LABELS):
+            raise SomError(f"labels: {self.labels} is not a permutation of {list(LABELS)}")
 
     @classmethod
     def load(cls, path) -> "SomModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (SomError, json.JSONDecodeError) as exc:
+            raise SomError(f"model file {path}: {exc}") from None

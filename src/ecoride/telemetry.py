@@ -113,19 +113,16 @@ class DriveRecord:
         return self.n_total
 
 
-def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
-    """Read a telemetry CSV into RawChannels.
+def load_csv(path) -> list[RawChannel]:
+    """Read a telemetry CSV into one RawChannel per ``CHANNELS`` column.
 
-    ``schema`` maps channel name -> column name; by default every known channel
-    maps to a column of the same name.  The data rows are parsed in one
-    ``np.loadtxt`` call; only a file that call cannot parse is read row by row,
-    rejecting rows with unparseable values (logged with their row index).  A
+    The data rows are parsed in one ``np.loadtxt`` call; only a file that call
+    cannot parse is read row by row, rejecting rows with unparseable values or
+    a cell count other than the header's (logged with their row index).  A
     file with fewer than 2 data rows raises, and so does a ``nan``/``inf``
     timestamp or value, naming the channel and the data row (counted from 1
     over the accepted rows).
     """
-    if schema is None:
-        schema = {name: name for name in CHANNELS}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
@@ -140,12 +137,10 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
                 break
         if header is None:
             raise TelemetryError(f"empty telemetry file: {path}")
-        if TIME_COLUMN not in header:
-            raise TelemetryError(f"missing time column '{TIME_COLUMN}' in {path}")
-        for chan, col in schema.items():
+        for col in (TIME_COLUMN, *CHANNELS):
             if col not in header:
-                raise TelemetryError(f"missing required column '{col}' (channel {chan})")
-        cols = [header.index(col) for col in (TIME_COLUMN, *schema.values())]
+                raise TelemetryError(f"missing required column '{col}' in {path}")
+        cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
 
         data_start = fh.tell()
         try:
@@ -157,10 +152,10 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
             table = None
         if table is None or table.shape[1] != len(header):
             fh.seek(data_start)
-            table, cols = _parse_rows(fh, cols, path), range(len(cols))
+            table, cols = _parse_rows(fh, cols, len(header), path), range(len(cols))
 
     ts = table[:, cols[0]]
-    values = {chan: table[:, c] for chan, c in zip(schema, cols[1:])}
+    values = {chan: table[:, c] for chan, c in zip(CHANNELS, cols[1:])}
     if len(ts) < 2:
         raise TelemetryError(f"need at least 2 data rows, got {len(ts)} in {path}")
     for label, arr in (("timestamp", ts), *((f"{c} value", v) for c, v in values.items())):
@@ -175,20 +170,25 @@ def load_csv(path, schema: dict[str, str] | None = None) -> list[RawChannel]:
     rate = 1.0 / float(np.median(dt))
     return [
         RawChannel(name=chan, rate=rate, timestamps=ts, values=values[chan])
-        for chan in schema
+        for chan in CHANNELS
     ]
 
 
-def _parse_rows(fh, cols: list[int], path) -> np.ndarray:
-    """Row-by-row parse of columns ``cols``: blank rows are skipped, unparseable
-    ones logged with their row index and dropped."""
+def _parse_rows(fh, cols: list[int], width: int, path) -> np.ndarray:
+    """Row-by-row parse of columns ``cols``: blank rows are skipped; rows of
+    other than ``width`` cells and unparseable ones are logged with their row
+    index and dropped."""
     rows = []
     for i, row in enumerate(csv.reader(fh), start=2):  # 1-based, after header
         if not row or not any(cell.strip() for cell in row):
             continue
+        if len(row) != width:
+            log.warning("rejecting row %d in %s: %d cells, header has %d",
+                        i, path, len(row), width)
+            continue
         try:
             rows.append([float(row[c]) for c in cols])
-        except (ValueError, IndexError):
+        except ValueError:
             log.warning("rejecting unparseable row %d in %s", i, path)
     return np.array(rows, dtype=float).reshape(-1, len(cols))
 

@@ -313,7 +313,7 @@ class TestCriterion10ModelRoundTrip:
             ok &= p1.read_bytes() == p2.read_bytes()
             vectors = np.vstack([features.feature_matrix(a.features, model.feature_names)
                                  for a in result.analyzed])
-            for v in vectors[:200]:
-                ok &= model.label_of(v) == loaded.label_of(v)
+            ok &= (model.labels_at(model.bmu_indices(vectors[:200]))
+                   == loaded.labels_at(loaded.bmu_indices(vectors[:200])))
         verdict(10, ok, "save->load->save byte-identical, classifications "
                         "unchanged across the round trip")

@@ -55,9 +55,10 @@ class TestLabelClusters:
     def test_ascending_order(self):
         part, bmus, metrics = three_cluster_setup(vrs=(1.0, 0.2, 0.5))
         profiles = advisor.profile_clusters(part, bmus, metrics)
-        advisor.label_clusters(profiles, ordering_metric="vr")
+        labels = advisor.label_clusters(profiles, ordering_metric="vr")
         by_id = {p.cluster_id: p.label for p in profiles}
         assert by_id == {0: "High", 1: "Low", 2: "Medium"}
+        assert labels == ["High", "Low", "Medium"]  # by cluster id
 
     def test_fuel_ordering(self):
         part, bmus, metrics = three_cluster_setup()

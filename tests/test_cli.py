@@ -150,6 +150,39 @@ class TestClassify:
             _, _, comfort, fuel = line.split(",")
             assert comfort in labels and fuel in labels
 
+    @pytest.mark.parametrize("field, spoil", [
+        ("assignment", lambda m: m.pop("assignment")),
+        ("prototypes", lambda m: m["prototypes"].pop()),
+        ("prototypes", lambda m: m["prototypes"][0].pop()),
+        ("normalizer_mean", lambda m: m["normalizer_mean"].pop()),
+        ("normalizer_std", lambda m: m["normalizer_std"].append(1.0)),
+        ("prototypes", lambda m: m["prototypes"][7].__setitem__(0, float("nan"))),
+        ("normalizer_mean", lambda m: m["normalizer_mean"].__setitem__(0, float("inf"))),
+        ("normalizer_std", lambda m: m["normalizer_std"].__setitem__(1, float("nan"))),
+        ("normalizer_std", lambda m: m["normalizer_std"].__setitem__(0, 0.0)),
+        ("assignment", lambda m: m["assignment"].pop()),
+        ("assignment", lambda m: m["assignment"].__setitem__(4, 3)),
+        ("assignment", lambda m: m["assignment"].__setitem__(4, -1)),
+        ("labels", lambda m: m["labels"].__setitem__(0, "Bogus")),
+        ("labels", lambda m: m.__setitem__("labels", ["Low", "Low", "High"])),
+        ("cluster_count", lambda m: m.__setitem__("cluster_count", 4)),
+        ("feature_names", lambda m: m["feature_names"].__setitem__(0, "BOGUS")),
+    ])
+    def test_corrupt_model_file(self, workspace, tmp_path, capsys, field, spoil):
+        _, data, models = workspace
+        bad = tmp_path / "models"
+        shutil.copytree(models, bad)
+        path = bad / cli.MAIN_MODEL_FILE
+        model = json.loads(path.read_text())
+        spoil(model)
+        path.write_text(json.dumps(model))
+        out = tmp_path / "cls.csv"
+        assert run(["classify", "--data", str(data), "--models", str(bad),
+                    "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"model file {path}" in err and field in err
+        assert not out.exists()
+
 
 class TestAdvise:
     def test_reports(self, workspace, tmp_path, capsys):

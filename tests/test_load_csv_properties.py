@@ -1,5 +1,6 @@
 """Property test: ``load_csv`` (bulk parse, row-by-row fallback) against a reference
-parser built from ``csv.reader`` + ``float()`` that skips blank and unparseable rows."""
+parser built from ``csv.reader`` + ``float()`` that skips blank rows and rejects
+unparseable rows and rows whose cell count differs from the header's."""
 
 import csv
 import logging
@@ -31,9 +32,13 @@ def reference_parse(path):
         for i, row in enumerate(reader, start=2):
             if not row or not any(c.strip() for c in row):
                 continue
+            if len(row) != len(header):
+                warned.append(f"rejecting row {i} in {path}: {len(row)} cells, "
+                              f"header has {len(header)}")
+                continue
             try:
                 rows.append([float(row[j]) for j in idx])
-            except (ValueError, IndexError):
+            except ValueError:
                 warned.append(f"rejecting unparseable row {i} in {path}")
     table = np.array(rows, dtype=float).reshape(-1, len(idx))
     return table[:, 0], {name: table[:, 1 + k] for k, name in enumerate(NAMES)}, warned
@@ -62,7 +67,7 @@ def csv_files(draw):
     unused column, blank lines, CRLF endings and mangled rows."""
     n = draw(st.integers(0, 40))
     fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
-    note = draw(st.booleans())  # an extra column outside the schema
+    note = draw(st.booleans())  # an extra column outside CHANNELS
     values = st.floats(allow_nan=False, allow_infinity=False, width=64)
     header = [telemetry.TIME_COLUMN, *NAMES] + (["note"] if note else [])
     rows = [[fmt(i / 32.0)] + [fmt(draw(values)) for _ in header[1:]] for i in range(n)]

@@ -72,8 +72,10 @@ class TestTrainModels:
                                            result.aux_model)
         for a, c in zip(analyzed, classified):
             assert len(c.pairs) == len(c.main_bmus) == len(c.aux_bmus) == len(a.windows)
-            assert all(result.main_model.label_of(v) == comfort for v, (comfort, _) in
-                       zip(features.feature_matrix(a.features, MAIN_FEATURES), c.pairs))
+            model = result.main_model
+            vectors = features.feature_matrix(a.features, MAIN_FEATURES)
+            assert all(label == comfort for label, (comfort, _) in
+                       zip(model.labels_at(model.bmu_indices(vectors)), c.pairs))
         pairs = [p for c in classified for p in c.pairs]
         assert all(c in ("Low", "Medium", "High")
                    and f in ("Low", "Medium", "High") for c, f in pairs)

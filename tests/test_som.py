@@ -19,13 +19,10 @@ class TestHexGeometry:
         assert som.hex_distance(2, 3, 2, 3) == 0
         assert som.hex_distance(0, 0, 3, 2) == som.hex_distance(3, 2, 0, 0)
 
-    def test_adjacent_distance_one(self):
-        for r, c in som.hex_neighbors(2, 2, 5, 5):
-            assert som.hex_distance(2, 2, r, c) == 1
-
     def test_neighbor_counts(self):
-        assert len(som.hex_neighbors(2, 2, 5, 5)) == 6   # interior
-        assert len(som.hex_neighbors(0, 0, 5, 5)) < 6    # corner
+        adjacent = som.grid_distance_matrix(5, 5) == 1
+        assert adjacent[2 * 5 + 2].sum() == 6   # interior
+        assert adjacent[0].sum() < 6            # corner
 
     def test_triangle_inequality_sampled(self):
         rng = np.random.default_rng(3)
@@ -131,6 +128,16 @@ class TestUMatrix:
         assert u.shape == (8, 8)
         assert u.max() > 3.0 * np.median(u)
 
+    @pytest.mark.parametrize("rows, cols", [(15, 15), (1, 4)])
+    def test_matches_per_neuron_loop(self, rows, cols):
+        grid = som.init_random(rows, cols, blobs(seed=7), seed=3)
+        coords = [(r, c) for r in range(rows) for c in range(cols)]
+        ref = np.array([
+            np.mean([np.linalg.norm(grid.weights[i] - grid.weights[j])
+                     for j, b in enumerate(coords) if som.hex_distance(*a, *b) == 1])
+            for i, a in enumerate(coords)]).reshape(rows, cols)
+        assert np.allclose(som.u_matrix(grid), ref, rtol=1e-12, atol=0)
+
 
 class TestClustering:
     def test_recovers_three_blobs(self):
@@ -138,7 +145,9 @@ class TestClustering:
         grid = som.init_random(10, 10, data, seed=0)
         trained, _ = som.train(grid, data,
                                som.default_schedule(len(data), 10, 10), seed=1)
-        part = som.cluster_prototypes(trained, 3, restarts=16, seed=2)
+        # equal counts: every prototype has the same say
+        part = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
+                                      hit_counts=np.ones(100, int))
         assert part.assignment.shape == (100,)
         assert set(np.unique(part.assignment)) == {0, 1, 2}
         # blob members should land in distinct clusters
@@ -162,15 +171,17 @@ class TestClustering:
     def test_every_cluster_nonempty(self):
         data = blobs(k=60, seed=9)
         grid = som.init_random(4, 4, data, seed=0)
-        part = som.cluster_prototypes(grid, 5, restarts=8, seed=3)
+        part = som.cluster_prototypes(grid, 5, restarts=8, seed=3,
+                                      hit_counts=np.ones(16, int))
         assert set(np.unique(part.assignment)) == set(range(5))
 
     def test_invalid_inputs(self):
         grid = som.init_random(3, 3, blobs(), seed=0)
+        ones = np.ones(9, int)
         with pytest.raises(SomError):
-            som.cluster_prototypes(grid, 0)
+            som.cluster_prototypes(grid, 0, hit_counts=ones)
         with pytest.raises(SomError):
-            som.cluster_prototypes(grid, 10)
+            som.cluster_prototypes(grid, 10, hit_counts=ones)
         with pytest.raises(SomError, match="hit_counts"):
             som.cluster_prototypes(grid, 2, hit_counts=np.ones(4, dtype=int))
 
@@ -189,7 +200,8 @@ def make_model(seed=0):
     grid = som.init_random(6, 6, z, seed=seed)
     schedule = som.default_schedule(len(z), 6, 6)
     trained, qe = som.train(grid, z, schedule, seed=seed + 1)
-    part = som.cluster_prototypes(trained, 3, restarts=8, seed=seed + 2)
+    part = som.cluster_prototypes(trained, 3, restarts=8, seed=seed + 2,
+                                  hit_counts=som.hit_histogram(trained, z))
     return SomModel(grid=trained, normalizer=norm, partition=part,
                     labels=["Medium", "Low", "High"], schedule=schedule,
                     train_seed=seed + 1, cluster_seed=seed + 2, qe_history=qe)
@@ -209,12 +221,12 @@ class TestModelPersistence:
         model.save(p)
         loaded = SomModel.load(p)
         data = blobs(k=90, seed=11)
-        for x in data:
-            assert model.label_of(x) == loaded.label_of(x)
-            assert model.bmu_index(x) == loaded.bmu_index(x)
+        idx = model.bmu_indices(data)
+        np.testing.assert_array_equal(idx, loaded.bmu_indices(data))
+        assert model.labels_at(idx) == loaded.labels_at(loaded.bmu_indices(data))
 
-    def test_label_of_uses_partition(self):
+    def test_labels_at_uses_partition(self):
         model = make_model()
-        x = blobs(k=30, seed=12)[0]
-        cid = model.cluster_of(x)
-        assert model.label_of(x) == model.labels[cid]
+        x = blobs(k=30, seed=12)[:1]
+        cid = model.partition.assignment[model.bmu_indices(x)[0]]
+        assert model.labels_at(model.bmu_indices(x)) == [model.labels[cid]]

@@ -71,6 +71,18 @@ class TestLoadCsv:
         channels = telemetry.load_csv(p)
         assert len(channels[0].values) == 599
 
+    def test_over_wide_row_rejected(self, tmp_path, caplog):
+        def mangle(lines):
+            lines[10] += ",999"
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        channels = telemetry.load_csv(p)
+        assert len(channels[0].timestamps) == 599
+        assert 9 / 32.0 not in channels[0].timestamps
+        assert [r.getMessage() for r in caplog.records] == [
+            f"rejecting row 11 in {p}: 12 cells, header has 11"]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, cell):
         def mangle(lines):

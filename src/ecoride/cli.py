@@ -78,6 +78,7 @@ def _load_records(data_dir) -> list[telemetry.DriveRecord]:
     for p in paths:
         channels = telemetry.load_csv(p)
         records.append(telemetry.resample(channels, driver_id=p.stem))
+        records[-1].source = str(p)
     return records
 
 

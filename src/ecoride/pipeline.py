@@ -10,7 +10,7 @@ from . import advisor, comfort, features, som, telemetry
 from .comfort import WindowMetrics
 from .features import AUX_FEATURES, MAIN_FEATURES, WindowFeatures
 from .som import SomModel
-from .telemetry import DriveRecord
+from .telemetry import DriveRecord, TelemetryError
 
 
 class PipelineError(Exception):
@@ -46,16 +46,31 @@ class AnalyzedRecord:
 
 
 def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> AnalyzedRecord:
-    """Window a record, drop slow-traffic windows, compute metrics + features."""
+    """Window a record, drop slow-traffic windows, compute metrics + features.
+
+    Raises TelemetryError naming the record, the window and the field when a
+    feature or metric comes out non-finite (say, a square that overflows), so
+    that no such window reaches a map or an output file.
+    """
     config = config or RunConfig()
     windows = telemetry.filter_by_mean_speed(
         record, telemetry.split_windows(record), config.speed_threshold)
-    return AnalyzedRecord(
-        record=record,
-        windows=windows,
-        metrics=comfort.window_metrics(record, windows, config.peak_threshold),
-        features=features.compute_features(record, windows),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        metrics = comfort.window_metrics(record, windows, config.peak_threshold)
+        feats = features.compute_features(record, windows)
+    columns = {**{f"{n} RMS": feats.rms[n] for n in features.FEATURE_SIGNALS},
+               **{f"{n} Var": feats.var[n] for n in features.FEATURE_SIGNALS},
+               **{n: getattr(metrics, n) for n in ("msdv_x", "msdv_y", "vr", "fuel")}}
+    for name, values in columns.items():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            start = int(windows[np.argmax(bad)])
+            where = f" in {record.source}" if record.source else ""
+            raise TelemetryError(
+                f"non-finite {name} in the window starting at sample {start} "
+                f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
+                f"of record {record.driver_id}{where}")
+    return AnalyzedRecord(record=record, windows=windows, metrics=metrics, features=feats)
 
 
 def _train_one(analyzed: list[AnalyzedRecord], feature_names, grid_dims,

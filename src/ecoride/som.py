@@ -110,11 +110,15 @@ def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each index is that of the nearest prototype, ties to the lowest index.
     Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons, dim)
-    difference array stays small for a whole training set too.
+    difference array stays small for a whole training set too.  A nan or inf
+    sample raises SomError: it has no nearest prototype.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != grid.dim:
         raise SomError(f"dimension mismatch: samples {samples.shape}, grid {grid.dim}")
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise SomError(f"non-finite sample at row {int(np.argmin(finite))}")
     idx = np.empty(len(samples), dtype=np.intp)
     dist = np.empty(len(samples))
     for lo in range(0, len(samples), BMU_CHUNK):
@@ -145,6 +149,12 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
     over hexagonal grid distance to the BMU.  Returns the trained grid and the
     quantization error history (initial value plus one entry per epoch of
     ``len(samples)`` iterations).
+
+    The sample indices are drawn up front in one call, which yields the same
+    stream as one ``rng.integers(k)`` per iteration.  The update
+    ``w - (kernel * alpha) * (w - x)`` runs in place and equals
+    ``w + alpha * kernel * (x - w)`` bit for bit: IEEE negation and commuted
+    products are exact.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -153,18 +163,27 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
         raise SomError("sample dimension does not match grid")
     rng = np.random.default_rng(seed)
     weights = grid.weights.copy()
-    dist = grid_distance_matrix(grid.rows, grid.cols)
+    neg_d2 = -grid_distance_matrix(grid.rows, grid.cols) ** 2
     k = samples.shape[0]
     history = [quantization_error(grid, samples)]
     live = SomGrid(rows=grid.rows, cols=grid.cols, weights=weights,
                    rng_seed=grid.rng_seed)
+    picks = rng.integers(k, size=schedule.total_iterations)
+    diff = np.empty_like(weights)
+    sq = np.empty_like(weights)
+    d2 = np.empty(len(weights))
+    kernel = np.empty(len(weights))
+    kernel_col = kernel[:, None]
     for n in range(schedule.total_iterations):
-        x = samples[rng.integers(k)]
-        d2 = np.sum((weights - x) ** 2, axis=1)
-        c = int(np.argmin(d2))
+        np.subtract(weights, samples[picks[n]], out=diff)
+        np.square(diff, out=sq)
+        np.add.reduce(sq, axis=1, out=d2)
         sigma = schedule.sigma(n)
-        kernel = np.exp(-dist[c] ** 2 / (2.0 * sigma * sigma))
-        weights += schedule.alpha(n) * kernel[:, None] * (x - weights)
+        np.divide(neg_d2[d2.argmin()], 2.0 * sigma * sigma, out=kernel)
+        np.exp(kernel, out=kernel)
+        np.multiply(kernel, schedule.alpha(n), out=kernel)
+        np.multiply(diff, kernel_col, out=diff)
+        np.subtract(weights, diff, out=weights)
         if (n + 1) % k == 0:
             history.append(quantization_error(live, samples))
     if schedule.total_iterations % k != 0:

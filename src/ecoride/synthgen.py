@@ -171,14 +171,21 @@ def style_grid(base_seed: int = 0, duration: float = 60.0,
     return out
 
 
+WRITE_BLOCK = 1024
+
+
 def write_csv(record: DriveRecord, path) -> None:
-    """Write a record in the same CSV schema the loader reads."""
-    n = record.n_total
-    times = record.t_start + np.arange(n) / SAMPLE_RATE_HZ
+    """Write a record in the same CSV schema the loader reads: the time at
+    ``%.6f``, every channel at ``%.8g``, CRLF line ends.
+
+    Rows go out ``WRITE_BLOCK`` at a time, so the table being formatted stays
+    small for long records too.
+    """
     names = list(CHANNELS)
+    columns = [record.t_start + np.arange(record.n_total) / SAMPLE_RATE_HZ,
+               *(record.channels[n] for n in names)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TIME_COLUMN, *names])
-        for i in range(n):
-            writer.writerow([f"{times[i]:.6f}",
-                             *[f"{record.channels[name][i]:.8g}" for name in names]])
+        csv.writer(fh).writerow([TIME_COLUMN, *names])
+        for lo in range(0, record.n_total, WRITE_BLOCK):
+            np.savetxt(fh, np.column_stack([c[lo:lo + WRITE_BLOCK] for c in columns]),
+                       fmt=["%.6f"] + ["%.8g"] * len(names), delimiter=",", newline="\r\n")

@@ -92,6 +92,7 @@ class DriveRecord:
     driver_id: str
     channels: dict[str, np.ndarray]
     t_start: float = 0.0
+    source: str = ""  # the file the record was read from, for error messages
 
     def __post_init__(self):
         lengths = {name: len(v) for name, v in self.channels.items()}

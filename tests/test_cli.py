@@ -86,6 +86,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite XACC value at data row 5" in err and src.name in err
 
+    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
+                                         "correlate"])
+    def test_overflowing_window_fails_before_any_output(self, workspace, tmp_path,
+                                                        capsys, command):
+        # a finite cell whose square overflows: every window holding it would
+        # get an infinite XACC RMS and MSDV
+        _, data, models = workspace
+        src = sorted(data.glob("*.csv"))[0]
+        lines = src.read_text().splitlines()
+        fields = lines[1000].split(",")
+        fields[lines[0].split(",").index("XACC")] = "1e200"
+        lines[1000] = ",".join(fields)
+        big_data = tmp_path / "data"
+        big_data.mkdir()
+        (big_data / src.name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--data", str(big_data), "--out", str(out)]
+        if command in ("classify", "advise", "report"):
+            argv += ["--models", str(models)]
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "non-finite XACC RMS in the window starting at sample 768" in err
+        assert str(big_data / src.name) in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSynth:
     def test_deterministic_files(self, tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ecoride import som
+from ecoride import features, pipeline, som
 from ecoride.features import Normalizer
 from ecoride.som import SomError, SomModel
 
@@ -82,11 +85,84 @@ class TestTraining:
         with pytest.raises(SomError):
             som.train(grid, np.ones((5, 3)), schedule, seed=0)
 
+    def test_rejects_non_finite_samples(self):
+        grid = som.init_random(4, 4, blobs(), seed=0)
+        data = blobs()
+        data[7, 1] = np.nan
+        with pytest.raises(SomError, match="non-finite sample at row 7"):
+            som.train(grid, data, som.TrainingSchedule(total_iterations=10), seed=0)
+
     def test_schedule_decay(self):
         s = som.TrainingSchedule(total_iterations=100, alpha0=0.5, alpha_min=0.01)
         assert s.alpha(0) == pytest.approx(0.5)
         assert s.alpha(99) == pytest.approx(0.01)
         assert s.alpha(50) < s.alpha(10)
+
+
+def reference_train(grid, samples, schedule, seed):
+    """``som.train`` as it was before its in-place rewrite, kept as the reference."""
+    samples = np.asarray(samples, dtype=float)
+    rng = np.random.default_rng(seed)
+    weights = grid.weights.copy()
+    dist = som.grid_distance_matrix(grid.rows, grid.cols)
+    k = samples.shape[0]
+    history = [som.quantization_error(grid, samples)]
+    live = som.SomGrid(rows=grid.rows, cols=grid.cols, weights=weights,
+                       rng_seed=grid.rng_seed)
+    for n in range(schedule.total_iterations):
+        x = samples[rng.integers(k)]
+        d2 = np.sum((weights - x) ** 2, axis=1)
+        c = int(np.argmin(d2))
+        sigma = schedule.sigma(n)
+        kernel = np.exp(-dist[c] ** 2 / (2.0 * sigma * sigma))
+        weights += schedule.alpha(n) * kernel[:, None] * (x - weights)
+        if (n + 1) % k == 0:
+            history.append(som.quantization_error(live, samples))
+    if schedule.total_iterations % k != 0:
+        history.append(som.quantization_error(live, samples))
+    return live, history
+
+
+def assert_trains_like_reference(grid, samples, schedule, seed):
+    trained, history = som.train(grid, samples, schedule, seed)
+    ref_trained, ref_history = reference_train(grid, samples, schedule, seed)
+    assert np.array_equal(trained.weights, ref_trained.weights)
+    assert history == ref_history
+
+
+@st.composite
+def training_cases(draw):
+    """(grid, samples, schedule, seed): small hex grids, few samples (repeats
+    included, so BMU ties occur), iteration counts on and off epoch bounds."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    k, dim = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    samples = draw(hnp.arrays(np.float64, (k, dim),
+                              elements=st.floats(-100.0, 100.0, width=64)))
+    grid = som.init_random(rows, cols, samples, seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        total = k * draw(st.integers(0, 4))
+    else:
+        total = draw(st.integers(0, 160))
+    schedule = som.TrainingSchedule(total_iterations=total,
+                                    sigma0=max(rows, cols) / 2.0)
+    return grid, samples, schedule, draw(st.integers(0, 2**32 - 1))
+
+
+class TestTrainMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=training_cases())
+    def test_bit_identical(self, case):
+        assert_trains_like_reference(*case)
+
+    def test_bit_identical_on_synthetic_fleet(self, small_corpus):
+        analyzed = [pipeline.analyze_record(r) for r in small_corpus]
+        for names, seed in ((features.MAIN_FEATURES, 5), (features.AUX_FEATURES, 105)):
+            vectors = [features.feature_matrix(a.features, names) for a in analyzed]
+            train = np.vstack([v[:int(round(0.75 * len(v)))] for v in vectors])
+            z = features.fit_normalizer(train, names).transform(train)
+            grid = som.init_random(15, 15, z, seed=seed)
+            assert_trains_like_reference(grid, z, som.default_schedule(len(z), 15, 15),
+                                         seed + 1)
 
 
 class TestBmu:
@@ -110,6 +186,14 @@ class TestBmu:
         assert idx[-1] == 3
         np.testing.assert_array_equal(som.hit_histogram(grid, data),
                                       np.bincount(idx, minlength=16))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        grid = som.init_random(3, 3, blobs(), seed=0)
+        data = blobs(k=30)
+        data[11, 0] = bad
+        with pytest.raises(SomError, match="non-finite sample at row 11"):
+            som.bmus(grid, data)
 
     def test_dimension_mismatch(self):
         grid = som.init_random(3, 3, blobs(), seed=0)

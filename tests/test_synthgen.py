@@ -1,7 +1,12 @@
 """Synthetic telemetry generator: determinism, invariants, monotonicity."""
 
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecoride import synthgen, telemetry
 from ecoride.synthgen import StyleSpec, SynthError
@@ -106,3 +111,50 @@ class TestCsvRoundTrip:
             np.testing.assert_allclose(back.channels[name][:n],
                                        rec.channels[name][:n], rtol=1e-6,
                                        atol=1e-5)
+
+
+def reference_write_csv(record, path):
+    """``synthgen.write_csv`` as it was before ``np.savetxt``: one
+    ``csv.writer`` row of f-strings per sample, kept as the reference."""
+    n = record.n_total
+    times = record.t_start + np.arange(n) / telemetry.SAMPLE_RATE_HZ
+    names = list(telemetry.CHANNELS)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([telemetry.TIME_COLUMN, *names])
+        for i in range(n):
+            writer.writerow([f"{times[i]:.6f}",
+                             *[f"{record.channels[name][i]:.8g}" for name in names]])
+
+
+# Magnitudes from 1e-9 to 1e6 of either sign, signed zeros, integer values.
+SAMPLE_VALUES = st.one_of(
+    st.builds(lambda m, neg: -m if neg else m, st.floats(1e-9, 1e6), st.booleans()),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-10**6, 10**6).map(float))
+
+
+@st.composite
+def short_records(draw):
+    n = draw(st.integers(2, 24))
+    channels = {}
+    for name in telemetry.CHANNELS:
+        values = np.array(draw(st.lists(SAMPLE_VALUES, min_size=n, max_size=n)))
+        channels[name] = np.abs(values) if name in ("VS", "ERPM") else values
+    return telemetry.DriveRecord(driver_id="rt", channels=channels,
+                                 t_start=draw(st.floats(0.0, 1e5)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record=short_records(), block=st.integers(1, 30))
+def test_write_csv_matches_reference_and_round_trips(tmp_path, record, block):
+    path, ref = tmp_path / "rt.csv", tmp_path / "ref.csv"
+    with mock.patch.object(synthgen, "WRITE_BLOCK", block):  # rows span blocks
+        synthgen.write_csv(record, path)
+    reference_write_csv(record, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    times = record.t_start + np.arange(record.n_total) / telemetry.SAMPLE_RATE_HZ
+    for ch in telemetry.load_csv(path):
+        assert ch.timestamps.tolist() == [float(f"{t:.6f}") for t in times]
+        assert ch.values.tolist() == [float(f"{v:.8g}") for v in record.channels[ch.name]]

@@ -57,10 +57,6 @@ class KdeSurface:
         dy = float(self.y_grid[1] - self.y_grid[0])
         return float(self.density.sum() * dx * dy)
 
-    def argmax_point(self) -> tuple[float, float]:
-        iy, ix = np.unravel_index(int(np.argmax(self.density)), self.density.shape)
-        return float(self.x_grid[ix]), float(self.y_grid[iy])
-
 
 def silverman_bandwidth(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)

@@ -74,12 +74,7 @@ def _load_records(data_dir) -> list[telemetry.DriveRecord]:
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
         raise TelemetryError(f"no telemetry CSV files in {data_dir}")
-    records = []
-    for p in paths:
-        channels = telemetry.load_csv(p)
-        records.append(telemetry.resample(channels, driver_id=p.stem))
-        records[-1].source = str(p)
-    return records
+    return [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths]
 
 
 def _analyze_records(data_dir, config: RunConfig) -> list[pipeline.AnalyzedRecord]:
@@ -260,7 +255,6 @@ def build_parser() -> CliParser:
             p.add_argument("--models", required=True, help="trained model directory")
 
     p = sub.add_parser("synth", help="generate synthetic telemetry CSVs")
-    p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--seed", type=int, help="base seed for the style grid")
     p.add_argument("--out", required=True, help="output directory (must exist)")
     p.add_argument("--drivers", type=int, default=9, help="number of records")
@@ -297,11 +291,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config) if args.config else {}
         if args.command == "synth":
             if args.drivers < 1:
                 raise SynthError("--drivers must be at least 1")
             return cmd_synth(args)
+        cfg = _load_config(args.config) if args.config else {}
         return COMMANDS[args.command](args, _run_config(args, cfg))
     except DATA_ERRORS as exc:
         print(f"ecoride: error: {exc}", file=sys.stderr)

@@ -37,52 +37,42 @@ class TelemetryError(Exception):
     """Raised for malformed telemetry inputs."""
 
 
-def _require_finite(channel: str, what: str, arr: np.ndarray) -> None:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        raise TelemetryError(
-            f"channel {channel}: non-finite {what} at sample {int(np.argmax(bad))}")
-
-
 @dataclass
 class RawChannel:
-    """One named channel as sampled in the source file, before resampling."""
+    """One named channel as sampled in the source file, before resampling.
+
+    The one check of raw samples: at least 2 of them, finite times and
+    values, and increasing times.  Rows in messages count from 1.
+    """
 
     name: str
-    rate: float
     timestamps: np.ndarray
     values: np.ndarray
+    source: str = ""  # the file the channel was read from, for error messages
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.rate <= 0:
-            raise TelemetryError(f"channel {self.name}: rate must be > 0")
+        where = f" in {self.source}" if self.source else ""
         if self.timestamps.shape != self.values.shape:
-            raise TelemetryError(f"channel {self.name}: timestamp/value length mismatch")
-        _require_finite(self.name, "timestamp", self.timestamps)
-        _require_finite(self.name, "value", self.values)
-        if len(self.timestamps) >= 2:
-            dt = np.diff(self.timestamps)
-            if np.any(dt <= 0):
-                bad = int(np.argmax(dt <= 0)) + 1
+            raise TelemetryError(f"channel {self.name}: timestamp/value length mismatch{where}")
+        if len(self.timestamps) < 2:
+            raise TelemetryError(
+                f"need at least 2 data rows, got {len(self.timestamps)}{where}")
+        for label, arr in (("timestamp", self.timestamps), (f"{self.name} value", self.values)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
                 raise TelemetryError(
-                    f"channel {self.name}: non-monotonic timestamps at sample {bad}"
-                )
-            med = float(np.median(dt))
-            if abs(1.0 / med - self.rate) > 0.05 * self.rate:
-                raise TelemetryError(
-                    f"channel {self.name}: declared rate {self.rate} Hz inconsistent "
-                    f"with median spacing {med:.6g} s"
-                )
+                    f"non-finite {label} at data row {int(np.argmax(bad)) + 1}{where}")
+        bad = np.diff(self.timestamps) <= 0  # bad[i]: row i + 2 does not increase
+        if bad.any():
+            raise TelemetryError(
+                f"non-monotonic timestamps at data row {int(np.argmax(bad)) + 2}{where}")
 
     @property
-    def t_start(self) -> float:
-        return float(self.timestamps[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.timestamps[-1])
+    def rate(self) -> float:
+        """Sampling rate in Hz from the median time step."""
+        return 1.0 / float(np.median(np.diff(self.timestamps)))
 
 
 @dataclass
@@ -99,7 +89,10 @@ class DriveRecord:
         if len(set(lengths.values())) > 1:
             raise TelemetryError(f"unequal channel lengths: {lengths}")
         for name, values in self.channels.items():
-            _require_finite(name, "value", values)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise TelemetryError(
+                    f"channel {name}: non-finite value at sample {int(np.argmax(bad))}")
         for name in ("VS", "ERPM"):
             if name in self.channels and np.any(self.channels[name] < 0):
                 raise TelemetryError(f"channel {name} has negative values")
@@ -110,19 +103,14 @@ class DriveRecord:
             return 0
         return len(next(iter(self.channels.values())))
 
-    def __len__(self) -> int:
-        return self.n_total
-
 
 def load_csv(path) -> list[RawChannel]:
     """Read a telemetry CSV into one RawChannel per ``CHANNELS`` column.
 
     The data rows are parsed in one ``np.loadtxt`` call; only a file that call
     cannot parse is read row by row, rejecting rows with unparseable values or
-    a cell count other than the header's (logged with their row index).  A
-    file with fewer than 2 data rows raises, and so does a ``nan``/``inf``
-    timestamp or value, naming the channel and the data row (counted from 1
-    over the accepted rows).
+    a cell count other than the header's (logged with their row index).
+    ``RawChannel`` then checks the accepted rows, naming this file.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -146,7 +134,7 @@ def load_csv(path) -> list[RawChannel]:
         data_start = fh.tell()
         try:
             with warnings.catch_warnings():
-                # "input contained no data": the row count is checked below
+                # "input contained no data": RawChannel checks the row count
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
         except ValueError:
@@ -155,24 +143,8 @@ def load_csv(path) -> list[RawChannel]:
             fh.seek(data_start)
             table, cols = _parse_rows(fh, cols, len(header), path), range(len(cols))
 
-    ts = table[:, cols[0]]
-    values = {chan: table[:, c] for chan, c in zip(CHANNELS, cols[1:])}
-    if len(ts) < 2:
-        raise TelemetryError(f"need at least 2 data rows, got {len(ts)} in {path}")
-    for label, arr in (("timestamp", ts), *((f"{c} value", v) for c, v in values.items())):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            raise TelemetryError(
-                f"non-finite {label} at data row {int(np.argmax(bad)) + 1} in {path}")
-    dt = np.diff(ts)
-    if np.any(dt <= 0):
-        bad = int(np.argmax(dt <= 0)) + 1
-        raise TelemetryError(f"non-monotonic timestamps at data row {bad} in {path}")
-    rate = 1.0 / float(np.median(dt))
-    return [
-        RawChannel(name=chan, rate=rate, timestamps=ts, values=values[chan])
-        for chan in CHANNELS
-    ]
+    return [RawChannel(chan, table[:, cols[0]], table[:, c], source=str(path))
+            for chan, c in zip(CHANNELS, cols[1:])]
 
 
 def _parse_rows(fh, cols: list[int], width: int, path) -> np.ndarray:
@@ -203,11 +175,8 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     """
     if not channels:
         raise TelemetryError("no channels to resample")
-    for ch in channels:
-        if len(ch.timestamps) < 2:
-            raise TelemetryError(f"channel {ch.name}: need at least 2 samples")
-    t0 = max(ch.t_start for ch in channels)
-    t1 = min(ch.t_end for ch in channels)
+    t0 = max(float(ch.timestamps[0]) for ch in channels)
+    t1 = min(float(ch.timestamps[-1]) for ch in channels)
     if t1 < t0:
         raise TelemetryError("channels have no overlapping time support")
     n = int(np.floor((t1 - t0) * SAMPLE_RATE_HZ)) + 1
@@ -215,13 +184,14 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
 
     out: dict[str, np.ndarray] = {}
     for ch in channels:
-        values = ch.values
-        if ch.rate > SAMPLE_RATE_HZ * 1.05:
-            width = max(2, int(round(ch.rate / SAMPLE_RATE_HZ)))
+        values, rate = ch.values, ch.rate
+        if rate > SAMPLE_RATE_HZ * 1.05:
+            width = max(2, int(round(rate / SAMPLE_RATE_HZ)))
             kernel = np.ones(width) / width
             values = np.convolve(values, kernel, mode="same")
         out[ch.name] = np.interp(grid, ch.timestamps, values)
-    return DriveRecord(driver_id=driver_id, channels=out, t_start=t0)
+    return DriveRecord(driver_id=driver_id, channels=out, t_start=t0,
+                       source=channels[0].source)
 
 
 def split_windows(record: DriveRecord) -> np.ndarray:

@@ -290,7 +290,9 @@ class TestCriterion9KdeSanity:
             # mode location on a grid coarse enough that KDE sampling jitter
             # stays below one cell
             surface = analytics.kde2d(pts, resolution=16)
-            mx, my = surface.argmax_point()
+            iy, ix = np.unravel_index(int(np.argmax(surface.density)),
+                                      surface.density.shape)
+            mx, my = surface.x_grid[ix], surface.y_grid[iy]
             dx = float(surface.x_grid[1] - surface.x_grid[0])
             dy = float(surface.y_grid[1] - surface.y_grid[0])
             ok &= abs(mx - pts[:, 0].mean()) <= dx

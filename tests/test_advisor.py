@@ -3,6 +3,8 @@ streaming advice state machine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecoride import advisor
 from ecoride.advisor import AdviceState, AdvisorError
@@ -142,6 +144,30 @@ class TestIntersect:
             advisor.intersect([])
 
 
+def run_length_reference(pairs, k_stable):
+    """(window index, pair) of each event: a run of at least ``k_stable`` equal
+    pairs emits at ``run_start + k_stable - 1`` unless its pair was the last
+    one emitted."""
+    events, last, start = [], None, 0
+    for i in range(1, len(pairs) + 1):
+        if i < len(pairs) and pairs[i] == pairs[start]:
+            continue
+        if i - start >= k_stable and pairs[start] != last:
+            last = pairs[start]
+            events.append((start + k_stable - 1, last))
+        start = i
+    return events
+
+
+@st.composite
+def label_sequences(draw):
+    """(pairs, k_stable): 0-60 windows drawn from a pool of 2-4 label pairs."""
+    label_pair = st.tuples(st.sampled_from(advisor.LABELS), st.sampled_from(advisor.LABELS))
+    pool = draw(st.lists(label_pair, min_size=2, max_size=4, unique=True))
+    pairs = draw(st.lists(st.sampled_from(pool), max_size=60))
+    return pairs, draw(st.integers(1, 5))
+
+
 class TestStreamAdvise:
     def run(self, pairs, k_stable=3, n_x_neg=0):
         state = AdviceState(k_stable=k_stable)
@@ -186,3 +212,16 @@ class TestStreamAdvise:
         s = ev.format()
         assert s.startswith("window_start=2 comfort=H fuel=M advice=")
         assert '"Release gas pedal / switch to a lower gear"' in s
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=label_sequences())
+    def test_matches_run_length_reference(self, case):
+        pairs, k_stable = case
+        events = self.run(pairs, k_stable=k_stable)
+        got = [(e.window_start, (e.comfort, e.fuel)) for e in events]
+        assert got == run_length_reference(pairs, k_stable)
+        for (_, a), (_, b) in zip(got, got[1:]):
+            assert a != b
+        for i, pair in got:
+            assert i >= k_stable - 1
+            assert pairs[i - k_stable + 1:i + 1] == [pair] * k_stable

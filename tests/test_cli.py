@@ -86,6 +86,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite XACC value at data row 5" in err and src.name in err
 
+    @pytest.mark.parametrize("fault,message", [
+        pytest.param("nan_xacc", "non-finite XACC value at data row 5 in ", id="nan_xacc"),
+        pytest.param("inf_time", "non-finite timestamp at data row 7 in ", id="inf_time"),
+        pytest.param("swapped_rows", "non-monotonic timestamps at data row 11 in ",
+                     id="swapped_rows"),
+        pytest.param("one_row", "need at least 2 data rows, got 1 in ", id="one_row"),
+        pytest.param("missing_column", "missing required column 'XACC' in ",
+                     id="missing_column"),
+    ])
+    def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
+                                               fault, message):
+        _, data, models = workspace
+        src = sorted(data.glob("*.csv"))[0]
+        lines = src.read_text().splitlines()
+        header = lines[0].split(",")
+        if fault == "nan_xacc":
+            fields = lines[5].split(",")
+            fields[header.index("XACC")] = "nan"
+            lines[5] = ",".join(fields)
+        elif fault == "inf_time":
+            fields = lines[7].split(",")
+            fields[header.index("t")] = "inf"
+            lines[7] = ",".join(fields)
+        elif fault == "swapped_rows":
+            lines[10], lines[11] = lines[11], lines[10]
+        elif fault == "one_row":
+            lines = lines[:2]
+        else:
+            lines[0] = lines[0].replace("XACC", "XACC_OLD")
+        bad_data = tmp_path / "data"
+        bad_data.mkdir()
+        (bad_data / src.name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert run(["classify", "--data", str(bad_data), "--models", str(models),
+                    "--out", str(out)]) == cli.EXIT_DATA
+        assert message + str(bad_data / src.name) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
                                          "correlate"])
     def test_overflowing_window_fails_before_any_output(self, workspace, tmp_path,
@@ -113,6 +151,14 @@ class TestExitCodes:
 
 
 class TestSynth:
+    def test_config_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 999}))
+        assert run(["synth", "--out", str(tmp_path), "--drivers", "1",
+                    "--duration", "16", "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()

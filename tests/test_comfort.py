@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecoride import comfort, telemetry
 from ecoride.comfort import ComfortError
@@ -151,3 +153,20 @@ class TestWindowMetrics:
         isolated = comfort.weighted_rms(
             comfort.apply_filter(wf, rec.channels["XACC"][ws[1]:ws[1] + 256]))
         assert metrics.msdv_x[1] != pytest.approx(isolated, rel=1e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), magnitude=st.floats(0.1, 10.0),
+           negative=st.booleans())
+    def test_scale_with_acceleration(self, seed, magnitude, negative):
+        # the weighting filter is linear and MSDV and VR are norms, so scaling
+        # XACC and YACC by c scales msdv_x, msdv_y and vr by |c|
+        c = -magnitude if negative else magnitude
+        rec = make_record(n=768, seed=seed)
+        ws = telemetry.split_windows(rec)
+        base = comfort.window_metrics(rec, ws)
+        for name in ("XACC", "YACC"):
+            rec.channels[name] = c * rec.channels[name]
+        scaled = comfort.window_metrics(rec, ws)
+        for name in ("msdv_x", "msdv_y", "vr"):
+            np.testing.assert_allclose(getattr(scaled, name), abs(c) * getattr(base, name),
+                                       rtol=1e-9, atol=0)

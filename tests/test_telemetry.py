@@ -115,27 +115,32 @@ class TestLoadCsv:
 
 
 class TestRawChannel:
-    def test_rate_mismatch(self):
-        ts = np.arange(100) / 10.0  # actually 10 Hz
-        with pytest.raises(TelemetryError, match="inconsistent"):
-            RawChannel(name="VS", rate=32.0, timestamps=ts, values=np.zeros(100))
-
-
     @pytest.mark.parametrize("field", ["timestamps", "values"])
     def test_non_finite_rejected(self, field):
         arrays = {"timestamps": np.arange(100) / 32.0, "values": np.zeros(100)}
         arrays[field][40] = np.nan
-        what = "timestamp" if field == "timestamps" else "value"
+        what = "timestamp" if field == "timestamps" else "VS value"
+        with pytest.raises(TelemetryError, match=f"^non-finite {what} at data row 41$"):
+            RawChannel(name="VS", **arrays)
+
+    @pytest.mark.parametrize("hz", [32.0, 128.0])
+    def test_rate_is_measured_spacing(self, hz):
+        ch = RawChannel(name="VS", timestamps=5.0 + np.arange(300) / hz,
+                        values=np.zeros(300))
+        assert ch.rate == pytest.approx(hz, rel=1e-12)
+
+    def test_source_named_in_messages(self):
         with pytest.raises(TelemetryError,
-                           match=f"channel VS: non-finite {what} at sample 40"):
-            RawChannel(name="VS", rate=32.0, **arrays)
+                           match=r"^non-monotonic timestamps at data row 3 in a\.csv$"):
+            RawChannel(name="VS", timestamps=[0.0, 1.0, 1.0], values=[0.0, 0.0, 0.0],
+                       source="a.csv")
 
 
 class TestResample:
     def test_identity_on_uniform_grid(self):
         ts = np.arange(320) / SAMPLE_RATE_HZ
         vals = np.sin(ts)
-        ch = RawChannel(name="VS", rate=32.0, timestamps=ts, values=np.abs(vals))
+        ch = RawChannel(name="VS", timestamps=ts, values=np.abs(vals))
         rec = telemetry.resample([ch], driver_id="x")
         assert rec.n_total == 320
         np.testing.assert_allclose(rec.channels["VS"], np.abs(vals), atol=1e-12)
@@ -144,27 +149,31 @@ class TestResample:
         # two channels with offset time supports -> intersection only
         t_a = np.arange(320) / SAMPLE_RATE_HZ
         t_b = 1.0 + np.arange(256) / SAMPLE_RATE_HZ
-        a = RawChannel(name="VS", rate=32.0, timestamps=t_a, values=np.ones(320))
-        b = RawChannel(name="XACC", rate=32.0, timestamps=t_b, values=np.ones(256))
+        a = RawChannel(name="VS", timestamps=t_a, values=np.ones(320))
+        b = RawChannel(name="XACC", timestamps=t_b, values=np.ones(256))
         rec = telemetry.resample([a, b])
         assert rec.t_start == pytest.approx(1.0)
         t_end = min(t_a[-1], t_b[-1])
         assert rec.n_total == int(np.floor((t_end - 1.0) * SAMPLE_RATE_HZ)) + 1
 
     def test_no_overlap_errors(self):
-        a = RawChannel(name="VS", rate=32.0,
-                       timestamps=np.arange(64) / 32.0, values=np.ones(64))
-        b = RawChannel(name="XACC", rate=32.0,
+        a = RawChannel(name="VS", timestamps=np.arange(64) / 32.0, values=np.ones(64))
+        b = RawChannel(name="XACC",
                        timestamps=10.0 + np.arange(64) / 32.0, values=np.ones(64))
         with pytest.raises(TelemetryError, match="overlapping"):
             telemetry.resample([a, b])
+
+    def test_source_carried_into_record(self):
+        ts = np.arange(64) / SAMPLE_RATE_HZ
+        ch = RawChannel(name="VS", timestamps=ts, values=np.ones(64), source="d/x.csv")
+        assert telemetry.resample([ch], driver_id="x").source == "d/x.csv"
 
     def test_downsampling_prefilters(self):
         # 128 Hz alternating +/-1 signal must not alias to a constant +/-1
         rate = 128.0
         ts = np.arange(1280) / rate
         vals = np.where(np.arange(1280) % 2 == 0, 1.0, -1.0)
-        ch = RawChannel(name="XACC", rate=rate, timestamps=ts, values=vals)
+        ch = RawChannel(name="XACC", timestamps=ts, values=vals)
         rec = telemetry.resample([ch])
         assert np.max(np.abs(rec.channels["XACC"])) < 0.6
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comfort import WindowMetrics
-from .features import WindowFeatures, feature_matrix
+from .features import feature_matrix
 from .som import LABELS, ClusterPartition, SomModel
 
 PROFILE_METRICS = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
@@ -42,17 +41,15 @@ class ClusterProfile:
 
 
 def profile_clusters(partition: ClusterPartition, bmu_indices,
-                     metrics: list[WindowMetrics]) -> list[ClusterProfile]:
+                     columns: dict[str, np.ndarray]) -> list[ClusterProfile]:
     """Average and population variance of each metric over member windows.
 
-    ``bmu_indices`` holds one BMU index per window of ``metrics`` (one table
-    per record), in the same order.
+    ``bmu_indices`` holds one BMU index per window of ``columns``, in the
+    same order.
     """
     bmu_indices = np.asarray(bmu_indices, dtype=int)
-    if len(bmu_indices) != sum(len(m.window_start) for m in metrics):
+    if len(bmu_indices) != len(columns["vr"]):
         raise AdvisorError("bmu assignment and metrics counts differ")
-    columns = {name: np.concatenate([getattr(m, name) for m in metrics]).astype(float)
-               for name in PROFILE_METRICS}
     cluster_ids = partition.assignment[bmu_indices]
     profiles = []
     for cid in range(partition.cluster_count):
@@ -97,7 +94,8 @@ def improvement_report(profiles: list[ClusterProfile],
     """Percent reduction of each metric when moving to a better cluster.
 
     For every (current, target) pair with a lower target average on the first
-    metric: 100 * (avg_current - avg_target) / avg_current.
+    metric: 100 * (avg_current - avg_target) / avg_current.  A current cluster
+    whose average of a metric is 0 has no percent reduction: AdvisorError.
     """
     if any(p.label is None for p in profiles):
         raise AdvisorError("profiles must be labeled first")
@@ -107,6 +105,10 @@ def improvement_report(profiles: list[ClusterProfile],
     for current in ordered:
         for target in ordered:
             if target.averages[key] < current.averages[key]:
+                zero = [m for m in metrics if current.averages[m] == 0.0]
+                if zero:
+                    raise AdvisorError(f"{zero[0]} averages 0 in the {current.label} "
+                                       "cluster: no percent reduction from it")
                 rows.append(ImprovementRow(
                     current=current.label, target=target.label,
                     reductions={m: 100.0 * (current.averages[m] - target.averages[m])
@@ -167,12 +169,12 @@ class Classification:
     pairs: list[tuple[str, str]]
 
 
-def classify_window(window_features: WindowFeatures, main_model: SomModel,
+def classify_window(columns: dict[str, np.ndarray], main_model: SomModel,
                     aux_model: SomModel) -> Classification:
-    """Classify every window of one record: BMU -> cluster -> label in each
-    map, with one batched BMU search per map."""
-    main_bmus = main_model.bmu_indices(feature_matrix(window_features, main_model.feature_names))
-    aux_bmus = aux_model.bmu_indices(feature_matrix(window_features, aux_model.feature_names))
+    """Classify every window of one record's feature ``columns``: BMU ->
+    cluster -> label in each map, with one batched BMU search per map."""
+    main_bmus = main_model.bmu_indices(feature_matrix(columns, main_model.feature_names))
+    aux_bmus = aux_model.bmu_indices(feature_matrix(columns, aux_model.feature_names))
     pairs = list(zip(main_model.labels_at(main_bmus), aux_model.labels_at(aux_bmus)))
     return Classification(main_bmus=main_bmus, aux_bmus=aux_bmus, pairs=pairs)
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advisor import intersect
-from .comfort import WindowMetrics
 
 
 class AnalyticsError(Exception):
@@ -26,13 +25,13 @@ class DriverSummary:
     means: dict[str, float]
 
 
-def driver_summary(metrics: list[WindowMetrics]) -> list[DriverSummary]:
-    """Arithmetic means of each metric per driver (one metrics table each), in
-    driver-id order; a driver with no kept window has no summary."""
-    return [DriverSummary(driver_id=m.driver_id, window_count=len(m.window_start),
-                          means={name: float(np.mean(getattr(m, name)))
+def driver_summary(columns_by_driver: dict[str, dict[str, np.ndarray]]) -> list[DriverSummary]:
+    """Arithmetic means of each metric per driver (one set of columns each),
+    in driver-id order; a driver with no kept window has no summary."""
+    return [DriverSummary(driver_id=driver_id, window_count=len(columns["vr"]),
+                          means={name: float(np.mean(columns[name]))
                                  for name in SUMMARY_METRICS})
-            for m in sorted(metrics, key=lambda m: m.driver_id) if len(m.window_start)]
+            for driver_id, columns in sorted(columns_by_driver.items()) if len(columns["vr"])]
 
 
 def write_summary_csv(summaries: list[DriverSummary], path) -> None:
@@ -74,7 +73,7 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
         raise AnalyticsError("need at least 2 (fuel, vr) points")
     x, y = points[:, 0], points[:, 1]
-    if x.std() == 0.0 or y.std() == 0.0:
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise AnalyticsError("degenerate axis: zero spread")
     hx = silverman_bandwidth(x)
     hy = silverman_bandwidth(y)

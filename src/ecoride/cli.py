@@ -161,16 +161,28 @@ def cmd_classify(args, config: RunConfig) -> int:
 
 
 def cmd_advise(args, config: RunConfig) -> int:
+    main_model, aux_model, analyzed, classified = _classify(args, config)
+    fleet = pipeline.fleet_columns(analyzed)
+    reports = []
+    for tag, model, bmus, report_metrics in (
+            ("main", main_model, [c.main_bmus for c in classified], ("vr", "msdv_y")),
+            ("aux", aux_model, [c.aux_bmus for c in classified], ("fuel",))):
+        profiles = advisor.profile_clusters(model.partition, np.concatenate(bmus), fleet)
+        for p in profiles:
+            p.label = model.labels[p.cluster_id]
+        try:
+            rows = advisor.improvement_report(profiles, metrics=report_metrics)
+        except AdvisorError as exc:
+            raise AdvisorError(f"{tag} map: {exc}") from None
+        reports.append((tag, rows, report_metrics))
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    main_model, aux_model, analyzed, classified = _classify(args, config)
     matrix = advisor.build_advice_matrix()
-
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
         for a, c in zip(analyzed, classified):
             state = advisor.AdviceState(k_stable=config.k_stable)
-            for pair, start, n_x_neg in zip(c.pairs, a.metrics.window_start,
-                                            a.metrics.n_x_neg):
+            for pair, start, n_x_neg in zip(c.pairs, a.windows, a.columns["n_x_neg"]):
                 event = advisor.stream_advise(state, pair, start, n_x_neg, matrix)
                 if event is not None:
                     fh.write(f"{a.record.driver_id} {event.format()}\n")
@@ -178,18 +190,8 @@ def cmd_advise(args, config: RunConfig) -> int:
     all_pairs = [p for c in classified for p in c.pairs]
     advisor.write_intersection_csv(advisor.intersect(all_pairs),
                                    out / "intersection.csv")
-
-    all_metrics = [a.metrics for a in analyzed]
-    for tag, model, bmus, report_metrics in (
-            ("main", main_model, [c.main_bmus for c in classified], ("vr", "msdv_y")),
-            ("aux", aux_model, [c.aux_bmus for c in classified], ("fuel",))):
-        profiles = advisor.profile_clusters(model.partition, np.concatenate(bmus),
-                                            all_metrics)
-        for p in profiles:
-            p.label = model.labels[p.cluster_id]
-        rows = advisor.improvement_report(profiles, metrics=report_metrics)
-        advisor.write_improvement_csv(rows, report_metrics,
-                                      out / f"improvement_{tag}.csv")
+    for tag, rows, report_metrics in reports:
+        advisor.write_improvement_csv(rows, report_metrics, out / f"improvement_{tag}.csv")
     print(f"advice reports written to {out}")
     return EXIT_OK
 
@@ -199,8 +201,9 @@ def cmd_report(args, config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _, _, analyzed, classified = _classify(args, config)
 
-    analytics.write_summary_csv(analytics.driver_summary([a.metrics for a in analyzed]),
-                                out / "driver_summary.csv")
+    analytics.write_summary_csv(
+        analytics.driver_summary({a.record.driver_id: a.columns for a in analyzed}),
+        out / "driver_summary.csv")
 
     by_driver = {a.record.driver_id: c.pairs
                  for a, c in zip(analyzed, classified) if len(a.windows)}
@@ -217,7 +220,11 @@ def cmd_report(args, config: RunConfig) -> int:
             print(f"{driver_id}: 1 window at or above {config.speed_threshold:g} km/h; "
                   "KDE skipped")
             continue
-        surface = analytics.kde2d(np.column_stack([a.metrics.fuel, a.metrics.vr]))
+        flat = [name for name in ("fuel", "vr") if np.ptp(a.columns[name]) == 0.0]
+        if flat:
+            print(f"{driver_id}: {flat[0]} has zero spread; KDE skipped")
+            continue
+        surface = analytics.kde2d(np.column_stack([a.columns["fuel"], a.columns["vr"]]))
         analytics.write_kde_csv(surface, out / f"kde_{driver_id}.csv",
                                 out / f"kde_{driver_id}.json")
         print(f"{driver_id}: KDE integral = {surface.integral():.4f}")
@@ -227,8 +234,7 @@ def cmd_report(args, config: RunConfig) -> int:
 
 def cmd_correlate(args, config: RunConfig) -> int:
     analyzed = _analyze_records(args.data, config)
-    rows, cols, table = features.correlation_table([a.features for a in analyzed],
-                                                   [a.metrics for a in analyzed])
+    rows, cols, table = features.correlation_table(pipeline.fleet_columns(analyzed))
     features.write_correlation_csv(rows, cols, table, args.out)
     print(f"correlation table ({len(rows)} x {len(cols)}) -> {args.out}")
     return EXIT_OK

@@ -101,24 +101,10 @@ def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
     return int(out) if np.ndim(out) == 0 else out
 
 
-@dataclass
-class WindowMetrics:
-    """Comfort and fuel figures of one record: one array entry per kept window."""
-
-    driver_id: str
-    window_start: np.ndarray
-    msdv_x: np.ndarray
-    msdv_y: np.ndarray
-    vr: np.ndarray
-    n_x_pos: np.ndarray
-    n_x_neg: np.ndarray
-    n_y: np.ndarray
-    fuel: np.ndarray
-
-
 def window_metrics(record: DriveRecord, windows: np.ndarray,
-                   peak_threshold: float = PEAK_THRESHOLD) -> WindowMetrics:
-    """Compute per-window comfort metrics and mean fuel consumption.
+                   peak_threshold: float = PEAK_THRESHOLD) -> dict[str, np.ndarray]:
+    """Per-window comfort metrics and mean fuel consumption: one column per
+    metric, one entry per window.
 
     The motion-sickness filter runs once over the full-length XACC/YACC
     channels; windowing happens afterwards so filter transients do not restart
@@ -133,14 +119,12 @@ def window_metrics(record: DriveRecord, windows: np.ndarray,
     mx = msdv(apply_filter(wf, xacc), windows)
     my = msdv(apply_filter(wf, yacc), windows)
     raw_x = window_rows(xacc, windows)
-    return WindowMetrics(
-        driver_id=record.driver_id,
-        window_start=np.asarray(windows, dtype=np.intp),
-        msdv_x=mx,
-        msdv_y=my,
-        vr=vomit_rate(mx, my),
-        n_x_pos=count_peaks(np.maximum(raw_x, 0.0), peak_threshold),
-        n_x_neg=count_peaks(np.maximum(-raw_x, 0.0), peak_threshold),
-        n_y=count_peaks(np.abs(window_rows(yacc, windows)), peak_threshold),
-        fuel=np.mean(window_rows(record.channels["FUEL"], windows), axis=1),
-    )
+    return {
+        "msdv_x": mx,
+        "msdv_y": my,
+        "vr": vomit_rate(mx, my),
+        "n_x_pos": count_peaks(np.maximum(raw_x, 0.0), peak_threshold),
+        "n_x_neg": count_peaks(np.maximum(-raw_x, 0.0), peak_threshold),
+        "n_y": count_peaks(np.abs(window_rows(yacc, windows)), peak_threshold),
+        "fuel": np.mean(window_rows(record.channels["FUEL"], windows), axis=1),
+    }

@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comfort import WindowMetrics, weighted_rms
+from .comfort import weighted_rms
 from .telemetry import DriveRecord, window_rows
 
 # Signals summarized per window (RMS + variance each).
 FEATURE_SIGNALS = ("SWA", "VS", "XACC", "XACC_neg", "XACC_pos", "YACC", "ERPM")
+
+# Names of the per-window feature columns: RMS, then Var, of each signal.
+FEATURE_COLUMNS = tuple(f"{name} {stat}" for name in FEATURE_SIGNALS for stat in ("RMS", "Var"))
 
 # Fixed feature selections feeding the two maps.
 MAIN_FEATURES = ("SWA", "XACC_neg", "XACC_pos", "YACC", "ERPM")
@@ -24,17 +27,9 @@ class FeatureError(Exception):
     pass
 
 
-@dataclass
-class WindowFeatures:
-    """RMS and population variance per driving signal of one record: one
-    array entry per kept window."""
-
-    rms: dict[str, np.ndarray]
-    var: dict[str, np.ndarray]
-
-
-def compute_features(record: DriveRecord, windows: np.ndarray) -> WindowFeatures:
-    """RMS and population variance of each driving signal per window."""
+def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
+    """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
+    each driving signal, one entry per window."""
     for name in ("SWA", "VS", "XACC", "YACC", "ERPM"):
         if name not in record.channels:
             raise FeatureError(f"record lacks required channel {name}")
@@ -42,8 +37,9 @@ def compute_features(record: DriveRecord, windows: np.ndarray) -> WindowFeatures
                for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
     signals["XACC_pos"] = np.maximum(signals["XACC"], 0.0)
     signals["XACC_neg"] = np.maximum(-signals["XACC"], 0.0)
-    return WindowFeatures(rms={n: weighted_rms(signals[n]) for n in FEATURE_SIGNALS},
-                          var={n: np.var(signals[n], axis=1) for n in FEATURE_SIGNALS})
+    values = (stat(signals[name]) for name in FEATURE_SIGNALS
+              for stat in (weighted_rms, lambda rows: np.var(rows, axis=1)))
+    return dict(zip(FEATURE_COLUMNS, values))
 
 
 def pearson(x, y) -> float:
@@ -61,36 +57,23 @@ def pearson(x, y) -> float:
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
-def feature_matrix(features: WindowFeatures, names=MAIN_FEATURES) -> np.ndarray:
-    """(n_windows, n_features) matrix of RMS features of one record."""
-    return np.column_stack([features.rms[n] for n in names])
+def feature_matrix(columns: dict[str, np.ndarray], names=MAIN_FEATURES) -> np.ndarray:
+    """(n_windows, n_features) matrix of the RMS columns of signals ``names``."""
+    return np.column_stack([columns[f"{n} RMS"] for n in names])
 
 
-def correlation_table(features: list[WindowFeatures],
-                      metrics: list[WindowMetrics]) -> tuple[list[str], list[str], np.ndarray]:
-    """PCC of every RMS/Var feature column against every comfort/fuel target,
-    over the windows of all records (one features/metrics pair per record).
+def correlation_table(columns: dict[str, np.ndarray]) -> tuple[list[str], list[str], np.ndarray]:
+    """PCC of every feature column against every comfort/fuel target over the
+    windows of ``columns``.
 
     Returns (target row labels, feature column labels, table) where table has
-    shape (n_targets, n_feature_columns), columns interleaved RMS then Var per
-    signal.
+    shape (n_targets, n_feature_columns), columns in ``FEATURE_COLUMNS`` order.
     """
-    if len(features) != len(metrics):
-        raise FeatureError("features and metrics counts differ")
-    if sum(len(m.window_start) for m in metrics) < 2:
+    if len(columns["fuel"]) < 2:
         raise FeatureError("need at least 2 windows")
-    columns: list[str] = []
-    data: list[np.ndarray] = []
-    for name in FEATURE_SIGNALS:
-        columns.append(f"{name} RMS")
-        data.append(np.concatenate([f.rms[name] for f in features]))
-        columns.append(f"{name} Var")
-        data.append(np.concatenate([f.var[name] for f in features]))
-    targets = {t: np.concatenate([getattr(m, t) for m in metrics]).astype(float)
-               for t in CORRELATION_TARGETS}
-    table = np.array([[pearson(targets[t], col) for col in data]
+    table = np.array([[pearson(columns[t], columns[c]) for c in FEATURE_COLUMNS]
                       for t in CORRELATION_TARGETS])
-    return list(CORRELATION_TARGETS), columns, table
+    return list(CORRELATION_TARGETS), list(FEATURE_COLUMNS), table
 
 
 def write_correlation_csv(row_labels, col_labels, table, path) -> None:

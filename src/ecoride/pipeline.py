@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import advisor, comfort, features, som, telemetry
-from .comfort import WindowMetrics
-from .features import AUX_FEATURES, MAIN_FEATURES, WindowFeatures
+from .features import AUX_FEATURES, MAIN_FEATURES
 from .som import SomModel
 from .telemetry import DriveRecord, TelemetryError
 
@@ -37,12 +36,13 @@ class RunConfig:
 
 @dataclass
 class AnalyzedRecord:
-    """One record's kept window starts and their per-window columns."""
+    """One record's kept window starts and its per-window figures: the
+    ``features.FEATURE_COLUMNS`` and the ``comfort.window_metrics`` columns,
+    by name, one entry per kept window."""
 
     record: DriveRecord
     windows: np.ndarray
-    metrics: WindowMetrics
-    features: WindowFeatures
+    columns: dict[str, np.ndarray]
 
 
 def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> AnalyzedRecord:
@@ -56,11 +56,8 @@ def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> Anal
     windows = telemetry.filter_by_mean_speed(
         record, telemetry.split_windows(record), config.speed_threshold)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        metrics = comfort.window_metrics(record, windows, config.peak_threshold)
-        feats = features.compute_features(record, windows)
-    columns = {**{f"{n} RMS": feats.rms[n] for n in features.FEATURE_SIGNALS},
-               **{f"{n} Var": feats.var[n] for n in features.FEATURE_SIGNALS},
-               **{n: getattr(metrics, n) for n in ("msdv_x", "msdv_y", "vr", "fuel")}}
+        columns = {**features.compute_features(record, windows),
+                   **comfort.window_metrics(record, windows, config.peak_threshold)}
     for name, values in columns.items():
         bad = ~np.isfinite(values)
         if bad.any():
@@ -70,14 +67,20 @@ def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> Anal
                 f"non-finite {name} in the window starting at sample {start} "
                 f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
                 f"of record {record.driver_id}{where}")
-    return AnalyzedRecord(record=record, windows=windows, metrics=metrics, features=feats)
+    return AnalyzedRecord(record=record, windows=windows, columns=columns)
 
 
-def _train_one(analyzed: list[AnalyzedRecord], feature_names, grid_dims,
-               ordering_metric: str, config: RunConfig,
+def fleet_columns(analyzed: list[AnalyzedRecord]) -> dict[str, np.ndarray]:
+    """Each column over the windows of all records, in record order."""
+    return {name: np.concatenate([a.columns[name] for a in analyzed])
+            for name in analyzed[0].columns}
+
+
+def _train_one(fleet: dict[str, np.ndarray], train_rows: np.ndarray, feature_names,
+               grid_dims, ordering_metric: str, config: RunConfig,
                seed_offset: int) -> tuple[SomModel, list[advisor.ClusterProfile]]:
-    vectors = [features.feature_matrix(a.features, feature_names) for a in analyzed]
-    train_vectors = np.vstack([v[:int(round(config.train_split * len(v)))] for v in vectors])
+    vectors = features.feature_matrix(fleet, feature_names)
+    train_vectors = vectors[train_rows]
     normalizer = features.fit_normalizer(train_vectors, feature_names)
     normalized = normalizer.transform(train_vectors)
     rows, cols = grid_dims
@@ -95,8 +98,7 @@ def _train_one(analyzed: list[AnalyzedRecord], feature_names, grid_dims,
                      train_seed=config.seed + seed_offset + 1,
                      cluster_seed=config.seed + seed_offset + 2,
                      qe_history=qe)
-    profiles = advisor.profile_clusters(partition, model.bmu_indices(np.vstack(vectors)),
-                                        [a.metrics for a in analyzed])
+    profiles = advisor.profile_clusters(partition, model.bmu_indices(vectors), fleet)
     model.labels = advisor.label_clusters(profiles, ordering_metric=ordering_metric)
     return model, profiles
 
@@ -119,15 +121,17 @@ def train_models(records: list[DriveRecord], config: RunConfig | None = None) ->
     """
     config = config or RunConfig()
     analyzed = [analyze_record(r, config) for r in records]
-    n_windows = sum(len(a.windows) for a in analyzed)
-    if n_windows < 10:
+    sizes = [len(a.windows) for a in analyzed]
+    if sum(sizes) < 10:
         raise PipelineError(
-            f"only {n_windows} windows after speed filtering; need >= 10")
+            f"only {sum(sizes)} windows after speed filtering; need >= 10")
 
+    fleet = fleet_columns(analyzed)
+    train_rows = np.concatenate([np.arange(n) < round(config.train_split * n) for n in sizes])
     main_model, main_profiles = _train_one(
-        analyzed, MAIN_FEATURES, config.grid_main, "vr", config, seed_offset=0)
+        fleet, train_rows, MAIN_FEATURES, config.grid_main, "vr", config, seed_offset=0)
     aux_model, aux_profiles = _train_one(
-        analyzed, AUX_FEATURES, config.grid_aux, "fuel", config, seed_offset=100)
+        fleet, train_rows, AUX_FEATURES, config.grid_aux, "fuel", config, seed_offset=100)
     return TrainResult(main_model=main_model, aux_model=aux_model,
                        main_profiles=main_profiles, aux_profiles=aux_profiles,
                        analyzed=analyzed)
@@ -136,4 +140,4 @@ def train_models(records: list[DriveRecord], config: RunConfig | None = None) ->
 def classify_all(analyzed: list[AnalyzedRecord], main_model: SomModel,
                  aux_model: SomModel) -> list[advisor.Classification]:
     """Classify the windows of each record, one record at a time."""
-    return [advisor.classify_window(a.features, main_model, aux_model) for a in analyzed]
+    return [advisor.classify_window(a.columns, main_model, aux_model) for a in analyzed]

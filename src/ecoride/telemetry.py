@@ -42,7 +42,8 @@ class RawChannel:
     """One named channel as sampled in the source file, before resampling.
 
     The one check of raw samples: at least 2 of them, finite times and
-    values, and increasing times.  Rows in messages count from 1.
+    values, increasing times, and no negative ``VS``/``ERPM`` value.  Rows
+    in messages count from 1.
     """
 
     name: str
@@ -68,6 +69,11 @@ class RawChannel:
         if bad.any():
             raise TelemetryError(
                 f"non-monotonic timestamps at data row {int(np.argmax(bad)) + 2}{where}")
+        if self.name in ("VS", "ERPM"):
+            bad = self.values < 0
+            if bad.any():
+                raise TelemetryError(f"negative {self.name} value at data row "
+                                     f"{int(np.argmax(bad)) + 1}{where}")
 
     @property
     def rate(self) -> float:
@@ -85,17 +91,18 @@ class DriveRecord:
     source: str = ""  # the file the record was read from, for error messages
 
     def __post_init__(self):
+        where = f" in {self.source}" if self.source else ""
         lengths = {name: len(v) for name, v in self.channels.items()}
         if len(set(lengths.values())) > 1:
-            raise TelemetryError(f"unequal channel lengths: {lengths}")
+            raise TelemetryError(f"unequal channel lengths: {lengths}{where}")
         for name, values in self.channels.items():
             bad = ~np.isfinite(values)
             if bad.any():
                 raise TelemetryError(
-                    f"channel {name}: non-finite value at sample {int(np.argmax(bad))}")
+                    f"channel {name}: non-finite value at sample {int(np.argmax(bad))}{where}")
         for name in ("VS", "ERPM"):
             if name in self.channels and np.any(self.channels[name] < 0):
-                raise TelemetryError(f"channel {name} has negative values")
+                raise TelemetryError(f"channel {name} has negative values{where}")
 
     @property
     def n_total(self) -> int:

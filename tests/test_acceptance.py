@@ -188,7 +188,7 @@ class TestCriterion6ClusteringPurity:
             want_fuel = level_to_label[int(label[4])]
             total += len(analyzed.windows)
             classified = advisor.classify_window(
-                analyzed.features, result.main_model, result.aux_model)
+                analyzed.columns, result.main_model, result.aux_model)
             for got_c, got_f in classified.pairs:
                 comfort_hits += got_c == want_comfort
                 fuel_hits += got_f == want_fuel
@@ -313,7 +313,7 @@ class TestCriterion10ModelRoundTrip:
             loaded = SomModel.load(p1)
             loaded.save(p2)
             ok &= p1.read_bytes() == p2.read_bytes()
-            vectors = np.vstack([features.feature_matrix(a.features, model.feature_names)
+            vectors = np.vstack([features.feature_matrix(a.columns, model.feature_names)
                                  for a in result.analyzed])
             ok &= (model.labels_at(model.bmu_indices(vectors[:200]))
                    == loaded.labels_at(loaded.bmu_indices(vectors[:200])))

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 
 from ecoride import advisor
 from ecoride.advisor import AdviceState, AdvisorError
-from ecoride.comfort import WindowMetrics
 from ecoride.som import ClusterPartition
 
 
-def metrics_table(vr, fuel=3.0, driver="d0"):
-    """One record's metrics with the given per-window VR values."""
+def metrics_table(vr, fuel=3.0):
+    """Metric columns with the given per-window VR values."""
     n = len(vr)
     zeros = np.zeros(n, dtype=int)
-    return WindowMetrics(driver_id=driver, window_start=128 * np.arange(n),
-                         msdv_x=np.full(n, 0.3), msdv_y=np.full(n, 0.6),
-                         vr=np.asarray(vr, dtype=float), n_x_pos=zeros,
-                         n_x_neg=zeros, n_y=zeros,
-                         fuel=np.broadcast_to(np.asarray(fuel, dtype=float), (n,)))
+    return {"msdv_x": np.full(n, 0.3), "msdv_y": np.full(n, 0.6),
+            "vr": np.asarray(vr, dtype=float), "n_x_pos": zeros, "n_x_neg": zeros,
+            "n_y": zeros, "fuel": np.broadcast_to(np.asarray(fuel, dtype=float), (n,))}
 
 
 def three_cluster_setup(vrs=(0.2, 0.5, 1.0), n_per=4):
@@ -28,7 +25,7 @@ def three_cluster_setup(vrs=(0.2, 0.5, 1.0), n_per=4):
     part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
     bmus = np.repeat(np.arange(3), n_per)
     vr = [v + 0.01 * i for v in vrs for i in range(n_per)]
-    return part, bmus, [metrics_table(vr, fuel=2.0 + bmus)]
+    return part, bmus, metrics_table(vr, fuel=2.0 + bmus)
 
 
 class TestProfileClusters:
@@ -37,7 +34,7 @@ class TestProfileClusters:
         profiles = advisor.profile_clusters(part, bmus, metrics)
         assert len(profiles) == 3
         p0 = profiles[0]
-        vals = metrics[0].vr[bmus == 0]
+        vals = metrics["vr"][bmus == 0]
         assert p0.member_count == 4
         assert p0.averages["vr"] == pytest.approx(np.mean(vals))
         assert p0.variances["vr"] == pytest.approx(np.var(vals))
@@ -45,12 +42,12 @@ class TestProfileClusters:
     def test_empty_cluster_errors(self):
         part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
         with pytest.raises(AdvisorError, match="no member"):
-            advisor.profile_clusters(part, [0, 0, 1, 1], [metrics_table([0.5] * 4)])
+            advisor.profile_clusters(part, [0, 0, 1, 1], metrics_table([0.5] * 4))
 
     def test_count_mismatch(self):
         part = ClusterPartition(cluster_count=1, assignment=np.array([0]))
         with pytest.raises(AdvisorError, match="differ"):
-            advisor.profile_clusters(part, [0, 0], [metrics_table([0.5])])
+            advisor.profile_clusters(part, [0, 0], metrics_table([0.5]))
 
 
 class TestLabelClusters:
@@ -99,6 +96,14 @@ class TestImprovementReport:
         profiles[0].label = None
         with pytest.raises(AdvisorError, match="label"):
             advisor.improvement_report(profiles)
+
+    def test_zero_current_average_named(self):
+        # lateral acceleration logged as 0: msdv_y averages 0 in every cluster
+        profiles = labeled_profiles((1.0, 2.0, 4.0), metric_names=("vr", "msdv_y"))
+        for p in profiles:
+            p.averages["msdv_y"] = 0.0
+        with pytest.raises(AdvisorError, match="msdv_y averages 0 in the Medium cluster"):
+            advisor.improvement_report(profiles, metrics=("vr", "msdv_y"))
 
     def test_csv_output(self, tmp_path):
         rows = advisor.improvement_report(labeled_profiles((1.0, 2.0, 4.0)))

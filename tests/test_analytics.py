@@ -7,23 +7,20 @@ import pytest
 
 from ecoride import analytics
 from ecoride.analytics import AnalyticsError
-from ecoride.comfort import WindowMetrics
 
 
-def metrics_table(driver="d0", fuel=(3.0,), vr=0.5):
-    """One driver's metrics with the given per-window fuel values."""
+def metrics_table(fuel=(3.0,), vr=0.5):
+    """One driver's metric columns with the given per-window fuel values."""
     n = len(fuel)
-    return WindowMetrics(driver_id=driver, window_start=128 * np.arange(n),
-                         msdv_x=np.full(n, 0.2), msdv_y=np.full(n, 0.4),
-                         vr=np.full(n, vr), n_x_pos=np.zeros(n, dtype=int),
-                         n_x_neg=np.ones(n, dtype=int), n_y=np.full(n, 2),
-                         fuel=np.asarray(fuel, dtype=float))
+    return {"msdv_x": np.full(n, 0.2), "msdv_y": np.full(n, 0.4), "vr": np.full(n, vr),
+            "n_x_pos": np.zeros(n, dtype=int), "n_x_neg": np.ones(n, dtype=int),
+            "n_y": np.full(n, 2), "fuel": np.asarray(fuel, dtype=float)}
 
 
 class TestDriverSummary:
     def test_means_per_driver(self):
-        metrics = [metrics_table("b", fuel=[5.0]), metrics_table("a", fuel=[2.0, 4.0]),
-                   metrics_table("c", fuel=[])]
+        metrics = {"b": metrics_table(fuel=[5.0]), "a": metrics_table(fuel=[2.0, 4.0]),
+                   "c": metrics_table(fuel=[])}
         out = analytics.driver_summary(metrics)
         assert [s.driver_id for s in out] == ["a", "b"]  # "c" kept no window
         assert out[0].window_count == 2
@@ -32,7 +29,7 @@ class TestDriverSummary:
 
     def test_csv(self, tmp_path):
         path = tmp_path / "s.csv"
-        analytics.write_summary_csv(analytics.driver_summary([metrics_table()]), path)
+        analytics.write_summary_csv(analytics.driver_summary({"d0": metrics_table()}), path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("driver_id,window_count,fuel,vr")
         assert lines[1].startswith("d0,1,3,0.5")

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and artifact layout."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -24,6 +25,21 @@ def workspace(tmp_path_factory):
     assert run(["train", "--data", str(data), "--out", str(models),
                 "--seed", "5"]) == 0
     return root, data, models
+
+
+def copy_with_column(src_dir, dst_dir, column, value, names=None):
+    """Copy the CSVs of ``src_dir`` to ``dst_dir``, setting every cell of
+    ``column`` to ``value`` in the files named in ``names`` (all if None)."""
+    dst_dir.mkdir()
+    for src in sorted(src_dir.glob("*.csv")):
+        lines = src.read_text().splitlines()
+        if names is None or src.name in names:
+            col = lines[0].split(",").index(column)
+            for i in range(1, len(lines)):
+                fields = lines[i].split(",")
+                fields[col] = value
+                lines[i] = ",".join(fields)
+        (dst_dir / src.name).write_text("\n".join(lines) + "\n")
 
 
 class TestExitCodes:
@@ -94,6 +110,7 @@ class TestExitCodes:
         pytest.param("one_row", "need at least 2 data rows, got 1 in ", id="one_row"),
         pytest.param("missing_column", "missing required column 'XACC' in ",
                      id="missing_column"),
+        pytest.param("negative_vs", "negative VS value at data row 9 in ", id="negative_vs"),
     ])
     def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
                                                fault, message):
@@ -113,6 +130,10 @@ class TestExitCodes:
             lines[10], lines[11] = lines[11], lines[10]
         elif fault == "one_row":
             lines = lines[:2]
+        elif fault == "negative_vs":
+            fields = lines[9].split(",")
+            fields[header.index("VS")] = "-3"
+            lines[9] = ",".join(fields)
         else:
             lines[0] = lines[0].replace("XACC", "XACC_OLD")
         bad_data = tmp_path / "data"
@@ -271,6 +292,19 @@ class TestAdvise:
         events = (out / "advice_events.txt").read_text().splitlines()
         assert events and all("advice=" in line for line in events)
 
+    def test_zero_cluster_average_fails_before_any_output(self, workspace, tmp_path,
+                                                          capsys):
+        # lateral acceleration logged as 0: msdv_y averages 0 in every cluster
+        _, data, models = workspace
+        flat = tmp_path / "data"
+        copy_with_column(data, flat, "YACC", "0")
+        out = tmp_path / "reports"
+        assert run(["advise", "--data", str(flat), "--models", str(models),
+                    "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.search(r"main map: msdv_y averages 0 in the (Low|Medium|High) cluster", err)
+        assert not out.exists()
+
 
 class TestReport:
     def test_artifacts(self, workspace, tmp_path, capsys):
@@ -323,6 +357,23 @@ class TestReport:
         assert (out / "heatmap_single.csv").is_file()
         assert not (out / "kde_single.csv").exists()
         assert len(list(out.glob("kde_*.json"))) == 9
+
+
+    def test_driver_with_flat_fuel_keeps_heatmap(self, workspace, tmp_path, capsys):
+        _, data, models = workspace
+        name = sorted(data.glob("*.csv"))[0].name
+        fleet = tmp_path / "fleet"
+        copy_with_column(data, fleet, "FUEL", "3.7", names={name})
+        out = tmp_path / "reports"
+        assert run(["report", "--data", str(fleet), "--models", str(models),
+                    "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        driver = name[:-len(".csv")]
+        assert f"{driver}: fuel has zero spread; KDE skipped" in printed
+        assert (out / f"heatmap_{driver}.csv").is_file()
+        assert not (out / f"kde_{driver}.csv").exists()
+        assert len(list(out.glob("heatmap_*.csv"))) == 9
+        assert len(list(out.glob("kde_*.json"))) == 8
 
 
 class TestCorrelate:

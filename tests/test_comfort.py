@@ -117,12 +117,11 @@ class TestWindowMetrics:
     def test_fields_and_counts(self, record):
         ws = telemetry.split_windows(record)
         m = comfort.window_metrics(record, ws)
-        assert m.driver_id == "d0"
-        np.testing.assert_array_equal(m.window_start, ws)
-        for name in ("msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel"):
-            assert getattr(m, name).shape == ws.shape
-        assert np.all(m.msdv_x >= 0) and np.all(m.msdv_y >= 0)
-        np.testing.assert_allclose(m.vr, comfort.vomit_rate(m.msdv_x, m.msdv_y))
+        assert list(m) == ["msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel"]
+        for values in m.values():
+            assert values.shape == ws.shape
+        assert np.all(m["msdv_x"] >= 0) and np.all(m["msdv_y"] >= 0)
+        np.testing.assert_allclose(m["vr"], comfort.vomit_rate(m["msdv_x"], m["msdv_y"]))
 
     def test_peak_counts_pick_up_events(self):
         rec = make_record(n=256)
@@ -131,12 +130,12 @@ class TestWindowMetrics:
         rec.channels["YACC"][:] = 0.0
         ws = telemetry.split_windows(rec)
         m = comfort.window_metrics(rec, ws)
-        assert (m.n_x_pos[0], m.n_x_neg[0], m.n_y[0]) == (0, 1, 0)
+        assert (m["n_x_pos"][0], m["n_x_neg"][0], m["n_y"][0]) == (0, 1, 0)
 
     def test_fuel_is_window_mean(self, record):
         ws = telemetry.split_windows(record)
         m = comfort.window_metrics(record, ws)
-        assert m.fuel[0] == pytest.approx(float(np.mean(record.channels["FUEL"][:256])))
+        assert m["fuel"][0] == pytest.approx(float(np.mean(record.channels["FUEL"][:256])))
 
     def test_missing_channel(self, record):
         del record.channels["FUEL"]
@@ -152,7 +151,7 @@ class TestWindowMetrics:
         wf = comfort.design_filter("motion_sickness")
         isolated = comfort.weighted_rms(
             comfort.apply_filter(wf, rec.channels["XACC"][ws[1]:ws[1] + 256]))
-        assert metrics.msdv_x[1] != pytest.approx(isolated, rel=1e-6)
+        assert metrics["msdv_x"][1] != pytest.approx(isolated, rel=1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), magnitude=st.floats(0.1, 10.0),
@@ -168,5 +167,5 @@ class TestWindowMetrics:
             rec.channels[name] = c * rec.channels[name]
         scaled = comfort.window_metrics(rec, ws)
         for name in ("msdv_x", "msdv_y", "vr"):
-            np.testing.assert_allclose(getattr(scaled, name), abs(c) * getattr(base, name),
+            np.testing.assert_allclose(scaled[name], abs(c) * base[name],
                                        rtol=1e-9, atol=0)

@@ -13,27 +13,28 @@ class TestComputeFeatures:
     def test_rms_and_var_against_numpy(self, record, windows):
         f = features.compute_features(record, windows)
         swa = record.channels["SWA"][windows[1]:windows[1] + 256]
-        assert f.rms["SWA"][1] == pytest.approx(np.sqrt(np.mean(swa**2)))
-        assert f.var["SWA"][1] == pytest.approx(np.var(swa))
-        assert f.rms["SWA"].shape == f.var["SWA"].shape == windows.shape
+        assert f["SWA RMS"][1] == pytest.approx(np.sqrt(np.mean(swa**2)))
+        assert f["SWA Var"][1] == pytest.approx(np.var(swa))
+        assert f["SWA RMS"].shape == f["SWA Var"].shape == windows.shape
+        assert list(f) == list(features.FEATURE_COLUMNS)
 
     def test_signed_split(self, record, windows):
         f = features.compute_features(record, windows)
         xacc = record.channels["XACC"][:256]
         pos = np.maximum(xacc, 0.0)
         neg = np.maximum(-xacc, 0.0)
-        assert f.rms["XACC_pos"][0] == pytest.approx(np.sqrt(np.mean(pos**2)))
-        assert f.rms["XACC_neg"][0] == pytest.approx(np.sqrt(np.mean(neg**2)))
+        assert f["XACC_pos RMS"][0] == pytest.approx(np.sqrt(np.mean(pos**2)))
+        assert f["XACC_neg RMS"][0] == pytest.approx(np.sqrt(np.mean(neg**2)))
         # energy identity: pos^2 + neg^2 == xacc^2 samplewise
-        np.testing.assert_allclose(f.rms["XACC_pos"] ** 2 + f.rms["XACC_neg"] ** 2,
-                                   f.rms["XACC"] ** 2)
+        np.testing.assert_allclose(f["XACC_pos RMS"] ** 2 + f["XACC_neg RMS"] ** 2,
+                                   f["XACC RMS"] ** 2)
 
     def test_vector_order(self, record, windows):
         f = features.compute_features(record, windows)
         m = features.feature_matrix(f, features.MAIN_FEATURES)
         assert m.shape == (len(windows), 5)
-        np.testing.assert_array_equal(m[:, 0], f.rms["SWA"])
-        np.testing.assert_array_equal(m[:, 4], f.rms["ERPM"])
+        np.testing.assert_array_equal(m[:, 0], f["SWA RMS"])
+        np.testing.assert_array_equal(m[:, 4], f["ERPM RMS"])
         assert features.feature_matrix(f, features.AUX_FEATURES).shape == (len(windows), 2)
 
     def test_missing_channel(self, record, windows):
@@ -65,22 +66,16 @@ class TestCorrelationTable:
         # constant VS would make its feature columns degenerate
         rec.channels["VS"] += 5.0 * np.sin(np.arange(2048) / 100.0)
         ws = telemetry.split_windows(rec)
-        feats = features.compute_features(rec, ws)
-        mets = comfort.window_metrics(rec, ws)
+        columns = {**features.compute_features(rec, ws), **comfort.window_metrics(rec, ws)}
         # give every target nonzero variance
         i = np.arange(len(ws))
-        mets.n_x_pos, mets.n_x_neg, mets.n_y = i % 2, i % 3, i % 4
-        rows, cols, table = features.correlation_table([feats], [mets])
+        columns["n_x_pos"], columns["n_x_neg"], columns["n_y"] = i % 2, i % 3, i % 4
+        rows, cols, table = features.correlation_table(columns)
         assert rows == list(features.CORRELATION_TARGETS)
         assert len(cols) == 2 * len(features.FEATURE_SIGNALS)
         assert cols[0] == "SWA RMS" and cols[1] == "SWA Var"
         assert table.shape == (len(rows), len(cols))
         assert np.all(np.abs(table) <= 1.0)
-
-    def test_count_mismatch(self, record, windows):
-        feats = features.compute_features(record, windows)
-        with pytest.raises(FeatureError, match="differ"):
-            features.correlation_table([feats], [])
 
 
 class TestNormalizer:

@@ -19,6 +19,7 @@ FORMATS = {"6f": "{:.6f}".format, "8g": "{:.8g}".format, "repr": repr}
 # "1_0" cell (float() takes the last two), all cells empty, one cell too many
 # or too few.
 MANGLES = ("junk", "quoted", "underscore", "commas", "extra", "missing")
+NON_NEGATIVE = ("VS", "ERPM")
 
 
 def reference_parse(path):
@@ -63,14 +64,20 @@ def mangle(fields, kind, col):
 
 @st.composite
 def csv_files(draw):
-    """Text of a telemetry CSV: finite values in random float formats, optional
+    """Text of a telemetry CSV: finite values in random float formats (VS and
+    ERPM non-negative but for an optional planted negative cell), optional
     unused column, blank lines, CRLF endings and mangled rows."""
     n = draw(st.integers(0, 40))
     fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
     note = draw(st.booleans())  # an extra column outside CHANNELS
     values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    speeds = st.floats(min_value=0.0, allow_infinity=False, width=64)
     header = [telemetry.TIME_COLUMN, *NAMES] + (["note"] if note else [])
-    rows = [[fmt(i / 32.0)] + [fmt(draw(values)) for _ in header[1:]] for i in range(n)]
+    rows = [[fmt(i / 32.0)] + [fmt(draw(speeds if name in NON_NEGATIVE else values))
+                               for name in header[1:]] for i in range(n)]
+    if n and draw(st.booleans()):
+        col = header.index(draw(st.sampled_from(NON_NEGATIVE)))
+        rows[draw(st.integers(0, n - 1))][col] = fmt(-draw(st.floats(1.0, 1e6)))
     for k in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=min(n, 4), unique=True)):
         col = draw(st.integers(1, len(header) - 1))  # never the time column
         rows[k] = mangle(rows[k], draw(st.sampled_from(MANGLES)), col)
@@ -90,8 +97,15 @@ def test_load_csv_matches_reference_parser(tmp_path, caplog, text):
     ts, values, warned = reference_parse(path)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="ecoride.telemetry"):
+        negative = [(name, int(np.argmax(values[name] < 0)) + 1)
+                    for name in NON_NEGATIVE if np.any(values[name] < 0)]
         if len(ts) < 2:
             with pytest.raises(TelemetryError, match="need at least 2 data rows"):
+                telemetry.load_csv(path)
+        elif negative:
+            name, row = negative[0]
+            with pytest.raises(TelemetryError,
+                               match=f"^negative {name} value at data row {row} in "):
                 telemetry.load_csv(path)
         else:
             channels = telemetry.load_csv(path)

@@ -26,9 +26,21 @@ class TestAnalyzeRecord:
         analyzed = pipeline.analyze_record(small_corpus[0])
         n = len(analyzed.windows)
         assert n > 0
-        np.testing.assert_array_equal(analyzed.metrics.window_start, analyzed.windows)
-        assert analyzed.metrics.vr.shape == (n,)
-        assert all(v.shape == (n,) for v in analyzed.features.rms.values())
+        assert analyzed.columns["vr"].shape == (n,)
+        assert all(v.shape == (n,) for v in analyzed.columns.values())
+
+    def test_column_contract(self, small_corpus):
+        metrics = {"msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel"}
+        analyzed = [pipeline.analyze_record(r) for r in small_corpus[:3]]
+        for a in analyzed:
+            assert set(a.columns) == metrics | set(features.FEATURE_COLUMNS)
+            assert len(a.columns) == len(metrics) + len(features.FEATURE_COLUMNS)
+            assert all(len(v) == len(a.windows) for v in a.columns.values())
+        fleet = pipeline.fleet_columns(analyzed)
+        assert list(fleet) == list(analyzed[0].columns)
+        for name, values in fleet.items():
+            np.testing.assert_array_equal(
+                values, np.concatenate([a.columns[name] for a in analyzed]))
 
     def test_speed_filter_applied(self, small_corpus):
         fast = pipeline.analyze_record(small_corpus[0], RunConfig())
@@ -73,7 +85,7 @@ class TestTrainModels:
         for a, c in zip(analyzed, classified):
             assert len(c.pairs) == len(c.main_bmus) == len(c.aux_bmus) == len(a.windows)
             model = result.main_model
-            vectors = features.feature_matrix(a.features, MAIN_FEATURES)
+            vectors = features.feature_matrix(a.columns, MAIN_FEATURES)
             assert all(label == comfort for label, (comfort, _) in
                        zip(model.labels_at(model.bmu_indices(vectors)), c.pairs))
         pairs = [p for c in classified for p in c.pairs]

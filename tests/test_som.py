@@ -157,7 +157,7 @@ class TestTrainMatchesReference:
     def test_bit_identical_on_synthetic_fleet(self, small_corpus):
         analyzed = [pipeline.analyze_record(r) for r in small_corpus]
         for names, seed in ((features.MAIN_FEATURES, 5), (features.AUX_FEATURES, 105)):
-            vectors = [features.feature_matrix(a.features, names) for a in analyzed]
+            vectors = [features.feature_matrix(a.columns, names) for a in analyzed]
             train = np.vstack([v[:int(round(0.75 * len(v)))] for v in vectors])
             z = features.fit_normalizer(train, names).transform(train)
             grid = som.init_random(15, 15, z, seed=seed)

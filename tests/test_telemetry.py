@@ -123,6 +123,14 @@ class TestRawChannel:
         with pytest.raises(TelemetryError, match=f"^non-finite {what} at data row 41$"):
             RawChannel(name="VS", **arrays)
 
+    @pytest.mark.parametrize("name", ["VS", "ERPM"])
+    def test_negative_speed_rejected(self, name):
+        values = np.zeros(100)
+        values[40] = -3.0
+        with pytest.raises(TelemetryError, match=f"^negative {name} value at data row 41$"):
+            RawChannel(name=name, timestamps=np.arange(100) / 32.0, values=values)
+        RawChannel(name="SWA", timestamps=np.arange(100) / 32.0, values=values)
+
     @pytest.mark.parametrize("hz", [32.0, 128.0])
     def test_rate_is_measured_spacing(self, hz):
         ch = RawChannel(name="VS", timestamps=5.0 + np.arange(300) / hz,
@@ -227,3 +235,10 @@ class TestDriveRecord:
     def test_negative_speed_rejected(self):
         with pytest.raises(TelemetryError, match="negative"):
             DriveRecord(driver_id="x", channels={"VS": -np.ones(10)})
+
+    def test_source_named_in_messages(self):
+        with pytest.raises(TelemetryError, match=r"^channel VS has negative values in a\.csv$"):
+            DriveRecord(driver_id="x", channels={"VS": -np.ones(10)}, source="a.csv")
+        with pytest.raises(TelemetryError, match=r"^unequal channel lengths: .* in a\.csv$"):
+            DriveRecord(driver_id="x", channels={"VS": np.ones(10), "SWA": np.ones(11)},
+                        source="a.csv")

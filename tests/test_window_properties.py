@@ -64,9 +64,9 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
         want["n_y"].append(runs_above(np.abs(y), 1.75))
         want["fuel"].append(np.mean(ch["FUEL"][s:s + 256]))
     metrics = comfort.window_metrics(record, kept)
-    assert np.array_equal(metrics.window_start, kept)
+    assert list(metrics) == list(want)
     for name, values in want.items():
-        assert np.array_equal(getattr(metrics, name), np.array(values, dtype=float)), name
+        assert np.array_equal(metrics[name], np.array(values, dtype=float)), name
 
     feats = features.compute_features(record, kept)
     for name in features.FEATURE_SIGNALS:
@@ -76,6 +76,6 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
             rows = [np.maximum(r, 0.0) for r in rows]
         elif name == "XACC_neg":
             rows = [np.maximum(-r, 0.0) for r in rows]
-        assert np.array_equal(feats.rms[name],
+        assert np.array_equal(feats[f"{name} RMS"],
                               np.array([np.sqrt(np.mean(r**2)) for r in rows])), name
-        assert np.array_equal(feats.var[name], np.array([np.var(r) for r in rows])), name
+        assert np.array_equal(feats[f"{name} Var"], np.array([np.var(r) for r in rows])), name

@@ -29,20 +29,10 @@ class AdvisorError(Exception):
     pass
 
 
-@dataclass
-class ClusterProfile:
-    """Per-cluster averages and variances of the comfort/fuel metrics."""
-
-    cluster_id: int
-    member_count: int
-    averages: dict[str, float]
-    variances: dict[str, float]
-    label: str | None = None
-
-
 def profile_clusters(partition: ClusterPartition, bmu_indices,
-                     columns: dict[str, np.ndarray]) -> list[ClusterProfile]:
-    """Average and population variance of each metric over member windows.
+                     columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Per-cluster table, indexed by cluster id: ``windows``, the member window
+    count, and the average of each ``PROFILE_METRICS`` column over the members.
 
     ``bmu_indices`` holds one BMU index per window of ``columns``, in the
     same order.
@@ -51,35 +41,23 @@ def profile_clusters(partition: ClusterPartition, bmu_indices,
     if len(bmu_indices) != len(columns["vr"]):
         raise AdvisorError("bmu assignment and metrics counts differ")
     cluster_ids = partition.assignment[bmu_indices]
-    profiles = []
-    for cid in range(partition.cluster_count):
-        member_idx = np.flatnonzero(cluster_ids == cid)
+    members = [np.flatnonzero(cluster_ids == cid) for cid in range(partition.cluster_count)]
+    for cid, member_idx in enumerate(members):
         if member_idx.size == 0:
             raise AdvisorError(f"cluster {cid} has no member windows")
-        averages = {}
-        variances = {}
-        for name in PROFILE_METRICS:
-            vals = columns[name][member_idx]
-            averages[name] = float(vals.mean())
-            variances[name] = float(vals.var())
-        profiles.append(ClusterProfile(cluster_id=cid, member_count=int(member_idx.size),
-                                       averages=averages, variances=variances))
-    return profiles
+    return {"windows": np.array([m.size for m in members]),
+            **{name: np.array([columns[name][m].mean() for m in members])
+               for name in PROFILE_METRICS}}
 
 
-def label_clusters(profiles: list[ClusterProfile],
-                   ordering_metric: str = "vr") -> list[str]:
-    """Tag three clusters Low/Medium/High by ascending metric average.
-
-    Sets each profile's label and returns the labels by cluster id.  Ties
-    break toward the lower cluster id getting the lower label.
-    """
-    if len(profiles) != len(LABELS):
+def label_clusters(averages) -> list[str]:
+    """Tag three clusters Low/Medium/High by ascending average, one average
+    per cluster id, and return the labels by cluster id.  Ties break toward
+    the lower cluster id getting the lower label."""
+    if len(averages) != len(LABELS):
         raise AdvisorError(f"labeling requires exactly {len(LABELS)} clusters")
-    order = sorted(profiles, key=lambda p: (p.averages[ordering_metric], p.cluster_id))
-    for label, profile in zip(LABELS, order):
-        profile.label = label
-    return [p.label for p in sorted(profiles, key=lambda p: p.cluster_id)]
+    ranks = np.argsort(np.argsort(averages, kind="stable"))
+    return [LABELS[r] for r in ranks]
 
 
 @dataclass
@@ -89,30 +67,29 @@ class ImprovementRow:
     reductions: dict[str, float]  # metric -> percent
 
 
-def improvement_report(profiles: list[ClusterProfile],
+def improvement_report(labels: list[str], profile: dict[str, np.ndarray],
                        metrics: tuple[str, ...] = ("vr",)) -> list[ImprovementRow]:
     """Percent reduction of each metric when moving to a better cluster.
 
-    For every (current, target) pair with a lower target average on the first
+    ``labels`` and the ``profile`` columns are indexed by cluster id.  For
+    every (current, target) pair with a lower target average on the first
     metric: 100 * (avg_current - avg_target) / avg_current.  A current cluster
     whose average of a metric is 0 has no percent reduction: AdvisorError.
     """
-    if any(p.label is None for p in profiles):
-        raise AdvisorError("profiles must be labeled first")
-    key = metrics[0]
+    key = profile[metrics[0]]
+    order = np.argsort(key, kind="stable")
     rows = []
-    ordered = sorted(profiles, key=lambda p: p.averages[key])
-    for current in ordered:
-        for target in ordered:
-            if target.averages[key] < current.averages[key]:
-                zero = [m for m in metrics if current.averages[m] == 0.0]
+    for current in order:
+        for target in order:
+            if key[target] < key[current]:
+                zero = [m for m in metrics if profile[m][current] == 0.0]
                 if zero:
-                    raise AdvisorError(f"{zero[0]} averages 0 in the {current.label} "
+                    raise AdvisorError(f"{zero[0]} averages 0 in the {labels[current]} "
                                        "cluster: no percent reduction from it")
                 rows.append(ImprovementRow(
-                    current=current.label, target=target.label,
-                    reductions={m: 100.0 * (current.averages[m] - target.averages[m])
-                                / current.averages[m]
+                    current=labels[current], target=labels[target],
+                    reductions={m: float(100.0 * (profile[m][current] - profile[m][target])
+                                         / profile[m][current])
                                 for m in metrics}))
     return rows
 
@@ -159,34 +136,27 @@ def build_advice_matrix() -> AdviceMatrix:
 # ---------------------------------------------------------------------------
 # Online classification
 
-@dataclass
-class Classification:
-    """BMU index of each window of one record in both maps, and the window's
-    (comfort label, fuel label) pair."""
-
-    main_bmus: np.ndarray
-    aux_bmus: np.ndarray
-    pairs: list[tuple[str, str]]
-
-
 def classify_window(columns: dict[str, np.ndarray], main_model: SomModel,
-                    aux_model: SomModel) -> Classification:
-    """Classify every window of one record's feature ``columns``: BMU ->
-    cluster -> label in each map, with one batched BMU search per map."""
-    main_bmus = main_model.bmu_indices(feature_matrix(columns, main_model.feature_names))
-    aux_bmus = aux_model.bmu_indices(feature_matrix(columns, aux_model.feature_names))
-    pairs = list(zip(main_model.labels_at(main_bmus), aux_model.labels_at(aux_bmus)))
-    return Classification(main_bmus=main_bmus, aux_bmus=aux_bmus, pairs=pairs)
+                    aux_model: SomModel) -> dict[str, np.ndarray]:
+    """Classify every window of one record's feature ``columns``, with one
+    batched BMU search per map: the ``main_bmu`` and ``aux_bmu`` columns, and
+    the ``comfort_label`` and ``fuel_label`` columns of indices into LABELS."""
+    main_bmu = main_model.bmu_indices(feature_matrix(columns, main_model.feature_names))
+    aux_bmu = aux_model.bmu_indices(feature_matrix(columns, aux_model.feature_names))
+    return {"main_bmu": main_bmu, "aux_bmu": aux_bmu,
+            "comfort_label": main_model.labels_at(main_bmu),
+            "fuel_label": aux_model.labels_at(aux_bmu)}
 
 
-def intersect(classified: list[tuple[str, str]]) -> np.ndarray:
-    """3x3 percentage table, rows = comfort labels, cols = fuel labels."""
-    if not classified:
+def intersect(comfort_labels, fuel_labels) -> np.ndarray:
+    """3x3 percentage table, rows = comfort labels, cols = fuel labels, from
+    one comfort and one fuel label index per window."""
+    if not len(comfort_labels):
         raise AdvisorError("no classified windows")
-    table = np.zeros((3, 3))
-    for comfort, fuel in classified:
-        table[LABELS.index(comfort), LABELS.index(fuel)] += 1
-    return 100.0 * table / len(classified)
+    n = len(LABELS)
+    counts = np.bincount(np.asarray(comfort_labels) * n + np.asarray(fuel_labels),
+                         minlength=n * n)
+    return 100.0 * counts.reshape(n, n) / len(comfort_labels)
 
 
 def write_intersection_csv(table: np.ndarray, path) -> None:

@@ -109,7 +109,9 @@ def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path=None) -> None:
             fh.write("\n")
 
 
-def driver_heatmap(classified_by_driver: dict[str, list[tuple[str, str]]]) -> dict[str, np.ndarray]:
-    """Per-driver 3x3 comfort/fuel intersection percentage tables."""
-    return {driver_id: intersect(pairs)
-            for driver_id, pairs in sorted(classified_by_driver.items())}
+def driver_heatmap(columns_by_driver: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Per-driver 3x3 comfort/fuel intersection percentage tables from the label
+    columns, in driver-id order; a driver with no kept window has no table."""
+    return {driver_id: intersect(columns["comfort_label"], columns["fuel_label"])
+            for driver_id, columns in sorted(columns_by_driver.items())
+            if len(columns["comfort_label"])}

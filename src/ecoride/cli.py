@@ -21,7 +21,7 @@ from .analytics import AnalyticsError
 from .comfort import ComfortError
 from .features import FeatureError
 from .pipeline import PipelineError, RunConfig
-from .som import SomError, SomModel
+from .som import LABELS, SomError, SomModel
 from .synthgen import SynthError
 from .telemetry import TelemetryError
 
@@ -59,9 +59,6 @@ def _run_config(args, cfg: dict) -> RunConfig:
     if unknown:
         raise PipelineError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = dict(cfg)
-    for name in ("grid_main", "grid_aux"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
     if args.seed is not None:
         kwargs["seed"] = args.seed
     return RunConfig(**kwargs)
@@ -92,19 +89,21 @@ def _load_models(model_dir) -> tuple[SomModel, SomModel]:
 
 
 def _classify(args, config: RunConfig):
-    """(main model, aux model, analysed records, one Classification per record)."""
+    """(main model, aux model, analysed records with their classification columns)."""
     main_model, aux_model = _load_models(args.models)
     analyzed = _analyze_records(args.data, config)
-    return main_model, aux_model, analyzed, pipeline.classify_all(analyzed, main_model, aux_model)
+    pipeline.classify_all(analyzed, main_model, aux_model)
+    return main_model, aux_model, analyzed
 
 
-def _print_profiles(tag: str, profiles) -> None:
+def _print_profiles(tag: str, model: SomModel, profile: dict[str, np.ndarray]) -> None:
     metrics = advisor.PROFILE_METRICS
     print(f"{tag} cluster profiles:")
     print("  label   windows  " + "  ".join(f"{m:>8}" for m in metrics))
-    for p in sorted(profiles, key=lambda p: advisor.LABELS.index(p.label)):
-        row = "  ".join(f"{p.averages[m]:8.4g}" for m in metrics)
-        print(f"  {p.label:<7} {p.member_count:7d}  {row}")
+    for label in advisor.LABELS:
+        cid = model.labels.index(label)
+        row = "  ".join(f"{profile[m][cid]:8.4g}" for m in metrics)
+        print(f"  {label:<7} {profile['windows'][cid]:7d}  {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +140,35 @@ def cmd_train(args, config: RunConfig) -> int:
     for tag, model in (("main", result.main_model), ("aux", result.aux_model)):
         qe = model.qe_history
         print(f"{tag} SOM quantization error: {qe[0]:.4f} -> {qe[-1]:.4f}")
-    _print_profiles("main", result.main_profiles)
-    _print_profiles("aux", result.aux_profiles)
+    _print_profiles("main", result.main_model, result.main_profile)
+    _print_profiles("aux", result.aux_model, result.aux_profile)
     print(f"models written to {out}")
     return EXIT_OK
 
 
 def cmd_classify(args, config: RunConfig) -> int:
-    _, _, analyzed, classified = _classify(args, config)
+    _, _, analyzed = _classify(args, config)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
-        for a, c in zip(analyzed, classified):
-            for start, (comfort, fuel) in zip(a.windows, c.pairs):
-                writer.writerow([a.record.driver_id, start, comfort, fuel])
+        for a in analyzed:
+            for start, comfort, fuel in zip(a.windows, a.columns["comfort_label"],
+                                            a.columns["fuel_label"]):
+                writer.writerow([a.record.driver_id, start, LABELS[comfort], LABELS[fuel]])
     n = sum(len(a.windows) for a in analyzed)
     print(f"classified {n} windows -> {args.out}")
     return EXIT_OK
 
 
 def cmd_advise(args, config: RunConfig) -> int:
-    main_model, aux_model, analyzed, classified = _classify(args, config)
+    main_model, aux_model, analyzed = _classify(args, config)
     fleet = pipeline.fleet_columns(analyzed)
     reports = []
-    for tag, model, bmus, report_metrics in (
-            ("main", main_model, [c.main_bmus for c in classified], ("vr", "msdv_y")),
-            ("aux", aux_model, [c.aux_bmus for c in classified], ("fuel",))):
-        profiles = advisor.profile_clusters(model.partition, np.concatenate(bmus), fleet)
-        for p in profiles:
-            p.label = model.labels[p.cluster_id]
+    for tag, model, report_metrics in (("main", main_model, ("vr", "msdv_y")),
+                                       ("aux", aux_model, ("fuel",))):
+        profile = advisor.profile_clusters(model.partition, fleet[f"{tag}_bmu"], fleet)
         try:
-            rows = advisor.improvement_report(profiles, metrics=report_metrics)
+            rows = advisor.improvement_report(model.labels, profile, metrics=report_metrics)
         except AdvisorError as exc:
             raise AdvisorError(f"{tag} map: {exc}") from None
         reports.append((tag, rows, report_metrics))
@@ -180,16 +177,19 @@ def cmd_advise(args, config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     matrix = advisor.build_advice_matrix()
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
-        for a, c in zip(analyzed, classified):
+        for a in analyzed:
             state = advisor.AdviceState(k_stable=config.k_stable)
-            for pair, start, n_x_neg in zip(c.pairs, a.windows, a.columns["n_x_neg"]):
-                event = advisor.stream_advise(state, pair, start, n_x_neg, matrix)
+            for start, comfort, fuel, n_x_neg in zip(
+                    a.windows, a.columns["comfort_label"], a.columns["fuel_label"],
+                    a.columns["n_x_neg"]):
+                event = advisor.stream_advise(state, (LABELS[comfort], LABELS[fuel]),
+                                              start, n_x_neg, matrix)
                 if event is not None:
                     fh.write(f"{a.record.driver_id} {event.format()}\n")
 
-    all_pairs = [p for c in classified for p in c.pairs]
-    advisor.write_intersection_csv(advisor.intersect(all_pairs),
-                                   out / "intersection.csv")
+    advisor.write_intersection_csv(
+        advisor.intersect(fleet["comfort_label"], fleet["fuel_label"]),
+        out / "intersection.csv")
     for tag, rows, report_metrics in reports:
         advisor.write_improvement_csv(rows, report_metrics, out / f"improvement_{tag}.csv")
     print(f"advice reports written to {out}")
@@ -199,14 +199,11 @@ def cmd_advise(args, config: RunConfig) -> int:
 def cmd_report(args, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, _, analyzed, classified = _classify(args, config)
+    _, _, analyzed = _classify(args, config)
 
-    analytics.write_summary_csv(
-        analytics.driver_summary({a.record.driver_id: a.columns for a in analyzed}),
-        out / "driver_summary.csv")
-
-    by_driver = {a.record.driver_id: c.pairs
-                 for a, c in zip(analyzed, classified) if len(a.windows)}
+    by_driver = {a.record.driver_id: a.columns for a in analyzed}
+    analytics.write_summary_csv(analytics.driver_summary(by_driver),
+                                out / "driver_summary.csv")
     for driver_id, table in analytics.driver_heatmap(by_driver).items():
         advisor.write_intersection_csv(table, out / f"heatmap_{driver_id}.csv")
 

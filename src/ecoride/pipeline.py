@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,17 +30,35 @@ class RunConfig:
     kmeans_restarts: int = 32
 
     def __post_init__(self):
-        if not 0.0 < self.train_split < 1.0:
-            raise PipelineError("train_split must be in (0, 1)")
-        if self.peak_threshold <= 0 or self.speed_threshold <= 0:
-            raise PipelineError("thresholds must be positive")
+        """Check every value before any work; a grid may come as a list."""
+        for name in ("grid_main", "grid_aux"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (list, tuple)) and len(grid) == 2
+                    and all(_is_int(v) and v >= 1 for v in grid)):
+                raise PipelineError(f"{name} must be two positive integers, got {grid!r}")
+            setattr(self, name, tuple(grid))
+        for name, least in (("seed", 0), ("k_stable", 1), ("kmeans_restarts", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise PipelineError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, high in (("train_split", 1.0), ("peak_threshold", math.inf),
+                           ("speed_threshold", math.inf)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 < value < high):
+                raise PipelineError(f"{name} must be a number in (0, {high:g}), got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
 class AnalyzedRecord:
     """One record's kept window starts and its per-window figures: the
     ``features.FEATURE_COLUMNS`` and the ``comfort.window_metrics`` columns,
-    by name, one entry per kept window."""
+    by name, one entry per kept window.  ``classify_all`` adds the
+    classification columns of ``advisor.classify_window``."""
 
     record: DriveRecord
     windows: np.ndarray
@@ -78,7 +98,7 @@ def fleet_columns(analyzed: list[AnalyzedRecord]) -> dict[str, np.ndarray]:
 
 def _train_one(fleet: dict[str, np.ndarray], train_rows: np.ndarray, feature_names,
                grid_dims, ordering_metric: str, config: RunConfig,
-               seed_offset: int) -> tuple[SomModel, list[advisor.ClusterProfile]]:
+               seed_offset: int) -> tuple[SomModel, dict[str, np.ndarray]]:
     vectors = features.feature_matrix(fleet, feature_names)
     train_vectors = vectors[train_rows]
     normalizer = features.fit_normalizer(train_vectors, feature_names)
@@ -93,22 +113,21 @@ def _train_one(fleet: dict[str, np.ndarray], train_rows: np.ndarray, feature_nam
                                        restarts=config.kmeans_restarts,
                                        seed=config.seed + seed_offset + 2,
                                        hit_counts=hits)
+    profile = advisor.profile_clusters(
+        partition, som.bmus(trained, normalizer.transform(vectors))[0], fleet)
     model = SomModel(grid=trained, normalizer=normalizer, partition=partition,
-                     labels=[], schedule=schedule,
-                     train_seed=config.seed + seed_offset + 1,
-                     cluster_seed=config.seed + seed_offset + 2,
-                     qe_history=qe)
-    profiles = advisor.profile_clusters(partition, model.bmu_indices(vectors), fleet)
-    model.labels = advisor.label_clusters(profiles, ordering_metric=ordering_metric)
-    return model, profiles
+                     labels=advisor.label_clusters(profile[ordering_metric]),
+                     schedule=schedule, train_seed=config.seed + seed_offset + 1,
+                     cluster_seed=config.seed + seed_offset + 2, qe_history=qe)
+    return model, profile
 
 
 @dataclass
 class TrainResult:
     main_model: SomModel
     aux_model: SomModel
-    main_profiles: list[advisor.ClusterProfile]
-    aux_profiles: list[advisor.ClusterProfile]
+    main_profile: dict[str, np.ndarray]  # advisor.profile_clusters tables
+    aux_profile: dict[str, np.ndarray]
     analyzed: list[AnalyzedRecord] = field(repr=False, default_factory=list)
 
 
@@ -128,16 +147,18 @@ def train_models(records: list[DriveRecord], config: RunConfig | None = None) ->
 
     fleet = fleet_columns(analyzed)
     train_rows = np.concatenate([np.arange(n) < round(config.train_split * n) for n in sizes])
-    main_model, main_profiles = _train_one(
+    main_model, main_profile = _train_one(
         fleet, train_rows, MAIN_FEATURES, config.grid_main, "vr", config, seed_offset=0)
-    aux_model, aux_profiles = _train_one(
+    aux_model, aux_profile = _train_one(
         fleet, train_rows, AUX_FEATURES, config.grid_aux, "fuel", config, seed_offset=100)
     return TrainResult(main_model=main_model, aux_model=aux_model,
-                       main_profiles=main_profiles, aux_profiles=aux_profiles,
+                       main_profile=main_profile, aux_profile=aux_profile,
                        analyzed=analyzed)
 
 
 def classify_all(analyzed: list[AnalyzedRecord], main_model: SomModel,
-                 aux_model: SomModel) -> list[advisor.Classification]:
-    """Classify the windows of each record, one record at a time."""
-    return [advisor.classify_window(a.columns, main_model, aux_model) for a in analyzed]
+                 aux_model: SomModel) -> None:
+    """Add the classification columns of ``advisor.classify_window`` to each
+    record's ``columns``, one record at a time."""
+    for a in analyzed:
+        a.columns.update(advisor.classify_window(a.columns, main_model, aux_model))

@@ -309,9 +309,10 @@ class SomModel:
         """BMU index of each row of unnormalized feature vectors."""
         return bmus(self.grid, self.normalizer.transform(raw_vectors))[0]
 
-    def labels_at(self, bmu_indices: np.ndarray) -> list[str]:
-        """Label of the cluster that holds each BMU index."""
-        return [self.labels[c] for c in self.partition.assignment[bmu_indices]]
+    def labels_at(self, bmu_indices: np.ndarray) -> np.ndarray:
+        """Index into LABELS of the label of the cluster that holds each BMU index."""
+        ranks = np.array([LABELS.index(label) for label in self.labels])
+        return ranks[self.partition.assignment[bmu_indices]]
 
     def to_dict(self) -> dict:
         return {

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from ecoride import advisor, analytics, comfort, features, pipeline, som, synthgen, telemetry
-from ecoride.advisor import AdviceState, ClusterProfile
+from ecoride.advisor import AdviceState
 from ecoride.pipeline import RunConfig
-from ecoride.som import SomModel
+from ecoride.som import LABELS, SomModel
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -22,13 +22,12 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"acceptance criterion {num} failed: {detail}"
 
 
-def profiles_from_averages(by_label: dict[str, dict[str, float]]) -> list[ClusterProfile]:
-    out = []
-    for cid, (label, avgs) in enumerate(by_label.items()):
-        out.append(ClusterProfile(cluster_id=cid, member_count=100,
-                                  averages=dict(avgs),
-                                  variances={k: 0.0 for k in avgs}, label=label))
-    return out
+def profiles_from_averages(by_label: dict[str, dict[str, float]]):
+    """(labels, per-cluster table): one cluster per label, in the given order."""
+    metrics = next(iter(by_label.values()))
+    return list(by_label), {"windows": np.full(len(by_label), 100),
+                            **{m: np.array([avgs[m] for avgs in by_label.values()])
+                               for m in metrics}}
 
 
 class TestCriterion1TableConsistency:
@@ -39,7 +38,7 @@ class TestCriterion1TableConsistency:
             "Medium": {"vr": 0.81, "msdv_y": 1.36},
             "High": {"vr": 1.50, "msdv_y": 3.00},
         })
-        rows = advisor.improvement_report(main, metrics=("vr", "msdv_y"))
+        rows = advisor.improvement_report(*main, metrics=("vr", "msdv_y"))
         got = {(r.current, r.target): r.reductions for r in rows}
         expected_vr = {("Medium", "Low"): 9.88, ("High", "Medium"): 46.0,
                        ("High", "Low"): 51.3}
@@ -52,7 +51,7 @@ class TestCriterion1TableConsistency:
             "Low": {"fuel": 2.30}, "Medium": {"fuel": 2.91},
             "High": {"fuel": 4.35},
         })
-        fuel_rows = advisor.improvement_report(aux, metrics=("fuel",))
+        fuel_rows = advisor.improvement_report(*aux, metrics=("fuel",))
         fuel_got = {(r.current, r.target): r.reductions["fuel"] for r in fuel_rows}
         expected_fuel = {("Medium", "Low"): 21.0, ("High", "Medium"): 33.1,
                          ("High", "Low"): 47.1}
@@ -189,9 +188,8 @@ class TestCriterion6ClusteringPurity:
             total += len(analyzed.windows)
             classified = advisor.classify_window(
                 analyzed.columns, result.main_model, result.aux_model)
-            for got_c, got_f in classified.pairs:
-                comfort_hits += got_c == want_comfort
-                fuel_hits += got_f == want_fuel
+            comfort_hits += np.sum(classified["comfort_label"] == LABELS.index(want_comfort))
+            fuel_hits += np.sum(classified["fuel_label"] == LABELS.index(want_fuel))
         windows_per_style = min(len(a.windows) for a in result.analyzed)
         c_agree = comfort_hits / total
         f_agree = fuel_hits / total
@@ -315,7 +313,7 @@ class TestCriterion10ModelRoundTrip:
             ok &= p1.read_bytes() == p2.read_bytes()
             vectors = np.vstack([features.feature_matrix(a.columns, model.feature_names)
                                  for a in result.analyzed])
-            ok &= (model.labels_at(model.bmu_indices(vectors[:200]))
-                   == loaded.labels_at(loaded.bmu_indices(vectors[:200])))
+            ok &= np.array_equal(model.labels_at(model.bmu_indices(vectors[:200])),
+                                 loaded.labels_at(loaded.bmu_indices(vectors[:200])))
         verdict(10, ok, "save->load->save byte-identical, classifications "
                         "unchanged across the round trip")

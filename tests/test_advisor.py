@@ -29,15 +29,14 @@ def three_cluster_setup(vrs=(0.2, 0.5, 1.0), n_per=4):
 
 
 class TestProfileClusters:
-    def test_averages_and_variances(self):
+    def test_averages_and_window_counts(self):
         part, bmus, metrics = three_cluster_setup()
-        profiles = advisor.profile_clusters(part, bmus, metrics)
-        assert len(profiles) == 3
-        p0 = profiles[0]
+        profile = advisor.profile_clusters(part, bmus, metrics)
+        assert set(profile) == {"windows", *advisor.PROFILE_METRICS}
+        assert all(len(column) == 3 for column in profile.values())
         vals = metrics["vr"][bmus == 0]
-        assert p0.member_count == 4
-        assert p0.averages["vr"] == pytest.approx(np.mean(vals))
-        assert p0.variances["vr"] == pytest.approx(np.var(vals))
+        assert profile["windows"][0] == 4
+        assert profile["vr"][0] == pytest.approx(np.mean(vals))
 
     def test_empty_cluster_errors(self):
         part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
@@ -53,60 +52,61 @@ class TestProfileClusters:
 class TestLabelClusters:
     def test_ascending_order(self):
         part, bmus, metrics = three_cluster_setup(vrs=(1.0, 0.2, 0.5))
-        profiles = advisor.profile_clusters(part, bmus, metrics)
-        labels = advisor.label_clusters(profiles, ordering_metric="vr")
-        by_id = {p.cluster_id: p.label for p in profiles}
-        assert by_id == {0: "High", 1: "Low", 2: "Medium"}
+        profile = advisor.profile_clusters(part, bmus, metrics)
+        labels = advisor.label_clusters(profile["vr"])
         assert labels == ["High", "Low", "Medium"]  # by cluster id
 
     def test_fuel_ordering(self):
         part, bmus, metrics = three_cluster_setup()
-        profiles = advisor.profile_clusters(part, bmus, metrics)
-        advisor.label_clusters(profiles, ordering_metric="fuel")
-        assert [p.label for p in sorted(profiles, key=lambda p: p.averages["fuel"])] \
+        profile = advisor.profile_clusters(part, bmus, metrics)
+        labels = advisor.label_clusters(profile["fuel"])
+        assert [labels[cid] for cid in np.argsort(profile["fuel"])] \
             == ["Low", "Medium", "High"]
+
+    def test_ties_give_the_lower_cluster_id_the_lower_label(self):
+        assert advisor.label_clusters([0.5, 0.5, 0.2]) == ["Medium", "High", "Low"]
+        assert advisor.label_clusters([0.7, 0.7, 0.7]) == ["Low", "Medium", "High"]
 
     def test_wrong_cluster_count(self):
         with pytest.raises(AdvisorError):
             advisor.label_clusters([])
 
 
-def labeled_profiles(values, metric_names=("vr",)):
-    """Three labeled profiles with given averages on the first metric."""
-    profiles = []
-    for cid, (label, v) in enumerate(zip(advisor.LABELS, values)):
-        avgs = {m: v for m in metric_names}
-        profiles.append(advisor.ClusterProfile(
-            cluster_id=cid, member_count=10, averages=avgs,
-            variances={m: 0.0 for m in metric_names}, label=label))
-    return profiles
+def profile_table(values, metric_names=("vr",)):
+    """Per-cluster table of three clusters with the given averages on every metric."""
+    return {"windows": np.full(3, 10), **{m: np.array(values, dtype=float)
+                                          for m in metric_names}}
 
 
 class TestImprovementReport:
     def test_pairwise_reductions(self):
-        rows = advisor.improvement_report(labeled_profiles((1.0, 2.0, 4.0)))
+        rows = advisor.improvement_report(list(advisor.LABELS),
+                                          profile_table((1.0, 2.0, 4.0)))
         got = {(r.current, r.target): r.reductions["vr"] for r in rows}
         assert got[("Medium", "Low")] == pytest.approx(50.0)
         assert got[("High", "Low")] == pytest.approx(75.0)
         assert got[("High", "Medium")] == pytest.approx(50.0)
         assert len(rows) == 3
 
-    def test_requires_labels(self):
-        profiles = labeled_profiles((1.0, 2.0, 3.0))
-        profiles[0].label = None
-        with pytest.raises(AdvisorError, match="label"):
-            advisor.improvement_report(profiles)
+    def test_tied_averages_keep_cluster_id_order(self):
+        # clusters 0 and 1 tie: no row between them, cluster 0's rows come first
+        rows = advisor.improvement_report(["Medium", "High", "Low"],
+                                          profile_table((2.0, 2.0, 1.0)))
+        assert [(r.current, r.target) for r in rows] \
+            == [("Medium", "Low"), ("High", "Low")]
+        assert [r.reductions["vr"] for r in rows] == [50.0, 50.0]
 
     def test_zero_current_average_named(self):
         # lateral acceleration logged as 0: msdv_y averages 0 in every cluster
-        profiles = labeled_profiles((1.0, 2.0, 4.0), metric_names=("vr", "msdv_y"))
-        for p in profiles:
-            p.averages["msdv_y"] = 0.0
+        profile = profile_table((1.0, 2.0, 4.0), metric_names=("vr", "msdv_y"))
+        profile["msdv_y"][:] = 0.0
         with pytest.raises(AdvisorError, match="msdv_y averages 0 in the Medium cluster"):
-            advisor.improvement_report(profiles, metrics=("vr", "msdv_y"))
+            advisor.improvement_report(list(advisor.LABELS), profile,
+                                       metrics=("vr", "msdv_y"))
 
     def test_csv_output(self, tmp_path):
-        rows = advisor.improvement_report(labeled_profiles((1.0, 2.0, 4.0)))
+        rows = advisor.improvement_report(list(advisor.LABELS),
+                                          profile_table((1.0, 2.0, 4.0)))
         path = tmp_path / "imp.csv"
         advisor.write_improvement_csv(rows, ("vr",), path)
         lines = path.read_text().splitlines()
@@ -138,15 +138,32 @@ class TestAdviceMatrix:
 
 class TestIntersect:
     def test_percentages(self):
-        pairs = [("Low", "Low")] * 3 + [("High", "Medium")] * 1
-        table = advisor.intersect(pairs)
+        # three (Low, Low) windows and one (High, Medium)
+        table = advisor.intersect(np.array([0, 0, 0, 2]), np.array([0, 0, 0, 1]))
         assert table[0, 0] == pytest.approx(75.0)
         assert table[2, 1] == pytest.approx(25.0)
         assert table.sum() == pytest.approx(100.0)
 
     def test_empty_errors(self):
         with pytest.raises(AdvisorError):
-            advisor.intersect([])
+            advisor.intersect([], [])
+        with pytest.raises(AdvisorError, match="no classified windows"):
+            advisor.intersect(np.array([], dtype=int), np.array([], dtype=int))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=80))
+    def test_matches_per_pair_count(self, pairs):
+        comfort = np.array([c for c, _ in pairs], dtype=int)
+        fuel = np.array([f for _, f in pairs], dtype=int)
+        if not pairs:
+            with pytest.raises(AdvisorError, match="no classified windows"):
+                advisor.intersect(comfort, fuel)
+            return
+        table = advisor.intersect(comfort, fuel)
+        assert table.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert table[i, j] == 100.0 * pairs.count((i, j)) / len(pairs)
 
 
 def run_length_reference(pairs, k_stable):

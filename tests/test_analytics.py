@@ -89,8 +89,11 @@ class TestKde2d:
 
 class TestDriverHeatmap:
     def test_tables_per_driver(self):
-        by_driver = {"a": [("Low", "Low"), ("Low", "High")],
-                     "b": [("High", "Medium")] * 4}
+        # a: (Low, Low), (Low, High); b: four (High, Medium); c: no kept window
+        by_driver = {"a": {"comfort_label": np.array([0, 0]), "fuel_label": np.array([0, 2])},
+                     "b": {"comfort_label": np.full(4, 2), "fuel_label": np.full(4, 1)},
+                     "c": {"comfort_label": np.array([], dtype=int),
+                           "fuel_label": np.array([], dtype=int)}}
         out = analytics.driver_heatmap(by_driver)
         assert set(out) == {"a", "b"}
         assert out["a"][0, 0] == pytest.approx(50.0)

@@ -4,9 +4,10 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
-from ecoride import cli, synthgen
+from ecoride import cli, pipeline, synthgen, telemetry
 
 
 def run(argv):
@@ -67,24 +68,55 @@ class TestExitCodes:
                     "--config", str(bad)]) == cli.EXIT_DATA
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
-                                         "correlate"])
-    def test_unknown_config_key_fails_before_reading_data(self, workspace, tmp_path,
-                                                          capsys, command):
-        _, data, models = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"clusters": 4, "k_stable": 2}))
-        # a CSV that cannot be loaded: reading it would fail with another error
+    @staticmethod
+    def run_with_config(command, cfg, models, tmp_path):
+        """Run ``command`` with config ``cfg`` on a CSV that cannot be loaded
+        (reading it would fail with another error); return its output path."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
         bad_data = tmp_path / "data"
         bad_data.mkdir()
         (bad_data / "x.csv").write_text("no,time,column\n")
         out = tmp_path / "out"
         argv = [command, "--data", str(bad_data), "--out", str(out),
-                "--config", str(cfg)]
+                "--config", str(cfg_path)]
         if command in ("classify", "advise", "report"):
             argv += ["--models", str(models)]
         assert run(argv) == cli.EXIT_DATA
+        return out
+
+    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
+                                         "correlate"])
+    def test_unknown_config_key_fails_before_reading_data(self, workspace, tmp_path,
+                                                          capsys, command):
+        _, _, models = workspace
+        out = self.run_with_config(command, {"clusters": 4, "k_stable": 2}, models, tmp_path)
         assert "unknown config key(s): clusters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
+                                         "correlate"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid_main", 5, "grid_main must be two positive integers, got 5"),
+        ("grid_main", [0, 5], "grid_main must be two positive integers, got [0, 5]"),
+        ("grid_aux", [5, 5, 5], "grid_aux must be two positive integers, got [5, 5, 5]"),
+        ("grid_aux", [5.0, 5], "grid_aux must be two positive integers, got [5.0, 5]"),
+        ("seed", "x", "seed must be an integer >= 0, got 'x'"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("k_stable", "3", "k_stable must be an integer >= 1, got '3'"),
+        ("k_stable", 0, "k_stable must be an integer >= 1, got 0"),
+        ("kmeans_restarts", 0, "kmeans_restarts must be an integer >= 1, got 0"),
+        ("kmeans_restarts", True, "kmeans_restarts must be an integer >= 1, got True"),
+        ("train_split", "x", "train_split must be a number in (0, 1), got 'x'"),
+        ("train_split", 1.0, "train_split must be a number in (0, 1), got 1.0"),
+        ("speed_threshold", float("nan"), "speed_threshold must be a number in (0, inf), got nan"),
+        ("peak_threshold", 0, "peak_threshold must be a number in (0, inf), got 0"),
+    ])
+    def test_bad_config_value_fails_before_reading_data(self, workspace, tmp_path, capsys,
+                                                        command, key, value, message):
+        _, _, models = workspace
+        out = self.run_with_config(command, {key: value}, models, tmp_path)
+        assert f"ecoride: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_telemetry(self, workspace, tmp_path, capsys):
@@ -225,6 +257,36 @@ class TestTrain:
         capsys.readouterr()
         model = json.loads((out / cli.MAIN_MODEL_FILE).read_text())
         assert model["train_seed"] == 6  # --seed flag beat the config value
+
+
+    def test_profile_tables_match_a_recomputation(self, workspace, tmp_path, capsys):
+        # BMU -> cluster -> member averages worked out here from the model
+        # files and the fleet columns, in Low/Medium/High order at .4g
+        _, data, _ = workspace
+        out = tmp_path / "m"
+        assert run(["train", "--data", str(data), "--out", str(out), "--seed", "5"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        records = [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem)
+                   for p in sorted(data.glob("*.csv"))]
+        fleet = pipeline.fleet_columns([pipeline.analyze_record(r) for r in records])
+        metrics = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
+        for tag, name in (("main", cli.MAIN_MODEL_FILE), ("aux", cli.AUX_MODEL_FILE)):
+            model = json.loads((out / name).read_text())
+            x = np.column_stack([fleet[f"{n} RMS"] for n in model["feature_names"]])
+            z = (x - np.array(model["normalizer_mean"])) / np.array(model["normalizer_std"])
+            d2 = ((z[:, None, :] - np.array(model["prototypes"])[None, :, :]) ** 2).sum(axis=2)
+            cluster = np.array(model["assignment"])[d2.argmin(axis=1)]
+            expected = [f"{tag} cluster profiles:",
+                        "  label   windows  " + "  ".join(f"{m:>8}" for m in metrics)]
+            counts = []
+            for label in ("Low", "Medium", "High"):
+                members = cluster == model["labels"].index(label)
+                counts.append(int(members.sum()))
+                row = "  ".join(f"{fleet[m][members].mean():8.4g}" for m in metrics)
+                expected.append(f"  {label:<7} {counts[-1]:7d}  {row}")
+            start = printed.index(f"{tag} cluster profiles:")
+            assert printed[start:start + 5] == expected
+            assert sum(counts) == len(fleet["vr"])
 
 
 class TestClassify:

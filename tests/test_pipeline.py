@@ -67,8 +67,8 @@ class TestTrainModels:
 
     def test_profiles_cover_all_windows(self, result):
         total = sum(len(a.windows) for a in result.analyzed)
-        assert sum(p.member_count for p in result.main_profiles) == total
-        assert sum(p.member_count for p in result.aux_profiles) == total
+        assert result.main_profile["windows"].sum() == total
+        assert result.aux_profile["windows"].sum() == total
 
     def test_deterministic(self, small_corpus, result):
         again = pipeline.train_models(small_corpus, RunConfig(seed=5))
@@ -80,17 +80,18 @@ class TestTrainModels:
     def test_classify_all_labels(self, small_corpus, result):
         analyzed = [pipeline.analyze_record(r, RunConfig(seed=5))
                     for r in small_corpus[:2]]
-        classified = pipeline.classify_all(analyzed, result.main_model,
-                                           result.aux_model)
-        for a, c in zip(analyzed, classified):
-            assert len(c.pairs) == len(c.main_bmus) == len(c.aux_bmus) == len(a.windows)
+        pipeline.classify_all(analyzed, result.main_model, result.aux_model)
+        for a in analyzed:
+            names = ("main_bmu", "aux_bmu", "comfort_label", "fuel_label")
+            assert all(len(a.columns[name]) == len(a.windows) for name in names)
             model = result.main_model
             vectors = features.feature_matrix(a.columns, MAIN_FEATURES)
-            assert all(label == comfort for label, (comfort, _) in
-                       zip(model.labels_at(model.bmu_indices(vectors)), c.pairs))
-        pairs = [p for c in classified for p in c.pairs]
-        assert all(c in ("Low", "Medium", "High")
-                   and f in ("Low", "Medium", "High") for c, f in pairs)
+            np.testing.assert_array_equal(a.columns["main_bmu"], model.bmu_indices(vectors))
+            np.testing.assert_array_equal(a.columns["comfort_label"],
+                                          model.labels_at(a.columns["main_bmu"]))
+        fleet = pipeline.fleet_columns(analyzed)
+        assert set(fleet["comfort_label"]) <= {0, 1, 2}
+        assert set(fleet["fuel_label"]) <= {0, 1, 2}
 
     def test_too_few_windows(self):
         rec = telemetry.DriveRecord(

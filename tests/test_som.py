@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from ecoride import features, pipeline, som
 from ecoride.features import Normalizer
-from ecoride.som import SomError, SomModel
+from ecoride.som import LABELS, SomError, SomModel
 
 
 def blobs(k=120, seed=0, centers=((0, 0), (6, 0), (0, 6))):
@@ -307,10 +307,12 @@ class TestModelPersistence:
         data = blobs(k=90, seed=11)
         idx = model.bmu_indices(data)
         np.testing.assert_array_equal(idx, loaded.bmu_indices(data))
-        assert model.labels_at(idx) == loaded.labels_at(loaded.bmu_indices(data))
+        np.testing.assert_array_equal(model.labels_at(idx),
+                                      loaded.labels_at(loaded.bmu_indices(data)))
 
     def test_labels_at_uses_partition(self):
         model = make_model()
         x = blobs(k=30, seed=12)[:1]
         cid = model.partition.assignment[model.bmu_indices(x)[0]]
-        assert model.labels_at(model.bmu_indices(x)) == [model.labels[cid]]
+        assert model.labels_at(model.bmu_indices(x)).tolist() \
+            == [LABELS.index(model.labels[cid])]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .features import feature_matrix
 from .som import LABELS, ClusterPartition, SomModel
 
@@ -25,10 +26,6 @@ FUEL_ADVICE = {
 }
 
 
-class AdvisorError(Exception):
-    pass
-
-
 def profile_clusters(partition: ClusterPartition, bmu_indices,
                      columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Per-cluster table, indexed by cluster id: ``windows``, the member window
@@ -39,12 +36,12 @@ def profile_clusters(partition: ClusterPartition, bmu_indices,
     """
     bmu_indices = np.asarray(bmu_indices, dtype=int)
     if len(bmu_indices) != len(columns["vr"]):
-        raise AdvisorError("bmu assignment and metrics counts differ")
+        raise DataError("bmu assignment and metrics counts differ")
     cluster_ids = partition.assignment[bmu_indices]
     members = [np.flatnonzero(cluster_ids == cid) for cid in range(partition.cluster_count)]
     for cid, member_idx in enumerate(members):
         if member_idx.size == 0:
-            raise AdvisorError(f"cluster {cid} has no member windows")
+            raise DataError(f"cluster {cid} has no member windows")
     return {"windows": np.array([m.size for m in members]),
             **{name: np.array([columns[name][m].mean() for m in members])
                for name in PROFILE_METRICS}}
@@ -55,7 +52,7 @@ def label_clusters(averages) -> list[str]:
     per cluster id, and return the labels by cluster id.  Ties break toward
     the lower cluster id getting the lower label."""
     if len(averages) != len(LABELS):
-        raise AdvisorError(f"labeling requires exactly {len(LABELS)} clusters")
+        raise DataError(f"labeling requires exactly {len(LABELS)} clusters")
     ranks = np.argsort(np.argsort(averages, kind="stable"))
     return [LABELS[r] for r in ranks]
 
@@ -74,7 +71,7 @@ def improvement_report(labels: list[str], profile: dict[str, np.ndarray],
     ``labels`` and the ``profile`` columns are indexed by cluster id.  For
     every (current, target) pair with a lower target average on the first
     metric: 100 * (avg_current - avg_target) / avg_current.  A current cluster
-    whose average of a metric is 0 has no percent reduction: AdvisorError.
+    whose average of a metric is 0 has no percent reduction: DataError.
     """
     key = profile[metrics[0]]
     order = np.argsort(key, kind="stable")
@@ -84,8 +81,8 @@ def improvement_report(labels: list[str], profile: dict[str, np.ndarray],
             if key[target] < key[current]:
                 zero = [m for m in metrics if profile[m][current] == 0.0]
                 if zero:
-                    raise AdvisorError(f"{zero[0]} averages 0 in the {labels[current]} "
-                                       "cluster: no percent reduction from it")
+                    raise DataError(f"{zero[0]} averages 0 in the {labels[current]} "
+                                    "cluster: no percent reduction from it")
                 rows.append(ImprovementRow(
                     current=labels[current], target=labels[target],
                     reductions={m: float(100.0 * (profile[m][current] - profile[m][target])
@@ -152,7 +149,7 @@ def intersect(comfort_labels, fuel_labels) -> np.ndarray:
     """3x3 percentage table, rows = comfort labels, cols = fuel labels, from
     one comfort and one fuel label index per window."""
     if not len(comfort_labels):
-        raise AdvisorError("no classified windows")
+        raise DataError("no classified windows")
     n = len(LABELS)
     counts = np.bincount(np.asarray(comfort_labels) * n + np.asarray(fuel_labels),
                          minlength=n * n)

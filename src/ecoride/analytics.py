@@ -8,11 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .advisor import intersect
-
-
-class AnalyticsError(Exception):
-    pass
 
 
 SUMMARY_METRICS = ("fuel", "vr", "msdv_y", "n_x_pos", "n_x_neg", "n_y")
@@ -71,10 +68,10 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
-        raise AnalyticsError("need at least 2 (fuel, vr) points")
+        raise DataError("need at least 2 (fuel, vr) points")
     x, y = points[:, 0], points[:, 1]
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise AnalyticsError("degenerate axis: zero spread")
+        raise DataError("degenerate axis: zero spread")
     hx = silverman_bandwidth(x)
     hy = silverman_bandwidth(y)
     x_grid = np.linspace(x.min() - hx, x.max() + hx, resolution)
@@ -87,7 +84,7 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
                       bandwidth_x=hx, bandwidth_y=hy)
 
 
-def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path=None) -> None:
+def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path) -> None:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fuel", "vr", "density"])
@@ -95,18 +92,17 @@ def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path=None) -> None:
             for ix, fuel in enumerate(surface.x_grid):
                 writer.writerow([f"{fuel:.6g}", f"{vr:.6g}",
                                  f"{surface.density[iy, ix]:.6g}"])
-    if sidecar_path is not None:
-        meta = {
-            "bandwidth_fuel": surface.bandwidth_x,
-            "bandwidth_vr": surface.bandwidth_y,
-            "fuel_bounds": [float(surface.x_grid[0]), float(surface.x_grid[-1])],
-            "vr_bounds": [float(surface.y_grid[0]), float(surface.y_grid[-1])],
-            "resolution": [len(surface.x_grid), len(surface.y_grid)],
-            "integral": surface.integral(),
-        }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    meta = {
+        "bandwidth_fuel": surface.bandwidth_x,
+        "bandwidth_vr": surface.bandwidth_y,
+        "fuel_bounds": [float(surface.x_grid[0]), float(surface.x_grid[-1])],
+        "vr_bounds": [float(surface.y_grid[0]), float(surface.y_grid[-1])],
+        "resolution": [len(surface.x_grid), len(surface.y_grid)],
+        "integral": surface.integral(),
+    }
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def driver_heatmap(columns_by_driver: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -15,23 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import advisor, analytics, features, pipeline, synthgen, telemetry
-from .advisor import AdvisorError
-from .analytics import AnalyticsError
-from .comfort import ComfortError
-from .features import FeatureError
-from .pipeline import PipelineError, RunConfig
-from .som import LABELS, SomError, SomModel
-from .synthgen import SynthError
-from .telemetry import TelemetryError
+from . import DataError, advisor, analytics, features, pipeline, synthgen, telemetry
+from .pipeline import RunConfig
+from .som import LABELS, SomModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-DATA_ERRORS = (TelemetryError, ComfortError, FeatureError, SomError,
-               AdvisorError, AnalyticsError, SynthError, PipelineError,
-               OSError, json.JSONDecodeError)
+DATA_ERRORS = (DataError, OSError, json.JSONDecodeError)
 
 MAIN_MODEL_FILE = "main_som.json"
 AUX_MODEL_FILE = "aux_som.json"
@@ -49,7 +41,7 @@ def _load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise PipelineError(f"config file {path} must hold a JSON object")
+        raise DataError(f"config file {path} must hold a JSON object")
     return cfg
 
 
@@ -57,7 +49,7 @@ def _run_config(args, cfg: dict) -> RunConfig:
     """Build a RunConfig from config-file values; explicit flags win."""
     unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:
-        raise PipelineError(f"unknown config key(s): {', '.join(unknown)}")
+        raise DataError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = dict(cfg)
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -67,10 +59,10 @@ def _run_config(args, cfg: dict) -> RunConfig:
 def _load_records(data_dir) -> list[telemetry.DriveRecord]:
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
-        raise TelemetryError(f"data directory not found: {data_dir}")
+        raise DataError(f"data directory not found: {data_dir}")
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
-        raise TelemetryError(f"no telemetry CSV files in {data_dir}")
+        raise DataError(f"no telemetry CSV files in {data_dir}")
     return [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths]
 
 
@@ -84,7 +76,7 @@ def _load_models(model_dir) -> tuple[SomModel, SomModel]:
     aux_path = model_dir / AUX_MODEL_FILE
     for p in (main_path, aux_path):
         if not p.is_file():
-            raise SomError(f"model file not found: {p}")
+            raise DataError(f"model file not found: {p}")
     return SomModel.load(main_path), SomModel.load(aux_path)
 
 
@@ -112,7 +104,7 @@ def _print_profiles(tag: str, model: SomModel, profile: dict[str, np.ndarray]) -
 def cmd_synth(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
-        raise SynthError(f"output directory not found: {out}")
+        raise DataError(f"output directory not found: {out}")
     seed = args.seed if args.seed is not None else 0
     grid = synthgen.style_grid(base_seed=seed, duration=args.duration)
     written = []
@@ -169,8 +161,8 @@ def cmd_advise(args, config: RunConfig) -> int:
         profile = advisor.profile_clusters(model.partition, fleet[f"{tag}_bmu"], fleet)
         try:
             rows = advisor.improvement_report(model.labels, profile, metrics=report_metrics)
-        except AdvisorError as exc:
-            raise AdvisorError(f"{tag} map: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{tag} map: {exc}") from None
         reports.append((tag, rows, report_metrics))
 
     out = Path(args.out)
@@ -231,9 +223,9 @@ def cmd_report(args, config: RunConfig) -> int:
 
 def cmd_correlate(args, config: RunConfig) -> int:
     analyzed = _analyze_records(args.data, config)
-    rows, cols, table = features.correlation_table(pipeline.fleet_columns(analyzed))
-    features.write_correlation_csv(rows, cols, table, args.out)
-    print(f"correlation table ({len(rows)} x {len(cols)}) -> {args.out}")
+    table = features.correlation_table(pipeline.fleet_columns(analyzed))
+    features.write_correlation_csv(table, args.out)
+    print(f"correlation table ({table.shape[0]} x {table.shape[1]}) -> {args.out}")
     return EXIT_OK
 
 
@@ -296,7 +288,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             if args.drivers < 1:
-                raise SynthError("--drivers must be at least 1")
+                raise DataError("--drivers must be at least 1")
             return cmd_synth(args)
         cfg = _load_config(args.config) if args.config else {}
         return COMMANDS[args.command](args, _run_config(args, cfg))

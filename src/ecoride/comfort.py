@@ -7,11 +7,10 @@ vomit rate, and threshold-based acceleration peak counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal
 
+from . import DataError
 from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_rows
 
 PEAK_THRESHOLD = 1.75  # m/s^2
@@ -24,50 +23,28 @@ FILTER_CORNERS = {
 }
 
 
-class ComfortError(Exception):
-    pass
-
-
-@dataclass
-class WeightingFilter:
-    """Causal band-pass weighting filter realized as cascaded biquads."""
-
-    kind: str
-    low_corner: float
-    high_corner: float
-    sos: np.ndarray
-    sample_rate: float = SAMPLE_RATE_HZ
-
-
-def design_filter(kind: str, low_corner: float | None = None,
-                  high_corner: float | None = None,
-                  sample_rate: float = SAMPLE_RATE_HZ) -> WeightingFilter:
-    """Second-order Butterworth high-pass cascaded with second-order low-pass.
+def design_filter(kind: str) -> np.ndarray:
+    """Second-order Butterworth high-pass cascaded with second-order low-pass
+    at the ``FILTER_CORNERS[kind]`` corners, as stacked second-order sections.
 
     Both sections come from the bilinear transform of continuous prototypes,
     so the magnitude at each corner is 1/sqrt(2) of the section passband and
     the DC gain is exactly 0.
     """
     if kind not in FILTER_CORNERS:
-        raise ComfortError(f"unknown filter kind: {kind!r}")
-    default_lo, default_hi = FILTER_CORNERS[kind]
-    lo = default_lo if low_corner is None else low_corner
-    hi = default_hi if high_corner is None else high_corner
-    nyq = sample_rate / 2.0
-    if not (0.0 < lo < hi < nyq):
-        raise ComfortError(f"invalid corners ({lo}, {hi}) Hz at {sample_rate} Hz")
-    hp = signal.butter(2, lo, btype="highpass", fs=sample_rate, output="sos")
-    lp = signal.butter(2, hi, btype="lowpass", fs=sample_rate, output="sos")
-    return WeightingFilter(kind=kind, low_corner=lo, high_corner=hi,
-                           sos=np.vstack([hp, lp]), sample_rate=sample_rate)
+        raise DataError(f"unknown filter kind: {kind!r}")
+    lo, hi = FILTER_CORNERS[kind]
+    hp = signal.butter(2, lo, btype="highpass", fs=SAMPLE_RATE_HZ, output="sos")
+    lp = signal.butter(2, hi, btype="lowpass", fs=SAMPLE_RATE_HZ, output="sos")
+    return np.vstack([hp, lp])
 
 
-def apply_filter(filt: WeightingFilter, x: np.ndarray) -> np.ndarray:
+def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causal forward-only filtering; same length as the input."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
-        raise ComfortError("cannot filter an empty signal")
-    return signal.sosfilt(filt.sos, x)
+        raise DataError("cannot filter an empty signal")
+    return signal.sosfilt(sos, x)
 
 
 def weighted_rms(values: np.ndarray):
@@ -112,12 +89,12 @@ def window_metrics(record: DriveRecord, windows: np.ndarray,
     """
     for name in ("XACC", "YACC", "FUEL"):
         if name not in record.channels:
-            raise ComfortError(f"record lacks required channel {name}")
-    wf = design_filter("motion_sickness")
+            raise DataError(f"record lacks required channel {name}")
+    sos = design_filter("motion_sickness")
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
-    mx = msdv(apply_filter(wf, xacc), windows)
-    my = msdv(apply_filter(wf, yacc), windows)
+    mx = msdv(apply_filter(sos, xacc), windows)
+    my = msdv(apply_filter(sos, yacc), windows)
     raw_x = window_rows(xacc, windows)
     return {
         "msdv_x": mx,

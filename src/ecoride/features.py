@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .comfort import weighted_rms
 from .telemetry import DriveRecord, window_rows
 
@@ -23,16 +24,12 @@ AUX_FEATURES = ("XACC_pos", "ERPM")
 CORRELATION_TARGETS = ("fuel", "n_x_pos", "n_x_neg", "n_y", "msdv_y", "vr")
 
 
-class FeatureError(Exception):
-    pass
-
-
 def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
     each driving signal, one entry per window."""
     for name in ("SWA", "VS", "XACC", "YACC", "ERPM"):
         if name not in record.channels:
-            raise FeatureError(f"record lacks required channel {name}")
+            raise DataError(f"record lacks required channel {name}")
     signals = {name: window_rows(record.channels[name], windows)
                for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
     signals["XACC_pos"] = np.maximum(signals["XACC"], 0.0)
@@ -47,13 +44,13 @@ def pearson(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
-        raise FeatureError("pearson needs two equal-length sequences of length >= 2")
+        raise DataError("pearson needs two equal-length sequences of length >= 2")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = np.sqrt(np.sum(dx**2))
     sy = np.sqrt(np.sum(dy**2))
     if sx == 0.0 or sy == 0.0:
-        raise FeatureError("undefined correlation: zero-variance input")
+        raise DataError("undefined correlation: zero-variance input")
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
@@ -62,25 +59,22 @@ def feature_matrix(columns: dict[str, np.ndarray], names=MAIN_FEATURES) -> np.nd
     return np.column_stack([columns[f"{n} RMS"] for n in names])
 
 
-def correlation_table(columns: dict[str, np.ndarray]) -> tuple[list[str], list[str], np.ndarray]:
+def correlation_table(columns: dict[str, np.ndarray]) -> np.ndarray:
     """PCC of every feature column against every comfort/fuel target over the
-    windows of ``columns``.
-
-    Returns (target row labels, feature column labels, table) where table has
-    shape (n_targets, n_feature_columns), columns in ``FEATURE_COLUMNS`` order.
+    windows of ``columns``: one row per ``CORRELATION_TARGETS`` entry, one
+    column per ``FEATURE_COLUMNS`` entry, in their order.
     """
     if len(columns["fuel"]) < 2:
-        raise FeatureError("need at least 2 windows")
-    table = np.array([[pearson(columns[t], columns[c]) for c in FEATURE_COLUMNS]
-                      for t in CORRELATION_TARGETS])
-    return list(CORRELATION_TARGETS), list(FEATURE_COLUMNS), table
+        raise DataError("need at least 2 windows")
+    return np.array([[pearson(columns[t], columns[c]) for c in FEATURE_COLUMNS]
+                     for t in CORRELATION_TARGETS])
 
 
-def write_correlation_csv(row_labels, col_labels, table, path) -> None:
+def write_correlation_csv(table: np.ndarray, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["target", *col_labels])
-        for label, row in zip(row_labels, table):
+        writer.writerow(["target", *FEATURE_COLUMNS])
+        for label, row in zip(CORRELATION_TARGETS, table):
             writer.writerow([label, *[f"{v:.4f}" for v in row]])
 
 
@@ -100,10 +94,10 @@ def fit_normalizer(training: np.ndarray, feature_names=MAIN_FEATURES) -> Normali
     """Fit z-score parameters; the fitted set maps to mean 0 / std 1."""
     training = np.asarray(training, dtype=float)
     if training.ndim != 2 or training.shape[0] < 2:
-        raise FeatureError("need at least 2 training vectors")
+        raise DataError("need at least 2 training vectors")
     mean = training.mean(axis=0)
     std = training.std(axis=0)
     for i, s in enumerate(std):
         if s == 0.0:
-            raise FeatureError(f"zero-variance feature: {feature_names[i]}")
+            raise DataError(f"zero-variance feature: {feature_names[i]}")
     return Normalizer(feature_names=tuple(feature_names), mean=mean, std=std)

@@ -8,14 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import advisor, comfort, features, som, telemetry
+from . import DataError, advisor, comfort, features, som, telemetry
 from .features import AUX_FEATURES, MAIN_FEATURES
 from .som import SomModel
-from .telemetry import DriveRecord, TelemetryError
-
-
-class PipelineError(Exception):
-    pass
+from .telemetry import DriveRecord
 
 
 @dataclass
@@ -35,18 +31,18 @@ class RunConfig:
             grid = getattr(self, name)
             if not (isinstance(grid, (list, tuple)) and len(grid) == 2
                     and all(_is_int(v) and v >= 1 for v in grid)):
-                raise PipelineError(f"{name} must be two positive integers, got {grid!r}")
+                raise DataError(f"{name} must be two positive integers, got {grid!r}")
             setattr(self, name, tuple(grid))
         for name, least in (("seed", 0), ("k_stable", 1), ("kmeans_restarts", 1)):
             value = getattr(self, name)
             if not (_is_int(value) and value >= least):
-                raise PipelineError(f"{name} must be an integer >= {least}, got {value!r}")
+                raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
         for name, high in (("train_split", 1.0), ("peak_threshold", math.inf),
                            ("speed_threshold", math.inf)):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not 0.0 < value < high):
-                raise PipelineError(f"{name} must be a number in (0, {high:g}), got {value!r}")
+                raise DataError(f"{name} must be a number in (0, {high:g}), got {value!r}")
 
 
 def _is_int(value) -> bool:
@@ -68,7 +64,7 @@ class AnalyzedRecord:
 def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> AnalyzedRecord:
     """Window a record, drop slow-traffic windows, compute metrics + features.
 
-    Raises TelemetryError naming the record, the window and the field when a
+    Raises DataError naming the record, the window and the field when a
     feature or metric comes out non-finite (say, a square that overflows), so
     that no such window reaches a map or an output file.
     """
@@ -83,7 +79,7 @@ def analyze_record(record: DriveRecord, config: RunConfig | None = None) -> Anal
         if bad.any():
             start = int(windows[np.argmax(bad)])
             where = f" in {record.source}" if record.source else ""
-            raise TelemetryError(
+            raise DataError(
                 f"non-finite {name} in the window starting at sample {start} "
                 f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
                 f"of record {record.driver_id}{where}")
@@ -142,8 +138,7 @@ def train_models(records: list[DriveRecord], config: RunConfig | None = None) ->
     analyzed = [analyze_record(r, config) for r in records]
     sizes = [len(a.windows) for a in analyzed]
     if sum(sizes) < 10:
-        raise PipelineError(
-            f"only {sum(sizes)} windows after speed filtering; need >= 10")
+        raise DataError(f"only {sum(sizes)} windows after speed filtering; need >= 10")
 
     fleet = fleet_columns(analyzed)
     train_rows = np.concatenate([np.arange(n) < round(config.train_split * n) for n in sizes])

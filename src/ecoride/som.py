@@ -7,14 +7,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import DataError
 from .features import FEATURE_SIGNALS, Normalizer
 
 # Cluster tags of both maps, best (lowest metric average) first.
 LABELS = ("Low", "Medium", "High")
-
-
-class SomError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +90,7 @@ def default_schedule(n_samples: int, rows: int, cols: int) -> TrainingSchedule:
 def init_random(rows: int, cols: int, data: np.ndarray, seed: int) -> SomGrid:
     """Prototypes drawn uniformly from the per-feature [min, max] of ``data``."""
     if rows < 1 or cols < 1:
-        raise SomError("grid dimensions must be positive")
+        raise DataError("grid dimensions must be positive")
     data = np.asarray(data, dtype=float)
     rng = np.random.default_rng(seed)
     lo = data.min(axis=0)
@@ -111,14 +108,14 @@ def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each index is that of the nearest prototype, ties to the lowest index.
     Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons, dim)
     difference array stays small for a whole training set too.  A nan or inf
-    sample raises SomError: it has no nearest prototype.
+    sample raises DataError: it has no nearest prototype.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != grid.dim:
-        raise SomError(f"dimension mismatch: samples {samples.shape}, grid {grid.dim}")
+        raise DataError(f"dimension mismatch: samples {samples.shape}, grid {grid.dim}")
     finite = np.isfinite(samples).all(axis=1)
     if not finite.all():
-        raise SomError(f"non-finite sample at row {int(np.argmin(finite))}")
+        raise DataError(f"non-finite sample at row {int(np.argmin(finite))}")
     idx = np.empty(len(samples), dtype=np.intp)
     dist = np.empty(len(samples))
     for lo in range(0, len(samples), BMU_CHUNK):
@@ -158,9 +155,9 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 1:
-        raise SomError("empty training set")
+        raise DataError("empty training set")
     if samples.shape[1] != grid.dim:
-        raise SomError("sample dimension does not match grid")
+        raise DataError("sample dimension does not match grid")
     rng = np.random.default_rng(seed)
     weights = grid.weights.copy()
     neg_d2 = -grid_distance_matrix(grid.rows, grid.cols) ** 2
@@ -256,12 +253,12 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
     """
     m = grid.n_neurons
     if not 1 <= cluster_count <= m:
-        raise SomError(f"cluster count {cluster_count} outside [1, {m}]")
+        raise DataError(f"cluster count {cluster_count} outside [1, {m}]")
     hit_counts = np.asarray(hit_counts, dtype=int)
     if hit_counts.shape != (m,) or np.any(hit_counts < 0):
-        raise SomError("hit_counts must be one nonnegative count per neuron")
+        raise DataError("hit_counts must be one nonnegative count per neuron")
     if np.count_nonzero(hit_counts) < cluster_count:
-        raise SomError(
+        raise DataError(
             f"only {np.count_nonzero(hit_counts)} hit neurons for "
             f"{cluster_count} clusters")
     points = np.repeat(grid.weights, hit_counts, axis=0)
@@ -340,13 +337,13 @@ class SomModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SomModel":
-        """Rebuild a model from ``to_dict`` output; raises SomError naming the
+        """Rebuild a model from ``to_dict`` output; raises DataError naming the
         first field that is missing or cannot make a working map."""
         def array(key, dtype=float):
             try:
                 return np.array(d[key], dtype=dtype)
             except (TypeError, ValueError):
-                raise SomError(f"{key}: not a numeric array") from None
+                raise DataError(f"{key}: not a numeric array") from None
 
         try:
             grid = SomGrid(rows=d["rows"], cols=d["cols"], weights=array("prototypes"),
@@ -363,44 +360,44 @@ class SomModel:
                         qe_history=list(d["qe_history"]))
             model._check()
         except KeyError as exc:
-            raise SomError(f"missing field {exc}") from None
+            raise DataError(f"missing field {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise SomError(f"malformed model: {exc}") from None
+            raise DataError(f"malformed model: {exc}") from None
         return model
 
     def _check(self) -> None:
         rows, cols = self.grid.rows, self.grid.cols
         if not all(isinstance(v, int) and v >= 1 for v in (rows, cols)):
-            raise SomError(f"rows/cols: {rows} x {cols} is not a grid")
+            raise DataError(f"rows/cols: {rows} x {cols} is not a grid")
         unknown = sorted(set(self.feature_names) - set(FEATURE_SIGNALS))
         if unknown:
-            raise SomError(f"feature_names: unknown feature(s) {', '.join(unknown)}")
+            raise DataError(f"feature_names: unknown feature(s) {', '.join(unknown)}")
         n, dim = rows * cols, len(self.feature_names)
         arrays = {"prototypes": (self.grid.weights, (n, dim)),
                   "normalizer_mean": (self.normalizer.mean, (dim,)),
                   "normalizer_std": (self.normalizer.std, (dim,))}
         for name, (values, shape) in arrays.items():
             if values.shape != shape:
-                raise SomError(f"{name}: shape {values.shape}, expected {shape}")
+                raise DataError(f"{name}: shape {values.shape}, expected {shape}")
             if not np.all(np.isfinite(values)):
-                raise SomError(f"{name}: non-finite value")
+                raise DataError(f"{name}: non-finite value")
         if np.any(self.normalizer.std <= 0):
-            raise SomError("normalizer_std: value <= 0")
+            raise DataError("normalizer_std: value <= 0")
         count = self.partition.cluster_count
         if count != len(LABELS):
-            raise SomError(f"cluster_count: {count}, expected {len(LABELS)}")
+            raise DataError(f"cluster_count: {count}, expected {len(LABELS)}")
         assignment = self.partition.assignment
         if assignment.shape != (n,):
-            raise SomError(f"assignment: {assignment.size} values for {n} neurons")
+            raise DataError(f"assignment: {assignment.size} values for {n} neurons")
         if np.any((assignment < 0) | (assignment >= count)):
-            raise SomError(f"assignment: value outside [0, {count})")
+            raise DataError(f"assignment: value outside [0, {count})")
         if sorted(self.labels) != sorted(LABELS):
-            raise SomError(f"labels: {self.labels} is not a permutation of {list(LABELS)}")
+            raise DataError(f"labels: {self.labels} is not a permutation of {list(LABELS)}")
 
     @classmethod
     def load(cls, path) -> "SomModel":
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (SomError, json.JSONDecodeError) as exc:
-            raise SomError(f"model file {path}: {exc}") from None
+        except (DataError, json.JSONDecodeError) as exc:
+            raise DataError(f"model file {path}: {exc}") from None

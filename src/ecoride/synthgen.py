@@ -8,11 +8,14 @@ is supposed to recover, so generated corpora double as test oracles.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal, stats
 
+from . import DataError
 from .telemetry import SAMPLE_RATE_HZ, TIME_COLUMN, CHANNELS, DriveRecord
 
 # Fuel proxy: FUEL = C0 + C1 * ERPM * PGP + C2 * max(XACC, 0).
@@ -29,10 +32,6 @@ ERPM_PER_KMH = 30.0
 ERPM_WANDER = 280.0
 GAS_SPIKE = 0.12
 GAS_WANDER = 0.05
-
-
-class SynthError(Exception):
-    pass
 
 
 @dataclass
@@ -52,9 +51,11 @@ class StyleSpec:
                      "braking_spikiness"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise SynthError(f"{name} must be in [0, 1], got {v}")
-        if self.duration < 16.0:
-            raise SynthError("duration must be at least 16 s")
+                raise DataError(f"{name} must be in [0, 1], got {v}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (math.isfinite(self.duration) and self.duration >= 16.0):
+            raise DataError(f"duration must be finite and at least 16 s, got {self.duration!r}")
 
 
 def _band_noise(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
+
 log = logging.getLogger(__name__)
 
 SAMPLE_RATE_HZ = 32.0
@@ -33,10 +35,6 @@ CHANNELS = {
 TIME_COLUMN = "t"
 
 
-class TelemetryError(Exception):
-    """Raised for malformed telemetry inputs."""
-
-
 @dataclass
 class RawChannel:
     """One named channel as sampled in the source file, before resampling.
@@ -56,24 +54,22 @@ class RawChannel:
         self.values = np.asarray(self.values, dtype=float)
         where = f" in {self.source}" if self.source else ""
         if self.timestamps.shape != self.values.shape:
-            raise TelemetryError(f"channel {self.name}: timestamp/value length mismatch{where}")
+            raise DataError(f"channel {self.name}: timestamp/value length mismatch{where}")
         if len(self.timestamps) < 2:
-            raise TelemetryError(
-                f"need at least 2 data rows, got {len(self.timestamps)}{where}")
+            raise DataError(f"need at least 2 data rows, got {len(self.timestamps)}{where}")
         for label, arr in (("timestamp", self.timestamps), (f"{self.name} value", self.values)):
             bad = ~np.isfinite(arr)
             if bad.any():
-                raise TelemetryError(
-                    f"non-finite {label} at data row {int(np.argmax(bad)) + 1}{where}")
+                raise DataError(f"non-finite {label} at data row {int(np.argmax(bad)) + 1}{where}")
         bad = np.diff(self.timestamps) <= 0  # bad[i]: row i + 2 does not increase
         if bad.any():
-            raise TelemetryError(
+            raise DataError(
                 f"non-monotonic timestamps at data row {int(np.argmax(bad)) + 2}{where}")
         if self.name in ("VS", "ERPM"):
             bad = self.values < 0
             if bad.any():
-                raise TelemetryError(f"negative {self.name} value at data row "
-                                     f"{int(np.argmax(bad)) + 1}{where}")
+                raise DataError(f"negative {self.name} value at data row "
+                                f"{int(np.argmax(bad)) + 1}{where}")
 
     @property
     def rate(self) -> float:
@@ -94,15 +90,15 @@ class DriveRecord:
         where = f" in {self.source}" if self.source else ""
         lengths = {name: len(v) for name, v in self.channels.items()}
         if len(set(lengths.values())) > 1:
-            raise TelemetryError(f"unequal channel lengths: {lengths}{where}")
+            raise DataError(f"unequal channel lengths: {lengths}{where}")
         for name, values in self.channels.items():
             bad = ~np.isfinite(values)
             if bad.any():
-                raise TelemetryError(
+                raise DataError(
                     f"channel {name}: non-finite value at sample {int(np.argmax(bad))}{where}")
         for name in ("VS", "ERPM"):
             if name in self.channels and np.any(self.channels[name] < 0):
-                raise TelemetryError(f"channel {name} has negative values{where}")
+                raise DataError(f"channel {name} has negative values{where}")
 
     @property
     def n_total(self) -> int:
@@ -120,9 +116,9 @@ def load_csv(path) -> list[RawChannel]:
     ``RawChannel`` then checks the accepted rows, naming this file.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
-        raise TelemetryError(f"telemetry file not found: {path}") from None
+        raise DataError(f"telemetry file not found: {path}") from None
     with fh:
         # readline (not file iteration) keeps fh.tell() usable for the fallback
         reader = csv.reader(iter(fh.readline, ""))
@@ -132,10 +128,10 @@ def load_csv(path) -> list[RawChannel]:
                 header = [cell.strip() for cell in row]
                 break
         if header is None:
-            raise TelemetryError(f"empty telemetry file: {path}")
+            raise DataError(f"empty telemetry file: {path}")
         for col in (TIME_COLUMN, *CHANNELS):
             if col not in header:
-                raise TelemetryError(f"missing required column '{col}' in {path}")
+                raise DataError(f"missing required column '{col}' in {path}")
         cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
 
         data_start = fh.tell()
@@ -181,11 +177,11 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     pre-filter over one output period before interpolation.
     """
     if not channels:
-        raise TelemetryError("no channels to resample")
+        raise DataError("no channels to resample")
     t0 = max(float(ch.timestamps[0]) for ch in channels)
     t1 = min(float(ch.timestamps[-1]) for ch in channels)
     if t1 < t0:
-        raise TelemetryError("channels have no overlapping time support")
+        raise DataError("channels have no overlapping time support")
     n = int(np.floor((t1 - t0) * SAMPLE_RATE_HZ)) + 1
     grid = t0 + np.arange(n) / SAMPLE_RATE_HZ
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoride import advisor
-from ecoride.advisor import AdviceState, AdvisorError
+from ecoride import DataError, advisor
+from ecoride.advisor import AdviceState
 from ecoride.som import ClusterPartition
 
 
@@ -40,12 +40,12 @@ class TestProfileClusters:
 
     def test_empty_cluster_errors(self):
         part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
-        with pytest.raises(AdvisorError, match="no member"):
+        with pytest.raises(DataError, match="no member"):
             advisor.profile_clusters(part, [0, 0, 1, 1], metrics_table([0.5] * 4))
 
     def test_count_mismatch(self):
         part = ClusterPartition(cluster_count=1, assignment=np.array([0]))
-        with pytest.raises(AdvisorError, match="differ"):
+        with pytest.raises(DataError, match="differ"):
             advisor.profile_clusters(part, [0, 0], metrics_table([0.5]))
 
 
@@ -68,7 +68,7 @@ class TestLabelClusters:
         assert advisor.label_clusters([0.7, 0.7, 0.7]) == ["Low", "Medium", "High"]
 
     def test_wrong_cluster_count(self):
-        with pytest.raises(AdvisorError):
+        with pytest.raises(DataError, match="labeling requires exactly 3 clusters"):
             advisor.label_clusters([])
 
 
@@ -100,7 +100,7 @@ class TestImprovementReport:
         # lateral acceleration logged as 0: msdv_y averages 0 in every cluster
         profile = profile_table((1.0, 2.0, 4.0), metric_names=("vr", "msdv_y"))
         profile["msdv_y"][:] = 0.0
-        with pytest.raises(AdvisorError, match="msdv_y averages 0 in the Medium cluster"):
+        with pytest.raises(DataError, match="msdv_y averages 0 in the Medium cluster"):
             advisor.improvement_report(list(advisor.LABELS), profile,
                                        metrics=("vr", "msdv_y"))
 
@@ -145,9 +145,9 @@ class TestIntersect:
         assert table.sum() == pytest.approx(100.0)
 
     def test_empty_errors(self):
-        with pytest.raises(AdvisorError):
+        with pytest.raises(DataError, match="no classified windows"):
             advisor.intersect([], [])
-        with pytest.raises(AdvisorError, match="no classified windows"):
+        with pytest.raises(DataError, match="no classified windows"):
             advisor.intersect(np.array([], dtype=int), np.array([], dtype=int))
 
     @settings(max_examples=200, deadline=None)
@@ -156,7 +156,7 @@ class TestIntersect:
         comfort = np.array([c for c, _ in pairs], dtype=int)
         fuel = np.array([f for _, f in pairs], dtype=int)
         if not pairs:
-            with pytest.raises(AdvisorError, match="no classified windows"):
+            with pytest.raises(DataError, match="no classified windows"):
                 advisor.intersect(comfort, fuel)
             return
         table = advisor.intersect(comfort, fuel)

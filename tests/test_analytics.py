@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ecoride import analytics
-from ecoride.analytics import AnalyticsError
+from ecoride import DataError, analytics
 
 
 def metrics_table(fuel=(3.0,), vr=0.5):
@@ -69,9 +68,9 @@ class TestKde2d:
         assert np.all(surface.density >= 0)
 
     def test_input_validation(self):
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(DataError, match=r"need at least 2 \(fuel, vr\) points"):
             analytics.kde2d(np.zeros((1, 2)))
-        with pytest.raises(AnalyticsError, match="zero spread"):
+        with pytest.raises(DataError, match="zero spread"):
             analytics.kde2d(np.column_stack([np.ones(10), np.arange(10.0)]))
 
     def test_export(self, tmp_path):

@@ -1,12 +1,16 @@
 """CLI subcommands, exit codes and artifact layout."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shutil
 
 import numpy as np
 import pytest
 
+import ecoride
 from ecoride import cli, pipeline, synthgen, telemetry
 
 
@@ -60,6 +64,15 @@ class TestExitCodes:
         assert run(["correlate", "--data", str(empty),
                     "--out", str(tmp_path / "c.csv")]) == cli.EXIT_DATA
         capsys.readouterr()
+
+    def test_data_error_is_the_only_exception_class(self):
+        modules = [ecoride, *(importlib.import_module(f"ecoride.{m.name}")
+                              for m in pkgutil.iter_modules(ecoride.__path__))]
+        defined = [f"{m.__name__}.{name}" for m in modules
+                   for name, obj in vars(m).items()
+                   if inspect.isclass(obj) and issubclass(obj, Exception)
+                   and obj.__module__ == m.__name__]
+        assert defined == ["ecoride.DataError"]
 
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -211,6 +224,17 @@ class TestSynth:
                     "--duration", "16", "--config", str(cfg)]) == cli.EXIT_USAGE
         assert "--config" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+        ("--duration", "nan", "duration must be finite and at least 16 s, got nan"),
+        ("--duration", "inf", "duration must be finite and at least 16 s, got inf"),
+        ("--duration", "15", "duration must be finite and at least 16 s, got 15.0"),
+    ])
+    def test_bad_seed_or_duration(self, tmp_path, capsys, flag, value, message):
+        assert run(["synth", "--out", str(tmp_path), flag, value]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"ecoride: error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from ecoride import comfort, features, telemetry
-from ecoride.features import FeatureError
+from ecoride import DataError, comfort, features, telemetry
 
 from conftest import make_record
 
@@ -39,7 +38,7 @@ class TestComputeFeatures:
 
     def test_missing_channel(self, record, windows):
         del record.channels["ERPM"]
-        with pytest.raises(FeatureError, match="ERPM"):
+        with pytest.raises(DataError, match="ERPM"):
             features.compute_features(record, windows)
 
 
@@ -54,14 +53,14 @@ class TestPearson:
         assert features.pearson(x, -x) == pytest.approx(-1.0)
 
     def test_errors(self):
-        with pytest.raises(FeatureError):
+        with pytest.raises(DataError, match="equal-length sequences of length >= 2"):
             features.pearson([1.0], [2.0])
-        with pytest.raises(FeatureError, match="zero-variance"):
+        with pytest.raises(DataError, match="zero-variance"):
             features.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 class TestCorrelationTable:
-    def test_shape_and_labels(self):
+    def test_shape_and_labels(self, tmp_path):
         rec = make_record(n=2048, seed=5)
         # constant VS would make its feature columns degenerate
         rec.channels["VS"] += 5.0 * np.sin(np.arange(2048) / 100.0)
@@ -70,7 +69,11 @@ class TestCorrelationTable:
         # give every target nonzero variance
         i = np.arange(len(ws))
         columns["n_x_pos"], columns["n_x_neg"], columns["n_y"] = i % 2, i % 3, i % 4
-        rows, cols, table = features.correlation_table(columns)
+        table = features.correlation_table(columns)
+        out = tmp_path / "corr.csv"
+        features.write_correlation_csv(table, out)
+        header, *body = (line.split(",") for line in out.read_text().splitlines())
+        rows, cols = [r[0] for r in body], header[1:]
         assert rows == list(features.CORRELATION_TARGETS)
         assert len(cols) == 2 * len(features.FEATURE_SIGNALS)
         assert cols[0] == "SWA RMS" and cols[1] == "SWA Var"
@@ -90,7 +93,7 @@ class TestNormalizer:
     def test_zero_variance_named(self):
         data = np.ones((10, 2))
         data[:, 0] = np.arange(10)
-        with pytest.raises(FeatureError, match="ERPM"):
+        with pytest.raises(DataError, match="ERPM"):
             features.fit_normalizer(data, feature_names=("XACC_pos", "ERPM"))
 
     def test_feature_matrix(self, record, windows):

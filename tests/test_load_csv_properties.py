@@ -10,8 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecoride import telemetry
-from ecoride.telemetry import TelemetryError
+from ecoride import DataError, telemetry
 
 NAMES = list(telemetry.CHANNELS)
 FORMATS = {"6f": "{:.6f}".format, "8g": "{:.8g}".format, "repr": repr}
@@ -100,11 +99,11 @@ def test_load_csv_matches_reference_parser(tmp_path, caplog, text):
         negative = [(name, int(np.argmax(values[name] < 0)) + 1)
                     for name in NON_NEGATIVE if np.any(values[name] < 0)]
         if len(ts) < 2:
-            with pytest.raises(TelemetryError, match="need at least 2 data rows"):
+            with pytest.raises(DataError, match="need at least 2 data rows"):
                 telemetry.load_csv(path)
         elif negative:
             name, row = negative[0]
-            with pytest.raises(TelemetryError,
+            with pytest.raises(DataError,
                                match=f"^negative {name} value at data row {row} in "):
                 telemetry.load_csv(path)
         else:

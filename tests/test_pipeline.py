@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ecoride import features, pipeline, telemetry
+from ecoride import DataError, features, pipeline, telemetry
 from ecoride.features import MAIN_FEATURES
-from ecoride.pipeline import PipelineError, RunConfig
+from ecoride.pipeline import RunConfig
 
 
 class TestRunConfig:
@@ -15,9 +15,9 @@ class TestRunConfig:
         assert cfg.train_split == 0.75
 
     def test_validation(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match=r"train_split must be a number in \(0, 1\), got 1.0"):
             RunConfig(train_split=1.0)
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match=r"peak_threshold must be a number in \(0, inf\)"):
             RunConfig(peak_threshold=0.0)
 
 
@@ -98,5 +98,5 @@ class TestTrainModels:
             driver_id="tiny",
             channels={name: np.full(300, 90.0)
                       for name in ("SWA", "VS", "ERPM", "XACC", "YACC", "FUEL")})
-        with pytest.raises(PipelineError, match="windows"):
+        with pytest.raises(DataError, match="windows"):
             pipeline.train_models([rec])

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ecoride import features, pipeline, som
+from ecoride import DataError, features, pipeline, som
 from ecoride.features import Normalizer
-from ecoride.som import LABELS, SomError, SomModel
+from ecoride.som import LABELS, SomModel
 
 
 def blobs(k=120, seed=0, centers=((0, 0), (6, 0), (0, 6))):
@@ -80,16 +80,16 @@ class TestTraining:
     def test_input_validation(self):
         grid = som.init_random(4, 4, blobs(), seed=0)
         schedule = som.TrainingSchedule(total_iterations=10)
-        with pytest.raises(SomError):
+        with pytest.raises(DataError, match="empty training set"):
             som.train(grid, np.empty((0, 2)), schedule, seed=0)
-        with pytest.raises(SomError):
+        with pytest.raises(DataError, match="sample dimension does not match grid"):
             som.train(grid, np.ones((5, 3)), schedule, seed=0)
 
     def test_rejects_non_finite_samples(self):
         grid = som.init_random(4, 4, blobs(), seed=0)
         data = blobs()
         data[7, 1] = np.nan
-        with pytest.raises(SomError, match="non-finite sample at row 7"):
+        with pytest.raises(DataError, match="non-finite sample at row 7"):
             som.train(grid, data, som.TrainingSchedule(total_iterations=10), seed=0)
 
     def test_schedule_decay(self):
@@ -192,12 +192,12 @@ class TestBmu:
         grid = som.init_random(3, 3, blobs(), seed=0)
         data = blobs(k=30)
         data[11, 0] = bad
-        with pytest.raises(SomError, match="non-finite sample at row 11"):
+        with pytest.raises(DataError, match="non-finite sample at row 11"):
             som.bmus(grid, data)
 
     def test_dimension_mismatch(self):
         grid = som.init_random(3, 3, blobs(), seed=0)
-        with pytest.raises(SomError, match="mismatch"):
+        with pytest.raises(DataError, match="mismatch"):
             som.bmu(grid, np.zeros(5))
 
 
@@ -262,11 +262,11 @@ class TestClustering:
     def test_invalid_inputs(self):
         grid = som.init_random(3, 3, blobs(), seed=0)
         ones = np.ones(9, int)
-        with pytest.raises(SomError):
+        with pytest.raises(DataError, match=r"cluster count 0 outside \[1, 9\]"):
             som.cluster_prototypes(grid, 0, hit_counts=ones)
-        with pytest.raises(SomError):
+        with pytest.raises(DataError, match=r"cluster count 10 outside \[1, 9\]"):
             som.cluster_prototypes(grid, 10, hit_counts=ones)
-        with pytest.raises(SomError, match="hit_counts"):
+        with pytest.raises(DataError, match="hit_counts"):
             som.cluster_prototypes(grid, 2, hit_counts=np.ones(4, dtype=int))
 
     def test_hit_histogram_total(self):

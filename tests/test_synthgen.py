@@ -8,19 +8,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecoride import synthgen, telemetry
-from ecoride.synthgen import StyleSpec, SynthError
+from ecoride import DataError, synthgen, telemetry
+from ecoride.synthgen import StyleSpec
 
 
 class TestStyleSpec:
     def test_knob_bounds(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError,
+                           match=r"steering_aggressiveness must be in \[0, 1\], got 1.5"):
             StyleSpec(steering_aggressiveness=1.5)
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError, match=r"braking_spikiness must be in \[0, 1\], got -0.1"):
             StyleSpec(braking_spikiness=-0.1)
 
     def test_minimum_duration(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(DataError, match="duration must be finite and at least 16 s, got 5.0"):
             StyleSpec(duration=5.0)
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ecoride import telemetry
+from ecoride import DataError, telemetry
 from ecoride.telemetry import (SAMPLE_RATE_HZ, WINDOW_LEN, WINDOW_STEP,
-                               DriveRecord, RawChannel, TelemetryError)
+                               DriveRecord, RawChannel)
 
 from conftest import make_record
 
@@ -33,13 +33,13 @@ class TestLoadCsv:
         assert swa.values[0] == 0.0 and swa.values[1] == 1.0
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TelemetryError, match="not found"):
+        with pytest.raises(DataError, match="not found"):
             telemetry.load_csv(tmp_path / "nope.csv")
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=lambda ls: [ls[0].replace("SWA", "WRONG")] + ls[1:])
-        with pytest.raises(TelemetryError, match="SWA"):
+        with pytest.raises(DataError, match="SWA"):
             telemetry.load_csv(p)
 
     def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch, caplog):
@@ -53,11 +53,25 @@ class TestLoadCsv:
         assert len(channels[0].values) == 600
         assert caplog.records == []
 
+    @pytest.mark.parametrize("junk", [False, True])  # bulk path, row-by-row path
+    def test_utf8_byte_order_mark(self, tmp_path, caplog, junk):
+        def mangle(lines):
+            if junk:
+                lines[5] = lines[5].replace(",", ",junk", 1)
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        channels = telemetry.load_csv(p)
+        assert len(channels[0].values) == 600 - junk
+        assert channels[0].timestamps[0] == 0.0
+        assert len(caplog.records) == junk  # only the row-by-row path logs
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows_rejected(self, tmp_path, recwarn, n):
         p = tmp_path / "short.csv"
         _write_csv(p, n=n)
-        with pytest.raises(TelemetryError,
+        with pytest.raises(DataError,
                            match=rf"need at least 2 data rows, got {n} in .*short\.csv"):
             telemetry.load_csv(p)
         assert len(recwarn) == 0
@@ -92,7 +106,7 @@ class TestLoadCsv:
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
-        with pytest.raises(TelemetryError, match=r"non-finite XACC value at data row 7 in .*a\.csv"):
+        with pytest.raises(DataError, match=r"non-finite XACC value at data row 7 in .*a\.csv"):
             telemetry.load_csv(p)
 
     def test_non_finite_timestamp_rejected(self, tmp_path):
@@ -101,7 +115,7 @@ class TestLoadCsv:
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
-        with pytest.raises(TelemetryError, match=r"non-finite timestamp at data row 7 in .*a\.csv"):
+        with pytest.raises(DataError, match=r"non-finite timestamp at data row 7 in .*a\.csv"):
             telemetry.load_csv(p)
 
     def test_non_monotonic_times(self, tmp_path):
@@ -110,7 +124,7 @@ class TestLoadCsv:
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
-        with pytest.raises(TelemetryError, match="non-monotonic"):
+        with pytest.raises(DataError, match="non-monotonic"):
             telemetry.load_csv(p)
 
 
@@ -120,14 +134,14 @@ class TestRawChannel:
         arrays = {"timestamps": np.arange(100) / 32.0, "values": np.zeros(100)}
         arrays[field][40] = np.nan
         what = "timestamp" if field == "timestamps" else "VS value"
-        with pytest.raises(TelemetryError, match=f"^non-finite {what} at data row 41$"):
+        with pytest.raises(DataError, match=f"^non-finite {what} at data row 41$"):
             RawChannel(name="VS", **arrays)
 
     @pytest.mark.parametrize("name", ["VS", "ERPM"])
     def test_negative_speed_rejected(self, name):
         values = np.zeros(100)
         values[40] = -3.0
-        with pytest.raises(TelemetryError, match=f"^negative {name} value at data row 41$"):
+        with pytest.raises(DataError, match=f"^negative {name} value at data row 41$"):
             RawChannel(name=name, timestamps=np.arange(100) / 32.0, values=values)
         RawChannel(name="SWA", timestamps=np.arange(100) / 32.0, values=values)
 
@@ -138,7 +152,7 @@ class TestRawChannel:
         assert ch.rate == pytest.approx(hz, rel=1e-12)
 
     def test_source_named_in_messages(self):
-        with pytest.raises(TelemetryError,
+        with pytest.raises(DataError,
                            match=r"^non-monotonic timestamps at data row 3 in a\.csv$"):
             RawChannel(name="VS", timestamps=[0.0, 1.0, 1.0], values=[0.0, 0.0, 0.0],
                        source="a.csv")
@@ -168,7 +182,7 @@ class TestResample:
         a = RawChannel(name="VS", timestamps=np.arange(64) / 32.0, values=np.ones(64))
         b = RawChannel(name="XACC",
                        timestamps=10.0 + np.arange(64) / 32.0, values=np.ones(64))
-        with pytest.raises(TelemetryError, match="overlapping"):
+        with pytest.raises(DataError, match="overlapping"):
             telemetry.resample([a, b])
 
     def test_source_carried_into_record(self):
@@ -222,23 +236,23 @@ class TestSpeedFilter:
 
 class TestDriveRecord:
     def test_unequal_lengths(self):
-        with pytest.raises(TelemetryError, match="unequal"):
+        with pytest.raises(DataError, match="unequal"):
             DriveRecord(driver_id="x", channels={"VS": np.ones(10),
                                                  "SWA": np.ones(11)})
 
     def test_non_finite_rejected(self):
         xacc = np.zeros(4096)
         xacc[500] = np.inf
-        with pytest.raises(TelemetryError, match="channel XACC: non-finite value at sample 500"):
+        with pytest.raises(DataError, match="channel XACC: non-finite value at sample 500"):
             DriveRecord(driver_id="x", channels={"VS": np.ones(4096), "XACC": xacc})
 
     def test_negative_speed_rejected(self):
-        with pytest.raises(TelemetryError, match="negative"):
+        with pytest.raises(DataError, match="negative"):
             DriveRecord(driver_id="x", channels={"VS": -np.ones(10)})
 
     def test_source_named_in_messages(self):
-        with pytest.raises(TelemetryError, match=r"^channel VS has negative values in a\.csv$"):
+        with pytest.raises(DataError, match=r"^channel VS has negative values in a\.csv$"):
             DriveRecord(driver_id="x", channels={"VS": -np.ones(10)}, source="a.csv")
-        with pytest.raises(TelemetryError, match=r"^unequal channel lengths: .* in a\.csv$"):
+        with pytest.raises(DataError, match=r"^unequal channel lengths: .* in a\.csv$"):
             DriveRecord(driver_id="x", channels={"VS": np.ones(10), "SWA": np.ones(11)},
                         source="a.csv")

@@ -17,19 +17,6 @@ LABELS = ("Low", "Medium", "High")
 # ---------------------------------------------------------------------------
 # Hexagonal grid geometry (odd-r offset coordinates)
 
-def _offset_to_cube(row: int, col: int) -> tuple[int, int, int]:
-    x = col - (row - (row & 1)) // 2
-    z = row
-    return x, -x - z, z
-
-
-def hex_distance(row_a: int, col_a: int, row_b: int, col_b: int) -> int:
-    """Grid distance between two neurons on the hexagonal lattice."""
-    ax, ay, az = _offset_to_cube(row_a, col_a)
-    bx, by, bz = _offset_to_cube(row_b, col_b)
-    return (abs(ax - bx) + abs(ay - by) + abs(az - bz)) // 2
-
-
 def grid_distance_matrix(rows: int, cols: int) -> np.ndarray:
     """(M, M) matrix of pairwise hex distances, neurons indexed row-major."""
     r, c = np.divmod(np.arange(rows * cols), cols)
@@ -69,16 +56,17 @@ class TrainingSchedule:
     sigma0: float = 7.5
     sigma_min: float = 0.5
 
-    def alpha(self, n: int) -> float:
+    def alpha(self, n):
         return self._decay(n, self.alpha0, self.alpha_min)
 
-    def sigma(self, n: int) -> float:
+    def sigma(self, n):
         return self._decay(n, self.sigma0, self.sigma_min)
 
-    def _decay(self, n: int, start: float, floor: float) -> float:
+    def _decay(self, n, start: float, floor: float):
+        """Value at iteration ``n``, an int or an index array (same shape out)."""
         if self.total_iterations <= 1:
-            return floor
-        frac = min(n / (self.total_iterations - 1), 1.0)
+            return np.full(np.shape(n), floor)[()]
+        frac = np.minimum(n / (self.total_iterations - 1), 1.0)
         return start + (floor - start) * frac
 
 
@@ -102,12 +90,27 @@ def init_random(rows: int, cols: int, data: np.ndarray, seed: int) -> SomGrid:
 BMU_CHUNK = 256
 
 
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between the rows of a and b.
+
+    The squared feature differences are added column by column, left to
+    right.  numpy's ``add.reduce`` sums a contiguous axis shorter than 8 in
+    the same order, so for the maps' 2 and 5 features this gives the doubles
+    of ``np.sum((a[:, None] - b[None]) ** 2, axis=2)`` without its
+    (len(a), len(b), dim) temporary; a test pins the two against each other.
+    """
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for j in range(1, a.shape[1]):
+        d2 += (a[:, None, j] - b[None, :, j]) ** 2
+    return d2
+
+
 def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best matching unit of each row of ``samples``: (indices, distances).
 
     Each index is that of the nearest prototype, ties to the lowest index.
-    Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons, dim)
-    difference array stays small for a whole training set too.  A nan or inf
+    Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons)
+    distance array stays small for a whole training set too.  A nan or inf
     sample raises DataError: it has no nearest prototype.
     """
     samples = np.asarray(samples, dtype=float)
@@ -120,7 +123,7 @@ def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dist = np.empty(len(samples))
     for lo in range(0, len(samples), BMU_CHUNK):
         chunk = samples[lo:lo + BMU_CHUNK]
-        d2 = np.sum((chunk[:, None, :] - grid.weights[None, :, :]) ** 2, axis=2)
+        d2 = _sq_distances(chunk, grid.weights)
         idx[lo:lo + len(chunk)] = np.argmin(d2, axis=1)
         dist[lo:lo + len(chunk)] = np.sqrt(d2.min(axis=1))
     return idx, dist
@@ -148,7 +151,11 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
     ``len(samples)`` iterations).
 
     The sample indices are drawn up front in one call, which yields the same
-    stream as one ``rng.integers(k)`` per iteration.  The update
+    stream as one ``rng.integers(k)`` per iteration, and so are every
+    iteration's alpha and ``2 sigma**2``.  The weights are held feature-major,
+    (dim, n_neurons), while training: each neuron's squared distance is then
+    ``add.reduce`` over axis 0, which adds the feature rows left to right as
+    the (n_neurons, dim) ``axis=1`` reduce does.  The update
     ``w - (kernel * alpha) * (w - x)`` runs in place and equals
     ``w + alpha * kernel * (x - w)`` bit for bit: IEEE negation and commuted
     products are exact.
@@ -159,40 +166,44 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
     if samples.shape[1] != grid.dim:
         raise DataError("sample dimension does not match grid")
     rng = np.random.default_rng(seed)
-    weights = grid.weights.copy()
-    neg_d2 = -grid_distance_matrix(grid.rows, grid.cols) ** 2
+    weights = np.array(grid.weights.T, order="C")  # (dim, n_neurons)
+    neg_d2 = list(-grid_distance_matrix(grid.rows, grid.cols) ** 2)
     k = samples.shape[0]
     history = [quantization_error(grid, samples)]
-    live = SomGrid(rows=grid.rows, cols=grid.cols, weights=weights,
+    live = SomGrid(rows=grid.rows, cols=grid.cols, weights=weights.T,
                    rng_seed=grid.rng_seed)
-    picks = rng.integers(k, size=schedule.total_iterations)
+    total = schedule.total_iterations
+    picks = rng.integers(k, size=total)
+    steps = np.arange(total)
+    alphas = schedule.alpha(steps)
+    sigmas = schedule.sigma(steps)
+    two_sigma_sq = 2.0 * sigmas * sigmas
+    columns = list(samples[:, :, None])  # each sample as a (dim, 1) column
     diff = np.empty_like(weights)
     sq = np.empty_like(weights)
-    d2 = np.empty(len(weights))
-    kernel = np.empty(len(weights))
-    kernel_col = kernel[:, None]
-    for n in range(schedule.total_iterations):
-        np.subtract(weights, samples[picks[n]], out=diff)
-        np.square(diff, out=sq)
-        np.add.reduce(sq, axis=1, out=d2)
-        sigma = schedule.sigma(n)
-        np.divide(neg_d2[d2.argmin()], 2.0 * sigma * sigma, out=kernel)
-        np.exp(kernel, out=kernel)
-        np.multiply(kernel, schedule.alpha(n), out=kernel)
-        np.multiply(diff, kernel_col, out=diff)
-        np.subtract(weights, diff, out=weights)
-        if (n + 1) % k == 0:
-            history.append(quantization_error(live, samples))
-    if schedule.total_iterations % k != 0:
+    d2 = np.empty(weights.shape[1])
+    kernel = np.empty(weights.shape[1])
+    for start in range(0, total, k):
+        epoch = slice(start, start + k)
+        for pick, alpha, two_s2 in zip(picks[epoch].tolist(), alphas[epoch].tolist(),
+                                       two_sigma_sq[epoch].tolist()):
+            np.subtract(weights, columns[pick], out=diff)
+            np.square(diff, out=sq)
+            np.add.reduce(sq, axis=0, out=d2)
+            np.divide(neg_d2[d2.argmin()], two_s2, out=kernel)
+            np.exp(kernel, out=kernel)
+            np.multiply(kernel, alpha, out=kernel)
+            np.multiply(diff, kernel, out=diff)
+            np.subtract(weights, diff, out=weights)
         history.append(quantization_error(live, samples))
+    live.weights = np.ascontiguousarray(live.weights)
     return live, history
 
 
 def u_matrix(grid: SomGrid) -> np.ndarray:
     """(rows, cols) mean Euclidean distance from each prototype to its neighbors."""
     adjacent = grid_distance_matrix(grid.rows, grid.cols) == 1
-    w = grid.weights
-    dist = np.sqrt(np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2))
+    dist = np.sqrt(_sq_distances(grid.weights, grid.weights))
     mean = np.sum(dist, axis=1, where=adjacent) / adjacent.sum(axis=1)
     return mean.reshape(grid.rows, grid.cols)
 
@@ -219,7 +230,7 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
     centers = points[rng.choice(n, size=c, replace=False)].copy()
     assignment = np.full(n, -1)
     for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _sq_distances(points, centers)
         new_assignment = np.argmin(d2, axis=1)
         # repair empty clusters: split the largest at its farthest member
         for cid in range(c):
@@ -228,7 +239,7 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
                 big = int(np.argmax(sizes))
                 members = np.flatnonzero(new_assignment == big)
                 far = members[np.argmax(
-                    np.sum((points[members] - centers[big]) ** 2, axis=1))]
+                    _sq_distances(points[members], centers[big:big + 1])[:, 0])]
                 new_assignment[far] = cid
                 centers[cid] = points[far]
         if np.array_equal(new_assignment, assignment):
@@ -236,7 +247,7 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
         assignment = new_assignment
         for cid in range(c):
             centers[cid] = points[assignment == cid].mean(axis=0)
-    d2 = np.sum((points - centers[assignment]) ** 2, axis=1)
+    d2 = _sq_distances(points, centers)[np.arange(n), assignment]
     return assignment, float(np.sum(d2))
 
 
@@ -271,7 +282,7 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
             best, best_cost = assignment, cost
     centers = np.array([points[best == cid].mean(axis=0)
                         for cid in range(cluster_count)])
-    d2 = np.sum((grid.weights[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    d2 = _sq_distances(grid.weights, centers)
     full = np.argmin(d2, axis=1)
     for cid in range(cluster_count):  # keep every cluster non-empty
         if not np.any(full == cid):

@@ -33,6 +33,10 @@ ERPM_WANDER = 280.0
 GAS_SPIKE = 0.12
 GAS_WANDER = 0.05
 
+# Longest record: one day.  A record holds about twenty float arrays of
+# duration x 32 samples, so this bounds one driver to about 0.45 GB.
+MAX_DURATION_S = 86_400.0
+
 
 @dataclass
 class StyleSpec:
@@ -56,6 +60,9 @@ class StyleSpec:
             raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.duration) and self.duration >= 16.0):
             raise DataError(f"duration must be finite and at least 16 s, got {self.duration!r}")
+        if self.duration > MAX_DURATION_S:  # before generate allocates ~20 arrays of it
+            raise DataError(f"duration must be at most {MAX_DURATION_S:.0f} s, "
+                            f"got {self.duration!r}")
 
 
 def _band_noise(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:

@@ -113,41 +113,66 @@ def load_csv(path) -> list[RawChannel]:
     The data rows are parsed in one ``np.loadtxt`` call; only a file that call
     cannot parse is read row by row, rejecting rows with unparseable values or
     a cell count other than the header's (logged with their row index).
-    ``RawChannel`` then checks the accepted rows, naming this file.
+    ``RawChannel`` then checks the accepted rows, naming this file.  A file
+    that is not UTF-8 text raises DataError naming its first such line.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise DataError(f"telemetry file not found: {path}") from None
     with fh:
-        # readline (not file iteration) keeps fh.tell() usable for the fallback
-        reader = csv.reader(iter(fh.readline, ""))
-        header = None
-        for row in reader:
-            if row and any(cell.strip() for cell in row):
-                header = [cell.strip() for cell in row]
-                break
-        if header is None:
-            raise DataError(f"empty telemetry file: {path}")
-        for col in (TIME_COLUMN, *CHANNELS):
-            if col not in header:
-                raise DataError(f"missing required column '{col}' in {path}")
-        cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
-
-        data_start = fh.tell()
         try:
-            with warnings.catch_warnings():
-                # "input contained no data": RawChannel checks the row count
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is None or table.shape[1] != len(header):
-            fh.seek(data_start)
-            table, cols = _parse_rows(fh, cols, len(header), path), range(len(cols))
-
+            table, cols = _read_table(fh, path)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     return [RawChannel(chan, table[:, cols[0]], table[:, c], source=str(path))
             for chan, c in zip(CHANNELS, cols[1:])]
+
+
+def _read_table(fh, path) -> tuple[np.ndarray, list[int] | range]:
+    """The data rows of an open CSV and the table columns of ``t`` and each channel."""
+    # readline (not file iteration) keeps fh.tell() usable for the fallback
+    reader = csv.reader(iter(fh.readline, ""))
+    header = None
+    for row in reader:
+        if row and any(cell.strip() for cell in row):
+            header = [cell.strip() for cell in row]
+            break
+    if header is None:
+        raise DataError(f"empty telemetry file: {path}")
+    for col in (TIME_COLUMN, *CHANNELS):
+        if col not in header:
+            raise DataError(f"missing required column '{col}' in {path}")
+    cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
+
+    data_start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data": RawChannel checks the row count
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise  # a ValueError too, but the row-by-row fallback cannot decode it either
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != len(header):
+        fh.seek(data_start)
+        return _parse_rows(fh, cols, len(header), path), range(len(cols))
+    return table, cols
+
+
+def _not_utf8(path) -> DataError:
+    """DataError naming the first line of ``path`` (counted from 1) that is not
+    UTF-8 text.  Read line by line in binary: a text decoder fails a whole
+    chunk at a time, so the row it was at does not tell the line."""
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"non-UTF-8 byte 0x{line[exc.start]:02x} at line {i} "
+                                 f"in {path}")
+    return DataError(f"not UTF-8 text: {path}")
 
 
 def _parse_rows(fh, cols: list[int], width: int, path) -> np.ndarray:

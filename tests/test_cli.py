@@ -156,6 +156,7 @@ class TestExitCodes:
         pytest.param("missing_column", "missing required column 'XACC' in ",
                      id="missing_column"),
         pytest.param("negative_vs", "negative VS value at data row 9 in ", id="negative_vs"),
+        pytest.param("bad_utf8", "non-UTF-8 byte 0xff at line 6 in ", id="bad_utf8"),
     ])
     def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
                                                fault, message):
@@ -179,11 +180,14 @@ class TestExitCodes:
             fields = lines[9].split(",")
             fields[header.index("VS")] = "-3"
             lines[9] = ",".join(fields)
+        elif fault == "bad_utf8":  # one 0xff byte in data row 5, written as is
+            lines[5] = lines[5].replace(",", ",\udcff", 1)
         else:
             lines[0] = lines[0].replace("XACC", "XACC_OLD")
         bad_data = tmp_path / "data"
         bad_data.mkdir()
-        (bad_data / src.name).write_text("\n".join(lines) + "\n")
+        (bad_data / src.name).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                         errors="surrogateescape")
         out = tmp_path / "c.csv"
         assert run(["classify", "--data", str(bad_data), "--models", str(models),
                     "--out", str(out)]) == cli.EXIT_DATA
@@ -230,6 +234,8 @@ class TestSynth:
         ("--duration", "nan", "duration must be finite and at least 16 s, got nan"),
         ("--duration", "inf", "duration must be finite and at least 16 s, got inf"),
         ("--duration", "15", "duration must be finite and at least 16 s, got 15.0"),
+        ("--duration", "86401", "duration must be at most 86400 s, got 86401.0"),
+        ("--duration", "1e12", "duration must be at most 86400 s, got 1000000000000.0"),
     ])
     def test_bad_seed_or_duration(self, tmp_path, capsys, flag, value, message):
         assert run(["synth", "--out", str(tmp_path), flag, value]) == cli.EXIT_DATA

@@ -17,10 +17,27 @@ def blobs(k=120, seed=0, centers=((0, 0), (6, 0), (0, 6))):
     return np.vstack(pts)
 
 
+def _offset_to_cube(row, col):
+    x = col - (row - (row & 1)) // 2
+    return x, -x - row, row
+
+
+def hex_distance(row_a, col_a, row_b, col_b):
+    """Grid distance between two neurons of an odd-r hexagonal lattice, one
+    pair at a time: the reference for ``som.grid_distance_matrix``."""
+    a, b = _offset_to_cube(row_a, col_a), _offset_to_cube(row_b, col_b)
+    return sum(abs(p - q) for p, q in zip(a, b)) // 2
+
+
+def reference_sq_distances(a, b):
+    """Squared distances through ``np.sum`` over a 3-D difference array."""
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
 class TestHexGeometry:
     def test_distance_symmetry_and_zero(self):
-        assert som.hex_distance(2, 3, 2, 3) == 0
-        assert som.hex_distance(0, 0, 3, 2) == som.hex_distance(3, 2, 0, 0)
+        assert hex_distance(2, 3, 2, 3) == 0
+        assert hex_distance(0, 0, 3, 2) == hex_distance(3, 2, 0, 0)
 
     def test_neighbor_counts(self):
         adjacent = som.grid_distance_matrix(5, 5) == 1
@@ -31,15 +48,14 @@ class TestHexGeometry:
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b, c = (tuple(rng.integers(0, 8, 2)) for _ in range(3))
-            assert (som.hex_distance(*a, *c)
-                    <= som.hex_distance(*a, *b) + som.hex_distance(*b, *c))
+            assert hex_distance(*a, *c) <= hex_distance(*a, *b) + hex_distance(*b, *c)
 
     def test_distance_matrix(self):
         d = som.grid_distance_matrix(3, 4)
         assert d.shape == (12, 12)
         assert np.allclose(d, d.T) and np.all(np.diag(d) == 0)
         coords = [(r, c) for r in range(5) for c in range(6)]
-        ref = [[som.hex_distance(*a, *b) for b in coords] for a in coords]
+        ref = [[hex_distance(*a, *b) for b in coords] for a in coords]
         np.testing.assert_array_equal(som.grid_distance_matrix(5, 6), ref)
 
 
@@ -98,17 +114,28 @@ class TestTraining:
         assert s.alpha(99) == pytest.approx(0.01)
         assert s.alpha(50) < s.alpha(10)
 
+    @pytest.mark.parametrize("total", [0, 1, 2, 7, 100])
+    def test_schedule_decay_array_matches_scalar(self, total):
+        s = som.TrainingSchedule(total_iterations=total, sigma0=4.5)
+        steps = np.arange(total + 3)
+        for decay in (s.alpha, s.sigma):
+            assert decay(steps).tolist() == [decay(int(n)) for n in steps]
+
 
 def reference_train(grid, samples, schedule, seed):
-    """``som.train`` as it was before its in-place rewrite, kept as the reference."""
+    """``som.train`` as it was before its in-place rewrite, kept as the reference.
+
+    Its quantization error is its own ``np.sum`` one, not ``som``'s."""
     samples = np.asarray(samples, dtype=float)
     rng = np.random.default_rng(seed)
     weights = grid.weights.copy()
     dist = som.grid_distance_matrix(grid.rows, grid.cols)
     k = samples.shape[0]
-    history = [som.quantization_error(grid, samples)]
-    live = som.SomGrid(rows=grid.rows, cols=grid.cols, weights=weights,
-                       rng_seed=grid.rng_seed)
+
+    def qe():
+        return float(np.mean(np.sqrt(reference_sq_distances(samples, weights).min(axis=1))))
+
+    history = [qe()]
     for n in range(schedule.total_iterations):
         x = samples[rng.integers(k)]
         d2 = np.sum((weights - x) ** 2, axis=1)
@@ -117,16 +144,18 @@ def reference_train(grid, samples, schedule, seed):
         kernel = np.exp(-dist[c] ** 2 / (2.0 * sigma * sigma))
         weights += schedule.alpha(n) * kernel[:, None] * (x - weights)
         if (n + 1) % k == 0:
-            history.append(som.quantization_error(live, samples))
+            history.append(qe())
     if schedule.total_iterations % k != 0:
-        history.append(som.quantization_error(live, samples))
-    return live, history
+        history.append(qe())
+    return som.SomGrid(rows=grid.rows, cols=grid.cols, weights=weights,
+                       rng_seed=grid.rng_seed), history
 
 
 def assert_trains_like_reference(grid, samples, schedule, seed):
     trained, history = som.train(grid, samples, schedule, seed)
     ref_trained, ref_history = reference_train(grid, samples, schedule, seed)
     assert np.array_equal(trained.weights, ref_trained.weights)
+    assert trained.weights.flags.c_contiguous
     assert history == ref_history
 
 
@@ -163,6 +192,89 @@ class TestTrainMatchesReference:
             grid = som.init_random(15, 15, z, seed=seed)
             assert_trains_like_reference(grid, z, som.default_schedule(len(z), 15, 15),
                                          seed + 1)
+
+
+def reference_kmeans_once(points, c, rng, max_iter=200):
+    """``som._kmeans_once`` as it was with ``np.sum`` distances, the reference."""
+    n = points.shape[0]
+    centers = points[rng.choice(n, size=c, replace=False)].copy()
+    assignment = np.full(n, -1)
+    for _ in range(max_iter):
+        d2 = reference_sq_distances(points, centers)
+        new_assignment = np.argmin(d2, axis=1)
+        for cid in range(c):
+            if not np.any(new_assignment == cid):
+                sizes = np.bincount(new_assignment, minlength=c)
+                big = int(np.argmax(sizes))
+                members = np.flatnonzero(new_assignment == big)
+                far = members[np.argmax(
+                    np.sum((points[members] - centers[big]) ** 2, axis=1))]
+                new_assignment[far] = cid
+                centers[cid] = points[far]
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for cid in range(c):
+            centers[cid] = points[assignment == cid].mean(axis=0)
+    d2 = np.sum((points - centers[assignment]) ** 2, axis=1)
+    return assignment, float(np.sum(d2))
+
+
+def spread_rows(rng, n, dim):
+    """``n`` rows of ``dim`` features on scales from 1e-3 to 1e3, with repeated
+    rows, so that the order of the feature sum shows in the last bits and
+    argmin ties occur."""
+    rows = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+    rows[rng.integers(n, size=n // 4)] = rows[rng.integers(n, size=n // 4)]
+    return rows
+
+
+class TestDistanceOrder:
+    """The column-accumulated distances give the doubles of ``np.sum`` over the
+    feature axis; a numpy whose reduce adds in another order fails here."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_sq_distances_match_np_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(40):
+            a = spread_rows(rng, int(rng.integers(1, 60)), dim)
+            b = np.vstack([spread_rows(rng, int(rng.integers(1, 40)), dim), a[:3]])
+            got, ref = som._sq_distances(a, b), reference_sq_distances(a, b)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(got.argmin(axis=1), ref.argmin(axis=1))
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_feature_major_reduce_matches_np_sum(self, dim):
+        # som.train's per-iteration distances: add.reduce over axis 0 of the
+        # (dim, n_neurons) squares against np.sum over axis 1 of (n_neurons, dim)
+        rng = np.random.default_rng(30 + dim)
+        for _ in range(40):
+            weights, x = spread_rows(rng, 225, dim), spread_rows(rng, 1, dim)[0]
+            feature_major = np.ascontiguousarray(weights.T)
+            got = np.add.reduce((feature_major - x[:, None]) ** 2, axis=0)
+            assert np.array_equal(got, np.sum((weights - x) ** 2, axis=1))
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_bmus_match_np_sum(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        weights = spread_rows(rng, 225, dim)
+        weights[17] = weights[3]  # a tied pair of prototypes
+        samples = np.vstack([spread_rows(rng, 2 * som.BMU_CHUNK + 11, dim), weights[:20]])
+        grid = som.SomGrid(rows=15, cols=15, weights=weights)
+        idx, dist = som.bmus(grid, samples)
+        d2 = reference_sq_distances(samples, weights)
+        assert np.array_equal(idx, d2.argmin(axis=1))
+        assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_kmeans_once_matches_np_sum(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        for seed in range(12):
+            protos = spread_rows(rng, 36, dim)
+            points = np.repeat(protos, rng.integers(0, 4, size=36), axis=0)
+            got = som._kmeans_once(points, 3, np.random.default_rng(seed))
+            ref = reference_kmeans_once(points, 3, np.random.default_rng(seed))
+            assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
 
 class TestBmu:
@@ -218,7 +330,7 @@ class TestUMatrix:
         coords = [(r, c) for r in range(rows) for c in range(cols)]
         ref = np.array([
             np.mean([np.linalg.norm(grid.weights[i] - grid.weights[j])
-                     for j, b in enumerate(coords) if som.hex_distance(*a, *b) == 1])
+                     for j, b in enumerate(coords) if hex_distance(*a, *b) == 1])
             for i, a in enumerate(coords)]).reshape(rows, cols)
         assert np.allclose(som.u_matrix(grid), ref, rtol=1e-12, atol=0)
 

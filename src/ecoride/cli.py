@@ -8,22 +8,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import DataError, advisor, analytics, features, pipeline, synthgen, telemetry
-from .pipeline import RunConfig
 from .som import LABELS, SomModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-DATA_ERRORS = (DataError, OSError, json.JSONDecodeError)
+DATA_ERRORS = (DataError, OSError)
 
 MAIN_MODEL_FILE = "main_som.json"
 AUX_MODEL_FILE = "aux_som.json"
@@ -37,25 +34,6 @@ class CliParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
-def _run_config(args, cfg: dict) -> RunConfig:
-    """Build a RunConfig from config-file values; explicit flags win."""
-    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
-    if unknown:
-        raise DataError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = dict(cfg)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return RunConfig(**kwargs)
-
-
 def _load_records(data_dir) -> list[telemetry.DriveRecord]:
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -66,8 +44,8 @@ def _load_records(data_dir) -> list[telemetry.DriveRecord]:
     return [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths]
 
 
-def _analyze_records(data_dir, config: RunConfig) -> list[pipeline.AnalyzedRecord]:
-    return [pipeline.analyze_record(r, config) for r in _load_records(data_dir)]
+def _analyze_records(data_dir) -> list[pipeline.AnalyzedRecord]:
+    return [pipeline.analyze_record(r) for r in _load_records(data_dir)]
 
 
 def _load_models(model_dir) -> tuple[SomModel, SomModel]:
@@ -80,10 +58,10 @@ def _load_models(model_dir) -> tuple[SomModel, SomModel]:
     return SomModel.load(main_path), SomModel.load(aux_path)
 
 
-def _classify(args, config: RunConfig):
+def _classify(args):
     """(main model, aux model, analysed records with their classification columns)."""
     main_model, aux_model = _load_models(args.models)
-    analyzed = _analyze_records(args.data, config)
+    analyzed = _analyze_records(args.data)
     pipeline.classify_all(analyzed, main_model, aux_model)
     return main_model, aux_model, analyzed
 
@@ -105,28 +83,20 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
         raise DataError(f"output directory not found: {out}")
-    seed = args.seed if args.seed is not None else 0
-    grid = synthgen.style_grid(base_seed=seed, duration=args.duration)
     written = []
-    for i in range(args.drivers):
-        label, spec = grid[i % len(grid)]
-        if args.drivers > len(grid):
-            label = f"{label}_r{i // len(grid)}"
-            spec = synthgen.StyleSpec(**{**spec.__dict__,
-                                         "seed": spec.seed + 1000 * (i // len(grid))})
-        record = synthgen.generate(spec, driver_id=label)
+    for label, spec in synthgen.style_grid(base_seed=args.seed, duration=args.duration):
         path = out / f"{label}.csv"
-        synthgen.write_csv(record, path)
+        synthgen.write_csv(synthgen.generate(spec, driver_id=label), path)
         written.append(path)
     for p in written:
         print(p)
     return EXIT_OK
 
 
-def cmd_train(args, config: RunConfig) -> int:
+def cmd_train(args) -> int:
+    result = pipeline.train_models(_load_records(args.data), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = pipeline.train_models(_load_records(args.data), config)
     result.main_model.save(out / MAIN_MODEL_FILE)
     result.aux_model.save(out / AUX_MODEL_FILE)
     for tag, model in (("main", result.main_model), ("aux", result.aux_model)):
@@ -138,8 +108,8 @@ def cmd_train(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, config: RunConfig) -> int:
-    _, _, analyzed = _classify(args, config)
+def cmd_classify(args) -> int:
+    _, _, analyzed = _classify(args)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
@@ -152,8 +122,8 @@ def cmd_classify(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_advise(args, config: RunConfig) -> int:
-    main_model, aux_model, analyzed = _classify(args, config)
+def cmd_advise(args) -> int:
+    main_model, aux_model, analyzed = _classify(args)
     fleet = pipeline.fleet_columns(analyzed)
     reports = []
     for tag, model, report_metrics in (("main", main_model, ("vr", "msdv_y")),
@@ -170,7 +140,7 @@ def cmd_advise(args, config: RunConfig) -> int:
     matrix = advisor.build_advice_matrix()
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
         for a in analyzed:
-            state = advisor.AdviceState(k_stable=config.k_stable)
+            state = advisor.AdviceState()
             for start, comfort, fuel, n_x_neg in zip(
                     a.windows, a.columns["comfort_label"], a.columns["fuel_label"],
                     a.columns["n_x_neg"]):
@@ -188,10 +158,10 @@ def cmd_advise(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, config: RunConfig) -> int:
+def cmd_report(args) -> int:
+    _, _, analyzed = _classify(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, _, analyzed = _classify(args, config)
 
     by_driver = {a.record.driver_id: a.columns for a in analyzed}
     analytics.write_summary_csv(analytics.driver_summary(by_driver),
@@ -199,15 +169,14 @@ def cmd_report(args, config: RunConfig) -> int:
     for driver_id, table in analytics.driver_heatmap(by_driver).items():
         advisor.write_intersection_csv(table, out / f"heatmap_{driver_id}.csv")
 
+    floor = f"at or above {telemetry.SPEED_THRESHOLD_KMH:g} km/h"
     for a in analyzed:
         driver_id = a.record.driver_id
         if not len(a.windows):
-            print(f"{driver_id}: no window at or above {config.speed_threshold:g} km/h; "
-                  "heatmap and KDE skipped")
+            print(f"{driver_id}: no window {floor}; heatmap and KDE skipped")
             continue
         if len(a.windows) < 2:
-            print(f"{driver_id}: 1 window at or above {config.speed_threshold:g} km/h; "
-                  "KDE skipped")
+            print(f"{driver_id}: 1 window {floor}; KDE skipped")
             continue
         flat = [name for name in ("fuel", "vr") if np.ptp(a.columns[name]) == 0.0]
         if flat:
@@ -221,16 +190,16 @@ def cmd_report(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_correlate(args, config: RunConfig) -> int:
-    analyzed = _analyze_records(args.data, config)
+def cmd_correlate(args) -> int:
+    analyzed = _analyze_records(args.data)
     table = features.correlation_table(pipeline.fleet_columns(analyzed))
     features.write_correlation_csv(table, args.out)
     print(f"correlation table ({table.shape[0]} x {table.shape[1]}) -> {args.out}")
     return EXIT_OK
 
 
-COMMANDS = {"train": cmd_train, "classify": cmd_classify, "advise": cmd_advise,
-            "report": cmd_report, "correlate": cmd_correlate}
+COMMANDS = {"synth": cmd_synth, "train": cmd_train, "classify": cmd_classify,
+            "advise": cmd_advise, "report": cmd_report, "correlate": cmd_correlate}
 
 
 # ---------------------------------------------------------------------------
@@ -241,41 +210,26 @@ def build_parser() -> CliParser:
                        description="Eco-driving ride-comfort analysis pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, models=False, data=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="random seed")
-        if data:
-            p.add_argument("--data", required=True, help="telemetry CSV directory")
-        if models:
-            p.add_argument("--models", required=True, help="trained model directory")
-
     p = sub.add_parser("synth", help="generate synthetic telemetry CSVs")
-    p.add_argument("--seed", type=int, help="base seed for the style grid")
+    p.add_argument("--seed", type=int, default=0, help="base seed for the style grid")
     p.add_argument("--out", required=True, help="output directory (must exist)")
-    p.add_argument("--drivers", type=int, default=9, help="number of records")
     p.add_argument("--duration", type=float, default=600.0,
                    help="record duration in seconds")
 
-    p = sub.add_parser("train", help="train and persist both SOMs")
-    common(p)
-    p.add_argument("--out", required=True, help="model output directory")
-
-    p = sub.add_parser("classify", help="label windows with trained models")
-    common(p, models=True)
-    p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("advise", help="stream advice + write reports")
-    common(p, models=True)
-    p.add_argument("--out", required=True, help="report output directory")
-
-    p = sub.add_parser("report", help="driver summaries, KDE surfaces, heatmaps")
-    common(p, models=True)
-    p.add_argument("--out", required=True, help="report output directory")
-
-    p = sub.add_parser("correlate", help="emit the feature/target PCC table")
-    common(p)
-    p.add_argument("--out", required=True, help="output CSV path")
-
+    for name, help_text, models, out_help in (
+            ("train", "train and persist both SOMs", False, "model output directory"),
+            ("classify", "label windows with trained models", True, "output CSV path"),
+            ("advise", "stream advice + write reports", True, "report output directory"),
+            ("report", "driver summaries, KDE surfaces, heatmaps", True,
+             "report output directory"),
+            ("correlate", "emit the feature/target PCC table", False, "output CSV path")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--data", required=True, help="telemetry CSV directory")
+        if models:
+            p.add_argument("--models", required=True, help="trained model directory")
+        p.add_argument("--out", required=True, help=out_help)
+        if name == "train":
+            p.add_argument("--seed", type=int, default=0, help="random seed")
     return parser
 
 
@@ -286,12 +240,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
-        if args.command == "synth":
-            if args.drivers < 1:
-                raise DataError("--drivers must be at least 1")
-            return cmd_synth(args)
-        cfg = _load_config(args.config) if args.config else {}
-        return COMMANDS[args.command](args, _run_config(args, cfg))
+        if getattr(args, "seed", 0) < 0:  # before any file is read or written
+            raise DataError(f"seed must be an integer >= 0, got {args.seed}")
+        return COMMANDS[args.command](args)
     except DATA_ERRORS as exc:
         print(f"ecoride: error: {exc}", file=sys.stderr)
         return EXIT_DATA

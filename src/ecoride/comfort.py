@@ -1,8 +1,8 @@
 """Frequency-weighted ride-comfort metrics.
 
-Implements the band-pass weighting filters for motion sickness, horizontal and
-vertical comfort, the windowed motion sickness dose value (MSDV), the combined
-vomit rate, and threshold-based acceleration peak counting.
+Implements the motion-sickness band-pass weighting filter, the windowed motion
+sickness dose value (MSDV), the combined vomit rate, and threshold-based
+acceleration peak counting.
 """
 
 from __future__ import annotations
@@ -15,25 +15,19 @@ from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_rows
 
 PEAK_THRESHOLD = 1.75  # m/s^2
 
-# (low corner, high corner) in Hz for each weighting filter kind.
-FILTER_CORNERS = {
-    "motion_sickness": (0.02, 0.3),
-    "horizontal": (0.4, 2.0),
-    "vertical": (0.4, 12.5),
-}
+# (low corner, high corner) in Hz of the motion-sickness weighting filter.
+FILTER_CORNERS = (0.02, 0.3)
 
 
-def design_filter(kind: str) -> np.ndarray:
+def design_filter() -> np.ndarray:
     """Second-order Butterworth high-pass cascaded with second-order low-pass
-    at the ``FILTER_CORNERS[kind]`` corners, as stacked second-order sections.
+    at the ``FILTER_CORNERS``, as stacked second-order sections.
 
     Both sections come from the bilinear transform of continuous prototypes,
     so the magnitude at each corner is 1/sqrt(2) of the section passband and
     the DC gain is exactly 0.
     """
-    if kind not in FILTER_CORNERS:
-        raise DataError(f"unknown filter kind: {kind!r}")
-    lo, hi = FILTER_CORNERS[kind]
+    lo, hi = FILTER_CORNERS
     hp = signal.butter(2, lo, btype="highpass", fs=SAMPLE_RATE_HZ, output="sos")
     lp = signal.butter(2, hi, btype="lowpass", fs=SAMPLE_RATE_HZ, output="sos")
     return np.vstack([hp, lp])
@@ -78,8 +72,7 @@ def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
     return int(out) if np.ndim(out) == 0 else out
 
 
-def window_metrics(record: DriveRecord, windows: np.ndarray,
-                   peak_threshold: float = PEAK_THRESHOLD) -> dict[str, np.ndarray]:
+def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """Per-window comfort metrics and mean fuel consumption: one column per
     metric, one entry per window.
 
@@ -90,7 +83,7 @@ def window_metrics(record: DriveRecord, windows: np.ndarray,
     for name in ("XACC", "YACC", "FUEL"):
         if name not in record.channels:
             raise DataError(f"record lacks required channel {name}")
-    sos = design_filter("motion_sickness")
+    sos = design_filter()
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
     mx = msdv(apply_filter(sos, xacc), windows)
@@ -100,8 +93,8 @@ def window_metrics(record: DriveRecord, windows: np.ndarray,
         "msdv_x": mx,
         "msdv_y": my,
         "vr": vomit_rate(mx, my),
-        "n_x_pos": count_peaks(np.maximum(raw_x, 0.0), peak_threshold),
-        "n_x_neg": count_peaks(np.maximum(-raw_x, 0.0), peak_threshold),
-        "n_y": count_peaks(np.abs(window_rows(yacc, windows)), peak_threshold),
+        "n_x_pos": count_peaks(np.maximum(raw_x, 0.0)),
+        "n_x_neg": count_peaks(np.maximum(-raw_x, 0.0)),
+        "n_y": count_peaks(np.abs(window_rows(yacc, windows))),
         "fuel": np.mean(window_rows(record.channels["FUEL"], windows), axis=1),
     }

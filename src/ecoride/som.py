@@ -410,5 +410,5 @@ class SomModel:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (DataError, json.JSONDecodeError) as exc:
+        except (DataError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"model file {path}: {exc}") from None

@@ -199,7 +199,8 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
 
     The grid spans the intersection of the channel time ranges, starting at the
     latest channel start.  Channels sampled above 32 Hz get a moving-average
-    pre-filter over one output period before interpolation.
+    pre-filter over one output period before interpolation; near a record's
+    ends it averages the samples that exist.
     """
     if not channels:
         raise DataError("no channels to resample")
@@ -214,9 +215,12 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     for ch in channels:
         values, rate = ch.values, ch.rate
         if rate > SAMPLE_RATE_HZ * 1.05:
-            width = max(2, int(round(rate / SAMPLE_RATE_HZ)))
-            kernel = np.ones(width) / width
-            values = np.convolve(values, kernel, mode="same")
+            kernel = np.ones(max(2, int(round(rate / SAMPLE_RATE_HZ))))
+            lead = (len(kernel) - 1) // 2
+            span = slice(lead, lead + len(values))  # "same" alignment at any length
+            # the mean of the samples in reach, so an edge is not pulled towards 0
+            values = (np.convolve(values, kernel)[span]
+                      / np.convolve(np.ones(len(values)), kernel)[span])
         out[ch.name] = np.interp(grid, ch.timestamps, values)
     return DriveRecord(driver_id=driver_id, channels=out, t_start=t0,
                        source=channels[0].source)
@@ -235,8 +239,9 @@ def window_rows(signal: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return signal[np.asarray(windows, dtype=np.intp)[:, None] + np.arange(WINDOW_LEN)]
 
 
-def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray,
-                         threshold: float = SPEED_THRESHOLD_KMH) -> np.ndarray:
-    """Starts of the windows whose mean vehicle speed is at or above ``threshold`` km/h."""
+def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray) -> np.ndarray:
+    """Starts of the windows whose mean vehicle speed is at or above
+    ``SPEED_THRESHOLD_KMH``."""
     windows = np.asarray(windows, dtype=np.intp)
-    return windows[np.mean(window_rows(record.channels["VS"], windows), axis=1) >= threshold]
+    speed = np.mean(window_rows(record.channels["VS"], windows), axis=1)
+    return windows[speed >= SPEED_THRESHOLD_KMH]

@@ -13,7 +13,6 @@ import pytest
 
 from ecoride import advisor, analytics, comfort, features, pipeline, som, synthgen, telemetry
 from ecoride.advisor import AdviceState
-from ecoride.pipeline import RunConfig
 from ecoride.som import LABELS, SomModel
 
 
@@ -67,7 +66,7 @@ class TestCriterion2VomitRate:
         ok = abs(comfort.vomit_rate(3.0, 0.0) - 1.0) < 1e-12
         ok &= abs(comfort.vomit_rate(0.0, 3.0) - np.sqrt(2.0)) < 1e-12
 
-        wf = comfort.design_filter("motion_sickness")
+        wf = comfort.design_filter()
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(100):
@@ -99,8 +98,8 @@ class TestCriterion3FilterContract:
 
     def test_dc_and_corners(self):
         t0 = time.perf_counter()
-        wf = comfort.design_filter("motion_sickness")
-        low_corner, high_corner = comfort.FILTER_CORNERS["motion_sickness"]
+        wf = comfort.design_filter()
+        low_corner, high_corner = comfort.FILTER_CORNERS
         dc_tail = abs(comfort.apply_filter(wf, np.ones(10_000))[-1])
         ok = dc_tail < 1e-3
 
@@ -177,8 +176,7 @@ class TestCriterion6ClusteringPurity:
     def test_both_maps_agree_with_generator(self, style_corpus):
         t0 = time.perf_counter()
         records = [rec for _, rec in style_corpus]
-        config = RunConfig(seed=7)
-        result = pipeline.train_models(records, config)
+        result = pipeline.train_models(records, seed=7)
 
         level_to_label = {0: "Low", 1: "Medium", 2: "High"}
         comfort_hits = fuel_hits = total = 0
@@ -302,7 +300,7 @@ class TestCriterion9KdeSanity:
 
 class TestCriterion10ModelRoundTrip:
     def test_byte_identity_and_classification(self, small_corpus, tmp_path):
-        result = pipeline.train_models(small_corpus, RunConfig(seed=5))
+        result = pipeline.train_models(small_corpus, seed=5)
         ok = True
         for tag, model in (("main", result.main_model),
                            ("aux", result.aux_model)):

@@ -47,6 +47,17 @@ def copy_with_column(src_dir, dst_dir, column, value, names=None):
         (dst_dir / src.name).write_text("\n".join(lines) + "\n")
 
 
+DATA_COMMANDS = ("train", "classify", "advise", "report", "correlate")
+MODEL_COMMANDS = ("classify", "advise", "report")
+
+
+def analysis_argv(command, data, models, out):
+    argv = [command, "--data", str(data), "--out", str(out)]
+    if command in MODEL_COMMANDS:
+        argv += ["--models", str(models)]
+    return argv
+
+
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert run([]) == cli.EXIT_USAGE
@@ -74,62 +85,32 @@ class TestExitCodes:
                    and obj.__module__ == m.__name__]
         assert defined == ["ecoride.DataError"]
 
-    def test_bad_config_file(self, tmp_path, capsys):
-        bad = tmp_path / "cfg.json"
-        bad.write_text("not json")
-        assert run(["train", "--data", str(tmp_path), "--out", str(tmp_path),
-                    "--config", str(bad)]) == cli.EXIT_DATA
-        capsys.readouterr()
-
-    @staticmethod
-    def run_with_config(command, cfg, models, tmp_path):
-        """Run ``command`` with config ``cfg`` on a CSV that cannot be loaded
-        (reading it would fail with another error); return its output path."""
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        bad_data = tmp_path / "data"
-        bad_data.mkdir()
-        (bad_data / "x.csv").write_text("no,time,column\n")
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--config") for command in cli.COMMANDS),
+        *((command, "--seed") for command in ("classify", "advise", "report", "correlate")),
+        ("synth", "--drivers"),
+    ])
+    def test_removed_option_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        # the paper's method constants are not options; neither is a seed of
+        # a command that draws no random number
         out = tmp_path / "out"
-        argv = [command, "--data", str(bad_data), "--out", str(out),
-                "--config", str(cfg_path)]
+        argv = [command, flag, "5", "--out", str(out)]
+        if command != "synth":
+            argv += ["--data", str(tmp_path)]
         if command in ("classify", "advise", "report"):
-            argv += ["--models", str(models)]
-        assert run(argv) == cli.EXIT_DATA
-        return out
-
-    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
-                                         "correlate"])
-    def test_unknown_config_key_fails_before_reading_data(self, workspace, tmp_path,
-                                                          capsys, command):
-        _, _, models = workspace
-        out = self.run_with_config(command, {"clusters": 4, "k_stable": 2}, models, tmp_path)
-        assert "unknown config key(s): clusters" in capsys.readouterr().err
+            argv += ["--models", str(tmp_path)]
+        assert run(argv) == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
-                                         "correlate"])
-    @pytest.mark.parametrize("key, value, message", [
-        ("grid_main", 5, "grid_main must be two positive integers, got 5"),
-        ("grid_main", [0, 5], "grid_main must be two positive integers, got [0, 5]"),
-        ("grid_aux", [5, 5, 5], "grid_aux must be two positive integers, got [5, 5, 5]"),
-        ("grid_aux", [5.0, 5], "grid_aux must be two positive integers, got [5.0, 5]"),
-        ("seed", "x", "seed must be an integer >= 0, got 'x'"),
-        ("seed", -1, "seed must be an integer >= 0, got -1"),
-        ("k_stable", "3", "k_stable must be an integer >= 1, got '3'"),
-        ("k_stable", 0, "k_stable must be an integer >= 1, got 0"),
-        ("kmeans_restarts", 0, "kmeans_restarts must be an integer >= 1, got 0"),
-        ("kmeans_restarts", True, "kmeans_restarts must be an integer >= 1, got True"),
-        ("train_split", "x", "train_split must be a number in (0, 1), got 'x'"),
-        ("train_split", 1.0, "train_split must be a number in (0, 1), got 1.0"),
-        ("speed_threshold", float("nan"), "speed_threshold must be a number in (0, inf), got nan"),
-        ("peak_threshold", 0, "peak_threshold must be a number in (0, inf), got 0"),
-    ])
-    def test_bad_config_value_fails_before_reading_data(self, workspace, tmp_path, capsys,
-                                                        command, key, value, message):
-        _, _, models = workspace
-        out = self.run_with_config(command, {key: value}, models, tmp_path)
-        assert f"ecoride: error: {message}" in capsys.readouterr().err
+    def test_negative_train_seed_fails_before_reading_data(self, tmp_path, capsys):
+        bad_data = tmp_path / "data"
+        bad_data.mkdir()
+        (bad_data / "x.csv").write_text("no,time,column\n")  # reading it fails otherwise
+        out = tmp_path / "models"
+        assert run(["train", "--data", str(bad_data), "--out", str(out),
+                    "--seed", "-1"]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "ecoride: error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_non_finite_telemetry(self, workspace, tmp_path, capsys):
@@ -158,8 +139,9 @@ class TestExitCodes:
         pytest.param("negative_vs", "negative VS value at data row 9 in ", id="negative_vs"),
         pytest.param("bad_utf8", "non-UTF-8 byte 0xff at line 6 in ", id="bad_utf8"),
     ])
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
-                                               fault, message):
+                                               fault, message, command):
         _, data, models = workspace
         src = sorted(data.glob("*.csv"))[0]
         lines = src.read_text().splitlines()
@@ -188,14 +170,41 @@ class TestExitCodes:
         bad_data.mkdir()
         (bad_data / src.name).write_text("\n".join(lines) + "\n", encoding="utf-8",
                                          errors="surrogateescape")
-        out = tmp_path / "c.csv"
-        assert run(["classify", "--data", str(bad_data), "--models", str(models),
-                    "--out", str(out)]) == cli.EXIT_DATA
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, bad_data, models, out)) == cli.EXIT_DATA
         assert message + str(bad_data / src.name) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "classify", "advise", "report",
-                                         "correlate"])
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    @pytest.mark.parametrize("fault", ["missing", "empty"])
+    def test_missing_data_fails_before_any_output(self, workspace, tmp_path, capsys,
+                                                  fault, command):
+        _, _, models = workspace
+        data = tmp_path / "data"
+        if fault == "empty":
+            data.mkdir()
+            (data / "notes.txt").write_text("not telemetry\n")
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, data, models, out)) == cli.EXIT_DATA
+        message = ("data directory not found: " if fault == "missing"
+                   else "no telemetry CSV files in ")
+        assert capsys.readouterr().err == f"ecoride: error: {message}{data}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize("name", [cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE])
+    def test_missing_model_file_fails_before_any_output(self, workspace, tmp_path,
+                                                        capsys, name, command):
+        _, data, models = workspace
+        bad = tmp_path / "models"
+        shutil.copytree(models, bad)
+        (bad / name).unlink()
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"ecoride: error: model file not found: {bad / name}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_overflowing_window_fails_before_any_output(self, workspace, tmp_path,
                                                         capsys, command):
         # a finite cell whose square overflows: every window holding it would
@@ -210,25 +219,14 @@ class TestExitCodes:
         big_data.mkdir()
         (big_data / src.name).write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
-        argv = [command, "--data", str(big_data), "--out", str(out)]
-        if command in ("classify", "advise", "report"):
-            argv += ["--models", str(models)]
-        assert run(argv) == cli.EXIT_DATA
+        assert run(analysis_argv(command, big_data, models, out)) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "non-finite XACC RMS in the window starting at sample 768" in err
         assert str(big_data / src.name) in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestSynth:
-    def test_config_is_a_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 999}))
-        assert run(["synth", "--out", str(tmp_path), "--drivers", "1",
-                    "--duration", "16", "--config", str(cfg)]) == cli.EXIT_USAGE
-        assert "--config" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be an integer >= 0, got -1"),
         ("--duration", "nan", "duration must be finite and at least 16 s, got nan"),
@@ -252,13 +250,11 @@ class TestSynth:
         for pa in sorted(a.glob("*.csv")):
             assert pa.read_bytes() == (b / pa.name).read_bytes()
 
-    def test_driver_count(self, tmp_path, capsys):
-        out = tmp_path / "d"
-        out.mkdir()
-        assert run(["synth", "--out", str(out), "--drivers", "11",
-                    "--duration", "60"]) == 0
+    def test_writes_the_style_grid(self, tmp_path, capsys):
+        assert run(["synth", "--out", str(tmp_path), "--duration", "16"]) == 0
         capsys.readouterr()
-        assert len(list(out.glob("*.csv"))) == 11
+        want = [f"{label}.csv" for label, _ in synthgen.style_grid()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
 
 
 class TestTrain:
@@ -276,18 +272,6 @@ class TestTrain:
         capsys.readouterr()
         for name in (cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE):
             assert (models / name).read_bytes() == (again / name).read_bytes()
-
-    def test_config_file_with_flag_override(self, workspace, tmp_path, capsys):
-        _, data, _ = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 99, "kmeans_restarts": 4}))
-        out = tmp_path / "m"
-        assert run(["train", "--data", str(data), "--out", str(out),
-                    "--config", str(cfg), "--seed", "5"]) == 0
-        capsys.readouterr()
-        model = json.loads((out / cli.MAIN_MODEL_FILE).read_text())
-        assert model["train_seed"] == 6  # --seed flag beat the config value
-
 
     def test_profile_tables_match_a_recomputation(self, workspace, tmp_path, capsys):
         # BMU -> cluster -> member averages worked out here from the model
@@ -352,7 +336,8 @@ class TestClassify:
         ("cluster_count", lambda m: m.__setitem__("cluster_count", 4)),
         ("feature_names", lambda m: m["feature_names"].__setitem__(0, "BOGUS")),
     ])
-    def test_corrupt_model_file(self, workspace, tmp_path, capsys, field, spoil):
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_corrupt_model_file(self, workspace, tmp_path, capsys, field, spoil, command):
         _, data, models = workspace
         bad = tmp_path / "models"
         shutil.copytree(models, bad)
@@ -360,11 +345,24 @@ class TestClassify:
         model = json.loads(path.read_text())
         spoil(model)
         path.write_text(json.dumps(model))
-        out = tmp_path / "cls.csv"
-        assert run(["classify", "--data", str(data), "--models", str(bad),
-                    "--out", str(out)]) == cli.EXIT_DATA
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"model file {path}" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize("name", [cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE])
+    def test_non_utf8_model_file(self, workspace, tmp_path, capsys, name, command):
+        _, data, models = workspace
+        bad = tmp_path / "models"
+        shutil.copytree(models, bad)
+        path = bad / name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"ecoride: error: model file {path}: " in err and "0xff" in err
         assert not out.exists()
 
 

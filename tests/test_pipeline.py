@@ -1,24 +1,41 @@
 """Orchestration layer: analysis, training, classification."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ecoride import DataError, features, pipeline, telemetry
+from ecoride import DataError, features, pipeline, synthgen, telemetry
 from ecoride.features import MAIN_FEATURES
-from ecoride.pipeline import RunConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (module, name, value): the paper's fixed method, as the README table lists it
+PAPER_CONSTANTS = [
+    ("telemetry", "SAMPLE_RATE_HZ", 32.0),
+    ("telemetry", "WINDOW_LEN", 256),
+    ("telemetry", "WINDOW_STEP", 128),
+    ("telemetry", "SPEED_THRESHOLD_KMH", 60.0),
+    ("comfort", "FILTER_CORNERS", (0.02, 0.3)),
+    ("comfort", "PEAK_THRESHOLD", 1.75),
+    ("pipeline", "GRID_SHAPE", (15, 15)),
+    ("pipeline", "TRAIN_SPLIT", 0.75),
+    ("som", "LABELS", ("Low", "Medium", "High")),
+    ("advisor", "AdviceState.k_stable", 3),
+]
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.grid_main == (15, 15)
-        assert cfg.train_split == 0.75
-
-    def test_validation(self):
-        with pytest.raises(DataError, match=r"train_split must be a number in \(0, 1\), got 1.0"):
-            RunConfig(train_split=1.0)
-        with pytest.raises(DataError, match=r"peak_threshold must be a number in \(0, inf\)"):
-            RunConfig(peak_threshold=0.0)
+@pytest.mark.parametrize("module, name, value", PAPER_CONSTANTS,
+                         ids=[name for _, name, _ in PAPER_CONSTANTS])
+def test_paper_constant_and_its_readme_row(module, name, value):
+    obj = importlib.import_module(f"ecoride.{module}")
+    for attr in name.split("."):
+        obj = getattr(obj, attr)
+    assert obj == value
+    rows = [line for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `")]
+    assert any(f"`{name}`" in row and f"`ecoride.{module}`" in row for row in rows)
 
 
 class TestAnalyzeRecord:
@@ -43,15 +60,16 @@ class TestAnalyzeRecord:
                 values, np.concatenate([a.columns[name] for a in analyzed]))
 
     def test_speed_filter_applied(self, small_corpus):
-        fast = pipeline.analyze_record(small_corpus[0], RunConfig())
-        strict = pipeline.analyze_record(
-            small_corpus[0], RunConfig(speed_threshold=500.0))
-        assert len(strict.windows) == 0 < len(fast.windows)
+        fast = pipeline.analyze_record(small_corpus[0])
+        slow = pipeline.analyze_record(synthgen.generate(
+            synthgen.StyleSpec(base_speed=30.0, duration=60.0, seed=3), driver_id="slow"))
+        assert len(slow.windows) == 0 < len(fast.windows)
+        assert all(len(v) == 0 for v in slow.columns.values())
 
 
 @pytest.fixture(scope="module")
 def result(small_corpus):
-    return pipeline.train_models(small_corpus, RunConfig(seed=5))
+    return pipeline.train_models(small_corpus, seed=5)
 
 
 class TestTrainModels:
@@ -71,15 +89,14 @@ class TestTrainModels:
         assert result.aux_profile["windows"].sum() == total
 
     def test_deterministic(self, small_corpus, result):
-        again = pipeline.train_models(small_corpus, RunConfig(seed=5))
+        again = pipeline.train_models(small_corpus, seed=5)
         np.testing.assert_array_equal(result.main_model.grid.weights,
                                       again.main_model.grid.weights)
         np.testing.assert_array_equal(result.aux_model.partition.assignment,
                                       again.aux_model.partition.assignment)
 
     def test_classify_all_labels(self, small_corpus, result):
-        analyzed = [pipeline.analyze_record(r, RunConfig(seed=5))
-                    for r in small_corpus[:2]]
+        analyzed = [pipeline.analyze_record(r) for r in small_corpus[:2]]
         pipeline.classify_all(analyzed, result.main_model, result.aux_model)
         for a in analyzed:
             names = ("main_bmu", "aux_bmu", "comfort_label", "fuel_label")

@@ -199,6 +199,17 @@ class TestResample:
         rec = telemetry.resample([ch])
         assert np.max(np.abs(rec.channels["XACC"])) < 0.6
 
+    @pytest.mark.parametrize("n", [2, 1000])
+    def test_downsampling_keeps_a_constant_at_the_edges(self, n):
+        # 80 km/h logged at 100 Hz: the moving average takes the mean of the
+        # samples in reach, so neither end is pulled towards 0, and a channel
+        # shorter than the averaging kernel still gives one value per sample
+        ts = np.arange(n) / 100.0
+        ch = RawChannel(name="VS", timestamps=ts, values=np.full(n, 80.0))
+        vs = telemetry.resample([ch]).channels["VS"]
+        assert len(vs) == int(np.floor(ts[-1] * telemetry.SAMPLE_RATE_HZ)) + 1
+        assert np.all(vs == 80.0)
+
 
 class TestWindows:
     @pytest.mark.parametrize("n,expected", [

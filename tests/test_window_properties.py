@@ -47,7 +47,7 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
     assert kept.tolist() == [s for s in starts.tolist()
                              if np.mean(ch["VS"][s:s + 256]) >= SPEED_THRESHOLD_KMH]
 
-    wf = comfort.design_filter("motion_sickness")
+    wf = comfort.design_filter()
     x_filt = comfort.apply_filter(wf, ch["XACC"])
     y_filt = comfort.apply_filter(wf, ch["YACC"])
     want = {name: [] for name in ("msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg",

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import logging
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,46 +36,21 @@ CHANNELS = {
 TIME_COLUMN = "t"
 
 
+# Plausibility bounds of the raw samples (inclusive); other channels are unbounded.
+BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
+          "YACC": (-50.0, 50.0), "ZACC": (-50.0, 50.0), "FUEL": (0.0, np.inf)}
+_LOW, _HIGH = np.array([BOUNDS.get(c, (-np.inf, np.inf)) for c in (TIME_COLUMN, *CHANNELS)]).T
+
+
 @dataclass
 class RawChannel:
-    """One named channel as sampled in the source file, before resampling.
-
-    The one check of raw samples: at least 2 of them, finite times and
-    values, increasing times, and no negative ``VS``/``ERPM`` value.  Rows
-    in messages count from 1.
-    """
+    """One channel of a checked telemetry file, before resampling; all
+    channels of a file share one ``timestamps`` array."""
 
     name: str
     timestamps: np.ndarray
     values: np.ndarray
     source: str = ""  # the file the channel was read from, for error messages
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        where = f" in {self.source}" if self.source else ""
-        if self.timestamps.shape != self.values.shape:
-            raise DataError(f"channel {self.name}: timestamp/value length mismatch{where}")
-        if len(self.timestamps) < 2:
-            raise DataError(f"need at least 2 data rows, got {len(self.timestamps)}{where}")
-        for label, arr in (("timestamp", self.timestamps), (f"{self.name} value", self.values)):
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                raise DataError(f"non-finite {label} at data row {int(np.argmax(bad)) + 1}{where}")
-        bad = np.diff(self.timestamps) <= 0  # bad[i]: row i + 2 does not increase
-        if bad.any():
-            raise DataError(
-                f"non-monotonic timestamps at data row {int(np.argmax(bad)) + 2}{where}")
-        if self.name in ("VS", "ERPM"):
-            bad = self.values < 0
-            if bad.any():
-                raise DataError(f"negative {self.name} value at data row "
-                                f"{int(np.argmax(bad)) + 1}{where}")
-
-    @property
-    def rate(self) -> float:
-        """Sampling rate in Hz from the median time step."""
-        return 1.0 / float(np.median(np.diff(self.timestamps)))
 
 
 @dataclass
@@ -87,18 +63,10 @@ class DriveRecord:
     source: str = ""  # the file the record was read from, for error messages
 
     def __post_init__(self):
-        where = f" in {self.source}" if self.source else ""
         lengths = {name: len(v) for name, v in self.channels.items()}
         if len(set(lengths.values())) > 1:
+            where = f" in {self.source}" if self.source else ""
             raise DataError(f"unequal channel lengths: {lengths}{where}")
-        for name, values in self.channels.items():
-            bad = ~np.isfinite(values)
-            if bad.any():
-                raise DataError(
-                    f"channel {name}: non-finite value at sample {int(np.argmax(bad))}{where}")
-        for name in ("VS", "ERPM"):
-            if name in self.channels and np.any(self.channels[name] < 0):
-                raise DataError(f"channel {name} has negative values{where}")
 
     @property
     def n_total(self) -> int:
@@ -108,120 +76,116 @@ class DriveRecord:
 
 
 def load_csv(path) -> list[RawChannel]:
-    """Read a telemetry CSV into one RawChannel per ``CHANNELS`` column.
+    """Read and check a telemetry CSV: one RawChannel per ``CHANNELS`` column.
 
-    The data rows are parsed in one ``np.loadtxt`` call; only a file that call
-    cannot parse is read row by row, rejecting rows with unparseable values or
-    a cell count other than the header's (logged with their row index).
-    ``RawChannel`` then checks the accepted rows, naming this file.  A file
-    that is not UTF-8 text raises DataError naming its first such line.
+    The file is read and decoded once, skipping a leading UTF-8 byte-order
+    mark, parsed by ``_read_table`` and checked once by ``_check``.  Messages
+    name this file and a line counted from 1, header and blank lines included.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
     except FileNotFoundError:
         raise DataError(f"telemetry file not found: {path}") from None
-    with fh:
-        try:
-            table, cols = _read_table(fh, path)
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-    return [RawChannel(chan, table[:, cols[0]], table[:, c], source=str(path))
-            for chan, c in zip(CHANNELS, cols[1:])]
+    try:  # not "utf-8-sig": its exc.start does not count the mark
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"non-UTF-8 byte 0x{data[exc.start]:02x} at line {line} "
+                        f"in {path}") from None
+    del data
+    table, line_of = _read_table(lines, path)
+    _check(table, line_of, path)
+    t = table[:, 0]
+    return [RawChannel(name, t, table[:, k], source=str(path))
+            for k, name in enumerate(CHANNELS, start=1)]
 
 
-def _read_table(fh, path) -> tuple[np.ndarray, list[int] | range]:
-    """The data rows of an open CSV and the table columns of ``t`` and each channel."""
-    # readline (not file iteration) keeps fh.tell() usable for the fallback
-    reader = csv.reader(iter(fh.readline, ""))
-    header = None
-    for row in reader:
-        if row and any(cell.strip() for cell in row):
-            header = [cell.strip() for cell in row]
-            break
-    if header is None:
-        raise DataError(f"empty telemetry file: {path}")
+def _read_table(lines: list[str], path) -> tuple[np.ndarray, Callable[[int], int]]:
+    """The columns ``t`` and ``CHANNELS`` of the data rows, and the file line of
+    a row.  The header is the first non-blank line.  The rows are parsed in one
+    ``np.loadtxt`` call, or by ``_parse_rows`` if that call cannot parse them."""
+    reader = csv.reader(lines)
+    header = next((row for row in reader if any(cell.strip() for cell in row)), [])
+    header, h = [cell.strip() for cell in header], reader.line_num  # h: the header's line
     for col in (TIME_COLUMN, *CHANNELS):
         if col not in header:
             raise DataError(f"missing required column '{col}' in {path}")
     cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
-
-    data_start = fh.tell()
-    try:
-        with warnings.catch_warnings():
-            # "input contained no data": RawChannel checks the row count
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
-    except UnicodeDecodeError:
-        raise  # a ValueError too, but the row-by-row fallback cannot decode it either
+    data = lines[h:]
+    try:  # on empty lines only np.loadtxt warns; _parse_rows finds no row there either
+        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if any(data) else None
     except ValueError:
         table = None
     if table is None or table.shape[1] != len(header):
-        fh.seek(data_start)
-        return _parse_rows(fh, cols, len(header), path), range(len(cols))
-    return table, cols
+        return _parse_rows(reader, cols, len(header), path)
+    # the rows are the non-empty lines; worked out only for a message
+    return table[:, cols], lambda row: [i for i, line in enumerate(data, h + 1) if line][row]
 
 
-def _not_utf8(path) -> DataError:
-    """DataError naming the first line of ``path`` (counted from 1) that is not
-    UTF-8 text.  Read line by line in binary: a text decoder fails a whole
-    chunk at a time, so the row it was at does not tell the line."""
-    with open(path, "rb") as fh:
-        for i, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return DataError(f"non-UTF-8 byte 0x{line[exc.start]:02x} at line {i} "
-                                 f"in {path}")
-    return DataError(f"not UTF-8 text: {path}")
-
-
-def _parse_rows(fh, cols: list[int], width: int, path) -> np.ndarray:
-    """Row-by-row parse of columns ``cols``: blank rows are skipped; rows of
-    other than ``width`` cells and unparseable ones are logged with their row
-    index and dropped."""
-    rows = []
-    for i, row in enumerate(csv.reader(fh), start=2):  # 1-based, after header
-        if not row or not any(cell.strip() for cell in row):
+def _parse_rows(reader, cols: list[int], width: int,
+                path) -> tuple[np.ndarray, Callable[[int], int]]:
+    """Row-by-row parse of columns ``cols`` of the rows left in a ``csv.reader``:
+    blank rows are skipped; rows of other than ``width`` cells and unparseable
+    ones are logged with their line and dropped."""
+    rows, numbers = [], []
+    for row in reader:
+        if not any(cell.strip() for cell in row):
             continue
         if len(row) != width:
-            log.warning("rejecting row %d in %s: %d cells, header has %d",
-                        i, path, len(row), width)
+            log.warning("rejecting line %d in %s: %d cells, header has %d",
+                        reader.line_num, path, len(row), width)
             continue
         try:
             rows.append([float(row[c]) for c in cols])
+            numbers.append(reader.line_num)
         except ValueError:
-            log.warning("rejecting unparseable row %d in %s", i, path)
-    return np.array(rows, dtype=float).reshape(-1, len(cols))
+            log.warning("rejecting unparseable line %d in %s", reader.line_num, path)
+    return np.array(rows, dtype=float).reshape(-1, len(cols)), numbers.__getitem__
+
+
+def _check(table: np.ndarray, line_of: Callable[[int], int], path) -> None:
+    """The one check of a file's samples, in this order: at least 2 rows;
+    every cell finite and every channel within ``BOUNDS`` (naming the first
+    bad cell, by line and then column); times strictly increasing."""
+    if len(table) < 2:
+        raise DataError(f"need at least 2 data rows, got {len(table)} in {path}")
+    bad = ~np.isfinite(table) | (table < _LOW) | (table > _HIGH)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), table.shape[1])
+        value = table[row, col]
+        what = "timestamp" if col == 0 else f"{list(CHANNELS)[col - 1]} value"
+        what = (f"{what} {value:g} outside [{_LOW[col]:g}, {_HIGH[col]:g}]"
+                if np.isfinite(value) else f"non-finite {what}")
+        raise DataError(f"{what} at line {line_of(row)} in {path}")
+    bad = np.diff(table[:, 0]) <= 0  # bad[i]: row i + 1 does not increase
+    if bad.any():
+        raise DataError(f"non-monotonic timestamps at line "
+                        f"{line_of(int(np.argmax(bad)) + 1)} in {path}")
 
 
 def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
-    """Linearly interpolate all channels onto a common 32 Hz grid.
+    """Linearly interpolate the channels of one file onto a common 32 Hz grid.
 
-    The grid spans the intersection of the channel time ranges, starting at the
-    latest channel start.  Channels sampled above 32 Hz get a moving-average
-    pre-filter over one output period before interpolation; near a record's
-    ends it averages the samples that exist.
+    The channels share one time column, as ``load_csv`` gives them: the grid
+    spans it, and its median step gives the source rate.  Above 32 Hz every
+    channel gets a moving-average pre-filter over one output period before
+    interpolation; near a record's ends it averages the samples that exist.
     """
-    if not channels:
-        raise DataError("no channels to resample")
-    t0 = max(float(ch.timestamps[0]) for ch in channels)
-    t1 = min(float(ch.timestamps[-1]) for ch in channels)
-    if t1 < t0:
-        raise DataError("channels have no overlapping time support")
-    n = int(np.floor((t1 - t0) * SAMPLE_RATE_HZ)) + 1
-    grid = t0 + np.arange(n) / SAMPLE_RATE_HZ
-
-    out: dict[str, np.ndarray] = {}
+    t = channels[0].timestamps
+    t0 = float(t[0])
+    grid = t0 + np.arange(int(np.floor((t[-1] - t0) * SAMPLE_RATE_HZ)) + 1) / SAMPLE_RATE_HZ
+    rate = 1.0 / float(np.median(np.diff(t)))
+    if smooth := rate > SAMPLE_RATE_HZ * 1.05:
+        kernel = np.ones(max(2, int(round(rate / SAMPLE_RATE_HZ))))
+        lead = (len(kernel) - 1) // 2
+        span = slice(lead, lead + len(t))  # "same" alignment at any length
+        # the mean of the samples in reach, so an edge is not pulled towards 0
+        reach = np.convolve(np.ones(len(t)), kernel)[span]
+    out = {}
     for ch in channels:
-        values, rate = ch.values, ch.rate
-        if rate > SAMPLE_RATE_HZ * 1.05:
-            kernel = np.ones(max(2, int(round(rate / SAMPLE_RATE_HZ))))
-            lead = (len(kernel) - 1) // 2
-            span = slice(lead, lead + len(values))  # "same" alignment at any length
-            # the mean of the samples in reach, so an edge is not pulled towards 0
-            values = (np.convolve(values, kernel)[span]
-                      / np.convolve(np.ones(len(values)), kernel)[span])
-        out[ch.name] = np.interp(grid, ch.timestamps, values)
+        values = np.convolve(ch.values, kernel)[span] / reach if smooth else ch.values
+        out[ch.name] = np.interp(grid, t, values)
     return DriveRecord(driver_id=driver_id, channels=out, t_start=t0,
                        source=channels[0].source)
 

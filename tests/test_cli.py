@@ -126,17 +126,20 @@ class TestExitCodes:
         assert run(["classify", "--data", str(nan_data), "--models", str(models),
                     "--out", str(tmp_path / "c.csv")]) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert "non-finite XACC value at data row 5" in err and src.name in err
+        assert "non-finite XACC value at line 6" in err and src.name in err
 
     @pytest.mark.parametrize("fault,message", [
-        pytest.param("nan_xacc", "non-finite XACC value at data row 5 in ", id="nan_xacc"),
-        pytest.param("inf_time", "non-finite timestamp at data row 7 in ", id="inf_time"),
-        pytest.param("swapped_rows", "non-monotonic timestamps at data row 11 in ",
+        pytest.param("nan_xacc", "non-finite XACC value at line 6 in ", id="nan_xacc"),
+        pytest.param("xacc_bound", "XACC value 100000 outside [-50, 50] at line 6 in ",
+                     id="xacc_bound"),
+        pytest.param("inf_time", "non-finite timestamp at line 8 in ", id="inf_time"),
+        pytest.param("swapped_rows", "non-monotonic timestamps at line 12 in ",
                      id="swapped_rows"),
         pytest.param("one_row", "need at least 2 data rows, got 1 in ", id="one_row"),
         pytest.param("missing_column", "missing required column 'XACC' in ",
                      id="missing_column"),
-        pytest.param("negative_vs", "negative VS value at data row 9 in ", id="negative_vs"),
+        pytest.param("negative_vs", "VS value -3 outside [0, 400] at line 10 in ",
+                     id="negative_vs"),
         pytest.param("bad_utf8", "non-UTF-8 byte 0xff at line 6 in ", id="bad_utf8"),
     ])
     @pytest.mark.parametrize("command", DATA_COMMANDS)
@@ -146,9 +149,9 @@ class TestExitCodes:
         src = sorted(data.glob("*.csv"))[0]
         lines = src.read_text().splitlines()
         header = lines[0].split(",")
-        if fault == "nan_xacc":
+        if fault in ("nan_xacc", "xacc_bound"):
             fields = lines[5].split(",")
-            fields[header.index("XACC")] = "nan"
+            fields[header.index("XACC")] = "nan" if fault == "nan_xacc" else "1e5"
             lines[5] = ",".join(fields)
         elif fault == "inf_time":
             fields = lines[7].split(",")
@@ -162,7 +165,7 @@ class TestExitCodes:
             fields = lines[9].split(",")
             fields[header.index("VS")] = "-3"
             lines[9] = ",".join(fields)
-        elif fault == "bad_utf8":  # one 0xff byte in data row 5, written as is
+        elif fault == "bad_utf8":  # one 0xff byte on line 6, written as is
             lines[5] = lines[5].replace(",", ",\udcff", 1)
         else:
             lines[0] = lines[0].replace("XACC", "XACC_OLD")
@@ -208,12 +211,12 @@ class TestExitCodes:
     def test_overflowing_window_fails_before_any_output(self, workspace, tmp_path,
                                                         capsys, command):
         # a finite cell whose square overflows: every window holding it would
-        # get an infinite XACC RMS and MSDV
+        # get an infinite SWA RMS (an unbounded channel; XACC is bounded at load)
         _, data, models = workspace
         src = sorted(data.glob("*.csv"))[0]
         lines = src.read_text().splitlines()
         fields = lines[1000].split(",")
-        fields[lines[0].split(",").index("XACC")] = "1e200"
+        fields[lines[0].split(",").index("SWA")] = "1e200"
         lines[1000] = ",".join(fields)
         big_data = tmp_path / "data"
         big_data.mkdir()
@@ -221,7 +224,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(analysis_argv(command, big_data, models, out)) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert "non-finite XACC RMS in the window starting at sample 768" in err
+        assert "non-finite SWA RMS in the window starting at sample 768" in err
         assert str(big_data / src.name) in err
         assert not out.exists()
 

@@ -141,7 +141,8 @@ def short_records(draw):
     channels = {}
     for name in telemetry.CHANNELS:
         values = np.array(draw(st.lists(SAMPLE_VALUES, min_size=n, max_size=n)))
-        channels[name] = np.abs(values) if name in ("VS", "ERPM") else values
+        # within the plausibility bounds, so that the file loads back
+        channels[name] = np.clip(values, *telemetry.BOUNDS.get(name, (-np.inf, np.inf)))
     return telemetry.DriveRecord(driver_id="rt", channels=channels,
                                  t_start=draw(st.floats(0.0, 1e5)))
 

@@ -1,5 +1,7 @@
 """Ingestion, resampling, windowing and speed filtering."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,15 @@ from ecoride.telemetry import (SAMPLE_RATE_HZ, WINDOW_LEN, WINDOW_STEP,
 
 from conftest import make_record
 
+NAMES = list(telemetry.CHANNELS)
+
 
 def _write_csv(path, n=600, rate=32.0, mangle=None):
     names = list(telemetry.CHANNELS)
     lines = [",".join([telemetry.TIME_COLUMN, *names])]
     for i in range(n):
         t = i / rate
-        row = [f"{t:.6f}"] + [f"{(i + j) % 97}" for j in range(len(names))]
+        row = [f"{t:.6f}"] + [f"{(i + j) % 41}" for j in range(len(names))]
         lines.append(",".join(row))
     if mangle:
         lines = mangle(lines)
@@ -27,7 +31,8 @@ class TestLoadCsv:
         p = tmp_path / "a.csv"
         _write_csv(p)
         channels = telemetry.load_csv(p)
-        assert {c.name for c in channels} == set(telemetry.CHANNELS)
+        assert [c.name for c in channels] == NAMES
+        assert all(c.timestamps is channels[0].timestamps for c in channels)
         swa = next(c for c in channels if c.name == "SWA")
         assert len(swa.values) == 600
         assert swa.values[0] == 0.0 and swa.values[1] == 1.0
@@ -67,6 +72,17 @@ class TestLoadCsv:
         assert channels[0].timestamps[0] == 0.0
         assert len(caplog.records) == junk  # only the row-by-row path logs
 
+    def test_bad_byte_after_byte_order_mark(self, tmp_path):
+        # the mark is stripped before decoding, so the byte offset still
+        # counts the lines before it
+        p = tmp_path / "a.csv"
+        _write_csv(p, n=5)
+        lines = p.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+        p.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+        with pytest.raises(DataError, match=r"^non-UTF-8 byte 0xff at line 3 in .*a\.csv$"):
+            telemetry.load_csv(p)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows_rejected(self, tmp_path, recwarn, n):
         p = tmp_path / "short.csv"
@@ -95,19 +111,82 @@ class TestLoadCsv:
         assert len(channels[0].timestamps) == 599
         assert 9 / 32.0 not in channels[0].timestamps
         assert [r.getMessage() for r in caplog.records] == [
-            f"rejecting row 11 in {p}: 12 cells, header has 11"]
+            f"rejecting line 11 in {p}: 12 cells, header has 11"]
+
+    @pytest.mark.parametrize("rejected", [False, True])  # bulk path, row-by-row path
+    def test_lines_are_counted_past_rejected_and_blank_lines(self, tmp_path, caplog,
+                                                             rejected):
+        # blank lines before the header and in the data, and a rejected row,
+        # still count: the message names the file line
+        def mangle(lines):
+            if rejected:
+                lines[3] += ",999"
+            fields = lines[10].split(",")
+            fields[1 + NAMES.index("XACC")] = "nan"
+            lines[10] = ",".join(fields)
+            return ["", ""] + lines[:6] + [""] + lines[6:]
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        with pytest.raises(DataError, match=r"^non-finite XACC value at line 14 in "):
+            telemetry.load_csv(p)
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"rejecting line 6 in {p}: 12 cells, header has 11"] if rejected else [])
+
+    @pytest.mark.parametrize("faults,message", [
+        ([(8, "XACC", "nan"), (6, "FUEL", "-1")], "FUEL value -1 outside [0, inf] at line 7"),
+        ([(6, "YACC", "nan"), (7, "XACC", "60")], "non-finite YACC value at line 7"),
+        ([(6, "YACC", "nan"), (9, "t", "0")], "non-finite YACC value at line 7"),
+        ([(6, "YACC", "nan"), (6, "XACC", "60")], "XACC value 60 outside [-50, 50] at line 7"),
+    ])
+    def test_first_fault_in_check_order(self, tmp_path, faults, message):
+        # cells line by line and left to right within a line, then the times
+        def mangle(lines):
+            header = lines[0].split(",")
+            for k, name, cell in faults:
+                fields = lines[k].split(",")
+                fields[header.index(name)] = cell
+                lines[k] = ",".join(fields)
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        with pytest.raises(DataError, match=f"^{re.escape(message)} in "):
+            telemetry.load_csv(p)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, cell):
         def mangle(lines):
             fields = lines[7].split(",")
-            fields[1 + list(telemetry.CHANNELS).index("XACC")] = cell
+            fields[1 + NAMES.index("XACC")] = cell
             lines[7] = ",".join(fields)
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
-        with pytest.raises(DataError, match=r"non-finite XACC value at data row 7 in .*a\.csv"):
+        with pytest.raises(DataError, match=r"^non-finite XACC value at line 8 in .*a\.csv$"):
             telemetry.load_csv(p)
+
+    @pytest.mark.parametrize("name,cell,bound", [
+        ("VS", "400.5", "[0, 400]"),
+        ("ERPM", "2e4", None), ("ERPM", "20001", "[0, 20000]"),
+        ("XACC", "1e5", "[-50, 50]"), ("YACC", "-50.5", "[-50, 50]"),
+        ("ZACC", "50", None), ("FUEL", "-0.5", "[0, inf]"), ("FUEL", "1e9", None),
+        ("SWA", "-1e9", None), ("GP", "300", None),
+    ])
+    def test_plausibility_bounds(self, tmp_path, name, cell, bound):
+        # the bounds are inclusive; SWA, PGP, GP and BP have none
+        def mangle(lines):
+            fields = lines[9].split(",")
+            fields[1 + NAMES.index(name)] = cell
+            lines[9] = ",".join(fields)
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        if bound is None:
+            channels = telemetry.load_csv(p)
+            assert channels[NAMES.index(name)].values[8] == float(cell)
+        else:
+            with pytest.raises(DataError, match=rf"^{name} value {float(cell):g} outside "
+                                                rf"{re.escape(bound)} at line 10 in .*a\.csv$"):
+                telemetry.load_csv(p)
 
     def test_non_finite_timestamp_rejected(self, tmp_path):
         def mangle(lines):
@@ -115,7 +194,7 @@ class TestLoadCsv:
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
-        with pytest.raises(DataError, match=r"non-finite timestamp at data row 7 in .*a\.csv"):
+        with pytest.raises(DataError, match=r"^non-finite timestamp at line 8 in .*a\.csv$"):
             telemetry.load_csv(p)
 
     def test_non_monotonic_times(self, tmp_path):
@@ -124,38 +203,48 @@ class TestLoadCsv:
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
-        with pytest.raises(DataError, match="non-monotonic"):
+        with pytest.raises(DataError, match=r"^non-monotonic timestamps at line 12 in "):
             telemetry.load_csv(p)
 
 
 class TestRawChannel:
+    """The channels ``load_csv`` hands out hold only checked samples."""
+
+    @staticmethod
+    def _plant(path, column, cell, n=100, row=40):
+        def mangle(lines):
+            fields = lines[1 + row].split(",")
+            fields[0 if column == telemetry.TIME_COLUMN else 1 + NAMES.index(column)] = cell
+            lines[1 + row] = ",".join(fields)
+            return lines
+        _write_csv(path, n=n, mangle=mangle)
+
     @pytest.mark.parametrize("field", ["timestamps", "values"])
-    def test_non_finite_rejected(self, field):
-        arrays = {"timestamps": np.arange(100) / 32.0, "values": np.zeros(100)}
-        arrays[field][40] = np.nan
+    def test_non_finite_rejected(self, tmp_path, field):
+        # sample 40 is on line 42, below the header
+        p = tmp_path / "a.csv"
+        self._plant(p, telemetry.TIME_COLUMN if field == "timestamps" else "VS", "nan")
         what = "timestamp" if field == "timestamps" else "VS value"
-        with pytest.raises(DataError, match=f"^non-finite {what} at data row 41$"):
-            RawChannel(name="VS", **arrays)
+        with pytest.raises(DataError, match=rf"^non-finite {what} at line 42 in .*a\.csv$"):
+            telemetry.load_csv(p)
 
     @pytest.mark.parametrize("name", ["VS", "ERPM"])
-    def test_negative_speed_rejected(self, name):
-        values = np.zeros(100)
-        values[40] = -3.0
-        with pytest.raises(DataError, match=f"^negative {name} value at data row 41$"):
-            RawChannel(name=name, timestamps=np.arange(100) / 32.0, values=values)
-        RawChannel(name="SWA", timestamps=np.arange(100) / 32.0, values=values)
+    def test_negative_speed_rejected(self, tmp_path, name):
+        p = tmp_path / "a.csv"
+        self._plant(p, name, "-3")
+        with pytest.raises(DataError, match=rf"^{name} value -3 outside \[0, \d+\] "
+                                            rf"at line 42 in .*a\.csv$"):
+            telemetry.load_csv(p)
+        self._plant(p, "SWA", "-3")
+        assert telemetry.load_csv(p)[NAMES.index("SWA")].values[40] == -3.0
 
-    @pytest.mark.parametrize("hz", [32.0, 128.0])
-    def test_rate_is_measured_spacing(self, hz):
-        ch = RawChannel(name="VS", timestamps=5.0 + np.arange(300) / hz,
-                        values=np.zeros(300))
-        assert ch.rate == pytest.approx(hz, rel=1e-12)
-
-    def test_source_named_in_messages(self):
-        with pytest.raises(DataError,
-                           match=r"^non-monotonic timestamps at data row 3 in a\.csv$"):
-            RawChannel(name="VS", timestamps=[0.0, 1.0, 1.0], values=[0.0, 0.0, 0.0],
-                       source="a.csv")
+    def test_source_named_in_messages(self, tmp_path):
+        p = tmp_path / "a.csv"
+        _write_csv(p, n=3)
+        assert all(c.source == str(p) for c in telemetry.load_csv(p))
+        self._plant(p, telemetry.TIME_COLUMN, "0.03125", n=3, row=2)  # times 0, 1/32, 1/32
+        with pytest.raises(DataError, match=r"^non-monotonic timestamps at line 4 in .*a\.csv$"):
+            telemetry.load_csv(p)
 
 
 class TestResample:
@@ -167,23 +256,27 @@ class TestResample:
         assert rec.n_total == 320
         np.testing.assert_allclose(rec.channels["VS"], np.abs(vals), atol=1e-12)
 
-    def test_output_rate_and_overlap(self):
-        # two channels with offset time supports -> intersection only
-        t_a = np.arange(320) / SAMPLE_RATE_HZ
-        t_b = 1.0 + np.arange(256) / SAMPLE_RATE_HZ
-        a = RawChannel(name="VS", timestamps=t_a, values=np.ones(320))
-        b = RawChannel(name="XACC", timestamps=t_b, values=np.ones(256))
-        rec = telemetry.resample([a, b])
-        assert rec.t_start == pytest.approx(1.0)
-        t_end = min(t_a[-1], t_b[-1])
-        assert rec.n_total == int(np.floor((t_end - 1.0) * SAMPLE_RATE_HZ)) + 1
-
-    def test_no_overlap_errors(self):
-        a = RawChannel(name="VS", timestamps=np.arange(64) / 32.0, values=np.ones(64))
-        b = RawChannel(name="XACC",
-                       timestamps=10.0 + np.arange(64) / 32.0, values=np.ones(64))
-        with pytest.raises(DataError, match="overlapping"):
-            telemetry.resample([a, b])
+    @pytest.mark.parametrize("hz", [32.0, 128.0])
+    def test_rate_is_measured_from_the_time_column(self, tmp_path, hz):
+        # XACC repeats 0, 0, 0, 4 at 128 Hz: the 4-sample moving average that
+        # the measured rate calls for gives 1 between the edges, where plain
+        # interpolation would pick the 0s
+        n = 1024
+        lines = [",".join([telemetry.TIME_COLUMN, *NAMES])]
+        for i in range(n):
+            row = ["0"] * len(NAMES)
+            row[NAMES.index("XACC")] = "4" if i % 4 == 3 else "0"
+            lines.append(",".join([repr(5.0 + i / hz), *row]))
+        p = tmp_path / "a.csv"
+        p.write_text("\n".join(lines) + "\n")
+        rec = telemetry.resample(telemetry.load_csv(p))
+        xacc = rec.channels["XACC"]
+        assert rec.t_start == 5.0
+        assert len(xacc) == int(np.floor((n - 1) / hz * SAMPLE_RATE_HZ)) + 1
+        if hz == 32.0:
+            np.testing.assert_array_equal(xacc, np.where(np.arange(n) % 4 == 3, 4.0, 0.0))
+        else:
+            np.testing.assert_allclose(xacc[1:-1], 1.0, rtol=1e-12)
 
     def test_source_carried_into_record(self):
         ts = np.arange(64) / SAMPLE_RATE_HZ
@@ -251,19 +344,7 @@ class TestDriveRecord:
             DriveRecord(driver_id="x", channels={"VS": np.ones(10),
                                                  "SWA": np.ones(11)})
 
-    def test_non_finite_rejected(self):
-        xacc = np.zeros(4096)
-        xacc[500] = np.inf
-        with pytest.raises(DataError, match="channel XACC: non-finite value at sample 500"):
-            DriveRecord(driver_id="x", channels={"VS": np.ones(4096), "XACC": xacc})
-
-    def test_negative_speed_rejected(self):
-        with pytest.raises(DataError, match="negative"):
-            DriveRecord(driver_id="x", channels={"VS": -np.ones(10)})
-
     def test_source_named_in_messages(self):
-        with pytest.raises(DataError, match=r"^channel VS has negative values in a\.csv$"):
-            DriveRecord(driver_id="x", channels={"VS": -np.ones(10)}, source="a.csv")
         with pytest.raises(DataError, match=r"^unequal channel lengths: .* in a\.csv$"):
             DriveRecord(driver_id="x", channels={"VS": np.ones(10), "SWA": np.ones(11)},
                         source="a.csv")

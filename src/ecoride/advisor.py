@@ -10,7 +10,7 @@ import numpy as np
 
 from . import DataError
 from .features import feature_matrix
-from .som import LABELS, ClusterPartition, SomModel
+from .som import LABELS, SomModel
 
 PROFILE_METRICS = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
 
@@ -26,19 +26,20 @@ FUEL_ADVICE = {
 }
 
 
-def profile_clusters(partition: ClusterPartition, bmu_indices,
+def profile_clusters(assignment, bmu_indices,
                      columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Per-cluster table, indexed by cluster id: ``windows``, the member window
     count, and the average of each ``PROFILE_METRICS`` column over the members.
 
-    ``bmu_indices`` holds one BMU index per window of ``columns``, in the
-    same order.
+    ``assignment`` maps each neuron to one of the ``len(LABELS)`` cluster ids
+    (``som.cluster_prototypes``); ``bmu_indices`` holds one BMU index per
+    window of ``columns``, in the same order.
     """
     bmu_indices = np.asarray(bmu_indices, dtype=int)
     if len(bmu_indices) != len(columns["vr"]):
         raise DataError("bmu assignment and metrics counts differ")
-    cluster_ids = partition.assignment[bmu_indices]
-    members = [np.flatnonzero(cluster_ids == cid) for cid in range(partition.cluster_count)]
+    cluster_ids = assignment[bmu_indices]
+    members = [np.flatnonzero(cluster_ids == cid) for cid in range(len(LABELS))]
     for cid, member_idx in enumerate(members):
         if member_idx.size == 0:
             raise DataError(f"cluster {cid} has no member windows")
@@ -135,7 +136,7 @@ def build_advice_matrix() -> AdviceMatrix:
 
 def classify_window(columns: dict[str, np.ndarray], main_model: SomModel,
                     aux_model: SomModel) -> dict[str, np.ndarray]:
-    """Classify every window of one record's feature ``columns``, with one
+    """Classify every window of a window table's feature ``columns``, with one
     batched BMU search per map: the ``main_bmu`` and ``aux_bmu`` columns, and
     the ``comfort_label`` and ``fuel_label`` columns of indices into LABELS."""
     main_bmu = main_model.bmu_indices(feature_matrix(columns, main_model.feature_names))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DataError, advisor, analytics, features, pipeline, synthgen, telemetry
+from .features import AUX_FEATURES, MAIN_FEATURES
 from .som import LABELS, SomModel
 
 EXIT_OK = 0
@@ -44,26 +45,32 @@ def _load_records(data_dir) -> list[telemetry.DriveRecord]:
     return [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths]
 
 
-def _analyze_records(data_dir) -> list[pipeline.AnalyzedRecord]:
-    return [pipeline.analyze_record(r) for r in _load_records(data_dir)]
-
-
-def _load_models(model_dir) -> tuple[SomModel, SomModel]:
+def _load_models(model_dir) -> list[SomModel]:
+    """The main and the aux map; each file must hold its own map's features."""
     model_dir = Path(model_dir)
-    main_path = model_dir / MAIN_MODEL_FILE
-    aux_path = model_dir / AUX_MODEL_FILE
-    for p in (main_path, aux_path):
+    expected = {model_dir / MAIN_MODEL_FILE: MAIN_FEATURES,
+                model_dir / AUX_MODEL_FILE: AUX_FEATURES}
+    for p in expected:
         if not p.is_file():
             raise DataError(f"model file not found: {p}")
-    return SomModel.load(main_path), SomModel.load(aux_path)
+    models = []
+    for p, names in expected.items():
+        model = SomModel.load(p)
+        if model.feature_names != names:
+            raise DataError(f"model file {p}: feature_names {list(model.feature_names)}, "
+                            f"expected {list(names)}")
+        models.append(model)
+    return models
 
 
 def _classify(args):
-    """(main model, aux model, analysed records with their classification columns)."""
+    """(main model, aux model, driver ids, the fleet window table of
+    ``pipeline.analyze_fleet`` with its classification columns)."""
     main_model, aux_model = _load_models(args.models)
-    analyzed = _analyze_records(args.data)
-    pipeline.classify_all(analyzed, main_model, aux_model)
-    return main_model, aux_model, analyzed
+    records = _load_records(args.data)
+    fleet = pipeline.analyze_fleet(records)
+    pipeline.classify_all(fleet, main_model, aux_model)
+    return main_model, aux_model, [r.driver_id for r in records], fleet
 
 
 def _print_profiles(tag: str, model: SomModel, profile: dict[str, np.ndarray]) -> None:
@@ -109,26 +116,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, _, analyzed = _classify(args)
+    _, _, driver_ids, fleet = _classify(args)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
-        for a in analyzed:
-            for start, comfort, fuel in zip(a.windows, a.columns["comfort_label"],
-                                            a.columns["fuel_label"]):
-                writer.writerow([a.record.driver_id, start, LABELS[comfort], LABELS[fuel]])
-    n = sum(len(a.windows) for a in analyzed)
-    print(f"classified {n} windows -> {args.out}")
+        for driver, start, comfort, fuel in zip(fleet["driver"], fleet["window_start"],
+                                                fleet["comfort_label"], fleet["fuel_label"]):
+            writer.writerow([driver_ids[driver], start, LABELS[comfort], LABELS[fuel]])
+    print(f"classified {len(fleet['driver'])} windows -> {args.out}")
     return EXIT_OK
 
 
 def cmd_advise(args) -> int:
-    main_model, aux_model, analyzed = _classify(args)
-    fleet = pipeline.fleet_columns(analyzed)
+    main_model, aux_model, driver_ids, fleet = _classify(args)
     reports = []
     for tag, model, report_metrics in (("main", main_model, ("vr", "msdv_y")),
                                        ("aux", aux_model, ("fuel",))):
-        profile = advisor.profile_clusters(model.partition, fleet[f"{tag}_bmu"], fleet)
+        profile = advisor.profile_clusters(model.assignment, fleet[f"{tag}_bmu"], fleet)
         try:
             rows = advisor.improvement_report(model.labels, profile, metrics=report_metrics)
         except DataError as exc:
@@ -138,16 +142,15 @@ def cmd_advise(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     matrix = advisor.build_advice_matrix()
+    states = [advisor.AdviceState() for _ in driver_ids]  # one stream per driver
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
-        for a in analyzed:
-            state = advisor.AdviceState()
-            for start, comfort, fuel, n_x_neg in zip(
-                    a.windows, a.columns["comfort_label"], a.columns["fuel_label"],
-                    a.columns["n_x_neg"]):
-                event = advisor.stream_advise(state, (LABELS[comfort], LABELS[fuel]),
-                                              start, n_x_neg, matrix)
-                if event is not None:
-                    fh.write(f"{a.record.driver_id} {event.format()}\n")
+        for driver, start, comfort, fuel, n_x_neg in zip(
+                fleet["driver"], fleet["window_start"], fleet["comfort_label"],
+                fleet["fuel_label"], fleet["n_x_neg"]):
+            event = advisor.stream_advise(states[driver], (LABELS[comfort], LABELS[fuel]),
+                                          start, n_x_neg, matrix)
+            if event is not None:
+                fh.write(f"{driver_ids[driver]} {event.format()}\n")
 
     advisor.write_intersection_csv(
         advisor.intersect(fleet["comfort_label"], fleet["fuel_label"]),
@@ -159,30 +162,32 @@ def cmd_advise(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _, _, analyzed = _classify(args)
+    _, _, driver_ids, fleet = _classify(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    by_driver = {a.record.driver_id: a.columns for a in analyzed}
+    # each driver's rows are one run of the fleet table: slice them by ``driver``
+    bounds = np.searchsorted(fleet["driver"], np.arange(len(driver_ids) + 1))
+    by_driver = {driver_id: {name: column[lo:hi] for name, column in fleet.items()}
+                 for driver_id, lo, hi in zip(driver_ids, bounds[:-1], bounds[1:])}
     analytics.write_summary_csv(analytics.driver_summary(by_driver),
                                 out / "driver_summary.csv")
     for driver_id, table in analytics.driver_heatmap(by_driver).items():
         advisor.write_intersection_csv(table, out / f"heatmap_{driver_id}.csv")
 
     floor = f"at or above {telemetry.SPEED_THRESHOLD_KMH:g} km/h"
-    for a in analyzed:
-        driver_id = a.record.driver_id
-        if not len(a.windows):
+    for driver_id, columns in by_driver.items():
+        if not len(columns["driver"]):
             print(f"{driver_id}: no window {floor}; heatmap and KDE skipped")
             continue
-        if len(a.windows) < 2:
+        if len(columns["driver"]) < 2:
             print(f"{driver_id}: 1 window {floor}; KDE skipped")
             continue
-        flat = [name for name in ("fuel", "vr") if np.ptp(a.columns[name]) == 0.0]
+        flat = [name for name in ("fuel", "vr") if np.ptp(columns[name]) == 0.0]
         if flat:
             print(f"{driver_id}: {flat[0]} has zero spread; KDE skipped")
             continue
-        surface = analytics.kde2d(np.column_stack([a.columns["fuel"], a.columns["vr"]]))
+        surface = analytics.kde2d(np.column_stack([columns["fuel"], columns["vr"]]))
         analytics.write_kde_csv(surface, out / f"kde_{driver_id}.csv",
                                 out / f"kde_{driver_id}.json")
         print(f"{driver_id}: KDE integral = {surface.integral():.4f}")
@@ -191,8 +196,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    analyzed = _analyze_records(args.data)
-    table = features.correlation_table(pipeline.fleet_columns(analyzed))
+    table = features.correlation_table(pipeline.analyze_fleet(_load_records(args.data)))
     features.write_correlation_csv(table, args.out)
     print(f"correlation table ({table.shape[0]} x {table.shape[1]}) -> {args.out}")
     return EXIT_OK

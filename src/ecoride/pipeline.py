@@ -17,20 +17,10 @@ GRID_SHAPE = (15, 15)
 TRAIN_SPLIT = 0.75
 
 
-@dataclass
-class AnalyzedRecord:
-    """One record's kept window starts and its per-window figures: the
-    ``features.FEATURE_COLUMNS`` and the ``comfort.window_metrics`` columns,
-    by name, one entry per kept window.  ``classify_all`` adds the
-    classification columns of ``advisor.classify_window``."""
-
-    record: DriveRecord
-    windows: np.ndarray
-    columns: dict[str, np.ndarray]
-
-
-def analyze_record(record: DriveRecord) -> AnalyzedRecord:
-    """Window a record, drop slow-traffic windows, compute metrics + features.
+def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
+    """A record's window table: ``window_start``, the first sample of each
+    window kept by the speed filter, and the window's ``features.FEATURE_COLUMNS``
+    and ``comfort.window_metrics`` columns, one array entry per window.
 
     Raises DataError naming the record, the window and the field when a
     feature or metric comes out non-finite (say, a square that overflows), so
@@ -49,13 +39,18 @@ def analyze_record(record: DriveRecord) -> AnalyzedRecord:
                 f"non-finite {name} in the window starting at sample {start} "
                 f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
                 f"of record {record.driver_id}{where}")
-    return AnalyzedRecord(record=record, windows=windows, columns=columns)
+    return {"window_start": windows, **columns}
 
 
-def fleet_columns(analyzed: list[AnalyzedRecord]) -> dict[str, np.ndarray]:
-    """Each column over the windows of all records, in record order."""
-    return {name: np.concatenate([a.columns[name] for a in analyzed])
-            for name in analyzed[0].columns}
+def analyze_fleet(records: list[DriveRecord]) -> dict[str, np.ndarray]:
+    """The window tables of ``records`` joined record after record, plus a
+    ``driver`` column: the index in ``records`` of each window's record."""
+    if not records:
+        raise DataError("no drive records to analyze")
+    tables = [analyze_record(r) for r in records]
+    sizes = [len(t["window_start"]) for t in tables]
+    return {"driver": np.repeat(np.arange(len(tables)), sizes),
+            **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}
 
 
 def _train_one(fleet: dict[str, np.ndarray], train_rows: np.ndarray, feature_names,
@@ -68,11 +63,11 @@ def _train_one(fleet: dict[str, np.ndarray], train_rows: np.ndarray, feature_nam
     schedule = som.default_schedule(len(normalized), *GRID_SHAPE)
     trained, qe = som.train(grid, normalized, schedule, seed=seed + 1)
     hits = som.hit_histogram(trained, normalized)
-    partition = som.cluster_prototypes(trained, len(advisor.LABELS), seed=seed + 2,
-                                       hit_counts=hits)
+    assignment = som.cluster_prototypes(trained, len(advisor.LABELS), seed=seed + 2,
+                                        hit_counts=hits)
     profile = advisor.profile_clusters(
-        partition, som.bmus(trained, normalizer.transform(vectors))[0], fleet)
-    model = SomModel(grid=trained, normalizer=normalizer, partition=partition,
+        assignment, som.bmus(trained, normalizer.transform(vectors))[0], fleet)
+    model = SomModel(grid=trained, normalizer=normalizer, assignment=assignment,
                      labels=advisor.label_clusters(profile[ordering_metric]),
                      schedule=schedule, train_seed=seed + 1, cluster_seed=seed + 2,
                      qe_history=qe)
@@ -85,7 +80,7 @@ class TrainResult:
     aux_model: SomModel
     main_profile: dict[str, np.ndarray]  # advisor.profile_clusters tables
     aux_profile: dict[str, np.ndarray]
-    analyzed: list[AnalyzedRecord] = field(repr=False, default_factory=list)
+    fleet: dict[str, np.ndarray] = field(repr=False, default_factory=dict)  # analyze_fleet
 
 
 def train_models(records: list[DriveRecord], seed: int = 0) -> TrainResult:
@@ -96,23 +91,21 @@ def train_models(records: list[DriveRecord], seed: int = 0) -> TrainResult:
     overlapping windows.  Cluster profiles and labels use all windows.  The
     main map draws its seeds from ``seed``, the aux map from ``seed + 100``.
     """
-    analyzed = [analyze_record(r) for r in records]
-    sizes = [len(a.windows) for a in analyzed]
-    if sum(sizes) < 10:
-        raise DataError(f"only {sum(sizes)} windows after speed filtering; need >= 10")
+    fleet = analyze_fleet(records)
+    total = len(fleet["driver"])
+    if total < 10:
+        raise DataError(f"only {total} windows after speed filtering; need >= 10")
 
-    fleet = fleet_columns(analyzed)
+    sizes = np.bincount(fleet["driver"], minlength=len(records)).tolist()
     train_rows = np.concatenate([np.arange(n) < round(TRAIN_SPLIT * n) for n in sizes])
     main_model, main_profile = _train_one(fleet, train_rows, MAIN_FEATURES, "vr", seed)
     aux_model, aux_profile = _train_one(fleet, train_rows, AUX_FEATURES, "fuel", seed + 100)
     return TrainResult(main_model=main_model, aux_model=aux_model,
-                       main_profile=main_profile, aux_profile=aux_profile,
-                       analyzed=analyzed)
+                       main_profile=main_profile, aux_profile=aux_profile, fleet=fleet)
 
 
-def classify_all(analyzed: list[AnalyzedRecord], main_model: SomModel,
+def classify_all(fleet: dict[str, np.ndarray], main_model: SomModel,
                  aux_model: SomModel) -> None:
-    """Add the classification columns of ``advisor.classify_window`` to each
-    record's ``columns``, one record at a time."""
-    for a in analyzed:
-        a.columns.update(advisor.classify_window(a.columns, main_model, aux_model))
+    """Add the classification columns of ``advisor.classify_window`` to the
+    window table ``fleet``, with one batched BMU search per map."""
+    fleet.update(advisor.classify_window(fleet, main_model, aux_model))

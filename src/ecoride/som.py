@@ -216,14 +216,6 @@ def hit_histogram(grid: SomGrid, samples: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Prototype clustering (k-means with restarts)
 
-@dataclass
-class ClusterPartition:
-    """Assignment of every neuron to one of C nonempty clusters."""
-
-    cluster_count: int
-    assignment: np.ndarray  # (n_neurons,) cluster ids in [0, C)
-
-
 def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
                  max_iter: int = 200) -> tuple[np.ndarray, float]:
     n = points.shape[0]
@@ -252,9 +244,10 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
 
 
 def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
-                       seed: int = 0, *, hit_counts) -> ClusterPartition:
+                       seed: int = 0, *, hit_counts) -> np.ndarray:
     """Partition prototype vectors by hit-weighted k-means, keeping the best of
-    ``restarts``.
+    ``restarts``: the cluster id in ``[0, cluster_count)`` of every neuron,
+    each cluster holding at least one neuron.
 
     Each prototype enters the k-means objective once per hit in ``hit_counts``
     (the hit histogram of the training data), so the partition follows where
@@ -287,7 +280,7 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
     for cid in range(cluster_count):  # keep every cluster non-empty
         if not np.any(full == cid):
             full[int(np.argmin(d2[:, cid]))] = cid
-    return ClusterPartition(cluster_count=cluster_count, assignment=full)
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +290,13 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
 class SomModel:
     """A trained, clustered and labeled map plus its normalizer.
 
-    ``labels[cid]`` gives the Low/Medium/High tag for cluster ``cid``.
+    ``assignment[neuron]`` gives the neuron's cluster id (``cluster_prototypes``)
+    and ``labels[cid]`` the Low/Medium/High tag for cluster ``cid``.
     """
 
     grid: SomGrid
     normalizer: Normalizer
-    partition: ClusterPartition
+    assignment: np.ndarray
     labels: list[str]
     schedule: TrainingSchedule
     train_seed: int
@@ -320,7 +314,7 @@ class SomModel:
     def labels_at(self, bmu_indices: np.ndarray) -> np.ndarray:
         """Index into LABELS of the label of the cluster that holds each BMU index."""
         ranks = np.array([LABELS.index(label) for label in self.labels])
-        return ranks[self.partition.assignment[bmu_indices]]
+        return ranks[self.assignment[bmu_indices]]
 
     def to_dict(self) -> dict:
         return {
@@ -332,8 +326,8 @@ class SomModel:
             "normalizer_mean": self.normalizer.mean.tolist(),
             "normalizer_std": self.normalizer.std.tolist(),
             "prototypes": self.grid.weights.tolist(),
-            "cluster_count": self.partition.cluster_count,
-            "assignment": self.partition.assignment.tolist(),
+            "cluster_count": len(LABELS),
+            "assignment": self.assignment.tolist(),
             "labels": list(self.labels),
             "schedule": asdict(self.schedule),
             "train_seed": self.train_seed,
@@ -362,10 +356,12 @@ class SomModel:
             normalizer = Normalizer(feature_names=tuple(d["feature_names"]),
                                     mean=array("normalizer_mean"),
                                     std=array("normalizer_std"))
-            partition = ClusterPartition(cluster_count=d["cluster_count"],
-                                         assignment=array("assignment", int))
+            if d["cluster_count"] != len(LABELS):
+                raise DataError(f"cluster_count: {d['cluster_count']!r}, "
+                                f"expected {len(LABELS)}")
             schedule = TrainingSchedule(**d["schedule"])
-            model = cls(grid=grid, normalizer=normalizer, partition=partition,
+            model = cls(grid=grid, normalizer=normalizer,
+                        assignment=array("assignment", int),
                         labels=list(d["labels"]), schedule=schedule,
                         train_seed=d["train_seed"], cluster_seed=d["cluster_seed"],
                         qe_history=list(d["qe_history"]))
@@ -394,14 +390,11 @@ class SomModel:
                 raise DataError(f"{name}: non-finite value")
         if np.any(self.normalizer.std <= 0):
             raise DataError("normalizer_std: value <= 0")
-        count = self.partition.cluster_count
-        if count != len(LABELS):
-            raise DataError(f"cluster_count: {count}, expected {len(LABELS)}")
-        assignment = self.partition.assignment
+        assignment = self.assignment
         if assignment.shape != (n,):
             raise DataError(f"assignment: {assignment.size} values for {n} neurons")
-        if np.any((assignment < 0) | (assignment >= count)):
-            raise DataError(f"assignment: value outside [0, {count})")
+        if np.any((assignment < 0) | (assignment >= len(LABELS))):
+            raise DataError(f"assignment: value outside [0, {len(LABELS)})")
         if sorted(self.labels) != sorted(LABELS):
             raise DataError(f"labels: {self.labels} is not a permutation of {list(LABELS)}")
 

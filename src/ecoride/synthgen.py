@@ -16,7 +16,7 @@ import numpy as np
 from scipy import signal, stats
 
 from . import DataError
-from .telemetry import SAMPLE_RATE_HZ, TIME_COLUMN, CHANNELS, DriveRecord
+from .telemetry import MAX_DURATION_S, SAMPLE_RATE_HZ, TIME_COLUMN, CHANNELS, DriveRecord
 
 # Fuel proxy: FUEL = C0 + C1 * ERPM * PGP + C2 * max(XACC, 0).
 # Constants picked so synthetic fuel spans roughly 2-5 l/100km; this is a
@@ -32,10 +32,6 @@ ERPM_PER_KMH = 30.0
 ERPM_WANDER = 280.0
 GAS_SPIKE = 0.12
 GAS_WANDER = 0.05
-
-# Longest record: one day.  A record holds about twenty float arrays of
-# duration x 32 samples, so this bounds one driver to about 0.45 GB.
-MAX_DURATION_S = 86_400.0
 
 
 @dataclass

@@ -35,6 +35,14 @@ CHANNELS = {
 
 TIME_COLUMN = "t"
 
+# Longest record: one day.  A record holds about twenty float arrays of
+# duration x 32 samples, so this bounds one driver to about 0.45 GB.
+MAX_DURATION_S = 86_400.0
+
+# Largest median step of a time column in seconds; a column in milliseconds
+# has a median step of ~31 at 32 Hz and would ask for a 1000-fold grid.
+MAX_MEDIAN_STEP_S = 1.0
+
 
 # Plausibility bounds of the raw samples (inclusive); other channels are unbounded.
 BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
@@ -147,7 +155,9 @@ def _parse_rows(reader, cols: list[int], width: int,
 def _check(table: np.ndarray, line_of: Callable[[int], int], path) -> None:
     """The one check of a file's samples, in this order: at least 2 rows;
     every cell finite and every channel within ``BOUNDS`` (naming the first
-    bad cell, by line and then column); times strictly increasing."""
+    bad cell, by line and then column); times strictly increasing; a median
+    time step of at most ``MAX_MEDIAN_STEP_S``; a time span of at most
+    ``MAX_DURATION_S`` (naming the first line past it)."""
     if len(table) < 2:
         raise DataError(f"need at least 2 data rows, got {len(table)} in {path}")
     bad = ~np.isfinite(table) | (table < _LOW) | (table > _HIGH)
@@ -158,10 +168,20 @@ def _check(table: np.ndarray, line_of: Callable[[int], int], path) -> None:
         what = (f"{what} {value:g} outside [{_LOW[col]:g}, {_HIGH[col]:g}]"
                 if np.isfinite(value) else f"non-finite {what}")
         raise DataError(f"{what} at line {line_of(row)} in {path}")
-    bad = np.diff(table[:, 0]) <= 0  # bad[i]: row i + 1 does not increase
+    t = table[:, 0]
+    step = np.diff(t)
+    bad = step <= 0  # bad[i]: row i + 1 does not increase
     if bad.any():
         raise DataError(f"non-monotonic timestamps at line "
                         f"{line_of(int(np.argmax(bad)) + 1)} in {path}")
+    median = float(np.median(step))
+    if median > MAX_MEDIAN_STEP_S:
+        raise DataError(f"median time step {median} s exceeds {MAX_MEDIAN_STEP_S:g} s "
+                        f"in {path}: is the time column in seconds?")
+    if t[-1] - t[0] > MAX_DURATION_S:  # before resample allocates a grid of it
+        row = int(np.argmax(t - t[0] > MAX_DURATION_S))
+        raise DataError(f"time span {float(t[row] - t[0])} s exceeds {MAX_DURATION_S:g} s "
+                        f"(one day) at line {line_of(row)} in {path}")
 
 
 def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
@@ -175,6 +195,7 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     t = channels[0].timestamps
     t0 = float(t[0])
     grid = t0 + np.arange(int(np.floor((t[-1] - t0) * SAMPLE_RATE_HZ)) + 1) / SAMPLE_RATE_HZ
+    # the same median as _check's: resample also takes channels not from load_csv
     rate = 1.0 / float(np.median(np.diff(t)))
     if smooth := rate > SAMPLE_RATE_HZ * 1.05:
         kernel = np.ones(max(2, int(round(rate / SAMPLE_RATE_HZ))))

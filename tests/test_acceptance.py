@@ -179,17 +179,17 @@ class TestCriterion6ClusteringPurity:
         result = pipeline.train_models(records, seed=7)
 
         level_to_label = {0: "Low", 1: "Medium", 2: "High"}
-        comfort_hits = fuel_hits = total = 0
-        for analyzed in result.analyzed:
-            label = analyzed.record.driver_id          # "c<i>_f<j>"
+        fleet = result.fleet
+        classified = advisor.classify_window(fleet, result.main_model, result.aux_model)
+        comfort_hits = fuel_hits = 0
+        for driver, (label, _) in enumerate(style_corpus):  # label: "c<i>_f<j>"
+            rows = fleet["driver"] == driver
             want_comfort = level_to_label[int(label[1])]
             want_fuel = level_to_label[int(label[4])]
-            total += len(analyzed.windows)
-            classified = advisor.classify_window(
-                analyzed.columns, result.main_model, result.aux_model)
-            comfort_hits += np.sum(classified["comfort_label"] == LABELS.index(want_comfort))
-            fuel_hits += np.sum(classified["fuel_label"] == LABELS.index(want_fuel))
-        windows_per_style = min(len(a.windows) for a in result.analyzed)
+            comfort_hits += np.sum(classified["comfort_label"][rows] == LABELS.index(want_comfort))
+            fuel_hits += np.sum(classified["fuel_label"][rows] == LABELS.index(want_fuel))
+        total = len(fleet["driver"])
+        windows_per_style = np.bincount(fleet["driver"], minlength=len(records)).min()
         c_agree = comfort_hits / total
         f_agree = fuel_hits / total
         dt = time.perf_counter() - t0
@@ -310,8 +310,7 @@ class TestCriterion10ModelRoundTrip:
             loaded = SomModel.load(p1)
             loaded.save(p2)
             ok &= p1.read_bytes() == p2.read_bytes()
-            vectors = np.vstack([features.feature_matrix(a.columns, model.feature_names)
-                                 for a in result.analyzed])
+            vectors = features.feature_matrix(result.fleet, model.feature_names)
             ok &= np.array_equal(model.labels_at(model.bmu_indices(vectors[:200])),
                                  loaded.labels_at(loaded.bmu_indices(vectors[:200])))
         verdict(10, ok, "save->load->save byte-identical, classifications "

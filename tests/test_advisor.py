@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ecoride import DataError, advisor
 from ecoride.advisor import AdviceState
-from ecoride.som import ClusterPartition
 
 
 def metrics_table(vr, fuel=3.0):
@@ -21,8 +20,8 @@ def metrics_table(vr, fuel=3.0):
 
 
 def three_cluster_setup(vrs=(0.2, 0.5, 1.0), n_per=4):
-    """Partition over 3 neurons, one cluster each; metrics grouped by vr."""
-    part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
+    """Assignment of 3 neurons, one cluster each; metrics grouped by vr."""
+    part = np.array([0, 1, 2])
     bmus = np.repeat(np.arange(3), n_per)
     vr = [v + 0.01 * i for v in vrs for i in range(n_per)]
     return part, bmus, metrics_table(vr, fuel=2.0 + bmus)
@@ -39,12 +38,12 @@ class TestProfileClusters:
         assert profile["vr"][0] == pytest.approx(np.mean(vals))
 
     def test_empty_cluster_errors(self):
-        part = ClusterPartition(cluster_count=3, assignment=np.array([0, 1, 2]))
+        part = np.array([0, 1, 2])
         with pytest.raises(DataError, match="no member"):
             advisor.profile_clusters(part, [0, 0, 1, 1], metrics_table([0.5] * 4))
 
     def test_count_mismatch(self):
-        part = ClusterPartition(cluster_count=1, assignment=np.array([0]))
+        part = np.array([0])
         with pytest.raises(DataError, match="differ"):
             advisor.profile_clusters(part, [0, 0], metrics_table([0.5]))
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import ecoride
-from ecoride import cli, pipeline, synthgen, telemetry
+from ecoride import advisor, cli, pipeline, som, synthgen, telemetry
+from ecoride.features import AUX_FEATURES, MAIN_FEATURES
 
 
 def run(argv):
@@ -141,6 +142,10 @@ class TestExitCodes:
         pytest.param("negative_vs", "VS value -3 outside [0, 400] at line 10 in ",
                      id="negative_vs"),
         pytest.param("bad_utf8", "non-UTF-8 byte 0xff at line 6 in ", id="bad_utf8"),
+        # logged in milliseconds: the median step, checked before the span
+        pytest.param("ms_time", "median time step 31.25 s exceeds 1 s in ", id="ms_time"),
+        pytest.param("day_span", "time span 1000000.0 s exceeds 86400 s (one day) "
+                                 "at line 3841 in ", id="day_span"),
     ])
     @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
@@ -167,6 +172,12 @@ class TestExitCodes:
             lines[9] = ",".join(fields)
         elif fault == "bad_utf8":  # one 0xff byte on line 6, written as is
             lines[5] = lines[5].replace(",", ",\udcff", 1)
+        elif fault == "ms_time":
+            for i in range(1, len(lines)):
+                t, rest = lines[i].split(",", 1)
+                lines[i] = f"{float(t) * 1000:.3f},{rest}"
+        elif fault == "day_span":  # one wild last timestamp
+            lines[-1] = "1e6" + lines[-1][lines[-1].index(","):]
         else:
             lines[0] = lines[0].replace("XACC", "XACC_OLD")
         bad_data = tmp_path / "data"
@@ -285,7 +296,7 @@ class TestTrain:
         printed = capsys.readouterr().out.splitlines()
         records = [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem)
                    for p in sorted(data.glob("*.csv"))]
-        fleet = pipeline.fleet_columns([pipeline.analyze_record(r) for r in records])
+        fleet = pipeline.analyze_fleet(records)
         metrics = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
         for tag, name in (("main", cli.MAIN_MODEL_FILE), ("aux", cli.AUX_MODEL_FILE)):
             model = json.loads((out / name).read_text())
@@ -368,6 +379,47 @@ class TestClassify:
         assert f"ecoride: error: model file {path}: " in err and "0xff" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize("swap", ["aux_as_main", "main_as_aux", "both"])
+    def test_swapped_model_files(self, workspace, tmp_path, capsys, monkeypatch,
+                                 swap, command):
+        # a map file in the other map's place would fill the other label column
+        _, data, models = workspace
+        main, aux = cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE
+        bad = tmp_path / "models"
+        bad.mkdir()
+        copies = {"aux_as_main": {main: aux, aux: aux}, "main_as_aux": {main: main, aux: main},
+                  "both": {main: aux, aux: main}}[swap]
+        for name, source in copies.items():
+            shutil.copy(models / source, bad / name)
+        named, held = (aux, main) if swap == "main_as_aux" else (main, aux)
+        features = {main: MAIN_FEATURES, aux: AUX_FEATURES}
+
+        def no_read(path):
+            raise AssertionError(f"{path} read before the model files were checked")
+        monkeypatch.setattr(telemetry, "load_csv", no_read)
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"ecoride: error: model file {bad / named}: feature_names "
+            f"{list(features[held])}, expected {list(features[named])}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_one_bmu_search_per_map(self, workspace, tmp_path, capsys, monkeypatch,
+                                    command):
+        _, data, models = workspace
+        searched = []
+        bmus = som.bmus
+
+        def counted(grid, samples):
+            searched.append(len(samples))
+            return bmus(grid, samples)
+        monkeypatch.setattr(som, "bmus", counted)
+        assert run(analysis_argv(command, data, models, tmp_path / "out")) == 0
+        capsys.readouterr()
+        assert len(searched) == 2 and searched[0] == searched[1] > 9
+
 
 class TestAdvise:
     def test_reports(self, workspace, tmp_path, capsys):
@@ -384,6 +436,30 @@ class TestAdvise:
             assert len(lines) == 4  # 3 better-cluster pairs
         events = (out / "advice_events.txt").read_text().splitlines()
         assert events and all("advice=" in line for line in events)
+
+    def test_each_driver_streams_its_own_advice(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        # every window labelled (Low, Low): each driver's third window (start
+        # 256) triggers advice; one state shared by all drivers would leave
+        # every driver after the first silent
+        _, data, models = workspace
+        classify = advisor.classify_window
+
+        def constant(columns, main_model, aux_model):
+            labels = classify(columns, main_model, aux_model)
+            low = np.zeros_like(labels["comfort_label"])
+            return {**labels, "comfort_label": low, "fuel_label": low}
+        monkeypatch.setattr(advisor, "classify_window", constant)
+        out = tmp_path / "reports"
+        assert run(["advise", "--data", str(data), "--models", str(models),
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        first = {}
+        for line in (out / "advice_events.txt").read_text().splitlines():
+            driver, event = line.split(" ", 1)
+            first.setdefault(driver, event)
+        assert sorted(first) == sorted(p.stem for p in data.glob("*.csv"))
+        assert all(e.startswith("window_start=256 comfort=L fuel=L ") for e in first.values())
 
     def test_zero_cluster_average_fails_before_any_output(self, workspace, tmp_path,
                                                           capsys):

@@ -40,31 +40,40 @@ def test_paper_constant_and_its_readme_row(module, name, value):
 
 class TestAnalyzeRecord:
     def test_aligned_outputs(self, small_corpus):
-        analyzed = pipeline.analyze_record(small_corpus[0])
-        n = len(analyzed.windows)
+        table = pipeline.analyze_record(small_corpus[0])
+        n = len(table["window_start"])
         assert n > 0
-        assert analyzed.columns["vr"].shape == (n,)
-        assert all(v.shape == (n,) for v in analyzed.columns.values())
+        assert table["vr"].shape == (n,)
+        assert all(v.shape == (n,) for v in table.values())
 
     def test_column_contract(self, small_corpus):
         metrics = {"msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel"}
-        analyzed = [pipeline.analyze_record(r) for r in small_corpus[:3]]
-        for a in analyzed:
-            assert set(a.columns) == metrics | set(features.FEATURE_COLUMNS)
-            assert len(a.columns) == len(metrics) + len(features.FEATURE_COLUMNS)
-            assert all(len(v) == len(a.windows) for v in a.columns.values())
-        fleet = pipeline.fleet_columns(analyzed)
-        assert list(fleet) == list(analyzed[0].columns)
-        for name, values in fleet.items():
+        tables = [pipeline.analyze_record(r) for r in small_corpus[:3]]
+        for r, table in zip(small_corpus, tables):
+            assert set(table) == {"window_start"} | metrics | set(features.FEATURE_COLUMNS)
+            assert len(table) == 1 + len(metrics) + len(features.FEATURE_COLUMNS)
+            assert all(len(v) == len(table["window_start"]) for v in table.values())
+            np.testing.assert_array_equal(table["window_start"], telemetry.filter_by_mean_speed(
+                r, telemetry.split_windows(r)))
+        fleet = pipeline.analyze_fleet(small_corpus[:3])
+        assert list(fleet) == ["driver", *tables[0]]
+        assert all(len(v) == len(fleet["driver"]) for v in fleet.values())
+        np.testing.assert_array_equal(
+            fleet["driver"], np.concatenate([np.full(len(t["vr"]), i)
+                                             for i, t in enumerate(tables)]))
+        for name in tables[0]:
             np.testing.assert_array_equal(
-                values, np.concatenate([a.columns[name] for a in analyzed]))
+                fleet[name], np.concatenate([t[name] for t in tables]))
 
     def test_speed_filter_applied(self, small_corpus):
         fast = pipeline.analyze_record(small_corpus[0])
-        slow = pipeline.analyze_record(synthgen.generate(
-            synthgen.StyleSpec(base_speed=30.0, duration=60.0, seed=3), driver_id="slow"))
-        assert len(slow.windows) == 0 < len(fast.windows)
-        assert all(len(v) == 0 for v in slow.columns.values())
+        slow = synthgen.generate(
+            synthgen.StyleSpec(base_speed=30.0, duration=60.0, seed=3), driver_id="slow")
+        assert len(pipeline.analyze_record(slow)["window_start"]) == 0 < len(fast["window_start"])
+        # a record without kept windows keeps its driver index, with no rows
+        fleet = pipeline.analyze_fleet([slow, small_corpus[0]])
+        assert all(len(v) == len(fast["vr"]) for v in fleet.values())
+        assert set(fleet["driver"]) == {1}
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +92,9 @@ class TestTrainModels:
         for model in (result.main_model, result.aux_model):
             assert model.qe_history[-1] < model.qe_history[0]
 
-    def test_profiles_cover_all_windows(self, result):
-        total = sum(len(a.windows) for a in result.analyzed)
+    def test_profiles_cover_all_windows(self, small_corpus, result):
+        total = sum(len(pipeline.analyze_record(r)["window_start"]) for r in small_corpus)
+        assert all(len(v) == total for v in result.fleet.values())
         assert result.main_profile["windows"].sum() == total
         assert result.aux_profile["windows"].sum() == total
 
@@ -92,21 +102,19 @@ class TestTrainModels:
         again = pipeline.train_models(small_corpus, seed=5)
         np.testing.assert_array_equal(result.main_model.grid.weights,
                                       again.main_model.grid.weights)
-        np.testing.assert_array_equal(result.aux_model.partition.assignment,
-                                      again.aux_model.partition.assignment)
+        np.testing.assert_array_equal(result.aux_model.assignment,
+                                      again.aux_model.assignment)
 
     def test_classify_all_labels(self, small_corpus, result):
-        analyzed = [pipeline.analyze_record(r) for r in small_corpus[:2]]
-        pipeline.classify_all(analyzed, result.main_model, result.aux_model)
-        for a in analyzed:
-            names = ("main_bmu", "aux_bmu", "comfort_label", "fuel_label")
-            assert all(len(a.columns[name]) == len(a.windows) for name in names)
-            model = result.main_model
-            vectors = features.feature_matrix(a.columns, MAIN_FEATURES)
-            np.testing.assert_array_equal(a.columns["main_bmu"], model.bmu_indices(vectors))
-            np.testing.assert_array_equal(a.columns["comfort_label"],
-                                          model.labels_at(a.columns["main_bmu"]))
-        fleet = pipeline.fleet_columns(analyzed)
+        fleet = pipeline.analyze_fleet(small_corpus[:2])
+        pipeline.classify_all(fleet, result.main_model, result.aux_model)
+        assert {"main_bmu", "aux_bmu", "comfort_label", "fuel_label"} <= set(fleet)
+        assert all(len(v) == len(fleet["driver"]) for v in fleet.values())
+        model = result.main_model
+        vectors = features.feature_matrix(fleet, MAIN_FEATURES)
+        np.testing.assert_array_equal(fleet["main_bmu"], model.bmu_indices(vectors))
+        np.testing.assert_array_equal(fleet["comfort_label"],
+                                      model.labels_at(fleet["main_bmu"]))
         assert set(fleet["comfort_label"]) <= {0, 1, 2}
         assert set(fleet["fuel_label"]) <= {0, 1, 2}
 
@@ -117,3 +125,5 @@ class TestTrainModels:
                       for name in ("SWA", "VS", "ERPM", "XACC", "YACC", "FUEL")})
         with pytest.raises(DataError, match="windows"):
             pipeline.train_models([rec])
+        with pytest.raises(DataError, match="no drive records"):
+            pipeline.train_models([])

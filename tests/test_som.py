@@ -186,7 +186,7 @@ class TestTrainMatchesReference:
     def test_bit_identical_on_synthetic_fleet(self, small_corpus):
         analyzed = [pipeline.analyze_record(r) for r in small_corpus]
         for names, seed in ((features.MAIN_FEATURES, 5), (features.AUX_FEATURES, 105)):
-            vectors = [features.feature_matrix(a.columns, names) for a in analyzed]
+            vectors = [features.feature_matrix(a, names) for a in analyzed]
             train = np.vstack([v[:int(round(0.75 * len(v)))] for v in vectors])
             z = features.fit_normalizer(train, names).transform(train)
             grid = som.init_random(15, 15, z, seed=seed)
@@ -342,13 +342,13 @@ class TestClustering:
         trained, _ = som.train(grid, data,
                                som.default_schedule(len(data), 10, 10), seed=1)
         # equal counts: every prototype has the same say
-        part = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
-                                      hit_counts=np.ones(100, int))
-        assert part.assignment.shape == (100,)
-        assert set(np.unique(part.assignment)) == {0, 1, 2}
+        assignment = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
+                                            hit_counts=np.ones(100, int))
+        assert assignment.shape == (100,)
+        assert set(np.unique(assignment)) == {0, 1, 2}
         # blob members should land in distinct clusters
         owners = {tuple(np.unique(
-            [part.assignment[som.bmu(trained, x)[0]] for x in data[i:i + 100]]))
+            [assignment[som.bmu(trained, x)[0]] for x in data[i:i + 100]]))
             for i in (0, 100, 200)}
         assert all(len(o) == 1 for o in owners)
         assert len(owners) == 3
@@ -359,17 +359,17 @@ class TestClustering:
         trained, _ = som.train(grid, data,
                                som.default_schedule(len(data), 10, 10), seed=1)
         hits = som.hit_histogram(trained, data)
-        part = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
-                                      hit_counts=hits)
-        labels = [part.assignment[som.bmu(trained, x)[0]] for x in data]
+        assignment = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
+                                            hit_counts=hits)
+        labels = [assignment[som.bmu(trained, x)[0]] for x in data]
         assert all(len(np.unique(labels[i:i + 100])) == 1 for i in (0, 100, 200))
 
     def test_every_cluster_nonempty(self):
         data = blobs(k=60, seed=9)
         grid = som.init_random(4, 4, data, seed=0)
-        part = som.cluster_prototypes(grid, 5, restarts=8, seed=3,
-                                      hit_counts=np.ones(16, int))
-        assert set(np.unique(part.assignment)) == set(range(5))
+        assignment = som.cluster_prototypes(grid, 5, restarts=8, seed=3,
+                                            hit_counts=np.ones(16, int))
+        assert set(np.unique(assignment)) == set(range(5))
 
     def test_invalid_inputs(self):
         grid = som.init_random(3, 3, blobs(), seed=0)
@@ -396,9 +396,9 @@ def make_model(seed=0):
     grid = som.init_random(6, 6, z, seed=seed)
     schedule = som.default_schedule(len(z), 6, 6)
     trained, qe = som.train(grid, z, schedule, seed=seed + 1)
-    part = som.cluster_prototypes(trained, 3, restarts=8, seed=seed + 2,
-                                  hit_counts=som.hit_histogram(trained, z))
-    return SomModel(grid=trained, normalizer=norm, partition=part,
+    assignment = som.cluster_prototypes(trained, 3, restarts=8, seed=seed + 2,
+                                        hit_counts=som.hit_histogram(trained, z))
+    return SomModel(grid=trained, normalizer=norm, assignment=assignment,
                     labels=["Medium", "Low", "High"], schedule=schedule,
                     train_seed=seed + 1, cluster_seed=seed + 2, qe_history=qe)
 
@@ -425,6 +425,6 @@ class TestModelPersistence:
     def test_labels_at_uses_partition(self):
         model = make_model()
         x = blobs(k=30, seed=12)[:1]
-        cid = model.partition.assignment[model.bmu_indices(x)[0]]
+        cid = model.assignment[model.bmu_indices(x)[0]]
         assert model.labels_at(model.bmu_indices(x)).tolist() \
             == [LABELS.index(model.labels[cid])]

@@ -206,6 +206,34 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"^non-monotonic timestamps at line 12 in "):
             telemetry.load_csv(p)
 
+    @pytest.mark.parametrize("rate, step", [(1.0, None), (0.5, "2.0"), (0.032, "31.25")])
+    def test_median_time_step_is_at_most_one_second(self, tmp_path, rate, step):
+        # 0.032: a 32 Hz drive logged in milliseconds
+        p = tmp_path / "a.csv"
+        _write_csv(p, rate=rate)
+        if step is None:
+            assert len(telemetry.load_csv(p)[0].timestamps) == 600
+        else:
+            with pytest.raises(DataError, match=rf"^median time step {re.escape(step)} s "
+                                                r"exceeds 1 s in .*a\.csv: "):
+                telemetry.load_csv(p)
+
+    @pytest.mark.parametrize("last, span", [("86400", None), ("86400.5", "86400.5"),
+                                            ("1e6", "1000000.0")])
+    def test_time_span_is_at_most_one_day(self, tmp_path, last, span):
+        # one wild last timestamp: the median step stays 1/32 s
+        def mangle(lines):
+            lines[-1] = last + lines[-1][lines[-1].index(","):]
+            return lines
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        if span is None:
+            assert telemetry.load_csv(p)[0].timestamps[-1] == 86400.0
+        else:
+            with pytest.raises(DataError, match=rf"^time span {re.escape(span)} s exceeds "
+                                                r"86400 s \(one day\) at line 601 in .*a\.csv$"):
+                telemetry.load_csv(p)
+
 
 class TestRawChannel:
     """The channels ``load_csv`` hands out hold only checked samples."""

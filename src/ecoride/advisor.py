@@ -1,5 +1,5 @@
 """Cluster labeling, improvement reports, the joint advice matrix and the
-streaming advice state machine."""
+advice event stream."""
 
 from __future__ import annotations
 
@@ -168,48 +168,30 @@ def write_intersection_csv(table: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 # Streaming advice
 
-@dataclass
-class AdviceState:
-    """Single-owner state machine enforcing the advice-stability rule."""
-
-    k_stable: int = 3
-    last_emitted: tuple[str, str] | None = None
-    candidate: tuple[str, str] | None = None
-    consecutive: int = 0
+K_STABLE = 3  # advice after this many identical classifications in a row
 
 
-@dataclass
-class AdviceEvent:
-    window_start: int
-    comfort: str
-    fuel: str
-    lines: list[str]
+def stream_advise(fleet: dict[str, np.ndarray], driver_ids: list[str],
+                  matrix: AdviceMatrix, k_stable: int = K_STABLE) -> list[str]:
+    """The advice event lines of a classified fleet table, in row order.
 
-    def format(self) -> str:
-        quoted = " ".join(f'"{line}"' for line in self.lines)
-        return (f"window_start={self.window_start} comfort={self.comfort[0]} "
-                f"fuel={self.fuel[0]} advice={quoted}")
-
-
-def stream_advise(state: AdviceState, classification: tuple[str, str],
-                  window_start: int, n_x_neg: int,
-                  matrix: AdviceMatrix) -> AdviceEvent | None:
-    """Advance the stability state machine with one classified window.
-
-    Emits only once the same (comfort, fuel) pair has been seen for
-    ``k_stable`` consecutive windows and differs from the last emitted pair.
-    The braking-peak conditional is evaluated on the triggering window: it
-    holds when that window has at least one braking peak (``n_x_neg``).
+    A run of at least ``k_stable`` rows with the same ``driver``,
+    ``comfort_label`` and ``fuel_label`` emits at its ``k_stable``-th row,
+    unless it repeats the previous such run: a driver's advice changes only
+    once its classification has settled, and each driver starts afresh.  The
+    braking-peak conditional reads ``n_x_neg`` at the emitting row.
     """
-    if classification == state.candidate:
-        state.consecutive = min(state.consecutive + 1, state.k_stable)
-    else:
-        state.candidate = classification
-        state.consecutive = 1
-    if state.consecutive >= state.k_stable and classification != state.last_emitted:
-        state.last_emitted = classification
-        comfort, fuel = classification
-        lines = matrix.advice(comfort, fuel, braking_peak=n_x_neg >= 1)
-        return AdviceEvent(window_start=window_start, comfort=comfort,
-                           fuel=fuel, lines=lines)
-    return None
+    n = len(LABELS)
+    key = (fleet["driver"] * n + fleet["comfort_label"]) * n + fleet["fuel_label"]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    runs = starts[np.diff(starts, append=len(key)) >= k_stable]
+    runs = runs[np.diff(key[runs], prepend=-1) != 0]
+    lines = []
+    for row in runs + k_stable - 1:
+        comfort, fuel = LABELS[fleet["comfort_label"][row]], LABELS[fleet["fuel_label"][row]]
+        advice = " ".join(f'"{line}"' for line in
+                          matrix.advice(comfort, fuel, braking_peak=fleet["n_x_neg"][row] >= 1))
+        lines.append(f"{driver_ids[fleet['driver'][row]]} "
+                     f"window_start={fleet['window_start'][row]} "
+                     f"comfort={comfort[0]} fuel={fuel[0]} advice={advice}")
+    return lines

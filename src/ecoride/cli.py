@@ -132,8 +132,8 @@ def cmd_advise(args) -> int:
     reports = []
     for tag, model, report_metrics in (("main", main_model, ("vr", "msdv_y")),
                                        ("aux", aux_model, ("fuel",))):
-        profile = advisor.profile_clusters(model.assignment, fleet[f"{tag}_bmu"], fleet)
         try:
+            profile = advisor.profile_clusters(model.assignment, fleet[f"{tag}_bmu"], fleet)
             rows = advisor.improvement_report(model.labels, profile, metrics=report_metrics)
         except DataError as exc:
             raise DataError(f"{tag} map: {exc}") from None
@@ -141,16 +141,9 @@ def cmd_advise(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matrix = advisor.build_advice_matrix()
-    states = [advisor.AdviceState() for _ in driver_ids]  # one stream per driver
+    lines = advisor.stream_advise(fleet, driver_ids, advisor.build_advice_matrix())
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
-        for driver, start, comfort, fuel, n_x_neg in zip(
-                fleet["driver"], fleet["window_start"], fleet["comfort_label"],
-                fleet["fuel_label"], fleet["n_x_neg"]):
-            event = advisor.stream_advise(states[driver], (LABELS[comfort], LABELS[fuel]),
-                                          start, n_x_neg, matrix)
-            if event is not None:
-                fh.write(f"{driver_ids[driver]} {event.format()}\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
     advisor.write_intersection_csv(
         advisor.intersect(fleet["comfort_label"], fleet["fuel_label"]),

@@ -194,7 +194,11 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     """
     t = channels[0].timestamps
     t0 = float(t[0])
-    grid = t0 + np.arange(int(np.floor((t[-1] - t0) * SAMPLE_RATE_HZ)) + 1) / SAMPLE_RATE_HZ
+    # a last sample up to 1 us short of a grid time still ends the grid there:
+    # the span of decimal times, say 0 to 119.96875 s logged from 11.276852 s,
+    # can come out one rounding error short of a whole number of periods
+    n = int(np.floor((t[-1] - t0 + 1e-6) * SAMPLE_RATE_HZ)) + 1
+    grid = t0 + np.arange(n) / SAMPLE_RATE_HZ
     # the same median as _check's: resample also takes channels not from load_csv
     rate = 1.0 / float(np.median(np.diff(t)))
     if smooth := rate > SAMPLE_RATE_HZ * 1.05:

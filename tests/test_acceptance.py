@@ -6,13 +6,13 @@ loudly too.
 """
 
 import json
+import re
 import time
 
 import numpy as np
 import pytest
 
 from ecoride import advisor, analytics, comfort, features, pipeline, som, synthgen, telemetry
-from ecoride.advisor import AdviceState
 from ecoride.som import LABELS, SomModel
 
 
@@ -231,6 +231,10 @@ class TestCriterion7AdviceMatrix:
                        "braking-peak line conditional on Low discomfort only")
 
 
+EVENT_LINE = re.compile(r'd0 window_start=(?P<start>\d+) comfort=(?P<comfort>[LMH]) '
+                        r'fuel=(?P<fuel>[LMH]) advice=(?P<advice>.*)')
+
+
 class TestCriterion8AdviceStability:
     @staticmethod
     def oracle(pairs, peaks, k_stable=3):
@@ -251,6 +255,7 @@ class TestCriterion8AdviceStability:
 
     def test_matches_oracle(self):
         labels = advisor.LABELS
+        initial = {label[0]: label for label in labels}
         matrix = advisor.build_advice_matrix()
         ok = True
         for seq_seed in range(20):
@@ -258,12 +263,16 @@ class TestCriterion8AdviceStability:
             pairs = [(labels[rng.integers(3)], labels[rng.integers(3)])
                      for _ in range(100)]
             peaks = rng.integers(0, 3, size=100)
-            state = AdviceState(k_stable=3)
+            table = {"driver": np.zeros(100, dtype=int), "window_start": np.arange(100),
+                     "comfort_label": np.array([labels.index(c) for c, _ in pairs]),
+                     "fuel_label": np.array([labels.index(f) for _, f in pairs]),
+                     "n_x_neg": peaks}
             got = []
-            for i, pair in enumerate(pairs):
-                ev = advisor.stream_advise(state, pair, i, int(peaks[i]), matrix)
-                if ev is not None:
-                    got.append((ev.window_start, (ev.comfort, ev.fuel), ev.lines))
+            for line in advisor.stream_advise(table, ["d0"], matrix, k_stable=3):
+                event = EVENT_LINE.fullmatch(line)
+                got.append((int(event["start"]),
+                            (initial[event["comfort"]], initial[event["fuel"]]),
+                            re.findall(r'"([^"]*)"', event["advice"])))
             want = self.oracle(pairs, peaks)
             ok &= len(got) == len(want)
             for (gi, gpair, glines), (wi, wpair, wpeak) in zip(got, want):

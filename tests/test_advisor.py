@@ -1,5 +1,8 @@
 """Cluster profiling/labeling, improvement reports, advice matrix and the
-streaming advice state machine."""
+advice event stream."""
+
+import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecoride import DataError, advisor
-from ecoride.advisor import AdviceState
 
 
 def metrics_table(vr, fuel=3.0):
@@ -189,16 +191,44 @@ def label_sequences(draw):
     return pairs, draw(st.integers(1, 5))
 
 
+class Event(NamedTuple):
+    driver: str
+    window_start: int
+    comfort: str
+    fuel: str
+    lines: list[str]
+
+
+EVENT_LINE = re.compile(r'(\S+) window_start=(\d+) comfort=([LMH]) fuel=([LMH]) advice=(.*)')
+BY_INITIAL = {label[0]: label for label in advisor.LABELS}
+
+
+def parse_event(line):
+    """An ``advice_events.txt`` line as an Event."""
+    driver, start, comfort, fuel, advice = EVENT_LINE.fullmatch(line).groups()
+    return Event(driver, int(start), BY_INITIAL[comfort], BY_INITIAL[fuel],
+                 re.findall(r'"([^"]*)"', advice))
+
+
+def classified_table(pairs, drivers=None, n_x_neg=0):
+    """A classified fleet table over (comfort, fuel) label pairs; ``drivers``
+    holds each row's driver index (all 0 if None), and ``window_start`` is the
+    row's index within its driver."""
+    n = len(pairs)
+    driver = np.zeros(n, dtype=int) if drivers is None else np.asarray(drivers, dtype=int)
+    _, first = np.unique(driver, return_index=True)
+    return {"driver": driver,
+            "window_start": np.arange(n) - np.repeat(first, np.diff(np.r_[first, n])),
+            "comfort_label": np.array([advisor.LABELS.index(c) for c, _ in pairs], dtype=int),
+            "fuel_label": np.array([advisor.LABELS.index(f) for _, f in pairs], dtype=int),
+            "n_x_neg": np.broadcast_to(n_x_neg, (n,))}
+
+
 class TestStreamAdvise:
     def run(self, pairs, k_stable=3, n_x_neg=0):
-        state = AdviceState(k_stable=k_stable)
-        matrix = advisor.build_advice_matrix()
-        events = []
-        for i, pair in enumerate(pairs):
-            ev = advisor.stream_advise(state, pair, i, n_x_neg, matrix)
-            if ev is not None:
-                events.append(ev)
-        return events
+        lines = advisor.stream_advise(classified_table(pairs, n_x_neg=n_x_neg), ["d0"],
+                                      advisor.build_advice_matrix(), k_stable=k_stable)
+        return [parse_event(line) for line in lines]
 
     def test_emits_after_k_stable(self):
         events = self.run([("High", "Low")] * 5)
@@ -229,9 +259,9 @@ class TestStreamAdvise:
         assert events[0].lines == ["Keep driving style", "Avoid braking peaks"]
 
     def test_event_format(self):
-        ev = self.run([("High", "Medium")] * 3)[0]
-        s = ev.format()
-        assert s.startswith("window_start=2 comfort=H fuel=M advice=")
+        s, = advisor.stream_advise(classified_table([("High", "Medium")] * 3), ["d0"],
+                                   advisor.build_advice_matrix())
+        assert s.startswith("d0 window_start=2 comfort=H fuel=M advice=")
         assert '"Release gas pedal / switch to a lower gear"' in s
 
     @settings(max_examples=200, deadline=None)
@@ -246,3 +276,29 @@ class TestStreamAdvise:
         for i, pair in got:
             assert i >= k_stable - 1
             assert pairs[i - k_stable + 1:i + 1] == [pair] * k_stable
+
+
+@st.composite
+def fleet_sequences(draw):
+    """(per-driver pairs, k_stable): 0-4 drivers of 0-40 windows each, drawn
+    from one pool of 2-3 label pairs, so that runs often continue across a
+    driver boundary."""
+    label_pair = st.tuples(st.sampled_from(advisor.LABELS), st.sampled_from(advisor.LABELS))
+    pool = draw(st.lists(label_pair, min_size=2, max_size=3, unique=True))
+    drivers = draw(st.lists(st.lists(st.sampled_from(pool), max_size=40), max_size=4))
+    return drivers, draw(st.integers(1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fleet_sequences())
+def test_each_driver_streams_like_the_reference(case):
+    drivers, k_stable = case
+    pairs = [pair for driver_pairs in drivers for pair in driver_pairs]
+    index = [d for d, driver_pairs in enumerate(drivers) for _ in driver_pairs]
+    ids = [f"d{d}" for d in range(len(drivers))]
+    lines = advisor.stream_advise(classified_table(pairs, drivers=index), ids,
+                                  advisor.build_advice_matrix(), k_stable=k_stable)
+    events = [parse_event(line) for line in lines]
+    want = [(ids[d], i, pair) for d, driver_pairs in enumerate(drivers)
+            for i, pair in run_length_reference(driver_pairs, k_stable)]
+    assert [(e.driver, e.window_start, (e.comfort, e.fuel)) for e in events] == want

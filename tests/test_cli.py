@@ -9,6 +9,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ecoride
 from ecoride import advisor, cli, pipeline, som, synthgen, telemetry
@@ -440,8 +442,8 @@ class TestAdvise:
     def test_each_driver_streams_its_own_advice(self, workspace, tmp_path, capsys,
                                                 monkeypatch):
         # every window labelled (Low, Low): each driver's third window (start
-        # 256) triggers advice; one state shared by all drivers would leave
-        # every driver after the first silent
+        # 256) triggers advice; a run that crossed from one driver into the
+        # next would leave every driver after the first silent
         _, data, models = workspace
         classify = advisor.classify_window
 
@@ -473,6 +475,109 @@ class TestAdvise:
         err = capsys.readouterr().err
         assert re.search(r"main map: msdv_y averages 0 in the (Low|Medium|High) cluster", err)
         assert not out.exists()
+
+    def test_one_driver_names_the_map_with_an_empty_cluster(self, workspace, tmp_path,
+                                                           capsys):
+        # one drive fills too few neurons of the fleet's maps for every cluster
+        _, data, models = workspace
+        one = tmp_path / "data"
+        one.mkdir()
+        shutil.copy(data / "c0_f0.csv", one)
+        out = tmp_path / "reports"
+        assert run(["advise", "--data", str(one), "--models", str(models),
+                    "--out", str(out)]) == cli.EXIT_DATA
+        assert re.fullmatch(r"ecoride: error: (main|aux) map: cluster \d has no member windows\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+
+OUTPUT_FILES = ("classes.csv", "advice_events.txt", "intersection.csv",
+                "improvement_main.csv", "improvement_aux.csv")
+
+
+def cli_outputs(data, models, out):
+    """The bytes of each of ``OUTPUT_FILES`` from ``classify`` and ``advise`` on ``data``."""
+    out.mkdir()
+    assert run(["classify", "--data", str(data), "--models", str(models),
+                "--out", str(out / "classes.csv")]) == 0
+    assert run(["advise", "--data", str(data), "--models", str(models),
+                "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in OUTPUT_FILES}
+
+
+def rewrite_csvs(src_dir, dst_dir, edit_rows, rename=None):
+    """Copy the CSVs of ``src_dir`` to ``dst_dir`` as ``edit_rows`` returns
+    their rows (lists of cells, header first); ``rename`` maps a file name to
+    its new name."""
+    dst_dir.mkdir()
+    for src in sorted(src_dir.glob("*.csv")):
+        rows = edit_rows([line.split(",") for line in src.read_text().splitlines()])
+        text = "".join(",".join(row) + "\r\n" for row in rows)
+        (dst_dir / (rename or {}).get(src.name, src.name)).write_text(text, newline="")
+
+
+@pytest.fixture(scope="session")
+def reference_outputs(workspace):
+    root, data, models = workspace
+    return cli_outputs(data, models, root / "reference_outputs")
+
+
+class TestMetamorphic:
+    """Relations between runs on edited copies of the workspace corpus
+    (Chen, Cheung & Yiu 1998, "Metamorphic testing")."""
+
+    EXACT = ("classes.csv", "advice_events.txt", "intersection.csv")
+
+    @staticmethod
+    def outputs_of(workspace, tmp_path_factory, edit_rows, rename=None):
+        _, data, models = workspace
+        root = tmp_path_factory.mktemp("edited")
+        rewrite_csvs(data, root / "data", edit_rows, rename)
+        return cli_outputs(root / "data", models, root / "out")
+
+    @settings(max_examples=3, deadline=None)
+    @given(offset=st.integers(0, 2 * 10**15).map(lambda us: us / 1e6))
+    @example(offset=0.123456)
+    @example(offset=11.276852)  # its span parses as 3838.9999999999995 periods
+    @example(offset=1000.0)
+    @example(offset=1.7e9)  # a Unix epoch time
+    def test_time_offset_changes_nothing(self, workspace, reference_outputs,
+                                         tmp_path_factory, offset):
+        def shift(rows):
+            return [rows[0], *([f"{float(row[0]) + offset:.6f}", *row[1:]] for row in rows[1:])]
+        got = self.outputs_of(workspace, tmp_path_factory, shift)
+        for name in self.EXACT:
+            assert got[name] == reference_outputs[name], name
+
+    @settings(max_examples=4, deadline=None)
+    @given(order=st.permutations(range(1 + len(telemetry.CHANNELS))))
+    def test_column_order_changes_nothing(self, workspace, reference_outputs,
+                                          tmp_path_factory, order):
+        got = self.outputs_of(workspace, tmp_path_factory,
+                              lambda rows: [[row[i] for i in order] for row in rows])
+        for name in self.EXACT:
+            assert got[name] == reference_outputs[name], name
+
+    @settings(max_examples=4, deadline=None)
+    @given(stem=st.text("abcdefghijklmnopqrstuvwxyz0123456789_", max_size=8).map("z".__add__))
+    def test_reordered_driver_changes_only_its_id(self, workspace, reference_outputs,
+                                                  tmp_path_factory, stem):
+        # c0_f0 reads first; as z... it reads last, after every other driver
+        got = self.outputs_of(workspace, tmp_path_factory, lambda rows: rows,
+                              rename={"c0_f0.csv": f"{stem}.csv"})
+        for name in ("intersection.csv", "improvement_main.csv", "improvement_aux.csv"):
+            assert got[name] == reference_outputs[name], name
+
+        def moved_last(text, prefix):
+            lines = text.decode().splitlines(keepends=True)
+            own = [line for line in lines if line.startswith(prefix)]
+            assert own
+            return [line for line in lines if not line.startswith(prefix)] \
+                + [stem + line[len(prefix) - 1:] for line in own]
+        assert got["classes.csv"].decode().splitlines(keepends=True) \
+            == moved_last(reference_outputs["classes.csv"], "c0_f0,")
+        assert got["advice_events.txt"].decode().splitlines(keepends=True) \
+            == moved_last(reference_outputs["advice_events.txt"], "c0_f0 ")
 
 
 class TestReport:

@@ -22,7 +22,7 @@ PAPER_CONSTANTS = [
     ("pipeline", "GRID_SHAPE", (15, 15)),
     ("pipeline", "TRAIN_SPLIT", 0.75),
     ("som", "LABELS", ("Low", "Medium", "High")),
-    ("advisor", "AdviceState.k_stable", 3),
+    ("advisor", "K_STABLE", 3),
 ]
 
 

@@ -306,6 +306,16 @@ class TestResample:
         else:
             np.testing.assert_allclose(xacc[1:-1], 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("offset", [0.0, 11.276852, 1.7e9])
+    def test_time_offset_keeps_every_sample(self, offset):
+        # 120 s at 32 Hz, the time column written at %.6f from ``offset``: at
+        # 11.276852 s the parsed span is 3838.9999999999995 periods
+        ts = np.array([float(f"{k / SAMPLE_RATE_HZ + offset:.6f}") for k in range(3840)])
+        ch = RawChannel(name="VS", timestamps=ts, values=np.arange(3840.0))
+        vs = telemetry.resample([ch]).channels["VS"]
+        assert len(vs) == 3840
+        np.testing.assert_allclose(vs, np.arange(3840.0), atol=1e-6)
+
     def test_source_carried_into_record(self):
         ts = np.arange(64) / SAMPLE_RATE_HZ
         ch = RawChannel(name="VS", timestamps=ts, values=np.ones(64), source="d/x.csv")

@@ -35,14 +35,18 @@ class CliParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_records(data_dir) -> list[telemetry.DriveRecord]:
+def _load_fleet(data_dir) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The driver ids (file stems) and the ``pipeline.analyze_fleet`` window
+    table of the CSVs in ``data_dir``, read one file at a time in name order."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory not found: {data_dir}")
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
         raise DataError(f"no telemetry CSV files in {data_dir}")
-    return [telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths]
+    fleet = pipeline.analyze_fleet(
+        telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths)
+    return [p.stem for p in paths], fleet
 
 
 def _load_models(model_dir) -> list[SomModel]:
@@ -67,10 +71,9 @@ def _classify(args):
     """(main model, aux model, driver ids, the fleet window table of
     ``pipeline.analyze_fleet`` with its classification columns)."""
     main_model, aux_model = _load_models(args.models)
-    records = _load_records(args.data)
-    fleet = pipeline.analyze_fleet(records)
+    driver_ids, fleet = _load_fleet(args.data)
     pipeline.classify_all(fleet, main_model, aux_model)
-    return main_model, aux_model, [r.driver_id for r in records], fleet
+    return main_model, aux_model, driver_ids, fleet
 
 
 def _print_profiles(tag: str, model: SomModel, profile: dict[str, np.ndarray]) -> None:
@@ -101,7 +104,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    result = pipeline.train_models(_load_records(args.data), args.seed)
+    result = pipeline.train_models(_load_fleet(args.data)[1], args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.main_model.save(out / MAIN_MODEL_FILE)
@@ -189,7 +192,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    table = features.correlation_table(pipeline.analyze_fleet(_load_records(args.data)))
+    table = features.correlation_table(_load_fleet(args.data)[1])
     features.write_correlation_csv(table, args.out)
     print(f"correlation table ({table.shape[0]} x {table.shape[1]}) -> {args.out}")
     return EXIT_OK

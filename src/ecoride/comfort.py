@@ -80,9 +80,6 @@ def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.nda
     channels; windowing happens afterwards so filter transients do not restart
     at every window.
     """
-    for name in ("XACC", "YACC", "FUEL"):
-        if name not in record.channels:
-            raise DataError(f"record lacks required channel {name}")
     sos = design_filter()
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]

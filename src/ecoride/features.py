@@ -27,9 +27,6 @@ CORRELATION_TARGETS = ("fuel", "n_x_pos", "n_x_neg", "n_y", "msdv_y", "vr")
 def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
     each driving signal, one entry per window."""
-    for name in ("SWA", "VS", "XACC", "YACC", "ERPM"):
-        if name not in record.channels:
-            raise DataError(f"record lacks required channel {name}")
     signals = {name: window_rows(record.channels[name], windows)
                for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
     signals["XACC_pos"] = np.maximum(signals["XACC"], 0.0)
@@ -45,12 +42,12 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise DataError("pearson needs two equal-length sequences of length >= 2")
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:  # exactly: centring may leave ~1e-15
+        raise DataError("undefined correlation: zero-variance input")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = np.sqrt(np.sum(dx**2))
     sy = np.sqrt(np.sum(dy**2))
-    if sx == 0.0 or sy == 0.0:
-        raise DataError("undefined correlation: zero-variance input")
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
@@ -62,10 +59,16 @@ def feature_matrix(columns: dict[str, np.ndarray], names=MAIN_FEATURES) -> np.nd
 def correlation_table(columns: dict[str, np.ndarray]) -> np.ndarray:
     """PCC of every feature column against every comfort/fuel target over the
     windows of ``columns``: one row per ``CORRELATION_TARGETS`` entry, one
-    column per ``FEATURE_COLUMNS`` entry, in their order.
+    column per ``FEATURE_COLUMNS`` entry, in their order.  A column that is
+    the same in every window is a DataError naming it.
     """
-    if len(columns["fuel"]) < 2:
+    n = len(columns["fuel"])
+    if n < 2:
         raise DataError("need at least 2 windows")
+    for name in (*CORRELATION_TARGETS, *FEATURE_COLUMNS):
+        if np.ptp(columns[name]) == 0.0:
+            raise DataError(f"{name} is the same in all {n} windows: "
+                            "its correlations are undefined")
     return np.array([[pearson(columns[t], columns[c]) for c in FEATURE_COLUMNS]
                      for t in CORRELATION_TARGETS])
 

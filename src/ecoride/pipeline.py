@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +43,14 @@ def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
     return {"window_start": windows, **columns}
 
 
-def analyze_fleet(records: list[DriveRecord]) -> dict[str, np.ndarray]:
+def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:
     """The window tables of ``records`` joined record after record, plus a
-    ``driver`` column: the index in ``records`` of each window's record."""
-    if not records:
+    ``driver`` column: the index in ``records`` of each window's record.
+    From a generator, one record is held at a time: ``map`` drops each once
+    its table is made, where a comprehension's variable would keep it."""
+    tables = list(map(analyze_record, records))
+    if not tables:
         raise DataError("no drive records to analyze")
-    tables = [analyze_record(r) for r in records]
     sizes = [len(t["window_start"]) for t in tables]
     return {"driver": np.repeat(np.arange(len(tables)), sizes),
             **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}
@@ -80,28 +83,26 @@ class TrainResult:
     aux_model: SomModel
     main_profile: dict[str, np.ndarray]  # advisor.profile_clusters tables
     aux_profile: dict[str, np.ndarray]
-    fleet: dict[str, np.ndarray] = field(repr=False, default_factory=dict)  # analyze_fleet
 
 
-def train_models(records: list[DriveRecord], seed: int = 0) -> TrainResult:
-    """Full training pass over a set of drive records.
+def train_models(fleet: dict[str, np.ndarray], seed: int = 0) -> TrainResult:
+    """Full training pass over the window table ``fleet`` of ``analyze_fleet``.
 
     The train/test split is chronological per driver (first ``TRAIN_SPLIT``
     fraction of each record's windows train the maps) to avoid leakage between
     overlapping windows.  Cluster profiles and labels use all windows.  The
     main map draws its seeds from ``seed``, the aux map from ``seed + 100``.
     """
-    fleet = analyze_fleet(records)
     total = len(fleet["driver"])
     if total < 10:
         raise DataError(f"only {total} windows after speed filtering; need >= 10")
 
-    sizes = np.bincount(fleet["driver"], minlength=len(records)).tolist()
+    sizes = np.bincount(fleet["driver"]).tolist()
     train_rows = np.concatenate([np.arange(n) < round(TRAIN_SPLIT * n) for n in sizes])
     main_model, main_profile = _train_one(fleet, train_rows, MAIN_FEATURES, "vr", seed)
     aux_model, aux_profile = _train_one(fleet, train_rows, AUX_FEATURES, "fuel", seed + 100)
     return TrainResult(main_model=main_model, aux_model=aux_model,
-                       main_profile=main_profile, aux_profile=aux_profile, fleet=fleet)
+                       main_profile=main_profile, aux_profile=aux_profile)
 
 
 def classify_all(fleet: dict[str, np.ndarray], main_model: SomModel,

@@ -119,6 +119,9 @@ def _read_table(lines: list[str], path) -> tuple[np.ndarray, Callable[[int], int
     for col in (TIME_COLUMN, *CHANNELS):
         if col not in header:
             raise DataError(f"missing required column '{col}' in {path}")
+        if (count := header.count(col)) > 1:
+            raise DataError(f"column '{col}' appears {count} times in the header "
+                            f"at line {h} in {path}")
     cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
     data = lines[h:]
     try:  # on empty lines only np.loadtxt warns; _parse_rows finds no row there either

@@ -176,10 +176,10 @@ class TestCriterion6ClusteringPurity:
     def test_both_maps_agree_with_generator(self, style_corpus):
         t0 = time.perf_counter()
         records = [rec for _, rec in style_corpus]
-        result = pipeline.train_models(records, seed=7)
+        fleet = pipeline.analyze_fleet(records)
+        result = pipeline.train_models(fleet, seed=7)
 
         level_to_label = {0: "Low", 1: "Medium", 2: "High"}
-        fleet = result.fleet
         classified = advisor.classify_window(fleet, result.main_model, result.aux_model)
         comfort_hits = fuel_hits = 0
         for driver, (label, _) in enumerate(style_corpus):  # label: "c<i>_f<j>"
@@ -309,7 +309,8 @@ class TestCriterion9KdeSanity:
 
 class TestCriterion10ModelRoundTrip:
     def test_byte_identity_and_classification(self, small_corpus, tmp_path):
-        result = pipeline.train_models(small_corpus, seed=5)
+        fleet = pipeline.analyze_fleet(small_corpus)
+        result = pipeline.train_models(fleet, seed=5)
         ok = True
         for tag, model in (("main", result.main_model),
                            ("aux", result.aux_model)):
@@ -319,7 +320,7 @@ class TestCriterion10ModelRoundTrip:
             loaded = SomModel.load(p1)
             loaded.save(p2)
             ok &= p1.read_bytes() == p2.read_bytes()
-            vectors = features.feature_matrix(result.fleet, model.feature_names)
+            vectors = features.feature_matrix(fleet, model.feature_names)
             ok &= np.array_equal(model.labels_at(model.bmu_indices(vectors[:200])),
                                  loaded.labels_at(loaded.bmu_indices(vectors[:200])))
         verdict(10, ok, "save->load->save byte-identical, classifications "

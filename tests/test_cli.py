@@ -6,6 +6,8 @@ import json
 import pkgutil
 import re
 import shutil
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,6 +150,9 @@ class TestExitCodes:
         pytest.param("ms_time", "median time step 31.25 s exceeds 1 s in ", id="ms_time"),
         pytest.param("day_span", "time span 1000000.0 s exceeds 86400 s (one day) "
                                  "at line 3841 in ", id="day_span"),
+        # a second VS column of zeros, placed first, would be the one read
+        pytest.param("dup_column", "column 'VS' appears 2 times in the header at line 1 in ",
+                     id="dup_column"),
     ])
     @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
@@ -180,6 +185,8 @@ class TestExitCodes:
                 lines[i] = f"{float(t) * 1000:.3f},{rest}"
         elif fault == "day_span":  # one wild last timestamp
             lines[-1] = "1e6" + lines[-1][lines[-1].index(","):]
+        elif fault == "dup_column":
+            lines = ["VS," + lines[0], *("0," + line for line in lines[1:])]
         else:
             lines[0] = lines[0].replace("XACC", "XACC_OLD")
         bad_data = tmp_path / "data"
@@ -240,6 +247,27 @@ class TestExitCodes:
         assert "non-finite SWA RMS in the window starting at sample 768" in err
         assert str(big_data / src.name) in err
         assert not out.exists()
+
+
+class TestIngestion:
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_one_drive_in_memory_at_a_time(self, workspace, tmp_path, capsys,
+                                           monkeypatch, command):
+        # peak memory is bounded by one drive, not by the fleet's drive time
+        _, data, models = workspace
+        built = []
+        resample = telemetry.resample
+
+        def tracked(channels, driver_id=""):
+            alive = [ref().driver_id for ref in built if ref() is not None]
+            assert not alive, f"{alive} still held while {driver_id} is built"
+            record = resample(channels, driver_id=driver_id)
+            built.append(weakref.ref(record))
+            return record
+        monkeypatch.setattr(telemetry, "resample", tracked)
+        assert run(analysis_argv(command, data, models, tmp_path / "out")) == 0
+        capsys.readouterr()
+        assert len(built) == len(list(data.glob("*.csv")))
 
 
 class TestSynth:
@@ -492,16 +520,18 @@ class TestAdvise:
 
 
 OUTPUT_FILES = ("classes.csv", "advice_events.txt", "intersection.csv",
-                "improvement_main.csv", "improvement_aux.csv")
+                "improvement_main.csv", "improvement_aux.csv", "correlations.csv")
 
 
 def cli_outputs(data, models, out):
-    """The bytes of each of ``OUTPUT_FILES`` from ``classify`` and ``advise`` on ``data``."""
+    """The bytes of each of ``OUTPUT_FILES`` from ``classify``, ``advise`` and
+    ``correlate`` on ``data``."""
     out.mkdir()
     assert run(["classify", "--data", str(data), "--models", str(models),
                 "--out", str(out / "classes.csv")]) == 0
     assert run(["advise", "--data", str(data), "--models", str(models),
                 "--out", str(out)]) == 0
+    assert run(["correlate", "--data", str(data), "--out", str(out / "correlations.csv")]) == 0
     return {name: (out / name).read_bytes() for name in OUTPUT_FILES}
 
 
@@ -578,6 +608,78 @@ class TestMetamorphic:
             == moved_last(reference_outputs["classes.csv"], "c0_f0,")
         assert got["advice_events.txt"].decode().splitlines(keepends=True) \
             == moved_last(reference_outputs["advice_events.txt"], "c0_f0 ")
+
+    def test_lf_line_ends_and_trailing_blank_lines_change_nothing(
+            self, workspace, reference_outputs, tmp_path):
+        _, data, models = workspace
+        edited = tmp_path / "data"
+        edited.mkdir()
+        for src in data.glob("*.csv"):
+            (edited / src.name).write_bytes(src.read_bytes().replace(b"\r\n", b"\n") + b"\n\n")
+        assert cli_outputs(edited, models, tmp_path / "out") == reference_outputs
+
+    def test_left_right_mirror_changes_nothing(self, workspace, reference_outputs,
+                                               tmp_path_factory):
+        # SWA and YACC negated cell by cell: every figure that reads them
+        # takes a square, an absolute value or a square of a filtered value
+        def negate(cell):
+            return cell[1:] if cell.startswith("-") else "-" + cell
+
+        def mirror(rows):
+            cols = {rows[0].index("SWA"), rows[0].index("YACC")}
+            return [rows[0], *([negate(cell) if i in cols else cell
+                                for i, cell in enumerate(row)] for row in rows[1:])]
+        got = self.outputs_of(workspace, tmp_path_factory, mirror)
+        assert got == reference_outputs
+
+    def test_prefix_on_every_file_changes_only_ids(self, workspace, reference_outputs,
+                                                   tmp_path_factory):
+        _, data, _ = workspace
+        got = self.outputs_of(workspace, tmp_path_factory, lambda rows: rows,
+                              rename={p.name: "z_" + p.name for p in data.glob("*.csv")})
+        for name in ("intersection.csv", "improvement_main.csv", "improvement_aux.csv",
+                     "correlations.csv"):
+            assert got[name] == reference_outputs[name], name
+        for name in ("classes.csv", "advice_events.txt"):
+            lines = got[name].decode().splitlines(keepends=True)
+            assert all(line.startswith("z_") for line in lines[name == "classes.csv":])
+            assert [line.removeprefix("z_") for line in lines] \
+                == reference_outputs[name].decode().splitlines(keepends=True), name
+
+    @pytest.mark.parametrize("rate, kept", [(64.0, 261), (100.0, 252)])
+    def test_relogged_rate_keeps_the_labels(self, workspace, reference_outputs, tmp_path,
+                                            rate, kept):
+        # the same drives logged at a higher rate, by linear interpolation of the
+        # parsed channels.  resample's pre-filter and interpolation change the
+        # 32 Hz samples a little, so a window at a cluster border may change
+        # label: the floor is 98% agreement.  A grid that ends up to one period
+        # earlier (0.03 s at 100 Hz) loses at most each drive's last window.
+        _, data, models = workspace
+        edited = tmp_path / "data"
+        edited.mkdir()
+        for src in data.glob("*.csv"):
+            channels = telemetry.load_csv(src)
+            t = channels[0].timestamps
+            grid = t[0] + np.arange(int((t[-1] - t[0]) * rate) + 1) / rate
+            table = np.column_stack([grid, *(np.interp(grid, t, c.values) for c in channels)])
+            np.savetxt(edited / src.name, table, fmt=["%.6f"] + ["%.8g"] * len(channels),
+                       delimiter=",", header=",".join(["t", *telemetry.CHANNELS]),
+                       comments="")
+        out = tmp_path / "classes.csv"
+        assert run(["classify", "--data", str(edited), "--models", str(models),
+                    "--out", str(out)]) == 0
+
+        def rows(text):
+            return {tuple(line.split(",")[:2]): line.split(",")[2:]
+                    for line in text.splitlines()[1:]}
+        got, want = rows(out.read_text()), rows(reference_outputs["classes.csv"].decode())
+        assert len(got) == kept and set(got) <= set(want)
+        got_n, want_n = (Counter(driver for driver, _ in keys) for keys in (got, want))
+        assert got_n.keys() == want_n.keys()
+        assert all(want_n[driver] - got_n[driver] <= 1 for driver in want_n)
+        for axis in (0, 1):  # comfort, fuel
+            agree = np.mean([got[key][axis] == want[key][axis] for key in got])
+            assert agree >= 0.98, (axis, agree)
 
 
 class TestReport:
@@ -659,3 +761,25 @@ class TestCorrelate:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("target,SWA RMS,SWA Var")
         assert len(lines) == 7  # 6 targets + header
+
+    @pytest.mark.parametrize("case, message", [
+        # the three calm drivers never pass the peak threshold: an exact integer 0
+        ("calm_drivers", "n_x_pos is the same in all 87 windows"),
+        # the same mean in every window; centring it leaves about 1e-15
+        ("constant_fuel", "fuel is the same in all 261 windows"),
+    ])
+    def test_constant_column_fails_naming_it(self, workspace, tmp_path, capsys,
+                                             case, message):
+        _, data, _ = workspace
+        edited = tmp_path / "data"
+        if case == "calm_drivers":
+            edited.mkdir()
+            for src in data.glob("c0_f*.csv"):
+                shutil.copy(src, edited)
+        else:
+            copy_with_column(data, edited, "FUEL", "3.3")
+        out = tmp_path / "corr.csv"
+        assert run(["correlate", "--data", str(edited), "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"ecoride: error: {message}: its correlations are undefined\n")
+        assert not out.exists()

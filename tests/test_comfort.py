@@ -123,11 +123,6 @@ class TestWindowMetrics:
         m = comfort.window_metrics(record, ws)
         assert m["fuel"][0] == pytest.approx(float(np.mean(record.channels["FUEL"][:256])))
 
-    def test_missing_channel(self, record):
-        del record.channels["FUEL"]
-        with pytest.raises(DataError, match="FUEL"):
-            comfort.window_metrics(record, telemetry.split_windows(record))
-
     def test_filter_runs_over_full_record(self):
         # windowing after filtering: metrics of the second window must differ
         # from filtering the window in isolation (transient would restart)

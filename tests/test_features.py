@@ -36,11 +36,6 @@ class TestComputeFeatures:
         np.testing.assert_array_equal(m[:, 4], f["ERPM RMS"])
         assert features.feature_matrix(f, features.AUX_FEATURES).shape == (len(windows), 2)
 
-    def test_missing_channel(self, record, windows):
-        del record.channels["ERPM"]
-        with pytest.raises(DataError, match="ERPM"):
-            features.compute_features(record, windows)
-
 
 class TestPearson:
     def test_known_value(self):
@@ -57,6 +52,9 @@ class TestPearson:
             features.pearson([1.0], [2.0])
         with pytest.raises(DataError, match="zero-variance"):
             features.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        # centring three 3.3s leaves 4.4e-16: constancy is tested before it
+        with pytest.raises(DataError, match="zero-variance"):
+            features.pearson([1.0, 2.0, 3.0], [3.3, 3.3, 3.3])
 
 
 class TestCorrelationTable:
@@ -79,6 +77,15 @@ class TestCorrelationTable:
         assert cols[0] == "SWA RMS" and cols[1] == "SWA Var"
         assert table.shape == (len(rows), len(cols))
         assert np.all(np.abs(table) <= 1.0)
+
+    @pytest.mark.parametrize("name", ["n_y", "ERPM Var"])
+    def test_constant_column_is_named(self, name):
+        columns = {c: np.arange(7.0) % 3 for c in (*features.CORRELATION_TARGETS,
+                                                  *features.FEATURE_COLUMNS)}
+        columns[name] = np.full(7, 3.3)
+        with pytest.raises(DataError, match=f"^{name} is the same in all 7 windows: "
+                                            "its correlations are undefined$"):
+            features.correlation_table(columns)
 
 
 class TestNormalizer:

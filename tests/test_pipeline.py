@@ -1,6 +1,7 @@
 """Orchestration layer: analysis, training, classification."""
 
 import importlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from ecoride import DataError, features, pipeline, synthgen, telemetry
 from ecoride.features import MAIN_FEATURES
+
+from conftest import make_record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,9 +79,31 @@ class TestAnalyzeRecord:
         assert set(fleet["driver"]) == {1}
 
 
+class TestAnalyzeFleet:
+    def test_holds_one_record_of_a_generator_at_a_time(self):
+        built = []
+
+        def build(i):
+            record = make_record(driver_id=f"d{i}", seed=i)
+            built.append(weakref.ref(record))
+            return record
+
+        def records():
+            for i in range(4):
+                assert all(ref() is None for ref in built), f"record {i - 1} still held"
+                yield build(i)
+        fleet = pipeline.analyze_fleet(records())
+        np.testing.assert_array_equal(np.unique(fleet["driver"]), np.arange(4))
+
+
 @pytest.fixture(scope="module")
-def result(small_corpus):
-    return pipeline.train_models(small_corpus, seed=5)
+def fleet(small_corpus):
+    return pipeline.analyze_fleet(small_corpus)
+
+
+@pytest.fixture(scope="module")
+def result(fleet):
+    return pipeline.train_models(fleet, seed=5)
 
 
 class TestTrainModels:
@@ -92,14 +117,14 @@ class TestTrainModels:
         for model in (result.main_model, result.aux_model):
             assert model.qe_history[-1] < model.qe_history[0]
 
-    def test_profiles_cover_all_windows(self, small_corpus, result):
+    def test_profiles_cover_all_windows(self, small_corpus, fleet, result):
         total = sum(len(pipeline.analyze_record(r)["window_start"]) for r in small_corpus)
-        assert all(len(v) == total for v in result.fleet.values())
+        assert all(len(v) == total for v in fleet.values())
         assert result.main_profile["windows"].sum() == total
         assert result.aux_profile["windows"].sum() == total
 
     def test_deterministic(self, small_corpus, result):
-        again = pipeline.train_models(small_corpus, seed=5)
+        again = pipeline.train_models(pipeline.analyze_fleet(small_corpus), seed=5)
         np.testing.assert_array_equal(result.main_model.grid.weights,
                                       again.main_model.grid.weights)
         np.testing.assert_array_equal(result.aux_model.assignment,
@@ -124,6 +149,6 @@ class TestTrainModels:
             channels={name: np.full(300, 90.0)
                       for name in ("SWA", "VS", "ERPM", "XACC", "YACC", "FUEL")})
         with pytest.raises(DataError, match="windows"):
-            pipeline.train_models([rec])
+            pipeline.train_models(pipeline.analyze_fleet([rec]))
         with pytest.raises(DataError, match="no drive records"):
-            pipeline.train_models([])
+            pipeline.analyze_fleet([])

@@ -47,6 +47,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="SWA"):
             telemetry.load_csv(p)
 
+    @pytest.mark.parametrize("column", [telemetry.TIME_COLUMN, "VS"])
+    def test_duplicated_column(self, tmp_path, column):
+        # a second copy placed first would be the one read; after a blank line,
+        # the header is line 2
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=lambda ls: ["", f"{column},{ls[0]}", *(f"0,{x}" for x in ls[1:])])
+        with pytest.raises(DataError, match=re.escape(
+                f"column '{column}' appears 2 times in the header at line 2 in {p}")):
+            telemetry.load_csv(p)
+
     def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch, caplog):
         def no_fallback(*args):
             raise AssertionError("row-by-row parse used on a clean file")

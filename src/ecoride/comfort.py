@@ -7,6 +7,8 @@ acceleration peak counting.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import signal
 
@@ -19,18 +21,22 @@ PEAK_THRESHOLD = 1.75  # m/s^2
 FILTER_CORNERS = (0.02, 0.3)
 
 
+@functools.cache
 def design_filter() -> np.ndarray:
     """Second-order Butterworth high-pass cascaded with second-order low-pass
     at the ``FILTER_CORNERS``, as stacked second-order sections.
 
     Both sections come from the bilinear transform of continuous prototypes,
     so the magnitude at each corner is 1/sqrt(2) of the section passband and
-    the DC gain is exactly 0.
+    the DC gain is exactly 0. Designed once per process; the array is
+    read-only, as every caller shares it.
     """
     lo, hi = FILTER_CORNERS
     hp = signal.butter(2, lo, btype="highpass", fs=SAMPLE_RATE_HZ, output="sos")
     lp = signal.butter(2, hi, btype="lowpass", fs=SAMPLE_RATE_HZ, output="sos")
-    return np.vstack([hp, lp])
+    sos = np.vstack([hp, lp])
+    sos.flags.writeable = False
+    return sos
 
 
 def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -38,7 +44,7 @@ def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise DataError("cannot filter an empty signal")
-    return signal.sosfilt(sos, x)
+    return signal.sosfilt(np.array(sos), x)  # sosfilt needs a writable sos
 
 
 def weighted_rms(values: np.ndarray):

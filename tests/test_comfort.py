@@ -41,6 +41,12 @@ class TestDesignFilter:
             g = steady_gain(f, corner, seconds=600.0)
             assert abs(g - 0.707) < 0.1 * 0.707 + 0.05
 
+    def test_designed_once_and_read_only(self):
+        f = comfort.design_filter()
+        assert comfort.design_filter() is f
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0] = 0.0
+
 
 class TestApplyFilter:
     def test_empty_input(self):

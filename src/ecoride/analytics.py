@@ -15,29 +15,22 @@ from .advisor import intersect
 SUMMARY_METRICS = ("fuel", "vr", "msdv_y", "n_x_pos", "n_x_neg", "n_y")
 
 
-@dataclass
-class DriverSummary:
-    driver_id: str
-    window_count: int
-    means: dict[str, float]
+def driver_summary(fleet: dict[str, np.ndarray],
+                   runs: dict[str, slice]) -> dict[str, tuple[int, list[float]]]:
+    """Window count and arithmetic mean of each of ``SUMMARY_METRICS`` per
+    driver, over its run of rows of the fleet table; ``runs`` maps each driver
+    with a kept window to that run's slice, in the order to list them."""
+    return {driver_id: (rows.stop - rows.start,
+                        [float(np.mean(fleet[name][rows])) for name in SUMMARY_METRICS])
+            for driver_id, rows in runs.items()}
 
 
-def driver_summary(columns_by_driver: dict[str, dict[str, np.ndarray]]) -> list[DriverSummary]:
-    """Arithmetic means of each metric per driver (one set of columns each),
-    in driver-id order; a driver with no kept window has no summary."""
-    return [DriverSummary(driver_id=driver_id, window_count=len(columns["vr"]),
-                          means={name: float(np.mean(columns[name]))
-                                 for name in SUMMARY_METRICS})
-            for driver_id, columns in sorted(columns_by_driver.items()) if len(columns["vr"])]
-
-
-def write_summary_csv(summaries: list[DriverSummary], path) -> None:
+def write_summary_csv(summaries: dict[str, tuple[int, list[float]]], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_count", *SUMMARY_METRICS])
-        for s in summaries:
-            writer.writerow([s.driver_id, s.window_count,
-                             *[f"{s.means[m]:.6g}" for m in SUMMARY_METRICS]])
+        for driver_id, (count, means) in summaries.items():
+            writer.writerow([driver_id, count, *[f"{m:.6g}" for m in means]])
 
 
 @dataclass
@@ -70,8 +63,9 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
         raise DataError("need at least 2 (fuel, vr) points")
     x, y = points[:, 0], points[:, 1]
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise DataError("degenerate axis: zero spread")
+    for name, axis in (("fuel", x), ("vr", y)):
+        if np.ptp(axis) == 0.0:
+            raise DataError(f"{name} has zero spread")
     hx = silverman_bandwidth(x)
     hy = silverman_bandwidth(y)
     x_grid = np.linspace(x.min() - hx, x.max() + hx, resolution)
@@ -105,9 +99,10 @@ def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path) -> None:
         fh.write("\n")
 
 
-def driver_heatmap(columns_by_driver: dict[str, dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+def driver_heatmap(fleet: dict[str, np.ndarray],
+                   runs: dict[str, slice]) -> dict[str, np.ndarray]:
     """Per-driver 3x3 comfort/fuel intersection percentage tables from the label
-    columns, in driver-id order; a driver with no kept window has no table."""
-    return {driver_id: intersect(columns["comfort_label"], columns["fuel_label"])
-            for driver_id, columns in sorted(columns_by_driver.items())
-            if len(columns["comfort_label"])}
+    columns of each driver's run of rows of the fleet table, as in
+    ``driver_summary``."""
+    return {driver_id: intersect(fleet["comfort_label"][rows], fleet["fuel_label"][rows])
+            for driver_id, rows in runs.items()}

@@ -162,28 +162,29 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # each driver's rows are one run of the fleet table: slice them by ``driver``
-    bounds = np.searchsorted(fleet["driver"], np.arange(len(driver_ids) + 1))
-    by_driver = {driver_id: {name: column[lo:hi] for name, column in fleet.items()}
-                 for driver_id, lo, hi in zip(driver_ids, bounds[:-1], bounds[1:])}
-    analytics.write_summary_csv(analytics.driver_summary(by_driver),
+    # each driver's rows are one run of the fleet table, in file-name order
+    bounds = np.searchsorted(fleet["driver"], np.arange(len(driver_ids) + 1)).tolist()
+    runs = {driver_id: slice(lo, hi)
+            for driver_id, lo, hi in zip(driver_ids, bounds[:-1], bounds[1:]) if hi > lo}
+    analytics.write_summary_csv(analytics.driver_summary(fleet, runs),
                                 out / "driver_summary.csv")
-    for driver_id, table in analytics.driver_heatmap(by_driver).items():
+    for driver_id, table in analytics.driver_heatmap(fleet, runs).items():
         advisor.write_intersection_csv(table, out / f"heatmap_{driver_id}.csv")
 
     floor = f"at or above {telemetry.SPEED_THRESHOLD_KMH:g} km/h"
-    for driver_id, columns in by_driver.items():
-        if not len(columns["driver"]):
+    for driver_id in driver_ids:
+        rows = runs.get(driver_id)
+        if rows is None:
             print(f"{driver_id}: no window {floor}; heatmap and KDE skipped")
             continue
-        if len(columns["driver"]) < 2:
+        if rows.stop - rows.start < 2:
             print(f"{driver_id}: 1 window {floor}; KDE skipped")
             continue
-        flat = [name for name in ("fuel", "vr") if np.ptp(columns[name]) == 0.0]
-        if flat:
-            print(f"{driver_id}: {flat[0]} has zero spread; KDE skipped")
+        try:
+            surface = analytics.kde2d(np.column_stack([fleet["fuel"][rows], fleet["vr"][rows]]))
+        except DataError as exc:
+            print(f"{driver_id}: {exc}; KDE skipped")
             continue
-        surface = analytics.kde2d(np.column_stack([columns["fuel"], columns["vr"]]))
         analytics.write_kde_csv(surface, out / f"kde_{driver_id}.csv",
                                 out / f"kde_{driver_id}.json")
         print(f"{driver_id}: KDE integral = {surface.integral():.4f}")

@@ -177,8 +177,7 @@ COMFORT_KNOBS = (0.1, 0.5, 0.9)          # steering + braking aggressiveness
 FUEL_KNOBS = ((0.3, 0.0), (0.5, 1200.0), (0.7, 0.0))  # (gas, erpm bias)
 
 
-def style_grid(base_seed: int = 0, duration: float = 60.0,
-               base_speed: float = 90.0) -> list[tuple[str, StyleSpec]]:
+def style_grid(base_seed: int = 0, duration: float = 60.0) -> list[tuple[str, StyleSpec]]:
     """9 styles: 3 comfort levels x 3 fuel levels, labeled ``c<i>_f<j>``."""
     out = []
     for ci, steer in enumerate(COMFORT_KNOBS):
@@ -187,7 +186,6 @@ def style_grid(base_seed: int = 0, duration: float = 60.0,
                              gas_aggressiveness=gas,
                              braking_spikiness=steer,
                              erpm_bias=bias,
-                             base_speed=base_speed,
                              duration=duration,
                              seed=base_seed + 100 * ci + 10 * fj)
             out.append((f"c{ci}_f{fj}", spec))

@@ -8,8 +8,8 @@ import pytest
 from ecoride import DataError, analytics
 
 
-def metrics_table(fuel=(3.0,), vr=0.5):
-    """One driver's metric columns with the given per-window fuel values."""
+def fleet_table(fuel=(3.0,), vr=0.5):
+    """A fleet table's metric columns with the given per-window fuel values."""
     n = len(fuel)
     return {"msdv_x": np.full(n, 0.2), "msdv_y": np.full(n, 0.4), "vr": np.full(n, vr),
             "n_x_pos": np.zeros(n, dtype=int), "n_x_neg": np.ones(n, dtype=int),
@@ -18,17 +18,19 @@ def metrics_table(fuel=(3.0,), vr=0.5):
 
 class TestDriverSummary:
     def test_means_per_driver(self):
-        metrics = {"b": metrics_table(fuel=[5.0]), "a": metrics_table(fuel=[2.0, 4.0]),
-                   "c": metrics_table(fuel=[])}
-        out = analytics.driver_summary(metrics)
-        assert [s.driver_id for s in out] == ["a", "b"]  # "c" kept no window
-        assert out[0].window_count == 2
-        assert out[0].means["fuel"] == pytest.approx(3.0)
-        assert out[1].means["fuel"] == pytest.approx(5.0)
+        # the summary keeps the order of ``runs``, the fleet table's driver order
+        fleet = fleet_table(fuel=[5.0, 2.0, 4.0])
+        out = analytics.driver_summary(fleet, {"b": slice(0, 1), "a": slice(1, 3)})
+        assert list(out) == ["b", "a"]
+        assert out["a"][0] == 2 and out["b"][0] == 1
+        fuel = analytics.SUMMARY_METRICS.index("fuel")
+        assert out["a"][1][fuel] == pytest.approx(3.0)
+        assert out["b"][1][fuel] == pytest.approx(5.0)
 
     def test_csv(self, tmp_path):
         path = tmp_path / "s.csv"
-        analytics.write_summary_csv(analytics.driver_summary({"d0": metrics_table()}), path)
+        summary = analytics.driver_summary(fleet_table(), {"d0": slice(0, 1)})
+        analytics.write_summary_csv(summary, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("driver_id,window_count,fuel,vr")
         assert lines[1].startswith("d0,1,3,0.5")
@@ -72,6 +74,11 @@ class TestKde2d:
             analytics.kde2d(np.zeros((1, 2)))
         with pytest.raises(DataError, match="zero spread"):
             analytics.kde2d(np.column_stack([np.ones(10), np.arange(10.0)]))
+        # each flat axis is named, fuel first
+        with pytest.raises(DataError, match="^fuel has zero spread$"):
+            analytics.kde2d(np.ones((10, 2)))
+        with pytest.raises(DataError, match="^vr has zero spread$"):
+            analytics.kde2d(np.column_stack([np.arange(10.0), np.ones(10)]))
 
     def test_export(self, tmp_path):
         surface = analytics.kde2d(self.sample(n=50), resolution=16)
@@ -88,12 +95,12 @@ class TestKde2d:
 
 class TestDriverHeatmap:
     def test_tables_per_driver(self):
-        # a: (Low, Low), (Low, High); b: four (High, Medium); c: no kept window
-        by_driver = {"a": {"comfort_label": np.array([0, 0]), "fuel_label": np.array([0, 2])},
-                     "b": {"comfort_label": np.full(4, 2), "fuel_label": np.full(4, 1)},
-                     "c": {"comfort_label": np.array([], dtype=int),
-                           "fuel_label": np.array([], dtype=int)}}
-        out = analytics.driver_heatmap(by_driver)
-        assert set(out) == {"a", "b"}
+        # b: four (High, Medium); a: (Low, Low), (Low, High); c kept no window,
+        # so it has no run of rows
+        fleet = {"comfort_label": np.array([2, 2, 2, 2, 0, 0]),
+                 "fuel_label": np.array([1, 1, 1, 1, 0, 2])}
+        out = analytics.driver_heatmap(fleet, {"b": slice(0, 4), "a": slice(4, 6)})
+        assert list(out) == ["b", "a"]
         assert out["a"][0, 0] == pytest.approx(50.0)
+        assert out["a"][0, 2] == pytest.approx(50.0)
         assert out["b"][2, 1] == pytest.approx(100.0)

@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes and artifact layout."""
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import pkgutil
 import re
@@ -520,19 +522,54 @@ class TestAdvise:
 
 
 OUTPUT_FILES = ("classes.csv", "advice_events.txt", "intersection.csv",
-                "improvement_main.csv", "improvement_aux.csv", "correlations.csv")
+                "improvement_main.csv", "improvement_aux.csv", "correlations.csv",
+                "driver_summary.csv")
+REPORT_STDOUT = "report stdout"
+
+
+class Outputs(dict):
+    """A run's outputs by name; the repr names them only, so that a failing
+    hypothesis example, whose arguments it prints, stays short."""
+
+    def __repr__(self):
+        return f"Outputs({sorted(self)})"
 
 
 def cli_outputs(data, models, out):
-    """The bytes of each of ``OUTPUT_FILES`` from ``classify``, ``advise`` and
-    ``correlate`` on ``data``."""
+    """The bytes of each of ``OUTPUT_FILES`` and every ``heatmap_*``/``kde_*``
+    file from ``classify``, ``advise``, ``report`` and ``correlate`` on
+    ``data``, and under ``REPORT_STDOUT`` the lines ``report`` prints before
+    the last one, which names ``out``."""
     out.mkdir()
     assert run(["classify", "--data", str(data), "--models", str(models),
                 "--out", str(out / "classes.csv")]) == 0
     assert run(["advise", "--data", str(data), "--models", str(models),
                 "--out", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert run(["report", "--data", str(data), "--models", str(models),
+                    "--out", str(out)]) == 0
     assert run(["correlate", "--data", str(data), "--out", str(out / "correlations.csv")]) == 0
-    return {name: (out / name).read_bytes() for name in OUTPUT_FILES}
+    outputs = Outputs((p.name, p.read_bytes())
+                      for pattern in ("heatmap_*", "kde_*") for p in out.glob(pattern))
+    outputs.update((name, (out / name).read_bytes()) for name in OUTPUT_FILES)
+    lines = printed.getvalue().splitlines(keepends=True)
+    assert lines[-1] == f"reports written to {out}\n"
+    outputs[REPORT_STDOUT] = "".join(lines[:-1]).encode()
+    return outputs
+
+
+def per_driver_files(outputs):
+    """The names of the ``heatmap_*`` and ``kde_*`` files among ``outputs``."""
+    return {name for name in outputs if name.startswith(("heatmap_", "kde_"))}
+
+
+def assert_per_driver_files_renamed(got, want, rename):
+    """``got`` holds each per-driver file of ``want``, byte for byte, under
+    the name ``rename`` gives it, and no other."""
+    renamed = {name: rename(name) for name in per_driver_files(want)}
+    assert per_driver_files(got) == set(renamed.values())
+    for name, new_name in renamed.items():
+        assert got[new_name] == want[name], name
 
 
 def rewrite_csvs(src_dir, dst_dir, edit_rows, rename=None):
@@ -556,7 +593,24 @@ class TestMetamorphic:
     """Relations between runs on edited copies of the workspace corpus
     (Chen, Cheung & Yiu 1998, "Metamorphic testing")."""
 
-    EXACT = ("classes.csv", "advice_events.txt", "intersection.csv")
+    EXACT = ("classes.csv", "advice_events.txt", "intersection.csv", "driver_summary.csv",
+             REPORT_STDOUT)
+
+    @classmethod
+    def assert_exact(cls, got, want, close=()):
+        """``got`` equals ``want`` in ``EXACT`` and the per-driver files, byte
+        for byte, except that the JSON files named in ``close`` hold the same
+        numbers to a relative 1e-9."""
+        assert per_driver_files(got) == per_driver_files(want)
+        for name in (*cls.EXACT, *per_driver_files(want)):
+            if name in close:
+                got_meta, want_meta = json.loads(got[name]), json.loads(want[name])
+                assert got_meta.keys() == want_meta.keys(), name
+                for key, value in want_meta.items():
+                    np.testing.assert_allclose(got_meta[key], value, rtol=1e-9,
+                                               err_msg=f"{name} {key}")
+            else:
+                assert got[name] == want[name], name
 
     @staticmethod
     def outputs_of(workspace, tmp_path_factory, edit_rows, rename=None):
@@ -575,18 +629,22 @@ class TestMetamorphic:
                                          tmp_path_factory, offset):
         def shift(rows):
             return [rows[0], *([f"{float(row[0]) + offset:.6f}", *row[1:]] for row in rows[1:])]
-        got = self.outputs_of(workspace, tmp_path_factory, shift)
-        for name in self.EXACT:
-            assert got[name] == reference_outputs[name], name
+        # under some offsets (11.276852) shifted times parse one ulp off their
+        # resample grid times t0 + k/32: the interpolated samples move by a
+        # rounding error, which the KDE sidecars' full-precision figures show
+        # in their last digits
+        sidecars = {name for name in per_driver_files(reference_outputs)
+                    if name.endswith(".json")}
+        self.assert_exact(self.outputs_of(workspace, tmp_path_factory, shift),
+                          reference_outputs, close=sidecars)
 
     @settings(max_examples=4, deadline=None)
     @given(order=st.permutations(range(1 + len(telemetry.CHANNELS))))
     def test_column_order_changes_nothing(self, workspace, reference_outputs,
                                           tmp_path_factory, order):
-        got = self.outputs_of(workspace, tmp_path_factory,
-                              lambda rows: [[row[i] for i in order] for row in rows])
-        for name in self.EXACT:
-            assert got[name] == reference_outputs[name], name
+        self.assert_exact(self.outputs_of(workspace, tmp_path_factory,
+                                          lambda rows: [[row[i] for i in order] for row in rows]),
+                          reference_outputs)
 
     @settings(max_examples=4, deadline=None)
     @given(stem=st.text("abcdefghijklmnopqrstuvwxyz0123456789_", max_size=8).map("z".__add__))
@@ -597,6 +655,8 @@ class TestMetamorphic:
                               rename={"c0_f0.csv": f"{stem}.csv"})
         for name in ("intersection.csv", "improvement_main.csv", "improvement_aux.csv"):
             assert got[name] == reference_outputs[name], name
+        assert_per_driver_files_renamed(got, reference_outputs,
+                                        lambda name: name.replace("_c0_f0.", f"_{stem}."))
 
         def moved_last(text, prefix):
             lines = text.decode().splitlines(keepends=True)
@@ -604,10 +664,10 @@ class TestMetamorphic:
             assert own
             return [line for line in lines if not line.startswith(prefix)] \
                 + [stem + line[len(prefix) - 1:] for line in own]
-        assert got["classes.csv"].decode().splitlines(keepends=True) \
-            == moved_last(reference_outputs["classes.csv"], "c0_f0,")
-        assert got["advice_events.txt"].decode().splitlines(keepends=True) \
-            == moved_last(reference_outputs["advice_events.txt"], "c0_f0 ")
+        for name, prefix in (("classes.csv", "c0_f0,"), ("advice_events.txt", "c0_f0 "),
+                             (REPORT_STDOUT, "c0_f0:"), ("driver_summary.csv", "c0_f0,")):
+            assert got[name].decode().splitlines(keepends=True) \
+                == moved_last(reference_outputs[name], prefix), name
 
     def test_lf_line_ends_and_trailing_blank_lines_change_nothing(
             self, workspace, reference_outputs, tmp_path):
@@ -640,11 +700,29 @@ class TestMetamorphic:
         for name in ("intersection.csv", "improvement_main.csv", "improvement_aux.csv",
                      "correlations.csv"):
             assert got[name] == reference_outputs[name], name
-        for name in ("classes.csv", "advice_events.txt"):
+        assert_per_driver_files_renamed(got, reference_outputs,
+                                        lambda name: name.replace("_", "_z_", 1))
+        for name in ("classes.csv", "advice_events.txt", REPORT_STDOUT, "driver_summary.csv"):
+            header = name.endswith(".csv")
             lines = got[name].decode().splitlines(keepends=True)
-            assert all(line.startswith("z_") for line in lines[name == "classes.csv":])
+            assert all(line.startswith("z_") for line in lines[header:])
             assert [line.removeprefix("z_") for line in lines] \
                 == reference_outputs[name].decode().splitlines(keepends=True), name
+
+    def test_every_output_lists_drivers_in_file_name_order(self, workspace, tmp_path_factory):
+        # "c0-1.csv" reads before "c0.csv" ("-" sorts before "."), while the
+        # stem "c0" sorts before "c0-1": every output follows the file names
+        got = self.outputs_of(workspace, tmp_path_factory, lambda rows: rows,
+                              rename={"c0_f0.csv": "c0.csv", "c0_f1.csv": "c0-1.csv"})
+
+        def first_seen(name, sep):
+            lines = got[name].decode().splitlines()[name.endswith(".csv"):]
+            return list(dict.fromkeys(line.split(sep, 1)[0] for line in lines))
+        order = first_seen("classes.csv", ",")
+        assert order[:3] == ["c0-1", "c0", "c0_f2"]
+        assert first_seen("advice_events.txt", " ") == order
+        assert first_seen(REPORT_STDOUT, ":") == order
+        assert first_seen("driver_summary.csv", ",") == order
 
     @pytest.mark.parametrize("rate, kept", [(64.0, 261), (100.0, 252)])
     def test_relogged_rate_keeps_the_labels(self, workspace, reference_outputs, tmp_path,

@@ -57,8 +57,11 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
     """Product-Gaussian kernel density on a regular grid.
 
     Per-axis bandwidths follow Silverman's rule h = 1.06 * sigma * n^(-1/5);
-    the grid spans [min - h, max + h] on each axis.
+    the grid spans [min - h, max + h] on each axis with ``resolution`` (at
+    least 2) points.
     """
+    if resolution < 2:
+        raise DataError(f"KDE grid resolution {resolution} is below 2 points per axis")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
         raise DataError("need at least 2 (fuel, vr) points")
@@ -79,13 +82,20 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
 
 
 def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path) -> None:
+    """The grid as CSV, plus a JSON sidecar of bandwidths, bounds and integral.
+
+    The CSV is the header ``fuel,vr,density``, then one row per grid point,
+    y-major (every fuel value of the first vr, then of the next), each cell
+    ``%.6g`` and each line ending in CRLF: the bytes one ``csv.writer`` row
+    per point wrote, since no such cell needs quoting.  It goes out as one
+    ``%``-formatted string.
+    """
+    ny, nx = surface.density.shape
+    cells = np.column_stack([np.tile(surface.x_grid, ny), np.repeat(surface.y_grid, nx),
+                             surface.density.ravel()])
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fuel", "vr", "density"])
-        for iy, vr in enumerate(surface.y_grid):
-            for ix, fuel in enumerate(surface.x_grid):
-                writer.writerow([f"{fuel:.6g}", f"{vr:.6g}",
-                                 f"{surface.density[iy, ix]:.6g}"])
+        fh.write("fuel,vr,density\r\n")
+        fh.write("%.6g,%.6g,%.6g\r\n" * len(cells) % tuple(cells.ravel().tolist()))
     meta = {
         "bandwidth_fuel": surface.bandwidth_x,
         "bandwidth_vr": surface.bandwidth_y,

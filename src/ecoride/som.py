@@ -152,13 +152,17 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
 
     The sample indices are drawn up front in one call, which yields the same
     stream as one ``rng.integers(k)`` per iteration, and so are every
-    iteration's alpha and ``2 sigma**2``.  The weights are held feature-major,
-    (dim, n_neurons), while training: each neuron's squared distance is then
-    ``add.reduce`` over axis 0, which adds the feature rows left to right as
-    the (n_neurons, dim) ``axis=1`` reduce does.  The update
-    ``w - (kernel * alpha) * (w - x)`` runs in place and equals
-    ``w + alpha * kernel * (x - w)`` bit for bit: IEEE negation and commuted
-    products are exact.
+    iteration's alpha and ``2 sigma**2``.  The kernel depends only on the
+    integer hex distance d to the BMU, so once per epoch a table holds
+    ``exp(-d**2 / (2 sigma**2)) * alpha`` for every iteration and every d
+    that occurs; each iteration gathers its neurons' values from its row by
+    their distance to the BMU, the same doubles as computing them per neuron.
+    The weights are held feature-major, (dim, n_neurons), while training:
+    each neuron's squared distance is then ``add.reduce`` over axis 0, which
+    adds the feature rows left to right as the (n_neurons, dim) ``axis=1``
+    reduce does.  The update ``w - (kernel * alpha) * (w - x)`` runs in place
+    and equals ``w + alpha * kernel * (x - w)`` bit for bit: IEEE negation
+    and commuted products are exact.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -167,7 +171,8 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
         raise DataError("sample dimension does not match grid")
     rng = np.random.default_rng(seed)
     weights = np.array(grid.weights.T, order="C")  # (dim, n_neurons)
-    neg_d2 = list(-grid_distance_matrix(grid.rows, grid.cols) ** 2)
+    hex_rows = list(grid_distance_matrix(grid.rows, grid.cols).astype(np.intp))
+    neg_d2 = -np.arange(np.max(hex_rows) + 1.0) ** 2
     k = samples.shape[0]
     history = [quantization_error(grid, samples)]
     live = SomGrid(rows=grid.rows, cols=grid.cols, weights=weights.T,
@@ -182,18 +187,14 @@ def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
     diff = np.empty_like(weights)
     sq = np.empty_like(weights)
     d2 = np.empty(weights.shape[1])
-    kernel = np.empty(weights.shape[1])
     for start in range(0, total, k):
         epoch = slice(start, start + k)
-        for pick, alpha, two_s2 in zip(picks[epoch].tolist(), alphas[epoch].tolist(),
-                                       two_sigma_sq[epoch].tolist()):
+        table = np.exp(neg_d2[None, :] / two_sigma_sq[epoch, None]) * alphas[epoch, None]
+        for pick, g in zip(picks[epoch].tolist(), table):
             np.subtract(weights, columns[pick], out=diff)
             np.square(diff, out=sq)
             np.add.reduce(sq, axis=0, out=d2)
-            np.divide(neg_d2[d2.argmin()], two_s2, out=kernel)
-            np.exp(kernel, out=kernel)
-            np.multiply(kernel, alpha, out=kernel)
-            np.multiply(diff, kernel, out=diff)
+            np.multiply(diff, g[hex_rows[d2.argmin()]], out=diff)
             np.subtract(weights, diff, out=weights)
         history.append(quantization_error(live, samples))
     live.weights = np.ascontiguousarray(live.weights)

@@ -1,9 +1,12 @@
 """Driver summaries, bivariate KDE and classification heatmaps."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ecoride import DataError, analytics
 
@@ -80,6 +83,14 @@ class TestKde2d:
         with pytest.raises(DataError, match="^vr has zero spread$"):
             analytics.kde2d(np.column_stack([np.arange(10.0), np.ones(10)]))
 
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_resolution_below_two_is_named(self, resolution):
+        # one point per axis has no grid step, so no integral and no export
+        with pytest.raises(DataError, match=f"^KDE grid resolution {resolution} is below 2 "
+                                            "points per axis$"):
+            analytics.kde2d(self.sample(), resolution=resolution)
+        assert 0.0 < analytics.kde2d(self.sample(), resolution=2).integral()
+
     def test_export(self, tmp_path):
         surface = analytics.kde2d(self.sample(n=50), resolution=16)
         csv_path = tmp_path / "kde.csv"
@@ -91,6 +102,50 @@ class TestKde2d:
         meta = json.loads(json_path.read_text())
         assert meta["resolution"] == [16, 16]
         assert meta["integral"] == pytest.approx(surface.integral())
+
+
+def reference_write_kde_csv(surface, path):
+    """``write_kde_csv``'s CSV as it was before one formatted block: one
+    ``csv.writer`` row of f-strings per grid point, kept as the reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fuel", "vr", "density"])
+        for iy, vr in enumerate(surface.y_grid):
+            for ix, fuel in enumerate(surface.x_grid):
+                writer.writerow([f"{fuel:.6g}", f"{vr:.6g}",
+                                 f"{surface.density[iy, ix]:.6g}"])
+
+
+# Any double (negative, tiny, huge, subnormal, nan, inf), signed zeros, and
+# plain magnitudes that print without an exponent.
+KDE_CELLS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def kde_surfaces(draw):
+    """Surfaces of nx != ny grid points, so a swapped axis shows."""
+    nx, ny = draw(st.lists(st.integers(2, 12), min_size=2, max_size=2, unique=True))
+
+    def cells(n):
+        return np.array(draw(st.lists(KDE_CELLS, min_size=n, max_size=n)))
+    return analytics.KdeSurface(x_grid=cells(nx), y_grid=cells(ny),
+                                density=cells(ny * nx).reshape(ny, nx),
+                                bandwidth_x=0.1, bandwidth_y=0.1)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(surface=kde_surfaces())
+@example(surface=analytics.KdeSurface(
+    x_grid=np.array([-0.0, 1e-300, 123456789.0]), y_grid=np.array([-2.5e-7, 1e300]),
+    density=np.array([[0.0, np.nan, np.inf], [-np.inf, 5e-324, -1234567.0]]),
+    bandwidth_x=0.1, bandwidth_y=0.1))
+def test_write_kde_csv_matches_reference(tmp_path, surface):
+    path, ref = tmp_path / "kde.csv", tmp_path / "ref.csv"
+    with np.errstate(all="ignore"):  # the sidecar's integral of nan/inf cells
+        analytics.write_kde_csv(surface, path, tmp_path / "kde.json")
+    reference_write_kde_csv(surface, ref)
+    assert path.read_bytes() == ref.read_bytes()
 
 
 class TestDriverHeatmap:

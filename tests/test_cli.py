@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and artifact layout."""
 
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -10,6 +11,7 @@ import re
 import shutil
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from hypothesis import strategies as st
 import ecoride
 from ecoride import advisor, cli, pipeline, som, synthgen, telemetry
 from ecoride.features import AUX_FEATURES, MAIN_FEATURES
+
+
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_seed42_120s.sha256"
 
 
 def run(argv):
@@ -775,6 +780,19 @@ class TestReport:
         for p in out.glob("kde_*.json"):
             meta = json.loads(p.read_text())
             assert 0.95 <= meta["integral"] <= 1.05
+
+    def test_bytes_are_pinned(self, workspace, tmp_path, capsys):
+        """On the quick-start corpus ``report`` writes the summary, heatmap and
+        KDE CSVs whose sha256 sums (``sha256sum`` format, by file name) are
+        committed."""
+        _, data, models = workspace
+        out = tmp_path / "reports"
+        assert run(["report", "--data", str(data), "--models", str(models),
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        found = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+                        for p in sorted(out.glob("*.csv")))
+        assert found == REPORT_DIGESTS.read_text()
 
     def test_driver_without_kept_windows_is_skipped(self, workspace, tmp_path, capsys):
         _, data, models = workspace

@@ -18,8 +18,11 @@ import numpy as np
 from scipy import signal, stats
 
 from . import DataError
-from .telemetry import (BOUNDS, MAX_DURATION_S, SAMPLE_RATE_HZ, TIME_COLUMN, CHANNELS,
-                        DriveRecord)
+from .telemetry import BOUNDS, MAX_DURATION_S, SAMPLE_RATE_HZ, TIME_COLUMN, DriveRecord
+
+# The channels of a synthetic drive, in the order ``write_csv`` writes them:
+# the six of ``telemetry.CHANNELS`` and four that no analysis reads.
+CHANNELS = ("SWA", "VS", "ERPM", "PGP", "GP", "BP", "XACC", "YACC", "ZACC", "FUEL")
 
 # Fuel proxy: FUEL = C0 + C1 * ERPM * PGP + C2 * max(XACC, 0).
 # Constants picked so synthetic fuel spans roughly 2-5 l/100km; this is a
@@ -166,10 +169,7 @@ def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
 
     fuel = FUEL_C0 + FUEL_C1 * erpm * pgp + FUEL_C2 * np.maximum(xacc, 0.0)
 
-    channels = {
-        "SWA": swa, "VS": vs, "ERPM": erpm, "PGP": pgp, "GP": gp, "BP": bp,
-        "XACC": xacc, "YACC": yacc, "ZACC": zacc, "FUEL": fuel,
-    }
+    channels = dict(zip(CHANNELS, (swa, vs, erpm, pgp, gp, bp, xacc, yacc, zacc, fuel)))
     return DriveRecord(driver_id=driver_id, channels=channels)
 
 
@@ -199,7 +199,7 @@ WRITE_BLOCK = 32
 
 
 def write_csv(record: DriveRecord, path) -> None:
-    """Write a record in the same CSV schema the loader reads: the time at
+    """Write a record's ``CHANNELS`` in a CSV the loader reads: the time at
     ``%.6f``, every channel at ``%.8g``, CRLF line ends.
 
     Rows go out ``WRITE_BLOCK`` at a time: a block is gathered into one
@@ -207,14 +207,13 @@ def write_csv(record: DriveRecord, path) -> None:
     repeated once per row, the same printf conversions of the same doubles
     that ``np.savetxt`` makes row by row.
     """
-    names = list(CHANNELS)
     n = record.n_total
     columns = [record.t_start + np.arange(n) / SAMPLE_RATE_HZ,
-               *(record.channels[name] for name in names)]
-    row = ",".join(["%.6f"] + ["%.8g"] * len(names)) + "\r\n"
+               *(record.channels[name] for name in CHANNELS)]
+    row = ",".join(["%.6f"] + ["%.8g"] * len(CHANNELS)) + "\r\n"
     block = np.empty((WRITE_BLOCK, len(columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([TIME_COLUMN, *names])
+        csv.writer(fh).writerow([TIME_COLUMN, *CHANNELS])
         for lo in range(0, n, WRITE_BLOCK):
             m = min(WRITE_BLOCK, n - lo)
             for j, column in enumerate(columns):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -19,17 +20,14 @@ WINDOW_LEN = 256
 WINDOW_STEP = 128
 SPEED_THRESHOLD_KMH = 60.0
 
-# Channel names and their units (documentation only; values are plain floats).
+# The channels the analysis reads, with their units (documentation only;
+# values are plain floats).  A file's other columns are neither parsed nor checked.
 CHANNELS = {
     "SWA": "deg",
     "VS": "km/h",
     "ERPM": "rev/min",
-    "PGP": "%",
-    "GP": "",
-    "BP": "",
     "XACC": "m/s^2",
     "YACC": "m/s^2",
-    "ZACC": "m/s^2",
     "FUEL": "l/100km",
 }
 
@@ -43,11 +41,21 @@ MAX_DURATION_S = 86_400.0
 # has a median step of ~31 at 32 Hz and would ask for a 1000-fold grid.
 MAX_MEDIAN_STEP_S = 1.0
 
+# How far a time may sit from its 32 Hz grid time and still count as on it:
+# the span of decimal times, say 0 to 119.96875 s logged from 11.276852 s,
+# can come out one rounding error short of a whole number of periods.
+GRID_TOLERANCE_S = 1e-6
+
 
 # Plausibility bounds of the raw samples (inclusive); other channels are unbounded.
 BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
-          "YACC": (-50.0, 50.0), "ZACC": (-50.0, 50.0), "FUEL": (0.0, np.inf)}
+          "YACC": (-50.0, 50.0), "FUEL": (0.0, np.inf)}
 _LOW, _HIGH = np.array([BOUNDS.get(c, (-np.inf, np.inf)) for c in (TIME_COLUMN, *CHANNELS)]).T
+
+# Bytes that could make np.loadtxt see other cells or lines than csv.reader
+# over str.splitlines: the quote, and the ASCII line breaks of splitlines
+# that loadtxt does not break at (the non-ASCII ones are ruled out apart).
+_NOT_BULK = (b'"', b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 @dataclass
@@ -86,52 +94,93 @@ class DriveRecord:
 def load_csv(path) -> list[RawChannel]:
     """Read and check a telemetry CSV: one RawChannel per ``CHANNELS`` column.
 
-    The file is read and decoded once, skipping a leading UTF-8 byte-order
-    mark, parsed by ``_read_table`` and checked once by ``_check``.  Messages
-    name this file and a line counted from 1, header and blank lines included.
+    Only ``t`` and the ``CHANNELS`` columns are parsed and checked; the
+    other columns count towards a row's width and are not read.  The file is
+    read once, skipping a leading UTF-8 byte-order mark.  ``_bulk_table``
+    parses its bytes in one call; a file that call cannot take as it stands
+    is decoded and read row by row by ``_parse_rows``.  Either way the table
+    is checked once by ``_check``.  Messages name this file and a line
+    counted from 1, header and blank lines included.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read().removeprefix(codecs.BOM_UTF8)
     except FileNotFoundError:
         raise DataError(f"telemetry file not found: {path}") from None
+    found = _bulk_table(data, path)
+    if found is None:
+        reader = csv.reader(_decoded_lines(data, path))
+        cols, width, _ = _header(reader, path)
+        found = _parse_rows(reader, cols, width, path)
+    table, line_of = found
+    table = table[:, :1 + len(CHANNELS)]
+    _check(table, line_of, path)
+    columns = np.ascontiguousarray(table.T)  # one contiguous row per column
+    t = columns[0]
+    return [RawChannel(name, t, columns[k], source=str(path))
+            for k, name in enumerate(CHANNELS, start=1)]
+
+
+def _decoded_lines(data: bytes, path) -> list[str]:
     try:  # not "utf-8-sig": its exc.start does not count the mark
-        lines = data.decode("utf-8").splitlines()
+        return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"non-UTF-8 byte 0x{data[exc.start]:02x} at line {line} "
                         f"in {path}") from None
-    del data
-    table, line_of = _read_table(lines, path)
-    _check(table, line_of, path)
-    t = table[:, 0]
-    return [RawChannel(name, t, table[:, k], source=str(path))
-            for k, name in enumerate(CHANNELS, start=1)]
 
 
-def _read_table(lines: list[str], path) -> tuple[np.ndarray, Callable[[int], int]]:
-    """The columns ``t`` and ``CHANNELS`` of the data rows, and the file line of
-    a row.  The header is the first non-blank line.  The rows are parsed in one
-    ``np.loadtxt`` call, or by ``_parse_rows`` if that call cannot parse them."""
-    reader = csv.reader(lines)
+def _header(reader, path) -> tuple[list[int], int, int]:
+    """The indices of ``t`` and ``CHANNELS`` in the header, its width and its
+    line.  The header is the first non-blank row of a ``csv.reader``."""
     header = next((row for row in reader if any(cell.strip() for cell in row)), [])
-    header, h = [cell.strip() for cell in header], reader.line_num  # h: the header's line
+    header, h = [cell.strip() for cell in header], reader.line_num
     for col in (TIME_COLUMN, *CHANNELS):
         if col not in header:
             raise DataError(f"missing required column '{col}' in {path}")
         if (count := header.count(col)) > 1:
             raise DataError(f"column '{col}' appears {count} times in the header "
                             f"at line {h} in {path}")
-    cols = [header.index(col) for col in (TIME_COLUMN, *CHANNELS)]
-    data = lines[h:]
-    try:  # on empty lines only np.loadtxt warns; _parse_rows finds no row there either
-        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2) if any(data) else None
+    return [header.index(col) for col in (TIME_COLUMN, *CHANNELS)], len(header), h
+
+
+def _bulk_table(data: bytes, path) -> tuple[np.ndarray, Callable[[int], int]] | None:
+    """The data rows parsed in one ``np.loadtxt`` call on the bytes: columns
+    ``t`` and ``CHANNELS``, maybe followed by the header's last column, and
+    the file line of a row.  None where the file is to be decoded and read row
+    by row: a non-ASCII byte or one of ``_NOT_BULK``, a fault in the header, a
+    line break other than LF or CRLF before the data, no comma after the
+    header, and any row that is not empty but blank, of other than the
+    header's width or with a read cell that does not parse."""
+    if not data.isascii() or any(b in data for b in _NOT_BULK):
+        return None
+    fh = io.BytesIO(data)
+    reader = csv.reader(line.decode() for line in fh)  # lines that end at LF only
+    try:
+        cols, width, h = _header(reader, path)
+    except (csv.Error, DataError):  # the row-by-row path names a header fault
+        return None
+    start = fh.tell()  # past the header line
+    head = data[:start]
+    if head.count(b"\r") != head.count(b"\r\n"):
+        return None  # a lone CR ends a line that csv.reader read on past
+    commas = np.count_nonzero(np.frombuffer(data, np.uint8, offset=start) == ord(","))
+    if not commas:
+        return None  # no data row; on no row at all loadtxt would warn
+    # with usecols, loadtxt takes a row with cells past the last one it parses:
+    # as it parses the header's last column, no row is narrower than the
+    # header, so a wider one shows in the count of commas
+    usecols = cols if width - 1 in cols else [*cols, width - 1]
+    try:
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols,
+                           encoding="utf-8")
     except ValueError:
-        table = None
-    if table is None or table.shape[1] != len(header):
-        return _parse_rows(reader, cols, len(header), path)
+        return None
+    if commas != len(table) * (width - 1):
+        return None
     # the rows are the non-empty lines; worked out only for a message
-    return table[:, cols], lambda row: [i for i, line in enumerate(data, h + 1) if line][row]
+    return table, lambda row: [i for i, line in enumerate(data[start:].splitlines(), h + 1)
+                               if line][row]
 
 
 def _parse_rows(reader, cols: list[int], width: int,
@@ -197,10 +246,8 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     """
     t = channels[0].timestamps
     t0 = float(t[0])
-    # a last sample up to 1 us short of a grid time still ends the grid there:
-    # the span of decimal times, say 0 to 119.96875 s logged from 11.276852 s,
-    # can come out one rounding error short of a whole number of periods
-    n = int(np.floor((t[-1] - t0 + 1e-6) * SAMPLE_RATE_HZ)) + 1
+    # a last sample up to GRID_TOLERANCE_S short of a grid time still ends the grid there
+    n = int(np.floor((t[-1] - t0 + GRID_TOLERANCE_S) * SAMPLE_RATE_HZ)) + 1
     grid = t0 + np.arange(n) / SAMPLE_RATE_HZ
     # the same median as _check's: resample also takes channels not from load_csv
     rate = 1.0 / float(np.median(np.diff(t)))
@@ -210,10 +257,13 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
         span = slice(lead, lead + len(t))  # "same" alignment at any length
         # the mean of the samples in reach, so an edge is not pulled towards 0
         reach = np.convolve(np.ones(len(t)), kernel)[span]
+    # samples already at their grid times are taken as they are: a time one
+    # rounding error off its grid time would mix in a neighbour's value
+    on_grid = not smooth and len(t) == n and np.all(np.abs(t - grid) <= GRID_TOLERANCE_S)
     out = {}
     for ch in channels:
         values = np.convolve(ch.values, kernel)[span] / reach if smooth else ch.values
-        out[ch.name] = np.interp(grid, t, values)
+        out[ch.name] = values if on_grid else np.interp(grid, t, values)
     return DriveRecord(driver_id=driver_id, channels=out, t_start=t0,
                        source=channels[0].source)
 

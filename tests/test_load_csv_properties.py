@@ -1,29 +1,36 @@
 """Property tests of ``load_csv`` (bulk parse, row-by-row fallback, one check):
 against a reference parser built from ``csv.reader`` + ``float()`` that skips
-blank rows, rejects unparseable rows and rows whose cell count differs from
-the header's, and checks the accepted rows cell by cell; and with one fault
-planted in a clean table, which must be named at its file line and channel."""
+blank rows, rejects rows whose cell count differs from the header's and rows
+with an unparseable cell in ``t`` or ``CHANNELS``, and checks the read cells
+of the accepted rows one by one; with one fault planted in a clean table,
+which must be named at its file line and channel; and the bulk parse against
+the row-by-row one on files with stray bytes."""
 
 import csv
 import logging
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ecoride import DataError, telemetry
+from ecoride import DataError, synthgen, telemetry
 
 NAMES = list(telemetry.CHANNELS)
+# the columns `ecoride synth` writes: the read ones and four unread ones
+FILE_NAMES = list(synthgen.CHANNELS)
+UNREAD = [name for name in FILE_NAMES if name not in NAMES]
+HEADER = [telemetry.TIME_COLUMN, *FILE_NAMES]
 # the README's plausibility bounds, inclusive; the other channels are unbounded
 BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
-          "YACC": (-50.0, 50.0), "ZACC": (-50.0, 50.0), "FUEL": (0.0, math.inf)}
+          "YACC": (-50.0, 50.0), "FUEL": (0.0, math.inf)}
 FORMATS = {"6f": "{:.6f}".format, "8g": "{:.8g}".format, "repr": repr}
-# Ways to spoil one data row, each one np.loadtxt rejects: a junk, quoted or
-# "1_0" cell (float() takes the last two), all cells empty, one cell too many
-# or too few.
+# Ways to change one data row: a junk, quoted or "1_0" cell (float() takes the
+# last two), each of which spoils the row only in a read column; all cells
+# empty, one cell too many or too few, each of which spoils it anywhere.
 MANGLES = ("junk", "quoted", "underscore", "commas", "extra", "missing")
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -103,12 +110,13 @@ def clean_rows(draw, n, fmt, names):
 @st.composite
 def csv_files(draw):
     """Text of a telemetry CSV: plausible values in random float formats but
-    for an optional planted out-of-bounds cell, optional unused column, blank
-    lines (before the header too), CRLF endings and mangled rows."""
+    for an optional planted out-of-bounds cell, optional non-finite cell in an
+    unread column, optional numeric column outside the schema, blank lines
+    (before the header too), CRLF endings and mangled rows."""
     n = draw(st.integers(0, 40))
     fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
-    note = draw(st.booleans())  # an extra column outside CHANNELS
-    header = [telemetry.TIME_COLUMN, *NAMES] + (["note"] if note else [])
+    note = draw(st.booleans())  # an extra column outside the schema
+    header = HEADER + (["note"] if note else [])
     rows = clean_rows(draw, n, fmt, header[1:])
     if n and draw(st.booleans()):
         name = draw(st.sampled_from(sorted(BOUNDS)))
@@ -116,6 +124,10 @@ def csv_files(draw):
         beyond = draw(st.floats(1.0, 1e6))
         value = hi + beyond if math.isfinite(hi) and draw(st.booleans()) else lo - beyond
         rows[draw(st.integers(0, n - 1))][header.index(name)] = fmt(value)
+    if n and draw(st.booleans()):
+        name = draw(st.sampled_from(UNREAD))
+        rows[draw(st.integers(0, n - 1))][header.index(name)] = draw(
+            st.sampled_from(["nan", "-inf", "1e308", "-1e9"]))
     for k in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=min(n, 4), unique=True)):
         col = draw(st.integers(1, len(header) - 1))  # never the time column
         rows[k] = mangle(rows[k], draw(st.sampled_from(MANGLES)), col)
@@ -153,10 +165,11 @@ def test_load_csv_matches_reference_parser(tmp_path, caplog, text):
 def planted_faults(draw):
     """(text, expected message or None, data rows): a clean table, optionally
     with blank lines before the header, and one planted fault (or none) at a
-    random line and column, optionally after a rejected row and a blank line."""
+    random line and read column, optionally after a rejected row and a blank
+    line."""
     n = draw(st.integers(2, 30))
     fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
-    rows = clean_rows(draw, n, fmt, NAMES)
+    rows = clean_rows(draw, n, fmt, FILE_NAMES)
     k = draw(st.integers(0, n - 1))
     fault = draw(st.sampled_from(["none", "nan", "inf", "-inf", "bound", "time"]))
     if fault == "time":
@@ -168,13 +181,14 @@ def planted_faults(draw):
         lo, hi = BOUNDS[name]
         beyond = draw(st.floats(1.0, 1e6))
         value = hi + beyond if math.isfinite(hi) and draw(st.booleans()) else lo - beyond
-        rows[k][1 + NAMES.index(name)] = fmt(value)
+        rows[k][HEADER.index(name)] = fmt(value)
         expected = f"{name} value {float(fmt(value)):g} outside [{lo:g}, {hi:g}]"
     elif fault != "none":
-        col = draw(st.integers(0, len(NAMES)))
-        rows[k][col] = fault
-        expected = "non-finite " + ("timestamp" if col == 0 else f"{NAMES[col - 1]} value")
-    lines = [""] * draw(st.integers(0, 2)) + [",".join([telemetry.TIME_COLUMN, *NAMES])]
+        name = draw(st.sampled_from([telemetry.TIME_COLUMN, *NAMES]))
+        rows[k][HEADER.index(name)] = fault
+        expected = "non-finite " + ("timestamp" if name == telemetry.TIME_COLUMN
+                                    else f"{name} value")
+    lines = [""] * draw(st.integers(0, 2)) + [",".join(HEADER)]
     before = draw(st.integers(0, k))  # data rows before the extras
     lines += [",".join(r) for r in rows[:before]]
     if draw(st.booleans()):
@@ -198,8 +212,60 @@ def test_planted_fault_is_named_at_its_line(tmp_path, case):
         channels = telemetry.load_csv(path)
         table = np.array(rows, dtype=float)
         assert np.array_equal(channels[0].timestamps, table[:, 0])
-        for k, ch in enumerate(channels, start=1):
-            assert np.array_equal(ch.values, table[:, k])
+        for ch in channels:
+            assert np.array_equal(ch.values, table[:, HEADER.index(ch.name)])
     else:
         with pytest.raises(DataError, match=f"^{re.escape(expected)} in .*drive\\.csv$"):
             telemetry.load_csv(path)
+
+
+# Characters at which the bulk parse and csv.reader over str.splitlines could
+# part ways: a quote, line breaks of both kinds, blanks, a NUL and a BOM.
+STRAYS = ('"', "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+          "\u2029", "\t", " ", ",", "\x00", "\ufeff")
+
+
+def outcome(path, caplog):
+    """What ``load_csv`` makes of a file: its channels or its message, and the
+    warnings it logs."""
+    caplog.clear()
+    try:
+        got = [(ch.name, ch.timestamps.tolist(), ch.values.tolist())
+               for ch in telemetry.load_csv(path)]
+    except DataError as exc:
+        got = str(exc)
+    return got, [r.getMessage() for r in caplog.records]
+
+
+@st.composite
+def strayed_files(draw):
+    """Text of a telemetry CSV that the bulk parse takes, clean or with one
+    non-finite read cell to be named at its line, with one to three of
+    ``STRAYS`` put in anywhere."""
+    fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
+    rows = clean_rows(draw, draw(st.integers(2, 12)), fmt, FILE_NAMES)
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[HEADER.index(draw(st.sampled_from([telemetry.TIME_COLUMN, *NAMES])))] = "nan"
+    lines = [",".join(HEADER)] + [",".join(row) for row in rows]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + eol
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAYS)) + text[at:]
+    return text
+
+
+@SETTINGS
+@given(text=strayed_files())
+# a lone CR before a header's or a blank line's CRLF: one more line to
+# splitlines, none more to a csv.reader over lines that end at LF
+@example(text=",".join(HEADER) + "\r\r\n" + ",".join(["0"] * 11) + "\r\nnan" + ",0" * 10)
+@example(text="\r\r\n" + ",".join(HEADER) + "\n" + ",".join(["0"] * 11) + "\nnan" + ",0" * 10)
+def test_bulk_parse_agrees_with_row_by_row_parse(tmp_path, caplog, text):
+    path = tmp_path / "drive.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with caplog.at_level(logging.WARNING, logger="ecoride.telemetry"):
+        got = outcome(path, caplog)
+        with mock.patch.object(telemetry, "_bulk_table", return_value=None):
+            assert got == outcome(path, caplog)

@@ -58,7 +58,8 @@ class TestGenerate:
 
     def test_all_channels_present(self):
         rec = synthgen.generate(StyleSpec(duration=20.0))
-        assert set(rec.channels) == set(telemetry.CHANNELS)
+        assert tuple(rec.channels) == synthgen.CHANNELS
+        assert set(telemetry.CHANNELS) <= set(synthgen.CHANNELS)
         assert rec.n_total == int(20.0 * telemetry.SAMPLE_RATE_HZ)
 
     def test_physical_invariants(self):
@@ -158,9 +159,10 @@ class TestCsvRoundTrip:
         synthgen.write_csv(rec, path)
         channels = telemetry.load_csv(path)
         back = telemetry.resample(channels, driver_id="rt")
-        # same grid, so values survive up to CSV float formatting
+        # same grid, so the read channels survive up to CSV float formatting
         n = min(back.n_total, rec.n_total)
-        for name in rec.channels:
+        assert list(back.channels) == list(telemetry.CHANNELS)
+        for name in back.channels:
             np.testing.assert_allclose(back.channels[name][:n],
                                        rec.channels[name][:n], rtol=1e-6,
                                        atol=1e-5)
@@ -181,7 +183,7 @@ def reference_write_csv(record, path):
     ``csv.writer`` row of f-strings per sample, kept as the reference."""
     n = record.n_total
     times = record.t_start + np.arange(n) / telemetry.SAMPLE_RATE_HZ
-    names = list(telemetry.CHANNELS)
+    names = list(synthgen.CHANNELS)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([telemetry.TIME_COLUMN, *names])
@@ -201,7 +203,7 @@ def record_of(channels_of, n, t_start):
     """A record of ``n`` rows; each channel clipped to its plausibility bounds,
     so that the file loads back."""
     channels = {name: np.clip(channels_of(name), *telemetry.BOUNDS.get(name, (-np.inf, np.inf)))
-                for name in telemetry.CHANNELS}
+                for name in synthgen.CHANNELS}
     return telemetry.DriveRecord(driver_id="rt", channels=channels, t_start=t_start)
 
 

@@ -5,21 +5,23 @@ import re
 import numpy as np
 import pytest
 
-from ecoride import DataError, telemetry
+from ecoride import DataError, synthgen, telemetry
 from ecoride.telemetry import (SAMPLE_RATE_HZ, WINDOW_LEN, WINDOW_STEP,
                                DriveRecord, RawChannel)
 
 from conftest import make_record
 
 NAMES = list(telemetry.CHANNELS)
+# the columns of the files _write_csv writes: those of `ecoride synth`
+HEADER = [telemetry.TIME_COLUMN, *synthgen.CHANNELS]
+UNREAD = [name for name in synthgen.CHANNELS if name not in NAMES]
 
 
 def _write_csv(path, n=600, rate=32.0, mangle=None):
-    names = list(telemetry.CHANNELS)
-    lines = [",".join([telemetry.TIME_COLUMN, *names])]
+    lines = [",".join(HEADER)]
     for i in range(n):
         t = i / rate
-        row = [f"{t:.6f}"] + [f"{(i + j) % 41}" for j in range(len(names))]
+        row = [f"{t:.6f}"] + [f"{(i + j) % 41}" for j in range(len(HEADER) - 1)]
         lines.append(",".join(row))
     if mangle:
         lines = mangle(lines)
@@ -123,6 +125,63 @@ class TestLoadCsv:
         assert [r.getMessage() for r in caplog.records] == [
             f"rejecting line 11 in {p}: 12 cells, header has 11"]
 
+    @pytest.mark.parametrize("case", ["short_and_long", "long_with_junk"])
+    def test_row_width_is_checked(self, tmp_path, caplog, case):
+        # a row one cell short and one a cell over balance out in a comma
+        # count over the whole file: each row's own width is checked
+        def mangle(lines):
+            if case == "short_and_long":
+                fields = lines[5].split(",")
+                del fields[HEADER.index("ZACC")]
+                lines[5] = ",".join(fields)
+                lines[10] += ",999"
+            else:
+                lines[10] += ",junk"
+            return lines
+        rejected = {6: 10, 11: 12} if case == "short_and_long" else {11: 12}  # line: cells
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        times = telemetry.load_csv(p)[0].timestamps
+        assert len(times) == 600 - len(rejected)
+        assert not set(times) & {(line - 2) / 32.0 for line in rejected}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"rejecting line {line} in {p}: {cells} cells, header has 11"
+            for line, cells in rejected.items()]
+
+    @staticmethod
+    def _same_table(got, want):
+        assert [ch.name for ch in got] == [ch.name for ch in want] == NAMES
+        for g, w in zip(got, want):
+            assert np.array_equal(g.timestamps, w.timestamps)
+            assert np.array_equal(g.values, w.values)
+
+    @pytest.mark.parametrize("cell", ["nan", "junk", "", "1e308", "-inf"])
+    def test_unread_columns_carry_nothing(self, tmp_path, monkeypatch, caplog, cell):
+        # PGP, GP, BP and ZACC are neither parsed nor checked: whatever they
+        # hold, the bulk path gives the clean file's table
+        clean, p = tmp_path / "clean.csv", tmp_path / "a.csv"
+        _write_csv(clean)
+
+        def mangle(lines):
+            rows = [line.split(",") for line in lines]
+            for fields in rows[1:]:
+                for name in UNREAD:
+                    fields[HEADER.index(name)] = cell
+            return [",".join(fields) for fields in rows]
+        _write_csv(p, mangle=mangle)
+        want = telemetry.load_csv(clean)
+        monkeypatch.setattr(telemetry, "_parse_rows", None)
+        self._same_table(telemetry.load_csv(p), want)
+        assert caplog.records == []
+
+    def test_non_numeric_last_column_is_not_read(self, tmp_path, caplog):
+        clean, p = tmp_path / "clean.csv", tmp_path / "a.csv"
+        _write_csv(clean)
+        _write_csv(p, mangle=lambda lines: [lines[0] + ",notes",
+                                            *(f"{line},note {k}" for k, line in enumerate(lines[1:]))])
+        self._same_table(telemetry.load_csv(p), telemetry.load_csv(clean))
+        assert caplog.records == []
+
     @pytest.mark.parametrize("rejected", [False, True])  # bulk path, row-by-row path
     def test_lines_are_counted_past_rejected_and_blank_lines(self, tmp_path, caplog,
                                                              rejected):
@@ -132,7 +191,7 @@ class TestLoadCsv:
             if rejected:
                 lines[3] += ",999"
             fields = lines[10].split(",")
-            fields[1 + NAMES.index("XACC")] = "nan"
+            fields[HEADER.index("XACC")] = "nan"
             lines[10] = ",".join(fields)
             return ["", ""] + lines[:6] + [""] + lines[6:]
         p = tmp_path / "a.csv"
@@ -166,7 +225,7 @@ class TestLoadCsv:
     def test_non_finite_value_rejected(self, tmp_path, cell):
         def mangle(lines):
             fields = lines[7].split(",")
-            fields[1 + NAMES.index("XACC")] = cell
+            fields[HEADER.index("XACC")] = cell
             lines[7] = ",".join(fields)
             return lines
         p = tmp_path / "a.csv"
@@ -182,17 +241,20 @@ class TestLoadCsv:
         ("SWA", "-1e9", None), ("GP", "300", None),
     ])
     def test_plausibility_bounds(self, tmp_path, name, cell, bound):
-        # the bounds are inclusive; SWA, PGP, GP and BP have none
+        # the bounds are inclusive; SWA has none; ZACC and GP are not read
         def mangle(lines):
             fields = lines[9].split(",")
-            fields[1 + NAMES.index(name)] = cell
+            fields[HEADER.index(name)] = cell
             lines[9] = ",".join(fields)
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
         if bound is None:
-            channels = telemetry.load_csv(p)
-            assert channels[NAMES.index(name)].values[8] == float(cell)
+            channels = {ch.name: ch.values for ch in telemetry.load_csv(p)}
+            if name in NAMES:
+                assert channels[name][8] == float(cell)
+            else:
+                assert name not in channels
         else:
             with pytest.raises(DataError, match=rf"^{name} value {float(cell):g} outside "
                                                 rf"{re.escape(bound)} at line 10 in .*a\.csv$"):
@@ -252,7 +314,7 @@ class TestRawChannel:
     def _plant(path, column, cell, n=100, row=40):
         def mangle(lines):
             fields = lines[1 + row].split(",")
-            fields[0 if column == telemetry.TIME_COLUMN else 1 + NAMES.index(column)] = cell
+            fields[HEADER.index(column)] = cell
             lines[1 + row] = ",".join(fields)
             return lines
         _write_csv(path, n=n, mangle=mangle)

@@ -56,15 +56,12 @@ def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:
             **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}
 
 
-def _train_one(fleet: dict[str, np.ndarray], train_rows: np.ndarray, feature_names,
-               ordering_metric: str, seed: int) -> tuple[SomModel, dict[str, np.ndarray]]:
-    vectors = features.feature_matrix(fleet, feature_names)
-    train_vectors = vectors[train_rows]
-    normalizer = features.fit_normalizer(train_vectors, feature_names)
-    normalized = normalizer.transform(train_vectors)
-    grid = som.init_random(*GRID_SHAPE, normalized, seed=seed)
-    schedule = som.default_schedule(len(normalized), *GRID_SHAPE)
-    trained, qe = som.train(grid, normalized, schedule, seed=seed + 1)
+def _cluster_and_label(fleet: dict[str, np.ndarray], vectors: np.ndarray,
+                       normalized: np.ndarray, normalizer, trained: som.SomGrid,
+                       qe: list[float], schedule, ordering_metric: str,
+                       seed: int) -> tuple[SomModel, dict[str, np.ndarray]]:
+    """Cluster one trained map's prototypes, profile the clusters over every
+    window (``vectors``) and label them by ``ordering_metric``."""
     hits = som.hit_histogram(trained, normalized)
     assignment = som.cluster_prototypes(trained, len(advisor.LABELS), seed=seed + 2,
                                         hit_counts=hits)
@@ -90,8 +87,9 @@ def train_models(fleet: dict[str, np.ndarray], seed: int = 0) -> TrainResult:
 
     The train/test split is chronological per driver (first ``TRAIN_SPLIT``
     fraction of each record's windows train the maps) to avoid leakage between
-    overlapping windows.  Cluster profiles and labels use all windows.  The
-    main map draws its seeds from ``seed``, the aux map from ``seed + 100``.
+    overlapping windows.  Both maps train in one lockstep ``som.train`` call
+    on the same rows.  Cluster profiles and labels use all windows.  The main
+    map draws its seeds from ``seed``, the aux map from ``seed + 100``.
     """
     total = len(fleet["driver"])
     if total < 10:
@@ -99,8 +97,19 @@ def train_models(fleet: dict[str, np.ndarray], seed: int = 0) -> TrainResult:
 
     sizes = np.bincount(fleet["driver"]).tolist()
     train_rows = np.concatenate([np.arange(n) < round(TRAIN_SPLIT * n) for n in sizes])
-    main_model, main_profile = _train_one(fleet, train_rows, MAIN_FEATURES, "vr", seed)
-    aux_model, aux_profile = _train_one(fleet, train_rows, AUX_FEATURES, "fuel", seed + 100)
+    maps = ((MAIN_FEATURES, "vr", seed), (AUX_FEATURES, "fuel", seed + 100))
+    vectors = [features.feature_matrix(fleet, names) for names, _, _ in maps]
+    normalizers = [features.fit_normalizer(v[train_rows], names)
+                   for v, (names, _, _) in zip(vectors, maps)]
+    normalized = [n.transform(v[train_rows]) for n, v in zip(normalizers, vectors)]
+    grids = [som.init_random(*GRID_SHAPE, z, seed=s)
+             for z, (_, _, s) in zip(normalized, maps)]
+    schedule = som.default_schedule(len(normalized[0]), *GRID_SHAPE)
+    trained = som.train(grids, normalized, schedule, [s + 1 for _, _, s in maps])
+    (main_model, main_profile), (aux_model, aux_profile) = (
+        _cluster_and_label(fleet, v, z, n, grid, qe, schedule, metric, s)
+        for v, z, n, (grid, qe), (_, metric, s)
+        in zip(vectors, normalized, normalizers, trained, maps))
     return TrainResult(main_model=main_model, aux_model=aux_model,
                        main_profile=main_profile, aux_profile=aux_profile)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -94,21 +95,26 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between the rows of a and b.
 
     The squared feature differences are added column by column, left to
-    right.  numpy's ``add.reduce`` sums a contiguous axis shorter than 8 in
-    the same order, so for the maps' 2 and 5 features this gives the doubles
-    of ``np.sum((a[:, None] - b[None]) ** 2, axis=2)`` without its
-    (len(a), len(b), dim) temporary; a test pins the two against each other.
+    right, through one reused term buffer.  numpy's ``add.reduce`` sums a
+    contiguous axis shorter than 8 in the same order, so for the maps' 2 and 5
+    features this gives the doubles of ``np.sum((a[:, None] - b[None]) ** 2,
+    axis=2)`` without its (len(a), len(b), dim) temporary; a test pins the two
+    against each other.
     """
     d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    term = np.empty_like(d2)
     for j in range(1, a.shape[1]):
-        d2 += (a[:, None, j] - b[None, :, j]) ** 2
+        np.subtract(a[:, None, j], b[None, :, j], out=term)
+        np.square(term, out=term)
+        d2 += term
     return d2
 
 
 def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best matching unit of each row of ``samples``: (indices, distances).
 
-    Each index is that of the nearest prototype, ties to the lowest index.
+    Each index is that of the nearest prototype, ties to the lowest index,
+    and each distance the root of the squared distance read at that index.
     Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons)
     distance array stays small for a whole training set too.  A nan or inf
     sample raises DataError: it has no nearest prototype.
@@ -119,13 +125,15 @@ def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(samples).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite sample at row {int(np.argmin(finite))}")
+    columns = np.asfortranarray(grid.weights)  # each feature one contiguous column
     idx = np.empty(len(samples), dtype=np.intp)
     dist = np.empty(len(samples))
     for lo in range(0, len(samples), BMU_CHUNK):
         chunk = samples[lo:lo + BMU_CHUNK]
-        d2 = _sq_distances(chunk, grid.weights)
-        idx[lo:lo + len(chunk)] = np.argmin(d2, axis=1)
-        dist[lo:lo + len(chunk)] = np.sqrt(d2.min(axis=1))
+        d2 = _sq_distances(chunk, columns)
+        best = idx[lo:lo + len(chunk)]
+        d2.argmin(axis=1, out=best)
+        np.sqrt(d2[np.arange(len(chunk)), best], out=dist[lo:lo + len(chunk)])
     return idx, dist
 
 
@@ -140,65 +148,98 @@ def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
     return float(np.mean(bmus(grid, samples)[1]))
 
 
-def train(grid: SomGrid, samples: np.ndarray, schedule: TrainingSchedule,
-          seed: int) -> tuple[SomGrid, list[float]]:
-    """Sequential Kohonen training.
+def train(grids: Sequence[SomGrid], samples: Sequence[np.ndarray],
+          schedule: TrainingSchedule, seeds: Sequence[int]
+          ) -> list[tuple[SomGrid, list[float]]]:
+    """Sequential Kohonen training of several maps in lockstep.
 
-    Each iteration draws one sample uniformly at random (seeded), finds its
-    BMU, and pulls every prototype toward the sample with a Gaussian kernel
-    over hexagonal grid distance to the BMU.  Returns the trained grid and the
-    quantization error history (initial value plus one entry per epoch of
-    ``len(samples)`` iterations).
+    Map ``m`` trains ``grids[m]`` on ``samples[m]`` with the sample stream
+    seeded by ``seeds[m]``: each iteration draws one sample uniformly at
+    random, finds its BMU, and pulls every prototype toward the sample with a
+    Gaussian kernel over hexagonal grid distance to the BMU.  Returns one
+    (trained grid, quantization error history) pair per map; the history
+    holds the initial value plus one entry per epoch of ``len(samples[m])``
+    iterations.  The maps share ``schedule``, so they must share their grid
+    shape and their sample count (DataError otherwise); their feature
+    counts may differ.
 
-    The sample indices are drawn up front in one call, which yields the same
-    stream as one ``rng.integers(k)`` per iteration, and so are every
-    iteration's alpha and ``2 sigma**2``.  The kernel depends only on the
-    integer hex distance d to the BMU, so once per epoch a table holds
-    ``exp(-d**2 / (2 sigma**2)) * alpha`` for every iteration and every d
-    that occurs; each iteration gathers its neurons' values from its row by
-    their distance to the BMU, the same doubles as computing them per neuron.
-    The weights are held feature-major, (dim, n_neurons), while training:
-    each neuron's squared distance is then ``add.reduce`` over axis 0, which
-    adds the feature rows left to right as the (n_neurons, dim) ``axis=1``
-    reduce does.  The update ``w - (kernel * alpha) * (w - x)`` runs in place
-    and equals ``w + alpha * kernel * (x - w)`` bit for bit: IEEE negation
-    and commuted products are exact.
+    Each map's doubles are those of training it alone, one iteration at a
+    time.  The sample indices are drawn up front in one call per map, which
+    yields the same stream as one ``rng.integers(k)`` per iteration, and so
+    are every iteration's alpha and ``2 sigma**2``.  The kernel depends only
+    on the integer hex distance d to the BMU, so once per epoch a table, the
+    same for every map, holds ``exp(-d**2 / (2 sigma**2)) * alpha`` for every
+    iteration and every d that occurs; each iteration gathers its neurons'
+    values from its row by their distance to the BMU.  The weights are held
+    as one (maps, max dim, n_neurons) array, each map feature-major with
+    ``+0.0`` rows after its own features, and each sample likewise padded:
+    one ufunc call per step then serves every map.  A zero row adds
+    ``(0 - 0)**2 = +0.0`` to a squared distance, which leaves it unchanged,
+    and its update ``0 - (g * 0)`` stays ``+0.0``.  Each neuron's squared
+    distance is ``add.reduce`` over the feature axis, which adds the feature
+    rows left to right as the (n_neurons, dim) ``axis=1`` reduce does.  The
+    update ``w - (kernel * alpha) * (w - x)`` runs in place and equals
+    ``w + alpha * kernel * (x - w)`` bit for bit: IEEE negation and commuted
+    products are exact.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise DataError("empty training set")
-    if samples.shape[1] != grid.dim:
-        raise DataError("sample dimension does not match grid")
-    rng = np.random.default_rng(seed)
-    weights = np.array(grid.weights.T, order="C")  # (dim, n_neurons)
-    hex_rows = list(grid_distance_matrix(grid.rows, grid.cols).astype(np.intp))
-    neg_d2 = -np.arange(np.max(hex_rows) + 1.0) ** 2
-    k = samples.shape[0]
-    history = [quantization_error(grid, samples)]
-    live = SomGrid(rows=grid.rows, cols=grid.cols, weights=weights.T,
-                   rng_seed=grid.rng_seed)
+    grids, seeds = list(grids), list(seeds)
+    samples = [np.asarray(s, dtype=float) for s in samples]
+    if not len(grids) == len(samples) == len(seeds) >= 1:
+        raise DataError(f"{len(grids)} grids, {len(samples)} sample sets and "
+                        f"{len(seeds)} seeds: need one of each per map")
+    for m, (grid, data) in enumerate(zip(grids, samples)):
+        if data.ndim != 2 or data.shape[0] < 1:
+            raise DataError(f"map {m}: empty training set")
+        if data.shape[1] != grid.dim:
+            raise DataError(f"map {m}: sample dimension does not match grid")
+        if (grid.rows, grid.cols) != (grids[0].rows, grids[0].cols):
+            raise DataError(f"map {m}: grid shape {grid.rows} x {grid.cols} differs "
+                            f"from map 0's {grids[0].rows} x {grids[0].cols}")
+        if len(data) != len(samples[0]):
+            raise DataError(f"map {m}: {len(data)} samples differ from map 0's "
+                            f"{len(samples[0])}")
+    histories = [[quantization_error(g, s)] for g, s in zip(grids, samples)]
+    maps, k, n_neurons = len(grids), len(samples[0]), grids[0].n_neurons
+    depth = max(g.dim for g in grids)
+    weights = np.zeros((maps, depth, n_neurons))  # per map (dim, n_neurons)
+    padded = np.zeros((maps, k, depth))
+    for m, (grid, data) in enumerate(zip(grids, samples)):
+        weights[m, :grid.dim] = grid.weights.T
+        padded[m, :, :grid.dim] = data
+    live = [SomGrid(rows=g.rows, cols=g.cols, weights=weights[m, :g.dim].T,
+                    rng_seed=g.rng_seed) for m, g in enumerate(grids)]
+    hex_rows = grid_distance_matrix(grids[0].rows, grids[0].cols).astype(np.intp)
+    neg_d2 = -np.arange(hex_rows.max() + 1.0) ** 2
     total = schedule.total_iterations
-    picks = rng.integers(k, size=total)
+    picks = np.array([np.random.default_rng(seed).integers(k, size=total)
+                      for seed in seeds])
     steps = np.arange(total)
     alphas = schedule.alpha(steps)
     sigmas = schedule.sigma(steps)
     two_sigma_sq = 2.0 * sigmas * sigmas
-    columns = list(samples[:, :, None])  # each sample as a (dim, 1) column
     diff = np.empty_like(weights)
     sq = np.empty_like(weights)
-    d2 = np.empty(weights.shape[1])
+    d2 = np.empty((maps, n_neurons))
+    best = np.empty(maps, dtype=np.intp)
+    kernel = np.empty((maps, 1, n_neurons))
     for start in range(0, total, k):
         epoch = slice(start, start + k)
         table = np.exp(neg_d2[None, :] / two_sigma_sq[epoch, None]) * alphas[epoch, None]
-        for pick, g in zip(picks[epoch].tolist(), table):
-            np.subtract(weights, columns[pick], out=diff)
+        # each step's samples of every map as (maps, depth, 1) columns
+        columns = padded[np.arange(maps), picks[:, epoch].T][..., None]
+        for x, g in zip(columns, table):
+            np.subtract(weights, x, out=diff)
             np.square(diff, out=sq)
-            np.add.reduce(sq, axis=0, out=d2)
-            np.multiply(diff, g[hex_rows[d2.argmin()]], out=diff)
+            np.add.reduce(sq, axis=1, out=d2)
+            d2.argmin(axis=1, out=best)
+            g.take(hex_rows.take(best, axis=0)[:, None, :], out=kernel)
+            np.multiply(diff, kernel, out=diff)
             np.subtract(weights, diff, out=weights)
-        history.append(quantization_error(live, samples))
-    live.weights = np.ascontiguousarray(live.weights)
-    return live, history
+        for history, grid, data in zip(histories, live, samples):
+            history.append(quantization_error(grid, data))
+    for grid in live:
+        grid.weights = np.ascontiguousarray(grid.weights)
+    return list(zip(live, histories))
 
 
 def u_matrix(grid: SomGrid) -> np.ndarray:
@@ -219,28 +260,42 @@ def hit_histogram(grid: SomGrid, samples: np.ndarray) -> np.ndarray:
 
 def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
                  max_iter: int = 200) -> tuple[np.ndarray, float]:
+    """One Lloyd run from ``c`` distinct seeded points: (assignment, cost).
+
+    Distances are centers-major, (c, n), so the long axis is the inner one,
+    against a copy of the points that holds each feature as one contiguous
+    column.  Each center is the ``mean(axis=0)`` of its members, read as one contiguous
+    slice of the stably sorted points: the rows, their order and so the sum
+    of the boolean-mask selection ``points[assignment == cid]``.
+    """
     n = points.shape[0]
+    columns = np.asfortranarray(points)
     centers = points[rng.choice(n, size=c, replace=False)].copy()
     assignment = np.full(n, -1)
     for _ in range(max_iter):
-        d2 = _sq_distances(points, centers)
-        new_assignment = np.argmin(d2, axis=1)
-        # repair empty clusters: split the largest at its farthest member
-        for cid in range(c):
-            if not np.any(new_assignment == cid):
-                sizes = np.bincount(new_assignment, minlength=c)
-                big = int(np.argmax(sizes))
-                members = np.flatnonzero(new_assignment == big)
-                far = members[np.argmax(
-                    _sq_distances(points[members], centers[big:big + 1])[:, 0])]
-                new_assignment[far] = cid
-                centers[cid] = points[far]
+        d2 = _sq_distances(centers, columns)
+        new_assignment = np.argmin(d2, axis=0)
+        sizes = np.bincount(new_assignment, minlength=c)
+        if not sizes.all():
+            # repair empty clusters: split the largest at its farthest member
+            for cid in range(c):
+                if not np.any(new_assignment == cid):
+                    sizes = np.bincount(new_assignment, minlength=c)
+                    big = int(np.argmax(sizes))
+                    members = np.flatnonzero(new_assignment == big)
+                    far = members[np.argmax(
+                        _sq_distances(centers[big:big + 1], points[members])[0])]
+                    new_assignment[far] = cid
+                    centers[cid] = points[far]
+            sizes = np.bincount(new_assignment, minlength=c)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        for cid in range(c):
-            centers[cid] = points[assignment == cid].mean(axis=0)
-    d2 = _sq_distances(points, centers)[np.arange(n), assignment]
+        by_cluster = points[np.argsort(assignment, kind="stable")]
+        ends = np.cumsum(sizes).tolist()
+        for cid, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            centers[cid] = by_cluster[lo:hi].mean(axis=0)
+    d2 = _sq_distances(centers, columns)[assignment, np.arange(n)]
     return assignment, float(np.sum(d2))
 
 

@@ -125,7 +125,8 @@ def _decoded_lines(data: bytes, path) -> list[str]:
     try:  # not "utf-8-sig": its exc.start does not count the mark
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the prefix decodes; count its line breaks as splitlines does
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise DataError(f"non-UTF-8 byte 0x{data[exc.start]:02x} at line {line} "
                         f"in {path}") from None
 

@@ -150,8 +150,8 @@ class TestCriterion5SomDeterminism:
         runs = []
         for _ in range(2):
             grid = som.init_random(15, 15, blobs, seed=1)
-            trained, history = som.train(
-                grid, blobs, som.default_schedule(len(blobs), 15, 15), seed=2)
+            [(trained, history)] = som.train(
+                [grid], [blobs], som.default_schedule(len(blobs), 15, 15), [2])
             runs.append((trained.weights, history))
         identical = np.array_equal(runs[0][0], runs[1][0]) \
             and runs[0][1] == runs[1][1]

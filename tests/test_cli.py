@@ -24,6 +24,7 @@ from ecoride.features import AUX_FEATURES, MAIN_FEATURES
 
 
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_seed42_120s.sha256"
+LABEL_DIGESTS = Path(__file__).parent / "data" / "train_seed42_120s_labels.sha256"
 
 
 def run(argv):
@@ -359,6 +360,19 @@ class TestTrain:
         capsys.readouterr()
         for name in (cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE):
             assert (models / name).read_bytes() == (again / name).read_bytes()
+
+    def test_labels_are_pinned(self, workspace):
+        """On the quick-start corpus each model file's ``[assignment, labels]``
+        has the committed sha256 (of its ``json.dumps``, by file name).  Unlike
+        the prototypes' last bits, these do not follow the CPU's exp code path;
+        CI checks the same sums for the console script."""
+        _, _, models = workspace
+        found = ""
+        for name in (cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE):
+            model = json.loads((models / name).read_text())
+            pair = json.dumps([model["assignment"], model["labels"]]).encode()
+            found += f"{hashlib.sha256(pair).hexdigest()}  {name}\n"
+        assert found == LABEL_DIGESTS.read_text()
 
     def test_profile_tables_match_a_recomputation(self, workspace, tmp_path, capsys):
         # BMU -> cluster -> member averages worked out here from the model

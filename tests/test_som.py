@@ -79,7 +79,7 @@ class TestTraining:
         data = blobs(seed=4)
         grid = som.init_random(8, 8, data, seed=0)
         schedule = som.default_schedule(len(data), 8, 8)
-        trained, history = som.train(grid, data, schedule, seed=1)
+        [(trained, history)] = som.train([grid], [data], schedule, [1])
         assert history[-1] < history[0]
         assert history[-1] == pytest.approx(som.quantization_error(trained, data))
 
@@ -88,8 +88,8 @@ class TestTraining:
         out = []
         for _ in range(2):
             grid = som.init_random(8, 8, data, seed=0)
-            trained, _ = som.train(grid, data,
-                                   som.default_schedule(len(data), 8, 8), seed=1)
+            [(trained, _)] = som.train([grid], [data],
+                                       som.default_schedule(len(data), 8, 8), [1])
             out.append(trained.weights)
         np.testing.assert_array_equal(out[0], out[1])
 
@@ -97,16 +97,16 @@ class TestTraining:
         grid = som.init_random(4, 4, blobs(), seed=0)
         schedule = som.TrainingSchedule(total_iterations=10)
         with pytest.raises(DataError, match="empty training set"):
-            som.train(grid, np.empty((0, 2)), schedule, seed=0)
+            som.train([grid], [np.empty((0, 2))], schedule, [0])
         with pytest.raises(DataError, match="sample dimension does not match grid"):
-            som.train(grid, np.ones((5, 3)), schedule, seed=0)
+            som.train([grid], [np.ones((5, 3))], schedule, [0])
 
     def test_rejects_non_finite_samples(self):
         grid = som.init_random(4, 4, blobs(), seed=0)
         data = blobs()
         data[7, 1] = np.nan
         with pytest.raises(DataError, match="non-finite sample at row 7"):
-            som.train(grid, data, som.TrainingSchedule(total_iterations=10), seed=0)
+            som.train([grid], [data], som.TrainingSchedule(total_iterations=10), [0])
 
     def test_schedule_decay(self):
         s = som.TrainingSchedule(total_iterations=100, alpha0=0.5, alpha_min=0.01)
@@ -152,7 +152,7 @@ def reference_train(grid, samples, schedule, seed):
 
 
 def assert_trains_like_reference(grid, samples, schedule, seed):
-    trained, history = som.train(grid, samples, schedule, seed)
+    [(trained, history)] = som.train([grid], [samples], schedule, [seed])
     ref_trained, ref_history = reference_train(grid, samples, schedule, seed)
     assert np.array_equal(trained.weights, ref_trained.weights)
     assert trained.weights.flags.c_contiguous
@@ -177,11 +177,70 @@ def training_cases(draw):
     return grid, samples, schedule, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def lockstep_cases(draw):
+    """(grids, samples, schedule, seeds) of two maps that share a grid shape, a
+    sample count and a schedule, each with its own features (1 to 6), sample
+    values and seeds."""
+    rows, cols, k = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 40))
+    grids, samples, seeds = [], [], []
+    for _ in range(2):
+        data = draw(hnp.arrays(np.float64, (k, draw(st.integers(1, 6))),
+                               elements=st.floats(-100.0, 100.0, width=64)))
+        grids.append(som.init_random(rows, cols, data,
+                                     seed=draw(st.integers(0, 2**32 - 1))))
+        samples.append(data)
+        seeds.append(draw(st.integers(0, 2**32 - 1)))
+    total = k * draw(st.integers(0, 4)) if draw(st.booleans()) else draw(st.integers(0, 160))
+    schedule = som.TrainingSchedule(total_iterations=total, sigma0=max(rows, cols) / 2.0)
+    return grids, samples, schedule, seeds
+
+
 class TestTrainMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(case=training_cases())
     def test_bit_identical(self, case):
         assert_trains_like_reference(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lockstep_cases())
+    def test_lockstep_maps_train_as_if_alone(self, case):
+        grids, samples, schedule, seeds = case
+        # every live grid that train hands to quantization_error is a view of
+        # the lockstep weights, which hold each map's padding rows
+        live = []
+        real_qe = som.quantization_error
+
+        def spy(grid, data):
+            live.append(grid.weights)
+            return real_qe(grid, data)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(som, "quantization_error", spy)
+            trained = som.train(grids, samples, schedule, seeds)
+        assert len(trained) == len(grids)
+        for (got, history), grid, data, seed in zip(trained, grids, samples, seeds):
+            ref, ref_history = reference_train(grid, data, schedule, seed)
+            assert np.array_equal(got.weights, ref.weights)
+            assert got.weights.flags.c_contiguous
+            assert history == ref_history
+        if schedule.total_iterations:
+            lockstep = live[-1].base
+            assert lockstep.shape == (2, max(g.dim for g in grids), grids[0].n_neurons)
+            for m, grid in enumerate(grids):
+                padding = lockstep[m, grid.dim:]
+                assert not padding.any() and not np.signbit(padding).any()
+
+    def test_maps_must_share_grid_shape_and_sample_count(self):
+        data = blobs()
+        schedule = som.TrainingSchedule(total_iterations=10)
+        square, wide = som.init_random(4, 4, data, seed=0), som.init_random(4, 5, data, seed=0)
+        with pytest.raises(DataError, match="map 1: grid shape 4 x 5 differs from map 0's 4 x 4"):
+            som.train([square, wide], [data, data], schedule, [0, 1])
+        with pytest.raises(DataError, match="map 1: 119 samples differ from map 0's 120"):
+            som.train([square, square], [data, data[1:]], schedule, [0, 1])
+        with pytest.raises(DataError, match="2 grids, 2 sample sets and 1 seeds"):
+            som.train([square, square], [data, data], schedule, [0])
 
     def test_bit_identical_on_synthetic_fleet(self, small_corpus):
         analyzed = [pipeline.analyze_record(r) for r in small_corpus]
@@ -194,8 +253,9 @@ class TestTrainMatchesReference:
                                          seed + 1)
 
 
-def reference_kmeans_once(points, c, rng, max_iter=200):
-    """``som._kmeans_once`` as it was with ``np.sum`` distances, the reference."""
+def reference_kmeans_once(points, c, rng, max_iter=200, repairs=None):
+    """``som._kmeans_once`` as it was with ``np.sum`` distances, the reference.
+    Each empty-cluster repair appends the cluster id to ``repairs``."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=c, replace=False)].copy()
     assignment = np.full(n, -1)
@@ -211,6 +271,8 @@ def reference_kmeans_once(points, c, rng, max_iter=200):
                     np.sum((points[members] - centers[big]) ** 2, axis=1))]
                 new_assignment[far] = cid
                 centers[cid] = points[far]
+                if repairs is not None:
+                    repairs.append(cid)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -267,14 +329,27 @@ class TestDistanceOrder:
         assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
 
     @pytest.mark.parametrize("dim", [2, 5])
-    def test_kmeans_once_matches_np_sum(self, dim):
+    def test_kmeans_once_matches_np_sum(self, dim, monkeypatch):
+        # 36 prototypes in 3 clusters, then 6 prototypes in 4 or 5 clusters:
+        # with so few distinct points two seeded centers often coincide, the
+        # higher one's cluster comes out empty and the repair branch runs
         rng = np.random.default_rng(20 + dim)
-        for seed in range(12):
-            protos = spread_rows(rng, 36, dim)
-            points = np.repeat(protos, rng.integers(0, 4, size=36), axis=0)
-            got = som._kmeans_once(points, 3, np.random.default_rng(seed))
-            ref = reference_kmeans_once(points, 3, np.random.default_rng(seed))
+        cases = [(36, 0, 3)] * 12 + [(6, 1, 4)] * 6 + [(6, 1, 5)] * 6
+        repairs, searches = [], []
+        sq_distances = som._sq_distances
+        monkeypatch.setattr(som, "_sq_distances",
+                            lambda a, b: searches.append(len(a)) or sq_distances(a, b))
+        for seed, (n_protos, min_hits, c) in enumerate(cases):
+            protos = spread_rows(rng, n_protos, dim)
+            points = np.repeat(protos, rng.integers(min_hits, 4, size=n_protos), axis=0)
+            searches.clear()
+            got = som._kmeans_once(points, c, np.random.default_rng(seed))
+            before = len(repairs)
+            ref = reference_kmeans_once(points, c, np.random.default_rng(seed), repairs=repairs)
             assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+            # a repair's farthest-member search is the only one from one center
+            assert (1 in searches) == (len(repairs) > before)
+        assert len(repairs) >= 6
 
 
 class TestBmu:
@@ -318,8 +393,8 @@ class TestUMatrix:
         # two tight blobs mapped onto a trained SOM: U-matrix range is wide
         data = blobs(k=200, seed=6, centers=((0, 0), (10, 10)))
         grid = som.init_random(8, 8, data, seed=0)
-        trained, _ = som.train(grid, data,
-                               som.default_schedule(len(data), 8, 8), seed=1)
+        [(trained, _)] = som.train([grid], [data],
+                                   som.default_schedule(len(data), 8, 8), [1])
         u = som.u_matrix(trained)
         assert u.shape == (8, 8)
         assert u.max() > 3.0 * np.median(u)
@@ -339,8 +414,8 @@ class TestClustering:
     def test_recovers_three_blobs(self):
         data = blobs(k=300, seed=8)
         grid = som.init_random(10, 10, data, seed=0)
-        trained, _ = som.train(grid, data,
-                               som.default_schedule(len(data), 10, 10), seed=1)
+        [(trained, _)] = som.train([grid], [data],
+                                   som.default_schedule(len(data), 10, 10), [1])
         # equal counts: every prototype has the same say
         assignment = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
                                             hit_counts=np.ones(100, int))
@@ -356,8 +431,8 @@ class TestClustering:
     def test_hit_weighting_follows_data_mass(self):
         data = blobs(k=300, seed=8)
         grid = som.init_random(10, 10, data, seed=0)
-        trained, _ = som.train(grid, data,
-                               som.default_schedule(len(data), 10, 10), seed=1)
+        [(trained, _)] = som.train([grid], [data],
+                                   som.default_schedule(len(data), 10, 10), [1])
         hits = som.hit_histogram(trained, data)
         assignment = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
                                             hit_counts=hits)
@@ -395,7 +470,7 @@ def make_model(seed=0):
     z = norm.transform(data)
     grid = som.init_random(6, 6, z, seed=seed)
     schedule = som.default_schedule(len(z), 6, 6)
-    trained, qe = som.train(grid, z, schedule, seed=seed + 1)
+    [(trained, qe)] = som.train([grid], [z], schedule, [seed + 1])
     assignment = som.cluster_prototypes(trained, 3, restarts=8, seed=seed + 2,
                                         hit_counts=som.hit_histogram(trained, z))
     return SomModel(grid=trained, normalizer=norm, assignment=assignment,

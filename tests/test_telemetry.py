@@ -95,6 +95,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"^non-UTF-8 byte 0xff at line 3 in .*a\.csv$"):
             telemetry.load_csv(p)
 
+    @pytest.mark.parametrize("sep", [b"\r", b"\x1e"], ids=["cr", "record_sep"])
+    def test_bad_byte_line_counts_every_line_break(self, tmp_path, sep):
+        # CR-only and \x1e-separated files: line breaks as str.splitlines counts them
+        p = tmp_path / "a.csv"
+        _write_csv(p, n=5)
+        lines = p.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+        p.write_bytes(sep.join(lines))
+        with pytest.raises(DataError, match=r"^non-UTF-8 byte 0xff at line 3 in .*a\.csv$"):
+            telemetry.load_csv(p)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows_rejected(self, tmp_path, recwarn, n):
         p = tmp_path / "short.csv"

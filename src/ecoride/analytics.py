@@ -87,15 +87,17 @@ def write_kde_csv(surface: KdeSurface, csv_path, sidecar_path) -> None:
     The CSV is the header ``fuel,vr,density``, then one row per grid point,
     y-major (every fuel value of the first vr, then of the next), each cell
     ``%.6g`` and each line ending in CRLF: the bytes one ``csv.writer`` row
-    per point wrote, since no such cell needs quoting.  It goes out as one
-    ``%``-formatted string.
+    per point wrote, since no such cell needs quoting.  Each grid coordinate
+    is formatted once: every vr row is a template holding the formatted fuel
+    and vr cells with a ``%.6g`` in each density cell, and the densities go
+    into the joined templates in one ``%``.
     """
-    ny, nx = surface.density.shape
-    cells = np.column_stack([np.tile(surface.x_grid, ny), np.repeat(surface.y_grid, nx),
-                             surface.density.ravel()])
+    x_cells = ["%.6g" % x for x in surface.x_grid.tolist()]
+    template = "".join(sep.join(x_cells) + sep
+                       for sep in (",%.6g,%%.6g\r\n" % y for y in surface.y_grid.tolist()))
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("fuel,vr,density\r\n")
-        fh.write("%.6g,%.6g,%.6g\r\n" * len(cells) % tuple(cells.ravel().tolist()))
+        fh.write(template % tuple(surface.density.ravel().tolist()))
     meta = {
         "bandwidth_fuel": surface.bandwidth_x,
         "bandwidth_vr": surface.bandwidth_y,

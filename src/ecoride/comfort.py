@@ -13,7 +13,8 @@ import numpy as np
 from scipy import signal
 
 from . import DataError
-from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_rows
+from .telemetry import (SAMPLE_RATE_HZ, WINDOW_STEP, DriveRecord, window_blocks,
+                        window_means)
 
 PEAK_THRESHOLD = 1.75  # m/s^2
 
@@ -55,8 +56,10 @@ def weighted_rms(values: np.ndarray):
 
 
 def msdv(filtered_axis: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Per-window MSDV: the windowed RMS of the motion-sickness-filtered axis."""
-    return weighted_rms(window_rows(filtered_axis, windows))
+    """Per-window MSDV: the windowed RMS of the motion-sickness-filtered axis,
+    from half-block sums of its squares (``telemetry.window_means``)."""
+    filtered_axis = np.asarray(filtered_axis, dtype=float)
+    return np.sqrt(window_means(filtered_axis**2, window_blocks(windows, len(filtered_axis))))
 
 
 def vomit_rate(msdv_x, msdv_y):
@@ -78,26 +81,40 @@ def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
     return int(out) if np.ndim(out) == 0 else out
 
 
+def _window_peaks(above: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``count_peaks`` of each window of ``telemetry.window_blocks``, where
+    ``above`` is the whole record's ``signal > threshold``: the runs that
+    start in the window's two half-blocks, counted once per half-block, plus
+    one where the window opens inside a run that started before it."""
+    run_starts = np.flatnonzero(above[1:] > above[:-1]) + 1  # False -> True steps
+    per_half = np.bincount(run_starts // WINDOW_STEP, minlength=len(above) // WINDOW_STEP)
+    first = blocks * WINDOW_STEP
+    open_run = above[first] & ((first == 0) | above[first - 1])
+    return per_half[blocks] + per_half[blocks + 1] + open_run
+
+
 def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """Per-window comfort metrics and mean fuel consumption: one column per
-    metric, one entry per window.
+    metric, one entry per window; a start off the 128-sample grid is a
+    DataError.
 
     The motion-sickness filter runs once over the full-length XACC/YACC
-    channels; windowing happens afterwards so filter transients do not restart
-    at every window.
+    channels, both in one call; windowing happens afterwards so filter
+    transients do not restart at every window.  Peaks are counted on the
+    whole record: as ``PEAK_THRESHOLD`` is positive, ``max(x, 0)`` exceeds it
+    where ``x`` does, and ``max(-x, 0)`` where ``x < -PEAK_THRESHOLD``.
     """
-    sos = design_filter()
+    blocks = window_blocks(windows, record.n_total)
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
-    mx = msdv(apply_filter(sos, xacc), windows)
-    my = msdv(apply_filter(sos, yacc), windows)
-    raw_x = window_rows(xacc, windows)
+    filtered = apply_filter(design_filter(), np.stack([xacc, yacc]))
+    mx, my = msdv(filtered[0], windows), msdv(filtered[1], windows)
     return {
         "msdv_x": mx,
         "msdv_y": my,
         "vr": vomit_rate(mx, my),
-        "n_x_pos": count_peaks(np.maximum(raw_x, 0.0)),
-        "n_x_neg": count_peaks(np.maximum(-raw_x, 0.0)),
-        "n_y": count_peaks(np.abs(window_rows(yacc, windows))),
-        "fuel": np.mean(window_rows(record.channels["FUEL"], windows), axis=1),
+        "n_x_pos": _window_peaks(xacc > PEAK_THRESHOLD, blocks),
+        "n_x_neg": _window_peaks(xacc < -PEAK_THRESHOLD, blocks),
+        "n_y": _window_peaks(np.abs(yacc) > PEAK_THRESHOLD, blocks),
+        "fuel": window_means(record.channels["FUEL"], blocks),
     }

@@ -57,16 +57,27 @@ def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:
 
 
 def _cluster_and_label(fleet: dict[str, np.ndarray], vectors: np.ndarray,
-                       normalized: np.ndarray, normalizer, trained: som.SomGrid,
-                       qe: list[float], schedule, ordering_metric: str,
+                       train_rows: np.ndarray, normalizer, trained: som.SomGrid,
+                       qe: list[float], train_bmus: np.ndarray, schedule,
+                       ordering_metric: str,
                        seed: int) -> tuple[SomModel, dict[str, np.ndarray]]:
     """Cluster one trained map's prototypes, profile the clusters over every
-    window (``vectors``) and label them by ``ordering_metric``."""
-    hits = som.hit_histogram(trained, normalized)
+    window (``vectors``) and label them by ``ordering_metric``.
+
+    ``train_bmus`` are the BMU indices of the training rows from training's
+    last search, at the trained weights; they give the hit counts and the
+    training rows' part of the profile, so only the held-out rows are
+    searched here.  Normalizing is elementwise, so the held-out rows alone
+    normalize to the doubles they have among all rows.
+    """
+    hits = np.bincount(train_bmus, minlength=trained.n_neurons)
     assignment = som.cluster_prototypes(trained, len(advisor.LABELS), seed=seed + 2,
                                         hit_counts=hits)
-    profile = advisor.profile_clusters(
-        assignment, som.bmus(trained, normalizer.transform(vectors))[0], fleet)
+    window_bmus = np.empty(len(vectors), dtype=np.intp)
+    window_bmus[train_rows] = train_bmus
+    held_out = ~train_rows
+    window_bmus[held_out] = som.bmus(trained, normalizer.transform(vectors[held_out]))[0]
+    profile = advisor.profile_clusters(assignment, window_bmus, fleet)
     model = SomModel(grid=trained, normalizer=normalizer, assignment=assignment,
                      labels=advisor.label_clusters(profile[ordering_metric]),
                      schedule=schedule, train_seed=seed + 1, cluster_seed=seed + 2,
@@ -107,9 +118,8 @@ def train_models(fleet: dict[str, np.ndarray], seed: int = 0) -> TrainResult:
     schedule = som.default_schedule(len(normalized[0]), *GRID_SHAPE)
     trained = som.train(grids, normalized, schedule, [s + 1 for _, _, s in maps])
     (main_model, main_profile), (aux_model, aux_profile) = (
-        _cluster_and_label(fleet, v, z, n, grid, qe, schedule, metric, s)
-        for v, z, n, (grid, qe), (_, metric, s)
-        in zip(vectors, normalized, normalizers, trained, maps))
+        _cluster_and_label(fleet, v, train_rows, n, grid, qe, bmu, schedule, metric, s)
+        for v, n, (grid, qe, bmu), (_, metric, s) in zip(vectors, normalizers, trained, maps))
     return TrainResult(main_model=main_model, aux_model=aux_model,
                        main_profile=main_profile, aux_profile=aux_profile)
 

@@ -150,18 +150,20 @@ def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
 
 def train(grids: Sequence[SomGrid], samples: Sequence[np.ndarray],
           schedule: TrainingSchedule, seeds: Sequence[int]
-          ) -> list[tuple[SomGrid, list[float]]]:
+          ) -> list[tuple[SomGrid, list[float], np.ndarray]]:
     """Sequential Kohonen training of several maps in lockstep.
 
     Map ``m`` trains ``grids[m]`` on ``samples[m]`` with the sample stream
     seeded by ``seeds[m]``: each iteration draws one sample uniformly at
     random, finds its BMU, and pulls every prototype toward the sample with a
     Gaussian kernel over hexagonal grid distance to the BMU.  Returns one
-    (trained grid, quantization error history) pair per map; the history
-    holds the initial value plus one entry per epoch of ``len(samples[m])``
-    iterations.  The maps share ``schedule``, so they must share their grid
-    shape and their sample count (DataError otherwise); their feature
-    counts may differ.
+    (trained grid, quantization error history, BMU indices) triple per map;
+    the history holds the initial value plus one entry per epoch of
+    ``len(samples[m])`` iterations, the last of them taken at the trained
+    weights, and the indices are those of that last search,
+    ``bmus(trained, samples[m])[0]``.  The maps share ``schedule``, so they
+    must share their grid shape and their sample count (DataError
+    otherwise); their feature counts may differ.
 
     Each map's doubles are those of training it alone, one iteration at a
     time.  The sample indices are drawn up front in one call per map, which
@@ -198,7 +200,16 @@ def train(grids: Sequence[SomGrid], samples: Sequence[np.ndarray],
         if len(data) != len(samples[0]):
             raise DataError(f"map {m}: {len(data)} samples differ from map 0's "
                             f"{len(samples[0])}")
-    histories = [[quantization_error(g, s)] for g, s in zip(grids, samples)]
+    histories = [[] for _ in grids]
+
+    def search(maps: Sequence[SomGrid]) -> list[np.ndarray]:
+        """Each map's BMU indices over its samples; its QE joins its history."""
+        found = [bmus(g, data) for g, data in zip(maps, samples)]
+        for history, (_, dist) in zip(histories, found):
+            history.append(float(np.mean(dist)))
+        return [idx for idx, _ in found]
+
+    last = search(grids)
     maps, k, n_neurons = len(grids), len(samples[0]), grids[0].n_neurons
     depth = max(g.dim for g in grids)
     weights = np.zeros((maps, depth, n_neurons))  # per map (dim, n_neurons)
@@ -235,11 +246,10 @@ def train(grids: Sequence[SomGrid], samples: Sequence[np.ndarray],
             g.take(hex_rows.take(best, axis=0)[:, None, :], out=kernel)
             np.multiply(diff, kernel, out=diff)
             np.subtract(weights, diff, out=weights)
-        for history, grid, data in zip(histories, live, samples):
-            history.append(quantization_error(grid, data))
+        last = search(live)
     for grid in live:
         grid.weights = np.ascontiguousarray(grid.weights)
-    return list(zip(live, histories))
+    return list(zip(live, histories, last))
 
 
 def u_matrix(grid: SomGrid) -> np.ndarray:

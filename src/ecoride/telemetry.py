@@ -282,9 +282,39 @@ def window_rows(signal: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return signal[np.asarray(windows, dtype=np.intp)[:, None] + np.arange(WINDOW_LEN)]
 
 
+def window_blocks(windows: np.ndarray, n_total: int) -> np.ndarray:
+    """The index of each window's first 128-sample half-block: a window
+    starting at sample ``128 * b`` holds half-blocks ``b`` and ``b + 1``.
+
+    A start off that grid, or one whose window does not fit in ``n_total``
+    samples, is a DataError; ``split_windows`` makes neither.
+    """
+    windows = np.asarray(windows, dtype=np.intp)
+    blocks, offsets = np.divmod(windows, WINDOW_STEP)
+    bad = (offsets != 0) | (windows < 0) | (windows > n_total - WINDOW_LEN)
+    if bad.any():
+        raise DataError(f"window start {int(windows[np.argmax(bad)])} is not a multiple "
+                        f"of {WINDOW_STEP} in [0, {n_total - WINDOW_LEN}]")
+    return blocks
+
+
+def window_means(values: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Mean of ``values`` over each window of ``window_blocks``, from one sum
+    per 128-sample half-block: the doubles of
+    ``np.mean(window_rows(values, windows), axis=1)``.
+
+    numpy's pairwise summation adds a contiguous run of 256 doubles as the
+    sum of its two 128-sample halves, each summed on its own as here; the
+    reduction starts from ``+0.0``, which turns a ``-0.0`` total into ``+0.0``
+    either way.  So each sample is summed once, not once per window.
+    """
+    halves = values[:len(values) // WINDOW_STEP * WINDOW_STEP].reshape(-1, WINDOW_STEP).sum(axis=1)
+    return (halves[blocks] + halves[blocks + 1]) / WINDOW_LEN
+
+
 def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray) -> np.ndarray:
     """Starts of the windows whose mean vehicle speed is at or above
-    ``SPEED_THRESHOLD_KMH``."""
+    ``SPEED_THRESHOLD_KMH``; a start off the 128-sample grid is a DataError."""
     windows = np.asarray(windows, dtype=np.intp)
-    speed = np.mean(window_rows(record.channels["VS"], windows), axis=1)
+    speed = window_means(record.channels["VS"], window_blocks(windows, record.n_total))
     return windows[speed >= SPEED_THRESHOLD_KMH]

@@ -150,7 +150,7 @@ class TestCriterion5SomDeterminism:
         runs = []
         for _ in range(2):
             grid = som.init_random(15, 15, blobs, seed=1)
-            [(trained, history)] = som.train(
+            [(trained, history, _)] = som.train(
                 [grid], [blobs], som.default_schedule(len(blobs), 15, 15), [2])
             runs.append((trained.weights, history))
         identical = np.array_equal(runs[0][0], runs[1][0]) \

@@ -79,7 +79,7 @@ class TestTraining:
         data = blobs(seed=4)
         grid = som.init_random(8, 8, data, seed=0)
         schedule = som.default_schedule(len(data), 8, 8)
-        [(trained, history)] = som.train([grid], [data], schedule, [1])
+        [(trained, history, _)] = som.train([grid], [data], schedule, [1])
         assert history[-1] < history[0]
         assert history[-1] == pytest.approx(som.quantization_error(trained, data))
 
@@ -88,7 +88,7 @@ class TestTraining:
         out = []
         for _ in range(2):
             grid = som.init_random(8, 8, data, seed=0)
-            [(trained, _)] = som.train([grid], [data],
+            [(trained, _, _)] = som.train([grid], [data],
                                        som.default_schedule(len(data), 8, 8), [1])
             out.append(trained.weights)
         np.testing.assert_array_equal(out[0], out[1])
@@ -152,11 +152,13 @@ def reference_train(grid, samples, schedule, seed):
 
 
 def assert_trains_like_reference(grid, samples, schedule, seed):
-    [(trained, history)] = som.train([grid], [samples], schedule, [seed])
+    [(trained, history, last_bmus)] = som.train([grid], [samples], schedule, [seed])
     ref_trained, ref_history = reference_train(grid, samples, schedule, seed)
     assert np.array_equal(trained.weights, ref_trained.weights)
     assert trained.weights.flags.c_contiguous
     assert history == ref_history
+    # the kept indices are those of a new search at the trained weights
+    assert np.array_equal(last_bmus, som.bmus(trained, samples)[0])
 
 
 @st.composite
@@ -206,24 +208,25 @@ class TestTrainMatchesReference:
     @given(case=lockstep_cases())
     def test_lockstep_maps_train_as_if_alone(self, case):
         grids, samples, schedule, seeds = case
-        # every live grid that train hands to quantization_error is a view of
+        # every live grid that train searches for its epoch QE is a view of
         # the lockstep weights, which hold each map's padding rows
         live = []
-        real_qe = som.quantization_error
+        real_bmus = som.bmus
 
         def spy(grid, data):
             live.append(grid.weights)
-            return real_qe(grid, data)
+            return real_bmus(grid, data)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(som, "quantization_error", spy)
+            mp.setattr(som, "bmus", spy)
             trained = som.train(grids, samples, schedule, seeds)
         assert len(trained) == len(grids)
-        for (got, history), grid, data, seed in zip(trained, grids, samples, seeds):
+        for (got, history, last_bmus), grid, data, seed in zip(trained, grids, samples, seeds):
             ref, ref_history = reference_train(grid, data, schedule, seed)
             assert np.array_equal(got.weights, ref.weights)
             assert got.weights.flags.c_contiguous
             assert history == ref_history
+            assert np.array_equal(last_bmus, som.bmus(got, data)[0])
         if schedule.total_iterations:
             lockstep = live[-1].base
             assert lockstep.shape == (2, max(g.dim for g in grids), grids[0].n_neurons)
@@ -393,7 +396,7 @@ class TestUMatrix:
         # two tight blobs mapped onto a trained SOM: U-matrix range is wide
         data = blobs(k=200, seed=6, centers=((0, 0), (10, 10)))
         grid = som.init_random(8, 8, data, seed=0)
-        [(trained, _)] = som.train([grid], [data],
+        [(trained, _, _)] = som.train([grid], [data],
                                    som.default_schedule(len(data), 8, 8), [1])
         u = som.u_matrix(trained)
         assert u.shape == (8, 8)
@@ -414,7 +417,7 @@ class TestClustering:
     def test_recovers_three_blobs(self):
         data = blobs(k=300, seed=8)
         grid = som.init_random(10, 10, data, seed=0)
-        [(trained, _)] = som.train([grid], [data],
+        [(trained, _, _)] = som.train([grid], [data],
                                    som.default_schedule(len(data), 10, 10), [1])
         # equal counts: every prototype has the same say
         assignment = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
@@ -431,7 +434,7 @@ class TestClustering:
     def test_hit_weighting_follows_data_mass(self):
         data = blobs(k=300, seed=8)
         grid = som.init_random(10, 10, data, seed=0)
-        [(trained, _)] = som.train([grid], [data],
+        [(trained, _, _)] = som.train([grid], [data],
                                    som.default_schedule(len(data), 10, 10), [1])
         hits = som.hit_histogram(trained, data)
         assignment = som.cluster_prototypes(trained, 3, restarts=16, seed=2,
@@ -470,7 +473,7 @@ def make_model(seed=0):
     z = norm.transform(data)
     grid = som.init_random(6, 6, z, seed=seed)
     schedule = som.default_schedule(len(z), 6, 6)
-    [(trained, qe)] = som.train([grid], [z], schedule, [seed + 1])
+    [(trained, qe, _)] = som.train([grid], [z], schedule, [seed + 1])
     assignment = som.cluster_prototypes(trained, 3, restarts=8, seed=seed + 2,
                                         hit_counts=som.hit_histogram(trained, z))
     return SomModel(grid=trained, normalizer=norm, assignment=assignment,

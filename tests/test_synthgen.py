@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import signal, stats
 
 from ecoride import DataError, cli, synthgen, telemetry
 from ecoride.synthgen import StyleSpec
@@ -108,6 +109,77 @@ KNOB = st.floats(0.0, 1.0)
 def test_speed_matches_the_scalar_loop_bit_for_bit(spec):
     rec = synthgen.generate(spec)
     assert np.array_equal(rec.channels["VS"], reference_speed(spec, rec.channels["XACC"]))
+
+
+def reference_band_noise(rng, n, lo, hi):
+    """``synthgen._band_noise`` written out: Butterworth band-pass of white
+    noise, divided by its RMS."""
+    sos = signal.butter(2, [lo, hi], btype="bandpass", fs=telemetry.SAMPLE_RATE_HZ,
+                        output="sos")
+    y = signal.sosfilt(sos, rng.standard_normal(n))
+    return y / np.sqrt(np.mean(y**2))
+
+
+BANDS = ((0.05, 1.2), (0.01, 0.1), (0.3, 2.0), (0.1, 1.0), (0.1, 2.0), (0.5, 8.0),
+         (0.01, 0.2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3000), band=st.sampled_from(BANDS))
+def test_band_noise_matches_sosfilt_and_rms_bit_for_bit(seed, n, band):
+    got = synthgen._band_noise(np.random.default_rng(seed), n, *band)
+    assert np.array_equal(got, reference_band_noise(np.random.default_rng(seed), n, *band))
+
+
+def reference_channels(spec, rec):
+    """SWA, PGP, ZACC, ERPM, GP and FUEL of ``generate(spec)`` from its rng
+    stream drawn again in order, each expression written out with its
+    operations in the order ``generate`` makes them; VS and XACC are the
+    record's own."""
+    rng = np.random.default_rng(spec.seed)
+    n = rec.n_total
+    pulse_len = int(0.5 * telemetry.SAMPLE_RATE_HZ)
+    steer_noise = reference_band_noise(rng, n, 0.05, 1.2)
+    g = reference_band_noise(rng, n, 0.01, 0.1)
+    gas_noise = reference_band_noise(rng, n, 0.3, 2.0)
+    rng.random(n - pulse_len)                    # braking pulse starts
+    reference_band_noise(rng, n, 0.1, 1.0)       # braking drag
+    rng.random(n - pulse_len // 2)               # overtaking surge starts
+    reference_band_noise(rng, n, 0.1, 2.0)       # XACC noise
+    z_noise = reference_band_noise(rng, n, 0.5, 8.0)
+    erpm_noise = reference_band_noise(rng, n, 0.01, 0.2)
+    gp_noise = rng.standard_normal(n)
+
+    wander = stats.laplace.ppf(stats.norm.cdf(g)) / np.sqrt(2.0)
+    gas = np.clip(((0.55 * spec.gas_aggressiveness) + (synthgen.GAS_WANDER * wander))
+                  + ((synthgen.GAS_SPIKE * spec.steering_aggressiveness) * gas_noise),
+                  0.0, 1.0)
+    pgp = 100.0 * gas
+    erpm = np.maximum((((synthgen.ERPM_PER_KMH * rec.channels["VS"]) + spec.erpm_bias)
+                       - (synthgen.ERPM_WANDER * wander)) + (100.0 * erpm_noise), 600.0)
+    fuel = ((synthgen.FUEL_C0 + ((synthgen.FUEL_C1 * erpm) * pgp))
+            + (synthgen.FUEL_C2 * np.maximum(rec.channels["XACC"], 0.0)))
+    return {
+        "SWA": (synthgen.SWA_SCALE_DEG * spec.steering_aggressiveness) * steer_noise,
+        "PGP": pgp,
+        "ZACC": 0.3 * z_noise,
+        "ERPM": erpm,
+        "GP": (3.0 * pgp) + (2.0 * gp_noise),
+        "FUEL": fuel,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.builds(StyleSpec, steering_aggressiveness=KNOB, gas_aggressiveness=KNOB,
+                      braking_spikiness=KNOB, erpm_bias=st.floats(-2000.0, 2000.0),
+                      base_speed=st.floats(0.0, 130.0), duration=st.floats(16.0, 40.0),
+                      seed=st.integers(0, 10**6)))
+def test_erpm_and_fuel_keep_their_operation_order_bit_for_bit(spec):
+    # %.8g CSV cells and their pinned bytes cannot see a re-rounding such as
+    # FUEL_C1 * (ERPM * PGP); these doubles can
+    rec = synthgen.generate(spec)
+    for name, want in reference_channels(spec, rec).items():
+        assert np.array_equal(rec.channels[name], want), name
 
 
 class TestMonotonicity:

@@ -58,7 +58,9 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
         x, y = ch["XACC"][s:s + 256], ch["YACC"][s:s + 256]
         want["msdv_x"].append(mx)
         want["msdv_y"].append(my)
-        want["vr"].append(np.sqrt((1.0 / 9.0) * mx**2 + (2.0 / 9.0) * my**2))
+        # mx * mx, not mx**2: a scalar's ** goes through libm pow, which can
+        # round a square one ulp away from the exact product numpy's arrays use.
+        want["vr"].append(np.sqrt((1.0 / 9.0) * (mx * mx) + (2.0 / 9.0) * (my * my)))
         want["n_x_pos"].append(runs_above(x, 1.75))
         want["n_x_neg"].append(runs_above(-x, 1.75))
         want["n_y"].append(runs_above(np.abs(y), 1.75))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DataError
-from .features import feature_matrix
+from .features import MAPS, feature_matrix
 from .som import LABELS, SomModel
 
 PROFILE_METRICS = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
@@ -134,16 +134,16 @@ def build_advice_matrix() -> AdviceMatrix:
 # ---------------------------------------------------------------------------
 # Online classification
 
-def classify_window(columns: dict[str, np.ndarray], main_model: SomModel,
-                    aux_model: SomModel) -> dict[str, np.ndarray]:
-    """Classify every window of a window table's feature ``columns``, with one
-    batched BMU search per map: the ``main_bmu`` and ``aux_bmu`` columns, and
-    the ``comfort_label`` and ``fuel_label`` columns of indices into LABELS."""
-    main_bmu = main_model.bmu_indices(feature_matrix(columns, main_model.feature_names))
-    aux_bmu = aux_model.bmu_indices(feature_matrix(columns, aux_model.feature_names))
-    return {"main_bmu": main_bmu, "aux_bmu": aux_bmu,
-            "comfort_label": main_model.labels_at(main_bmu),
-            "fuel_label": aux_model.labels_at(aux_bmu)}
+def classify_window(columns: dict[str, np.ndarray],
+                    models: list[SomModel]) -> dict[str, np.ndarray]:
+    """Classify every window of a window table's feature ``columns`` with the
+    ``MAPS`` maps ``models``, one batched BMU search per map: each map's
+    ``<tag>_bmu`` column and its label column of indices into LABELS."""
+    out = {}
+    for model, (tag, *_, label) in zip(models, MAPS):
+        out[f"{tag}_bmu"] = model.bmu_indices(feature_matrix(columns, model.feature_names))
+        out[label] = model.labels_at(out[f"{tag}_bmu"])
+    return out
 
 
 def intersect(comfort_labels, fuel_labels) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DataError, advisor, analytics, features, pipeline, synthgen, telemetry
-from .features import AUX_FEATURES, MAIN_FEATURES
+from .features import MAPS
 from .som import LABELS, SomModel
 
 EXIT_OK = 0
@@ -22,9 +22,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 DATA_ERRORS = (DataError, OSError)
-
-MAIN_MODEL_FILE = "main_som.json"
-AUX_MODEL_FILE = "aux_som.json"
 
 
 class CliParser(argparse.ArgumentParser):
@@ -50,10 +47,10 @@ def _load_fleet(data_dir) -> tuple[list[str], dict[str, np.ndarray]]:
 
 
 def _load_models(model_dir) -> list[SomModel]:
-    """The main and the aux map; each file must hold its own map's features."""
+    """The ``MAPS`` maps; each file, checked to exist before any is read,
+    must hold its own map's features."""
     model_dir = Path(model_dir)
-    expected = {model_dir / MAIN_MODEL_FILE: MAIN_FEATURES,
-                model_dir / AUX_MODEL_FILE: AUX_FEATURES}
+    expected = {model_dir / f"{tag}_som.json": names for tag, names, *_ in MAPS}
     for p in expected:
         if not p.is_file():
             raise DataError(f"model file not found: {p}")
@@ -68,12 +65,12 @@ def _load_models(model_dir) -> list[SomModel]:
 
 
 def _classify(args):
-    """(main model, aux model, driver ids, the fleet window table of
+    """(the ``MAPS`` models, driver ids, the fleet window table of
     ``pipeline.analyze_fleet`` with its classification columns)."""
-    main_model, aux_model = _load_models(args.models)
+    models = _load_models(args.models)
     driver_ids, fleet = _load_fleet(args.data)
-    pipeline.classify_all(fleet, main_model, aux_model)
-    return main_model, aux_model, driver_ids, fleet
+    pipeline.classify_all(fleet, models)
+    return models, driver_ids, fleet
 
 
 def _print_profiles(tag: str, model: SomModel, profile: dict[str, np.ndarray]) -> None:
@@ -104,22 +101,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    result = pipeline.train_models(_load_fleet(args.data)[1], args.seed)
+    trained = pipeline.train_models(_load_fleet(args.data)[1], args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result.main_model.save(out / MAIN_MODEL_FILE)
-    result.aux_model.save(out / AUX_MODEL_FILE)
-    for tag, model in (("main", result.main_model), ("aux", result.aux_model)):
+    for (model, _), (tag, *_) in zip(trained, MAPS):
+        model.save(out / f"{tag}_som.json")
         qe = model.qe_history
         print(f"{tag} SOM quantization error: {qe[0]:.4f} -> {qe[-1]:.4f}")
-    _print_profiles("main", result.main_model, result.main_profile)
-    _print_profiles("aux", result.aux_model, result.aux_profile)
+    for (model, profile), (tag, *_) in zip(trained, MAPS):
+        _print_profiles(tag, model, profile)
     print(f"models written to {out}")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    _, _, driver_ids, fleet = _classify(args)
+    _, driver_ids, fleet = _classify(args)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
@@ -131,10 +127,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    main_model, aux_model, driver_ids, fleet = _classify(args)
+    models, driver_ids, fleet = _classify(args)
     reports = []
-    for tag, model, report_metrics in (("main", main_model, ("vr", "msdv_y")),
-                                       ("aux", aux_model, ("fuel",))):
+    for model, (tag, _, report_metrics, _, _) in zip(models, MAPS):
         try:
             profile = advisor.profile_clusters(model.assignment, fleet[f"{tag}_bmu"], fleet)
             rows = advisor.improvement_report(model.labels, profile, metrics=report_metrics)
@@ -158,7 +153,7 @@ def cmd_advise(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _, _, driver_ids, fleet = _classify(args)
+    _, driver_ids, fleet = _classify(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

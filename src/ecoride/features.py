@@ -20,6 +20,12 @@ FEATURE_COLUMNS = tuple(f"{name} {stat}" for name in FEATURE_SIGNALS for stat in
 MAIN_FEATURES = ("SWA", "XACC_neg", "XACC_pos", "YACC", "ERPM")
 AUX_FEATURES = ("XACC_pos", "ERPM")
 
+# The two maps, in the order every layer handles them: (tag, features, report
+# metrics, seed offset, label column).  The tag names the model file
+# ``<tag>_som.json`` and the ``<tag>_bmu`` column; the first metric orders the labels.
+MAPS = (("main", MAIN_FEATURES, ("vr", "msdv_y"), 0, "comfort_label"),
+        ("aux", AUX_FEATURES, ("fuel",), 100, "fuel_label"))
+
 CORRELATION_TARGETS = ("fuel", "n_x_pos", "n_x_neg", "n_y", "msdv_y", "vr")
 
 

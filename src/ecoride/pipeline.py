@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import DataError, advisor, comfort, features, som, telemetry
-from .features import AUX_FEATURES, MAIN_FEATURES
+from .features import MAPS
 from .som import SomModel
 from .telemetry import DriveRecord
 
@@ -56,51 +55,17 @@ def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:
             **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}
 
 
-def _cluster_and_label(fleet: dict[str, np.ndarray], vectors: np.ndarray,
-                       train_rows: np.ndarray, normalizer, trained: som.SomGrid,
-                       qe: list[float], train_bmus: np.ndarray, schedule,
-                       ordering_metric: str,
-                       seed: int) -> tuple[SomModel, dict[str, np.ndarray]]:
-    """Cluster one trained map's prototypes, profile the clusters over every
-    window (``vectors``) and label them by ``ordering_metric``.
-
-    ``train_bmus`` are the BMU indices of the training rows from training's
-    last search, at the trained weights; they give the hit counts and the
-    training rows' part of the profile, so only the held-out rows are
-    searched here.  Normalizing is elementwise, so the held-out rows alone
-    normalize to the doubles they have among all rows.
-    """
-    hits = np.bincount(train_bmus, minlength=trained.n_neurons)
-    assignment = som.cluster_prototypes(trained, len(advisor.LABELS), seed=seed + 2,
-                                        hit_counts=hits)
-    window_bmus = np.empty(len(vectors), dtype=np.intp)
-    window_bmus[train_rows] = train_bmus
-    held_out = ~train_rows
-    window_bmus[held_out] = som.bmus(trained, normalizer.transform(vectors[held_out]))[0]
-    profile = advisor.profile_clusters(assignment, window_bmus, fleet)
-    model = SomModel(grid=trained, normalizer=normalizer, assignment=assignment,
-                     labels=advisor.label_clusters(profile[ordering_metric]),
-                     schedule=schedule, train_seed=seed + 1, cluster_seed=seed + 2,
-                     qe_history=qe)
-    return model, profile
-
-
-@dataclass
-class TrainResult:
-    main_model: SomModel
-    aux_model: SomModel
-    main_profile: dict[str, np.ndarray]  # advisor.profile_clusters tables
-    aux_profile: dict[str, np.ndarray]
-
-
-def train_models(fleet: dict[str, np.ndarray], seed: int = 0) -> TrainResult:
-    """Full training pass over the window table ``fleet`` of ``analyze_fleet``.
+def train_models(fleet: dict[str, np.ndarray],
+                 seed: int = 0) -> list[tuple[SomModel, dict[str, np.ndarray]]]:
+    """Full training pass over the window table ``fleet`` of ``analyze_fleet``:
+    one (model, ``advisor.profile_clusters`` table) pair per ``MAPS`` entry.
 
     The train/test split is chronological per driver (first ``TRAIN_SPLIT``
     fraction of each record's windows train the maps) to avoid leakage between
     overlapping windows.  Both maps train in one lockstep ``som.train`` call
-    on the same rows.  Cluster profiles and labels use all windows.  The main
-    map draws its seeds from ``seed``, the aux map from ``seed + 100``.
+    on the same rows.  Cluster profiles and labels use all windows; the first
+    report metric orders the labels.  Each map draws its seeds from ``seed``
+    plus its seed offset.
     """
     total = len(fleet["driver"])
     if total < 10:
@@ -108,24 +73,35 @@ def train_models(fleet: dict[str, np.ndarray], seed: int = 0) -> TrainResult:
 
     sizes = np.bincount(fleet["driver"]).tolist()
     train_rows = np.concatenate([np.arange(n) < round(TRAIN_SPLIT * n) for n in sizes])
-    maps = ((MAIN_FEATURES, "vr", seed), (AUX_FEATURES, "fuel", seed + 100))
-    vectors = [features.feature_matrix(fleet, names) for names, _, _ in maps]
+    seeds = [seed + offset for *_, offset, _ in MAPS]
+    vectors = [features.feature_matrix(fleet, names) for _, names, *_ in MAPS]
     normalizers = [features.fit_normalizer(v[train_rows], names)
-                   for v, (names, _, _) in zip(vectors, maps)]
+                   for v, (_, names, *_) in zip(vectors, MAPS)]
     normalized = [n.transform(v[train_rows]) for n, v in zip(normalizers, vectors)]
-    grids = [som.init_random(*GRID_SHAPE, z, seed=s)
-             for z, (_, _, s) in zip(normalized, maps)]
+    grids = [som.init_random(*GRID_SHAPE, z, seed=s) for z, s in zip(normalized, seeds)]
     schedule = som.default_schedule(len(normalized[0]), *GRID_SHAPE)
-    trained = som.train(grids, normalized, schedule, [s + 1 for _, _, s in maps])
-    (main_model, main_profile), (aux_model, aux_profile) = (
-        _cluster_and_label(fleet, v, train_rows, n, grid, qe, bmu, schedule, metric, s)
-        for v, n, (grid, qe, bmu), (_, metric, s) in zip(vectors, normalizers, trained, maps))
-    return TrainResult(main_model=main_model, aux_model=aux_model,
-                       main_profile=main_profile, aux_profile=aux_profile)
+    trained = som.train(grids, normalized, schedule, [s + 1 for s in seeds])
+    pairs = []
+    for (_, _, metrics, _, _), s, v, normalizer, (grid, qe, train_bmus) in zip(
+            MAPS, seeds, vectors, normalizers, trained):
+        # training's last search, at the trained weights, gives the hit counts
+        # and the training rows' BMUs; only the held-out rows are searched here,
+        # normalized alone to the doubles they have among all rows (elementwise)
+        hits = np.bincount(train_bmus, minlength=grid.n_neurons)
+        assignment = som.cluster_prototypes(grid, len(advisor.LABELS), seed=s + 2,
+                                            hit_counts=hits)
+        window_bmus = np.empty(total, dtype=np.intp)
+        window_bmus[train_rows] = train_bmus
+        window_bmus[~train_rows] = som.bmus(grid, normalizer.transform(v[~train_rows]))[0]
+        profile = advisor.profile_clusters(assignment, window_bmus, fleet)
+        pairs.append((SomModel(grid=grid, normalizer=normalizer, assignment=assignment,
+                               labels=advisor.label_clusters(profile[metrics[0]]),
+                               schedule=schedule, train_seed=s + 1, cluster_seed=s + 2,
+                               qe_history=qe), profile))
+    return pairs
 
 
-def classify_all(fleet: dict[str, np.ndarray], main_model: SomModel,
-                 aux_model: SomModel) -> None:
+def classify_all(fleet: dict[str, np.ndarray], models: list[SomModel]) -> None:
     """Add the classification columns of ``advisor.classify_window`` to the
-    window table ``fleet``, with one batched BMU search per map."""
-    fleet.update(advisor.classify_window(fleet, main_model, aux_model))
+    window table ``fleet``, with one batched BMU search per ``MAPS`` model."""
+    fleet.update(advisor.classify_window(fleet, models))

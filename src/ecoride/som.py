@@ -269,8 +269,9 @@ def hit_histogram(grid: SomGrid, samples: np.ndarray) -> np.ndarray:
 # Prototype clustering (k-means with restarts)
 
 def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
-                 max_iter: int = 200) -> tuple[np.ndarray, float]:
-    """One Lloyd run from ``c`` distinct seeded points: (assignment, cost).
+                 max_iter: int = 200) -> tuple[np.ndarray, float, np.ndarray]:
+    """One Lloyd run from ``c`` distinct seeded points: (assignment, cost,
+    centers), each center the mean of its members in the final assignment.
 
     Distances are centers-major, (c, n), so the long axis is the inner one,
     against a copy of the points that holds each feature as one contiguous
@@ -286,18 +287,16 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
         d2 = _sq_distances(centers, columns)
         new_assignment = np.argmin(d2, axis=0)
         sizes = np.bincount(new_assignment, minlength=c)
-        if not sizes.all():
-            # repair empty clusters: split the largest at its farthest member
-            for cid in range(c):
-                if not np.any(new_assignment == cid):
-                    sizes = np.bincount(new_assignment, minlength=c)
-                    big = int(np.argmax(sizes))
-                    members = np.flatnonzero(new_assignment == big)
-                    far = members[np.argmax(
-                        _sq_distances(centers[big:big + 1], points[members])[0])]
-                    new_assignment[far] = cid
-                    centers[cid] = points[far]
-            sizes = np.bincount(new_assignment, minlength=c)
+        # repair empty clusters: split the largest at its farthest member.  As
+        # n >= c, the largest holds >= 2 points, so no repair empties a cluster.
+        for cid in np.flatnonzero(sizes == 0):
+            big = int(np.argmax(sizes))
+            members = np.flatnonzero(new_assignment == big)
+            far = members[np.argmax(_sq_distances(centers[big:big + 1], points[members])[0])]
+            new_assignment[far] = cid
+            centers[cid] = points[far]
+            sizes[big] -= 1
+            sizes[cid] = 1
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -306,7 +305,7 @@ def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
         for cid, (lo, hi) in enumerate(zip([0, *ends], ends)):
             centers[cid] = by_cluster[lo:hi].mean(axis=0)
     d2 = _sq_distances(centers, columns)[assignment, np.arange(n)]
-    return assignment, float(np.sum(d2))
+    return assignment, float(np.sum(d2)), centers
 
 
 def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
@@ -333,14 +332,8 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
             f"{cluster_count} clusters")
     points = np.repeat(grid.weights, hit_counts, axis=0)
     rng = np.random.default_rng(seed)
-    best = None
-    best_cost = np.inf
-    for _ in range(restarts):
-        assignment, cost = _kmeans_once(points, cluster_count, rng)
-        if cost < best_cost:
-            best, best_cost = assignment, cost
-    centers = np.array([points[best == cid].mean(axis=0)
-                        for cid in range(cluster_count)])
+    runs = (_kmeans_once(points, cluster_count, rng) for _ in range(restarts))
+    centers = min(runs, key=lambda run: run[1])[2]  # the first run of least cost
     d2 = _sq_distances(grid.weights, centers)
     full = np.argmin(d2, axis=1)
     for cid in range(cluster_count):  # keep every cluster non-empty

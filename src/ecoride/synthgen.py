@@ -91,6 +91,18 @@ def _band_noise(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.nd
     return y / rms if rms > 0 else y
 
 
+def _pulses(rng: np.random.Generator, n: int, length: int, rate: float,
+            amp: float) -> np.ndarray:
+    """``n`` samples of half-sine pulses, ``length`` samples long and ``amp``
+    high, each starting at a sample with probability ``rate``; where pulses
+    overlap the higher one holds."""
+    pulse = amp * np.sin(np.pi * np.arange(length) / length)
+    train = np.zeros(n)
+    for s in np.flatnonzero(rng.random(n - length) < rate):
+        train[s : s + length] = np.maximum(train[s : s + length], pulse)
+    return train
+
+
 def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
     """Produce a 32 Hz DriveRecord for one style; deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
@@ -100,15 +112,13 @@ def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
     # steering and the lateral response it causes
     swa = SWA_SCALE_DEG * spec.steering_aggressiveness * _band_noise(rng, n, 0.05, 1.2)
 
-    # gas pedal activity: the mean tracks gas_aggressiveness (fuel axis) while
-    # the fast zero-mean stabbing component tracks steering_aggressiveness, so
-    # jerky-style drivers show spiky gas usage at any consumption level
-    # slow traffic-driven wander shared by the pedal and the gearbox: easing
-    # off the gas in traffic goes together with shifting down (higher revs per
-    # km/h), so the wander raises ERPM while it lowers pedal position
-    # slow traffic wander with heavy-tailed (Laplace) marginals: long calm
-    # stretches broken by occasional strong slow-downs; the monotone transform
-    # keeps the band limitation while reshaping the amplitude distribution
+    # gas pedal activity: the mean tracks gas_aggressiveness (fuel axis), a
+    # fast zero-mean stabbing component tracks steering_aggressiveness (jerky
+    # styles show spiky gas at any consumption level), and a slow traffic
+    # wander is shared with the gearbox: easing off the gas goes together with
+    # shifting down, so it raises ERPM as it lowers the pedal.  The wander has
+    # heavy-tailed (Laplace) marginals, long calm stretches broken by strong
+    # slow-downs; the monotone transform keeps its band limitation.
     g = _band_noise(rng, n, 0.01, 0.1)
     wander = stats.laplace.ppf(stats.norm.cdf(g)) / np.sqrt(2.0)
     gas = np.clip(0.55 * spec.gas_aggressiveness
@@ -119,28 +129,16 @@ def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
     xacc_gas = 1.2 * gas
 
     # sparse braking pulses (half-sine, 0.5 s)
-    brake = np.zeros(n)
     pulse_len = int(0.5 * SAMPLE_RATE_HZ)
-    pulse = np.sin(np.pi * np.arange(pulse_len) / pulse_len)
-    rate_per_sample = 0.25 * spec.braking_spikiness / SAMPLE_RATE_HZ
-    starts = np.flatnonzero(rng.random(n - pulse_len) < rate_per_sample)
     amp = 0.5 + 2.0 * spec.braking_spikiness
-    for s in starts:
-        brake[s : s + pulse_len] = np.maximum(brake[s : s + pulse_len], amp * pulse)
+    brake = _pulses(rng, n, pulse_len, 0.25 * spec.braking_spikiness / SAMPLE_RATE_HZ, amp)
     # continuous light braking drag so deceleration statistics track the
     # spikiness knob even in windows without a discrete pulse
     drag = 2.2 * spec.braking_spikiness * np.maximum(-_band_noise(rng, n, 0.1, 1.0), 0.0)
-    # sparse overtaking bursts so aggressive styles also show positive
-    # acceleration peaks
-    surge = np.zeros(n)
-    surge_len = pulse_len // 2
-    surge_pulse = np.sin(np.pi * np.arange(surge_len) / surge_len)
-    surge_rate = 0.03 * spec.steering_aggressiveness / SAMPLE_RATE_HZ
-    surge_starts = np.flatnonzero(rng.random(n - surge_len) < surge_rate)
-    surge_amp = 0.2 + 1.9 * spec.steering_aggressiveness
-    for s in surge_starts:
-        surge[s : s + surge_len] = np.maximum(surge[s : s + surge_len],
-                                              surge_amp * surge_pulse)
+    # sparse overtaking bursts (half-sine, 0.25 s) so aggressive styles also
+    # show positive acceleration peaks
+    surge = _pulses(rng, n, pulse_len // 2, 0.03 * spec.steering_aggressiveness / SAMPLE_RATE_HZ,
+                    0.2 + 1.9 * spec.steering_aggressiveness)
     xacc = xacc_gas + surge - brake - drag + 0.1 * _band_noise(rng, n, 0.1, 2.0)
 
     # speed: leaky integration of longitudinal acceleration around the base,

@@ -180,7 +180,7 @@ class TestCriterion6ClusteringPurity:
         result = pipeline.train_models(fleet, seed=7)
 
         level_to_label = {0: "Low", 1: "Medium", 2: "High"}
-        classified = advisor.classify_window(fleet, result.main_model, result.aux_model)
+        classified = advisor.classify_window(fleet, [model for model, _ in result])
         comfort_hits = fuel_hits = 0
         for driver, (label, _) in enumerate(style_corpus):  # label: "c<i>_f<j>"
             rows = fleet["driver"] == driver
@@ -312,8 +312,7 @@ class TestCriterion10ModelRoundTrip:
         fleet = pipeline.analyze_fleet(small_corpus)
         result = pipeline.train_models(fleet, seed=5)
         ok = True
-        for tag, model in (("main", result.main_model),
-                           ("aux", result.aux_model)):
+        for tag, (model, _) in zip(("main", "aux"), result):
             p1 = tmp_path / f"{tag}1.json"
             p2 = tmp_path / f"{tag}2.json"
             model.save(p1)

@@ -25,6 +25,7 @@ from ecoride.features import AUX_FEATURES, MAIN_FEATURES
 
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_seed42_120s.sha256"
 LABEL_DIGESTS = Path(__file__).parent / "data" / "train_seed42_120s_labels.sha256"
+QUICKSTART_DIGESTS = Path(__file__).parent / "data" / "quickstart_seed42_120s.sha256"
 
 
 def run(argv):
@@ -259,7 +260,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
-    @pytest.mark.parametrize("name", [cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE])
+    @pytest.mark.parametrize("name", ["main_som.json", "aux_som.json"])
     def test_missing_model_file_fails_before_any_output(self, workspace, tmp_path,
                                                         capsys, name, command):
         _, data, models = workspace
@@ -348,8 +349,8 @@ class TestSynth:
 class TestTrain:
     def test_artifacts(self, workspace, capsys):
         _, _, models = workspace
-        assert (models / cli.MAIN_MODEL_FILE).is_file()
-        assert (models / cli.AUX_MODEL_FILE).is_file()
+        assert (models / "main_som.json").is_file()
+        assert (models / "aux_som.json").is_file()
         capsys.readouterr()
 
     def test_deterministic_model_files(self, workspace, tmp_path, capsys):
@@ -358,7 +359,7 @@ class TestTrain:
         assert run(["train", "--data", str(data), "--out", str(again),
                     "--seed", "5"]) == 0
         capsys.readouterr()
-        for name in (cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE):
+        for name in ("main_som.json", "aux_som.json"):
             assert (models / name).read_bytes() == (again / name).read_bytes()
 
     def test_labels_are_pinned(self, workspace):
@@ -368,7 +369,7 @@ class TestTrain:
         CI checks the same sums for the console script."""
         _, _, models = workspace
         found = ""
-        for name in (cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE):
+        for name in ("main_som.json", "aux_som.json"):
             model = json.loads((models / name).read_text())
             pair = json.dumps([model["assignment"], model["labels"]]).encode()
             found += f"{hashlib.sha256(pair).hexdigest()}  {name}\n"
@@ -385,7 +386,7 @@ class TestTrain:
                    for p in sorted(data.glob("*.csv"))]
         fleet = pipeline.analyze_fleet(records)
         metrics = ("msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
-        for tag, name in (("main", cli.MAIN_MODEL_FILE), ("aux", cli.AUX_MODEL_FILE)):
+        for tag, name in (("main", "main_som.json"), ("aux", "aux_som.json")):
             model = json.loads((out / name).read_text())
             x = np.column_stack([fleet[f"{n} RMS"] for n in model["feature_names"]])
             z = (x - np.array(model["normalizer_mean"])) / np.array(model["normalizer_std"])
@@ -442,7 +443,7 @@ class TestClassify:
         _, data, models = workspace
         bad = tmp_path / "models"
         shutil.copytree(models, bad)
-        path = bad / cli.MAIN_MODEL_FILE
+        path = bad / "main_som.json"
         model = json.loads(path.read_text())
         spoil(model)
         path.write_text(json.dumps(model))
@@ -453,7 +454,7 @@ class TestClassify:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
-    @pytest.mark.parametrize("name", [cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE])
+    @pytest.mark.parametrize("name", ["main_som.json", "aux_som.json"])
     def test_non_utf8_model_file(self, workspace, tmp_path, capsys, name, command):
         _, data, models = workspace
         bad = tmp_path / "models"
@@ -472,7 +473,7 @@ class TestClassify:
                                  swap, command):
         # a map file in the other map's place would fill the other label column
         _, data, models = workspace
-        main, aux = cli.MAIN_MODEL_FILE, cli.AUX_MODEL_FILE
+        main, aux = "main_som.json", "aux_som.json"
         bad = tmp_path / "models"
         bad.mkdir()
         copies = {"aux_as_main": {main: aux, aux: aux}, "main_as_aux": {main: main, aux: main},
@@ -532,8 +533,8 @@ class TestAdvise:
         _, data, models = workspace
         classify = advisor.classify_window
 
-        def constant(columns, main_model, aux_model):
-            labels = classify(columns, main_model, aux_model)
+        def constant(columns, models):
+            labels = classify(columns, models)
             low = np.zeros_like(labels["comfort_label"])
             return {**labels, "comfort_label": low, "fuel_label": low}
         monkeypatch.setattr(advisor, "classify_window", constant)
@@ -574,6 +575,31 @@ class TestAdvise:
         assert re.fullmatch(r"ecoride: error: (main|aux) map: cluster \d has no member windows\n",
                             capsys.readouterr().err)
         assert not out.exists()
+
+
+class TestQuickStart:
+    def test_bytes_are_pinned(self, workspace, tmp_path, capsys):
+        """On the quick-start corpus ``classify``'s and ``advise``'s files and
+        ``train``'s stdout less its last line (the output path), named
+        ``train.stdout``, have the committed sha256 sums (``sha256sum``
+        format, by file name); CI checks the same sums for the console script."""
+        _, data, models = workspace
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "models"),
+                    "--seed", "5"]) == 0
+        train = "".join(capsys.readouterr().out.splitlines(keepends=True)[:-1])
+        reports = tmp_path / "reports"
+        assert run(["classify", "--data", str(data), "--models", str(models),
+                    "--out", str(tmp_path / "classes.csv")]) == 0
+        assert run(["advise", "--data", str(data), "--models", str(models),
+                    "--out", str(reports)]) == 0
+        capsys.readouterr()
+        files = [tmp_path / "classes.csv", *(reports / name for name in (
+            "advice_events.txt", "intersection.csv", "improvement_main.csv",
+            "improvement_aux.csv"))]
+        found = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+                        for p in files)
+        found += f"{hashlib.sha256(train.encode()).hexdigest()}  train.stdout\n"
+        assert found == QUICKSTART_DIGESTS.read_text()
 
 
 OUTPUT_FILES = ("classes.csv", "advice_events.txt", "intersection.csv",

@@ -108,34 +108,37 @@ def result(fleet):
 
 class TestTrainModels:
     def test_models_have_expected_shapes(self, result):
-        assert result.main_model.grid.weights.shape == (225, 5)
-        assert result.aux_model.grid.weights.shape == (225, 2)
-        assert sorted(result.main_model.labels) == ["High", "Low", "Medium"]
-        assert sorted(result.aux_model.labels) == ["High", "Low", "Medium"]
+        (main_model, _), (aux_model, _) = result
+        assert main_model.grid.weights.shape == (225, 5)
+        assert aux_model.grid.weights.shape == (225, 2)
+        assert sorted(main_model.labels) == ["High", "Low", "Medium"]
+        assert sorted(aux_model.labels) == ["High", "Low", "Medium"]
 
     def test_qe_improves(self, result):
-        for model in (result.main_model, result.aux_model):
+        for model, _ in result:
             assert model.qe_history[-1] < model.qe_history[0]
 
     def test_profiles_cover_all_windows(self, small_corpus, fleet, result):
         total = sum(len(pipeline.analyze_record(r)["window_start"]) for r in small_corpus)
         assert all(len(v) == total for v in fleet.values())
-        assert result.main_profile["windows"].sum() == total
-        assert result.aux_profile["windows"].sum() == total
+        (_, main_profile), (_, aux_profile) = result
+        assert main_profile["windows"].sum() == total
+        assert aux_profile["windows"].sum() == total
 
     def test_deterministic(self, small_corpus, result):
-        again = pipeline.train_models(pipeline.analyze_fleet(small_corpus), seed=5)
-        np.testing.assert_array_equal(result.main_model.grid.weights,
-                                      again.main_model.grid.weights)
-        np.testing.assert_array_equal(result.aux_model.assignment,
-                                      again.aux_model.assignment)
+        (main_model, _), (aux_model, _) = result
+        (main_again, _), (aux_again, _) = pipeline.train_models(
+            pipeline.analyze_fleet(small_corpus), seed=5)
+        np.testing.assert_array_equal(main_model.grid.weights, main_again.grid.weights)
+        np.testing.assert_array_equal(aux_model.assignment, aux_again.assignment)
 
     def test_classify_all_labels(self, small_corpus, result):
         fleet = pipeline.analyze_fleet(small_corpus[:2])
-        pipeline.classify_all(fleet, result.main_model, result.aux_model)
+        models = [model for model, _ in result]
+        pipeline.classify_all(fleet, models)
         assert {"main_bmu", "aux_bmu", "comfort_label", "fuel_label"} <= set(fleet)
         assert all(len(v) == len(fleet["driver"]) for v in fleet.values())
-        model = result.main_model
+        model = models[0]
         vectors = features.feature_matrix(fleet, MAIN_FEATURES)
         np.testing.assert_array_equal(fleet["main_bmu"], model.bmu_indices(vectors))
         np.testing.assert_array_equal(fleet["comfort_label"],

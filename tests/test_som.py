@@ -346,10 +346,14 @@ class TestDistanceOrder:
             protos = spread_rows(rng, n_protos, dim)
             points = np.repeat(protos, rng.integers(min_hits, 4, size=n_protos), axis=0)
             searches.clear()
-            got = som._kmeans_once(points, c, np.random.default_rng(seed))
+            assignment, cost, centers = som._kmeans_once(points, c, np.random.default_rng(seed))
             before = len(repairs)
-            ref = reference_kmeans_once(points, c, np.random.default_rng(seed), repairs=repairs)
-            assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+            ref_assignment, ref_cost = reference_kmeans_once(
+                points, c, np.random.default_rng(seed), repairs=repairs)
+            assert np.array_equal(assignment, ref_assignment) and cost == ref_cost
+            # the returned centers are the mask means cluster_prototypes reads
+            assert np.array_equal(centers, np.array(
+                [points[assignment == cid].mean(axis=0) for cid in range(c)]))
             # a repair's farthest-member search is the only one from one center
             assert (1 in searches) == (len(repairs) > before)
         assert len(repairs) >= 6

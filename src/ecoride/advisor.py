@@ -3,12 +3,9 @@ advice event stream."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import DataError
+from . import DataError, save_csv
 from .features import MAPS, feature_matrix
 from .som import LABELS, SomModel
 
@@ -58,16 +55,10 @@ def label_clusters(averages) -> list[str]:
     return [LABELS[r] for r in ranks]
 
 
-@dataclass
-class ImprovementRow:
-    current: str
-    target: str
-    reductions: dict[str, float]  # metric -> percent
-
-
 def improvement_report(labels: list[str], profile: dict[str, np.ndarray],
-                       metrics: tuple[str, ...] = ("vr",)) -> list[ImprovementRow]:
-    """Percent reduction of each metric when moving to a better cluster.
+                       metrics: tuple[str, ...]) -> list[tuple[str, str, dict[str, float]]]:
+    """Percent reduction of each metric when moving to a better cluster, as
+    (current label, target label, {metric: percent}) rows.
 
     ``labels`` and the ``profile`` columns are indexed by cluster id.  For
     every (current, target) pair with a lower target average on the first
@@ -84,51 +75,29 @@ def improvement_report(labels: list[str], profile: dict[str, np.ndarray],
                 if zero:
                     raise DataError(f"{zero[0]} averages 0 in the {labels[current]} "
                                     "cluster: no percent reduction from it")
-                rows.append(ImprovementRow(
-                    current=labels[current], target=labels[target],
-                    reductions={m: float(100.0 * (profile[m][current] - profile[m][target])
-                                         / profile[m][current])
-                                for m in metrics}))
+                rows.append((labels[current], labels[target],
+                             {m: float(100.0 * (profile[m][current] - profile[m][target])
+                                       / profile[m][current])
+                              for m in metrics}))
     return rows
 
 
-def write_improvement_csv(rows: list[ImprovementRow], metrics, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["current", "target", *[f"{m}_reduction_pct" for m in metrics]])
-        for r in rows:
-            writer.writerow([r.current, r.target,
-                             *[f"{r.reductions[m]:.1f}" for m in metrics]])
+def write_improvement_csv(rows, metrics, path) -> None:
+    save_csv(path, ["current", "target", *[f"{m}_reduction_pct" for m in metrics]],
+             ([current, target, *[f"{reductions[m]:.1f}" for m in metrics]]
+              for current, target, reductions in rows))
 
 
 # ---------------------------------------------------------------------------
 # Advice matrix
 
-@dataclass
-class AdviceMatrix:
-    """3x3 grid of advice lines indexed by (comfort label, fuel label).
-
-    ``cells`` holds the unconditional lines: the fuel line first, then the
-    comfort line.  The Low-discomfort comfort line is conditional: ``advice``
-    appends it only when a braking peak occurs in the triggering window.
-    """
-
-    cells: dict[tuple[str, str], list[str]]
-
-    def advice(self, comfort_label: str, fuel_label: str,
-               braking_peak: bool = False) -> list[str]:
-        lines = list(self.cells[(comfort_label, fuel_label)])
-        if comfort_label == "Low" and braking_peak:
-            lines.append(COMFORT_ADVICE["Low"])
-        return lines
-
-
-def build_advice_matrix() -> AdviceMatrix:
-    """Joint advice for every (comfort label, fuel label) pair."""
-    return AdviceMatrix(cells={
-        (comfort, fuel): [FUEL_ADVICE[fuel]] if comfort == "Low"
-        else [FUEL_ADVICE[fuel], COMFORT_ADVICE[comfort]]
-        for comfort in LABELS for fuel in LABELS})
+def build_advice_matrix() -> dict[tuple[str, str, bool], list[str]]:
+    """Joint advice lines keyed by (comfort label, fuel label, braking peak):
+    the fuel line, then the comfort line.  The Low-discomfort comfort line is
+    conditional: only a window with a braking peak gets it."""
+    return {(comfort, fuel, peak): [FUEL_ADVICE[fuel]]
+            + ([COMFORT_ADVICE[comfort]] if comfort != "Low" or peak else [])
+            for comfort in LABELS for fuel in LABELS for peak in (False, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +127,8 @@ def intersect(comfort_labels, fuel_labels) -> np.ndarray:
 
 
 def write_intersection_csv(table: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["comfort\\fuel", *LABELS])
-        for label, row in zip(LABELS, table):
-            writer.writerow([label, *[f"{v:.2f}" for v in row]])
+    save_csv(path, ["comfort\\fuel", *LABELS],
+             ([label, *[f"{v:.2f}" for v in row]] for label, row in zip(LABELS, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +137,8 @@ def write_intersection_csv(table: np.ndarray, path) -> None:
 K_STABLE = 3  # advice after this many identical classifications in a row
 
 
-def stream_advise(fleet: dict[str, np.ndarray], driver_ids: list[str],
-                  matrix: AdviceMatrix, k_stable: int = K_STABLE) -> list[str]:
+def stream_advise(fleet: dict[str, np.ndarray], driver_ids: list[str], *,
+                  k_stable: int = K_STABLE) -> list[str]:
     """The advice event lines of a classified fleet table, in row order.
 
     A run of at least ``k_stable`` rows with the same ``driver``,
@@ -186,11 +152,12 @@ def stream_advise(fleet: dict[str, np.ndarray], driver_ids: list[str],
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     runs = starts[np.diff(starts, append=len(key)) >= k_stable]
     runs = runs[np.diff(key[runs], prepend=-1) != 0]
+    matrix = build_advice_matrix()
     lines = []
     for row in runs + k_stable - 1:
         comfort, fuel = LABELS[fleet["comfort_label"][row]], LABELS[fleet["fuel_label"][row]]
         advice = " ".join(f'"{line}"' for line in
-                          matrix.advice(comfort, fuel, braking_peak=fleet["n_x_neg"][row] >= 1))
+                          matrix[comfort, fuel, bool(fleet["n_x_neg"][row] >= 1)])
         lines.append(f"{driver_ids[fleet['driver'][row]]} "
                      f"window_start={fleet['window_start'][row]} "
                      f"comfort={comfort[0]} fuel={fuel[0]} advice={advice}")

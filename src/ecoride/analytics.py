@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
+from . import DataError, save_csv
 from .advisor import intersect
 
 
@@ -26,11 +25,9 @@ def driver_summary(fleet: dict[str, np.ndarray],
 
 
 def write_summary_csv(summaries: dict[str, tuple[int, list[float]]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["driver_id", "window_count", *SUMMARY_METRICS])
-        for driver_id, (count, means) in summaries.items():
-            writer.writerow([driver_id, count, *[f"{m:.6g}" for m in means]])
+    save_csv(path, ["driver_id", "window_count", *SUMMARY_METRICS],
+             ([driver_id, count, *[f"{m:.6g}" for m in means]]
+              for driver_id, (count, means) in summaries.items()))
 
 
 @dataclass

@@ -7,13 +7,12 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import DataError, advisor, analytics, features, pipeline, synthgen, telemetry
+from . import DataError, advisor, analytics, features, pipeline, save_csv, synthgen, telemetry
 from .features import MAPS
 from .som import LABELS, SomModel
 
@@ -116,12 +115,11 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     _, driver_ids, fleet = _classify(args)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["driver_id", "window_start", "comfort", "fuel"])
-        for driver, start, comfort, fuel in zip(fleet["driver"], fleet["window_start"],
-                                                fleet["comfort_label"], fleet["fuel_label"]):
-            writer.writerow([driver_ids[driver], start, LABELS[comfort], LABELS[fuel]])
+    save_csv(args.out, ["driver_id", "window_start", "comfort", "fuel"],
+             ([driver_ids[driver], start, LABELS[comfort], LABELS[fuel]]
+              for driver, start, comfort, fuel in zip(fleet["driver"], fleet["window_start"],
+                                                      fleet["comfort_label"],
+                                                      fleet["fuel_label"])))
     print(f"classified {len(fleet['driver'])} windows -> {args.out}")
     return EXIT_OK
 
@@ -139,7 +137,7 @@ def cmd_advise(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = advisor.stream_advise(fleet, driver_ids, advisor.build_advice_matrix())
+    lines = advisor.stream_advise(fleet, driver_ids)
     with open(out / "advice_events.txt", "w", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in lines)
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import DataError
+from . import DataError, save_csv
 from .telemetry import WINDOW_LEN, WINDOW_STEP, DriveRecord, window_blocks, window_means
 
 # Signals summarized per window (RMS + variance each).
@@ -72,7 +71,7 @@ def pearson(x, y) -> float:
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
-def feature_matrix(columns: dict[str, np.ndarray], names=MAIN_FEATURES) -> np.ndarray:
+def feature_matrix(columns: dict[str, np.ndarray], names) -> np.ndarray:
     """(n_windows, n_features) matrix of the RMS columns of signals ``names``."""
     return np.column_stack([columns[f"{n} RMS"] for n in names])
 
@@ -95,11 +94,9 @@ def correlation_table(columns: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def write_correlation_csv(table: np.ndarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", *FEATURE_COLUMNS])
-        for label, row in zip(CORRELATION_TARGETS, table):
-            writer.writerow([label, *[f"{v:.4f}" for v in row]])
+    save_csv(path, ["target", *FEATURE_COLUMNS],
+             ([label, *[f"{v:.4f}" for v in row]]
+              for label, row in zip(CORRELATION_TARGETS, table)))
 
 
 @dataclass
@@ -114,7 +111,7 @@ class Normalizer:
         return (np.asarray(vectors, dtype=float) - self.mean) / self.std
 
 
-def fit_normalizer(training: np.ndarray, feature_names=MAIN_FEATURES) -> Normalizer:
+def fit_normalizer(training: np.ndarray, feature_names) -> Normalizer:
     """Fit z-score parameters; the fitted set maps to mean 0 / std 1."""
     training = np.asarray(training, dtype=float)
     if training.ndim != 2 or training.shape[0] < 2:

@@ -404,10 +404,17 @@ class SomModel:
         """Rebuild a model from ``to_dict`` output; raises DataError naming the
         first field that is missing or cannot make a working map."""
         def array(key, dtype=float):
+            """``d[key]`` as a ``dtype`` array of JSON numbers, or of JSON
+            integers for ``int``: never strings, booleans or fractions."""
+            kinds = (int,) if dtype is int else (int, float)
             try:
-                return np.array(d[key], dtype=dtype)
-            except (TypeError, ValueError):
-                raise DataError(f"{key}: not a numeric array") from None
+                values = np.array(d[key], dtype=object)
+                if all(type(v) in kinds for v in values.flat):
+                    return values.astype(dtype)
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise DataError(f"{key}: not an array of JSON "
+                            f"{'integers' if dtype is int else 'numbers'}")
 
         try:
             grid = SomGrid(rows=d["rows"], cols=d["cols"], weights=array("prototypes"),
@@ -433,7 +440,7 @@ class SomModel:
 
     def _check(self) -> None:
         rows, cols = self.grid.rows, self.grid.cols
-        if not all(isinstance(v, int) and v >= 1 for v in (rows, cols)):
+        if not all(type(v) is int and v >= 1 for v in (rows, cols)):  # JSON true is no size
             raise DataError(f"rows/cols: {rows} x {cols} is not a grid")
         unknown = sorted(set(self.feature_names) - set(FEATURE_SIGNALS))
         if unknown:

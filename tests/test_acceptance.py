@@ -38,7 +38,7 @@ class TestCriterion1TableConsistency:
             "High": {"vr": 1.50, "msdv_y": 3.00},
         })
         rows = advisor.improvement_report(*main, metrics=("vr", "msdv_y"))
-        got = {(r.current, r.target): r.reductions for r in rows}
+        got = {(current, target): reductions for current, target, reductions in rows}
         expected_vr = {("Medium", "Low"): 9.88, ("High", "Medium"): 46.0,
                        ("High", "Low"): 51.3}
         expected_my = {("Medium", "Low"): 6.62, ("High", "Medium"): 54.7,
@@ -51,7 +51,8 @@ class TestCriterion1TableConsistency:
             "High": {"fuel": 4.35},
         })
         fuel_rows = advisor.improvement_report(*aux, metrics=("fuel",))
-        fuel_got = {(r.current, r.target): r.reductions["fuel"] for r in fuel_rows}
+        fuel_got = {(current, target): reductions["fuel"]
+                    for current, target, reductions in fuel_rows}
         expected_fuel = {("Medium", "Low"): 21.0, ("High", "Medium"): 33.1,
                          ("High", "Low"): 47.1}
         ok &= all(abs(fuel_got[k] - v) <= 0.1 for k, v in expected_fuel.items())
@@ -221,8 +222,8 @@ class TestCriterion7AdviceMatrix:
         matrix = advisor.build_advice_matrix()
         ok = True
         for (c, f), want in self.GOLDEN.items():
-            ok &= matrix.advice(c, f, braking_peak=False) == want
-            with_peak = matrix.advice(c, f, braking_peak=True)
+            ok &= matrix[c, f, False] == want
+            with_peak = matrix[c, f, True]
             if c == "Low":
                 ok &= with_peak == want + ["Avoid braking peaks"]
             else:
@@ -268,7 +269,7 @@ class TestCriterion8AdviceStability:
                      "fuel_label": np.array([labels.index(f) for _, f in pairs]),
                      "n_x_neg": peaks}
             got = []
-            for line in advisor.stream_advise(table, ["d0"], matrix, k_stable=3):
+            for line in advisor.stream_advise(table, ["d0"], k_stable=3):
                 event = EVENT_LINE.fullmatch(line)
                 got.append((int(event["start"]),
                             (initial[event["comfort"]], initial[event["fuel"]]),
@@ -277,7 +278,7 @@ class TestCriterion8AdviceStability:
             ok &= len(got) == len(want)
             for (gi, gpair, glines), (wi, wpair, wpeak) in zip(got, want):
                 ok &= (gi, gpair) == (wi, wpair)
-                ok &= glines == matrix.advice(*wpair, braking_peak=wpeak)
+                ok &= glines == matrix[(*wpair, wpeak)]
         verdict(8, ok, "stream_advise matches the trace oracle on 20 seeded "
                        "sequences of length 100")
 

@@ -82,8 +82,8 @@ def profile_table(values, metric_names=("vr",)):
 class TestImprovementReport:
     def test_pairwise_reductions(self):
         rows = advisor.improvement_report(list(advisor.LABELS),
-                                          profile_table((1.0, 2.0, 4.0)))
-        got = {(r.current, r.target): r.reductions["vr"] for r in rows}
+                                          profile_table((1.0, 2.0, 4.0)), metrics=("vr",))
+        got = {(current, target): reductions["vr"] for current, target, reductions in rows}
         assert got[("Medium", "Low")] == pytest.approx(50.0)
         assert got[("High", "Low")] == pytest.approx(75.0)
         assert got[("High", "Medium")] == pytest.approx(50.0)
@@ -92,10 +92,10 @@ class TestImprovementReport:
     def test_tied_averages_keep_cluster_id_order(self):
         # clusters 0 and 1 tie: no row between them, cluster 0's rows come first
         rows = advisor.improvement_report(["Medium", "High", "Low"],
-                                          profile_table((2.0, 2.0, 1.0)))
-        assert [(r.current, r.target) for r in rows] \
+                                          profile_table((2.0, 2.0, 1.0)), metrics=("vr",))
+        assert [(current, target) for current, target, _ in rows] \
             == [("Medium", "Low"), ("High", "Low")]
-        assert [r.reductions["vr"] for r in rows] == [50.0, 50.0]
+        assert [reductions["vr"] for _, _, reductions in rows] == [50.0, 50.0]
 
     def test_zero_current_average_named(self):
         # lateral acceleration logged as 0: msdv_y averages 0 in every cluster
@@ -107,7 +107,7 @@ class TestImprovementReport:
 
     def test_csv_output(self, tmp_path):
         rows = advisor.improvement_report(list(advisor.LABELS),
-                                          profile_table((1.0, 2.0, 4.0)))
+                                          profile_table((1.0, 2.0, 4.0)), metrics=("vr",))
         path = tmp_path / "imp.csv"
         advisor.write_improvement_csv(rows, ("vr",), path)
         lines = path.read_text().splitlines()
@@ -120,7 +120,7 @@ class TestAdviceMatrix:
         matrix = advisor.build_advice_matrix()
         for comfort in advisor.LABELS:
             for fuel in advisor.LABELS:
-                lines = matrix.advice(comfort, fuel, braking_peak=False)
+                lines = matrix[comfort, fuel, False]
                 assert lines[0] == advisor.FUEL_ADVICE[fuel]
                 if comfort == "Low":
                     assert len(lines) == 1
@@ -129,12 +129,12 @@ class TestAdviceMatrix:
 
     def test_braking_conditional_low_only(self):
         matrix = advisor.build_advice_matrix()
-        with_peak = matrix.advice("Low", "Low", braking_peak=True)
+        with_peak = matrix["Low", "Low", True]
         assert with_peak == ["Keep driving style", "Avoid braking peaks"]
         # non-Low comfort rows are unchanged by the flag
         for comfort in ("Medium", "High"):
-            assert matrix.advice(comfort, "High", True) \
-                == matrix.advice(comfort, "High", False)
+            assert matrix[comfort, "High", True] \
+                == matrix[comfort, "High", False]
 
 
 class TestIntersect:
@@ -227,7 +227,7 @@ def classified_table(pairs, drivers=None, n_x_neg=0):
 class TestStreamAdvise:
     def run(self, pairs, k_stable=3, n_x_neg=0):
         lines = advisor.stream_advise(classified_table(pairs, n_x_neg=n_x_neg), ["d0"],
-                                      advisor.build_advice_matrix(), k_stable=k_stable)
+                                      k_stable=k_stable)
         return [parse_event(line) for line in lines]
 
     def test_emits_after_k_stable(self):
@@ -259,8 +259,7 @@ class TestStreamAdvise:
         assert events[0].lines == ["Keep driving style", "Avoid braking peaks"]
 
     def test_event_format(self):
-        s, = advisor.stream_advise(classified_table([("High", "Medium")] * 3), ["d0"],
-                                   advisor.build_advice_matrix())
+        s, = advisor.stream_advise(classified_table([("High", "Medium")] * 3), ["d0"])
         assert s.startswith("d0 window_start=2 comfort=H fuel=M advice=")
         assert '"Release gas pedal / switch to a lower gear"' in s
 
@@ -297,7 +296,7 @@ def test_each_driver_streams_like_the_reference(case):
     index = [d for d, driver_pairs in enumerate(drivers) for _ in driver_pairs]
     ids = [f"d{d}" for d in range(len(drivers))]
     lines = advisor.stream_advise(classified_table(pairs, drivers=index), ids,
-                                  advisor.build_advice_matrix(), k_stable=k_stable)
+                                  k_stable=k_stable)
     events = [parse_event(line) for line in lines]
     want = [(ids[d], i, pair) for d, driver_pairs in enumerate(drivers)
             for i, pair in run_length_reference(driver_pairs, k_stable)]

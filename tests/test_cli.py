@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and artifact layout."""
 
 import contextlib
+import csv
 import hashlib
 import importlib
 import inspect
@@ -437,6 +438,20 @@ class TestClassify:
         ("labels", lambda m: m.__setitem__("labels", ["Low", "Low", "High"])),
         ("cluster_count", lambda m: m.__setitem__("cluster_count", 4)),
         ("feature_names", lambda m: m["feature_names"].__setitem__(0, "BOGUS")),
+        # values that a numeric cast would quietly truncate or parse
+        ("assignment", lambda m: m["assignment"].__setitem__(0, 0.5)),
+        ("assignment", lambda m: m.__setitem__("assignment",
+                                               [a + 0.9 for a in m["assignment"]])),
+        ("assignment", lambda m: m["assignment"].__setitem__(0, str(m["assignment"][0]))),
+        ("assignment", lambda m: m["assignment"].__setitem__(0, True)),
+        ("assignment", lambda m: m["assignment"].__setitem__(0, 10**30)),  # overflows int64
+        ("prototypes", lambda m: m["prototypes"][3].__setitem__(1, "0.25")),
+        ("prototypes", lambda m: m["prototypes"][0].__setitem__(0, False)),
+        ("normalizer_mean", lambda m: m.__setitem__("normalizer_mean",
+                                                    [str(v) for v in m["normalizer_mean"]])),
+        ("normalizer_std", lambda m: m["normalizer_std"].__setitem__(0, True)),
+        ("rows", lambda m: m.__setitem__("rows", True)),
+        ("cols", lambda m: m.__setitem__("cols", True)),
     ])
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_corrupt_model_file(self, workspace, tmp_path, capsys, field, spoil, command):
@@ -783,6 +798,20 @@ class TestMetamorphic:
             assert all(line.startswith("z_") for line in lines[header:])
             assert [line.removeprefix("z_") for line in lines] \
                 == reference_outputs[name].decode().splitlines(keepends=True), name
+
+    def test_quoted_driver_id_reads_back(self, workspace, reference_outputs,
+                                         tmp_path_factory):
+        # a stem holding a comma and a double quote is a quoted cell of the
+        # tables; "," sorts before "_", so the file keeps its place
+        stem = 'c0,"x"'
+        got = self.outputs_of(workspace, tmp_path_factory, lambda rows: rows,
+                              rename={"c0_f0.csv": f"{stem}.csv"})
+        for name in ("classes.csv", "driver_summary.csv"):
+            text = got[name].decode()
+            assert '\r\n"c0,""x""",' in text
+            want = [[stem if row[0] == "c0_f0" else row[0], *row[1:]]
+                    for row in csv.reader(io.StringIO(reference_outputs[name].decode()))]
+            assert list(csv.reader(io.StringIO(text))) == want, name
 
     def test_every_output_lists_drivers_in_file_name_order(self, workspace, tmp_path_factory):
         # "c0-1.csv" reads before "c0.csv" ("-" sorts before "."), while the

@@ -92,7 +92,7 @@ class TestNormalizer:
     def test_fit_transform_round_trip(self):
         rng = np.random.default_rng(2)
         data = rng.normal(5.0, 3.0, size=(100, 5))
-        norm = features.fit_normalizer(data)
+        norm = features.fit_normalizer(data, features.MAIN_FEATURES)
         z = norm.transform(data)
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)

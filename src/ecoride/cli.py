@@ -1,12 +1,14 @@
 """Command-line entry point wiring the full pipeline.
 
 Subcommands: synth, train, classify, advise, report, correlate.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error, 141 stdout closed early
+(128 + SIGPIPE, as a shell shows for ``yes | head -1``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from .som import LABELS, SomModel
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_PIPE = 141
 
 DATA_ERRORS = (DataError, OSError)
 
@@ -236,7 +239,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # before any file is read or written
             raise DataError(f"seed must be an integer >= 0, got {args.seed}")
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # before DATA_ERRORS, which holds OSError
+        # as the Python docs' "Note on SIGPIPE": the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except DATA_ERRORS as exc:
         print(f"ecoride: error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -13,8 +13,7 @@ import numpy as np
 from scipy import signal
 
 from . import DataError
-from .telemetry import (SAMPLE_RATE_HZ, WINDOW_STEP, DriveRecord, window_blocks,
-                        window_means)
+from .telemetry import SAMPLE_RATE_HZ, WINDOW_STEP, DriveRecord, window_means
 
 PEAK_THRESHOLD = 1.75  # m/s^2
 
@@ -59,7 +58,7 @@ def msdv(filtered_axis: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """Per-window MSDV: the windowed RMS of the motion-sickness-filtered axis,
     from half-block sums of its squares (``telemetry.window_means``)."""
     filtered_axis = np.asarray(filtered_axis, dtype=float)
-    return np.sqrt(window_means(filtered_axis**2, window_blocks(windows, len(filtered_axis))))
+    return np.sqrt(window_means(filtered_axis**2, windows))
 
 
 def vomit_rate(msdv_x, msdv_y):
@@ -81,22 +80,21 @@ def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
     return int(out) if np.ndim(out) == 0 else out
 
 
-def _window_peaks(above: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``count_peaks`` of each window of ``telemetry.window_blocks``, where
+def _window_peaks(above: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """``count_peaks`` of each window of ``telemetry.split_windows``, where
     ``above`` is the whole record's ``signal > threshold``: the runs that
     start in the window's two half-blocks, counted once per half-block, plus
     one where the window opens inside a run that started before it."""
     run_starts = np.flatnonzero(above[1:] > above[:-1]) + 1  # False -> True steps
     per_half = np.bincount(run_starts // WINDOW_STEP, minlength=len(above) // WINDOW_STEP)
-    first = blocks * WINDOW_STEP
+    first = windows * WINDOW_STEP
     open_run = above[first] & ((first == 0) | above[first - 1])
-    return per_half[blocks] + per_half[blocks + 1] + open_run
+    return per_half[windows] + per_half[windows + 1] + open_run
 
 
 def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """Per-window comfort metrics and mean fuel consumption: one column per
-    metric, one entry per window; a start off the 128-sample grid is a
-    DataError.
+    metric, one entry per window of ``telemetry.split_windows``.
 
     The motion-sickness filter runs once over the full-length XACC/YACC
     channels, both in one call; windowing happens afterwards so filter
@@ -104,7 +102,6 @@ def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.nda
     whole record: as ``PEAK_THRESHOLD`` is positive, ``max(x, 0)`` exceeds it
     where ``x`` does, and ``max(-x, 0)`` where ``x < -PEAK_THRESHOLD``.
     """
-    blocks = window_blocks(windows, record.n_total)
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
     filtered = apply_filter(design_filter(), np.stack([xacc, yacc]))
@@ -113,8 +110,8 @@ def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.nda
         "msdv_x": mx,
         "msdv_y": my,
         "vr": vomit_rate(mx, my),
-        "n_x_pos": _window_peaks(xacc > PEAK_THRESHOLD, blocks),
-        "n_x_neg": _window_peaks(xacc < -PEAK_THRESHOLD, blocks),
-        "n_y": _window_peaks(np.abs(yacc) > PEAK_THRESHOLD, blocks),
-        "fuel": window_means(record.channels["FUEL"], blocks),
+        "n_x_pos": _window_peaks(xacc > PEAK_THRESHOLD, windows),
+        "n_x_neg": _window_peaks(xacc < -PEAK_THRESHOLD, windows),
+        "n_y": _window_peaks(np.abs(yacc) > PEAK_THRESHOLD, windows),
+        "fuel": window_means(record.channels["FUEL"], windows),
     }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DataError, save_csv
-from .telemetry import WINDOW_LEN, WINDOW_STEP, DriveRecord, window_blocks, window_means
+from .telemetry import WINDOW_LEN, DriveRecord, window_means, window_rows
 
 # Signals summarized per window (RMS + variance each).
 FEATURE_SIGNALS = ("SWA", "VS", "XACC", "XACC_neg", "XACC_pos", "YACC", "ERPM")
@@ -30,28 +30,24 @@ CORRELATION_TARGETS = ("fuel", "n_x_pos", "n_x_neg", "n_y", "msdv_y", "vr")
 
 def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
-    each driving signal, one entry per window; a start off the 128-sample
-    grid is a DataError.
+    each driving signal, one entry per window of ``telemetry.split_windows``.
 
     Means and RMS come from half-block sums (``telemetry.window_means``).
     Each variance takes the steps of ``np.var`` over the window's gathered
     samples, with the window mean from those sums: subtract it, square, sum
     and divide by the window length.
     """
-    blocks = window_blocks(windows, record.n_total)
-    halves = np.stack([blocks, blocks + 1], axis=1)  # each window's two half-blocks
     xacc = record.channels["XACC"]
     signals = {name: record.channels[name] for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
     signals["XACC_pos"] = np.maximum(xacc, 0.0)
     signals["XACC_neg"] = np.maximum(-xacc, 0.0)
-    n = record.n_total // WINDOW_STEP * WINDOW_STEP
     columns = {}
     for name in FEATURE_SIGNALS:
         x = signals[name]
-        deviations = x[:n].reshape(-1, WINDOW_STEP)[halves].reshape(-1, WINDOW_LEN)
-        deviations -= window_means(x, blocks)[:, None]
+        deviations = window_rows(x, windows)
+        deviations -= window_means(x, windows)[:, None]
         np.square(deviations, out=deviations)
-        columns[f"{name} RMS"] = np.sqrt(window_means(x**2, blocks))
+        columns[f"{name} RMS"] = np.sqrt(window_means(x**2, windows))
         columns[f"{name} Var"] = deviations.sum(axis=1) / WINDOW_LEN
     return columns
 

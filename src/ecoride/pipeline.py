@@ -20,7 +20,8 @@ TRAIN_SPLIT = 0.75
 def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
     """A record's window table: ``window_start``, the first sample of each
     window kept by the speed filter, and the window's ``features.FEATURE_COLUMNS``
-    and ``comfort.window_metrics`` columns, one array entry per window.
+    and ``comfort.window_metrics`` columns, one array entry per window.  Only
+    here is a window named by its first sample, 128 times its half-block index.
 
     Raises DataError naming the record, the window and the field when a
     feature or metric comes out non-finite (say, a square that overflows), so
@@ -30,16 +31,17 @@ def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         columns = {**features.compute_features(record, windows),
                    **comfort.window_metrics(record, windows)}
+    starts = windows * telemetry.WINDOW_STEP
     for name, values in columns.items():
         bad = ~np.isfinite(values)
         if bad.any():
-            start = int(windows[np.argmax(bad)])
+            start = int(starts[np.argmax(bad)])
             where = f" in {record.source}" if record.source else ""
             raise DataError(
                 f"non-finite {name} in the window starting at sample {start} "
                 f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
                 f"of record {record.driver_id}{where}")
-    return {"window_start": windows, **columns}
+    return {"window_start": starts, **columns}
 
 
 def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:

@@ -147,11 +147,11 @@ def _header(reader, path) -> tuple[list[int], int, int]:
 
 def _bulk_table(data: bytes, path) -> tuple[np.ndarray, Callable[[int], int]] | None:
     """The data rows parsed in one ``np.loadtxt`` call on the bytes: columns
-    ``t`` and ``CHANNELS``, maybe followed by the header's last column, and
-    the file line of a row.  None where the file is to be decoded and read row
-    by row: a non-ASCII byte or one of ``_NOT_BULK``, a fault in the header, a
-    line break other than LF or CRLF before the data, no comma after the
-    header, and any row that is not empty but blank, of other than the
+    ``t`` and ``CHANNELS``, then 0.0 for the header's last column if unread,
+    and the file line of a row.  None where the file is to be decoded and read
+    row by row: a non-ASCII byte or one of ``_NOT_BULK``, a fault in the
+    header, a line break other than LF or CRLF before the data, no comma after
+    the header, and any row that is not empty but blank, of other than the
     header's width or with a read cell that does not parse."""
     if not data.isascii() or any(b in data for b in _NOT_BULK):
         return None
@@ -170,11 +170,12 @@ def _bulk_table(data: bytes, path) -> tuple[np.ndarray, Callable[[int], int]] | 
         return None  # no data row; on no row at all loadtxt would warn
     # with usecols, loadtxt takes a row with cells past the last one it parses:
     # as it parses the header's last column, no row is narrower than the
-    # header, so a wider one shows in the count of commas
-    usecols = cols if width - 1 in cols else [*cols, width - 1]
+    # header, so a wider one shows in the count of commas.  An unread last
+    # column is read as 0.0 whatever its text, so text there keeps this path.
+    last = {} if width - 1 in cols else {width - 1: lambda cell: 0.0}
     try:
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols,
-                           encoding="utf-8")
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=[*cols, *last],
+                           converters=last, encoding="utf-8")
     except ValueError:
         return None
     if commas != len(table) * (width - 1):
@@ -270,38 +271,23 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
 
 
 def split_windows(record: DriveRecord) -> np.ndarray:
-    """Start indices of the 256-sample windows advancing by 128 samples (50% overlap).
+    """The 256-sample windows advancing by 128 samples (50% overlap).
 
-    A window is its start index; ``window_rows`` gives its samples.
+    A window is its half-block index ``b``: it covers samples ``128 * b`` to
+    ``128 * b + 255``, and ``window_rows`` gives them.
     """
-    return np.arange(0, record.n_total - WINDOW_LEN + 1, WINDOW_STEP)
+    return np.arange(record.n_total // WINDOW_STEP - 1)
 
 
 def window_rows(signal: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """(len(windows), WINDOW_LEN) samples of ``signal``, one row per window start."""
-    return signal[np.asarray(windows, dtype=np.intp)[:, None] + np.arange(WINDOW_LEN)]
+    """(len(windows), WINDOW_LEN) samples of ``signal``, one row per window."""
+    halves = signal[:len(signal) // WINDOW_STEP * WINDOW_STEP].reshape(-1, WINDOW_STEP)
+    return halves[np.add.outer(windows, [0, 1])].reshape(-1, WINDOW_LEN)
 
 
-def window_blocks(windows: np.ndarray, n_total: int) -> np.ndarray:
-    """The index of each window's first 128-sample half-block: a window
-    starting at sample ``128 * b`` holds half-blocks ``b`` and ``b + 1``.
-
-    A start off that grid, or one whose window does not fit in ``n_total``
-    samples, is a DataError; ``split_windows`` makes neither.
-    """
-    windows = np.asarray(windows, dtype=np.intp)
-    blocks, offsets = np.divmod(windows, WINDOW_STEP)
-    bad = (offsets != 0) | (windows < 0) | (windows > n_total - WINDOW_LEN)
-    if bad.any():
-        raise DataError(f"window start {int(windows[np.argmax(bad)])} is not a multiple "
-                        f"of {WINDOW_STEP} in [0, {n_total - WINDOW_LEN}]")
-    return blocks
-
-
-def window_means(values: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Mean of ``values`` over each window of ``window_blocks``, from one sum
-    per 128-sample half-block: the doubles of
-    ``np.mean(window_rows(values, windows), axis=1)``.
+def window_means(values: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Mean of ``values`` over each window, from one sum per 128-sample
+    half-block: the doubles of ``np.mean(window_rows(values, windows), axis=1)``.
 
     numpy's pairwise summation adds a contiguous run of 256 doubles as the
     sum of its two 128-sample halves, each summed on its own as here; the
@@ -309,12 +295,10 @@ def window_means(values: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     either way.  So each sample is summed once, not once per window.
     """
     halves = values[:len(values) // WINDOW_STEP * WINDOW_STEP].reshape(-1, WINDOW_STEP).sum(axis=1)
-    return (halves[blocks] + halves[blocks + 1]) / WINDOW_LEN
+    return (halves[windows] + halves[windows + 1]) / WINDOW_LEN
 
 
 def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray) -> np.ndarray:
-    """Starts of the windows whose mean vehicle speed is at or above
-    ``SPEED_THRESHOLD_KMH``; a start off the 128-sample grid is a DataError."""
+    """The windows whose mean vehicle speed is at or above ``SPEED_THRESHOLD_KMH``."""
     windows = np.asarray(windows, dtype=np.intp)
-    speed = window_means(record.channels["VS"], window_blocks(windows, record.n_total))
-    return windows[speed >= SPEED_THRESHOLD_KMH]
+    return windows[window_means(record.channels["VS"], windows) >= SPEED_THRESHOLD_KMH]

@@ -7,9 +7,12 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -293,6 +296,32 @@ class TestExitCodes:
         assert "non-finite SWA RMS in the window starting at sample 768" in err
         assert str(big_data / src.name) in err
         assert not out.exists()
+
+    # buffered, the write fails at main's flush; unbuffered, at a print
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_is_not_a_data_error(self, workspace, tmp_path, buffered):
+        # stdout a pipe whose reader has gone, as in `ecoride classify ... | true`:
+        # the exit status a shell shows for SIGPIPE, nothing on stderr, and the
+        # output file of a normal run
+        _, data, models = workspace
+        src = str(Path(ecoride.__file__).parents[1])
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out, want = tmp_path / "classes.csv", tmp_path / "want.csv"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "ecoride.cli",
+                                   *analysis_argv("classify", data, models, out)],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=env, timeout=300)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr.decode()) == (141, "")
+        assert run(analysis_argv("classify", data, models, want)) == cli.EXIT_OK
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestIngestion:

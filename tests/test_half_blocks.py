@@ -2,11 +2,10 @@
 code they replaced, bit for bit."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoride import DataError, comfort, features, telemetry
+from ecoride import comfort, features, telemetry
 from ecoride.comfort import (PEAK_THRESHOLD, apply_filter, count_peaks, design_filter,
                              vomit_rate, weighted_rms)
 from ecoride.features import FEATURE_COLUMNS, FEATURE_SIGNALS
@@ -119,15 +118,3 @@ def test_count_columns_are_int():
     for name, counts in (("n_x_pos", [1, 1, 1]), ("n_x_neg", [0, 0, 0]), ("n_y", [1, 1, 1])):
         assert got[name].dtype == want[name].dtype == np.intp
         assert got[name].tolist() == want[name].tolist() == counts
-
-
-@pytest.mark.parametrize("starts", [[64], [0, 129], [-128], [256]])
-def test_a_start_off_the_grid_or_past_the_record_is_a_data_error(starts):
-    record = telemetry.DriveRecord(driver_id="h", channels={
-        name: np.full(384, 70.0) for name in telemetry.CHANNELS})
-    bad = next(s for s in starts if s % 128 or not 0 <= s <= 128)
-    message = f"window start {bad} is not a multiple of 128 in \\[0, 128\\]"
-    for analysis in (telemetry.filter_by_mean_speed, features.compute_features,
-                     comfort.window_metrics):
-        with pytest.raises(DataError, match=message):
-            analysis(record, np.array(starts))

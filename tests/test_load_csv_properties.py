@@ -28,6 +28,8 @@ HEADER = [telemetry.TIME_COLUMN, *FILE_NAMES]
 BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
           "YACC": (-50.0, 50.0), "FUEL": (0.0, math.inf)}
 FORMATS = {"6f": "{:.6f}".format, "8g": "{:.8g}".format, "repr": repr}
+# Cells of a last column of notes outside the schema: words, blanks, numbers.
+NOTES = ("ok", "", "slow traffic", "n/a", "1e5", "-")
 # Ways to change one data row: a junk, quoted or "1_0" cell (float() takes the
 # last two), each of which spoils the row only in a read column; all cells
 # empty, one cell too many or too few, each of which spoils it anywhere.
@@ -111,13 +113,17 @@ def clean_rows(draw, n, fmt, names):
 def csv_files(draw):
     """Text of a telemetry CSV: plausible values in random float formats but
     for an optional planted out-of-bounds cell, optional non-finite cell in an
-    unread column, optional numeric column outside the schema, blank lines
-    (before the header too), CRLF endings and mangled rows."""
+    unread column, optional last column outside the schema (of numbers or of
+    ``NOTES``), blank lines (before the header too), CRLF endings and mangled
+    rows."""
     n = draw(st.integers(0, 40))
     fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
-    note = draw(st.booleans())  # an extra column outside the schema
+    note = draw(st.sampled_from([None, "numbers", "text"]))  # a column outside the schema
     header = HEADER + (["note"] if note else [])
     rows = clean_rows(draw, n, fmt, header[1:])
+    if note == "text":
+        for row in rows:
+            row[-1] = draw(st.sampled_from(NOTES))
     if n and draw(st.booleans()):
         name = draw(st.sampled_from(sorted(BOUNDS)))
         lo, hi = BOUNDS[name]
@@ -240,14 +246,16 @@ def outcome(path, caplog):
 @st.composite
 def strayed_files(draw):
     """Text of a telemetry CSV that the bulk parse takes, clean or with one
-    non-finite read cell to be named at its line, with one to three of
-    ``STRAYS`` put in anywhere."""
+    non-finite read cell to be named at its line, maybe with a last column of
+    ``NOTES``, with one to three of ``STRAYS`` put in anywhere."""
     fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
     rows = clean_rows(draw, draw(st.integers(2, 12)), fmt, FILE_NAMES)
     if draw(st.booleans()):
         row = draw(st.sampled_from(rows))
         row[HEADER.index(draw(st.sampled_from([telemetry.TIME_COLUMN, *NAMES])))] = "nan"
-    lines = [",".join(HEADER)] + [",".join(row) for row in rows]
+    note = draw(st.booleans())
+    lines = [",".join(HEADER + ["note"] * note)]
+    lines += [",".join(row + [draw(st.sampled_from(NOTES))] * note) for row in rows]
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + eol
     for _ in range(draw(st.integers(1, 3))):

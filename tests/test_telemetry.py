@@ -70,6 +70,17 @@ class TestLoadCsv:
         assert len(channels[0].values) == 600
         assert caplog.records == []
 
+    def test_trailing_text_column_takes_the_bulk_path(self, tmp_path):
+        # an unread last column of words is read as 0.0, not parsed as numbers
+        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        _write_csv(plain)
+        _write_csv(noted, mangle=lambda ls: [f"{ls[0]},notes", *(
+            f"{x},{'slow traffic' if i % 3 else 'ok'}" for i, x in enumerate(ls[1:]))])
+        table, line_of = telemetry._bulk_table(noted.read_bytes(), noted)
+        want, _ = telemetry._bulk_table(plain.read_bytes(), plain)
+        assert np.array_equal(table, np.column_stack([want, np.zeros(600)]))
+        assert line_of(599) == 601
+
     @pytest.mark.parametrize("junk", [False, True])  # bulk path, row-by-row path
     def test_utf8_byte_order_mark(self, tmp_path, caplog, junk):
         def mangle(lines):
@@ -436,12 +447,12 @@ class TestWindows:
     def test_starts_and_overlap(self):
         rec = make_record(n=512)
         ws = telemetry.split_windows(rec)
-        assert ws.tolist() == [0, 128, 256]
+        assert (WINDOW_STEP * ws).tolist() == [0, 128, 256]
         assert telemetry.window_rows(rec.channels["SWA"], ws).shape == (3, WINDOW_LEN)
-        assert ws[1] - ws[0] == WINDOW_STEP
+        assert WINDOW_STEP * (ws[1] - ws[0]) == WINDOW_STEP
 
     def test_channel_slice(self, record):
-        rows = telemetry.window_rows(record.channels["SWA"], np.array([128]))
+        rows = telemetry.window_rows(record.channels["SWA"], np.array([128 // WINDOW_STEP]))
         np.testing.assert_array_equal(rows[0], record.channels["SWA"][128:384])
 
 
@@ -456,7 +467,7 @@ class TestSpeedFilter:
         rec = make_record(n=512, speed=90.0)
         rec.channels["VS"][:256] = 20.0  # straddling window averages 55 km/h
         kept = telemetry.filter_by_mean_speed(rec, telemetry.split_windows(rec))
-        assert kept.tolist() == [256]
+        assert (WINDOW_STEP * kept).tolist() == [256]
 
 
 class TestDriveRecord:

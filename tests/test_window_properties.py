@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoride import comfort, features, telemetry
+from ecoride import comfort, features, pipeline, telemetry
 from ecoride.telemetry import SPEED_THRESHOLD_KMH
 
 
@@ -40,19 +40,23 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
     n = record.n_total
     starts = telemetry.split_windows(record)
     count = (n - 256) // 128 + 1 if n >= 256 else 0
-    assert starts.tolist() == [128 * k for k in range(count)]
+    assert (128 * starts).tolist() == [128 * k for k in range(count)]
 
     kept = telemetry.filter_by_mean_speed(record, starts)
     ch = record.channels
-    assert kept.tolist() == [s for s in starts.tolist()
-                             if np.mean(ch["VS"][s:s + 256]) >= SPEED_THRESHOLD_KMH]
+    assert (128 * kept).tolist() == [s for s in (128 * starts).tolist()
+                                     if np.mean(ch["VS"][s:s + 256]) >= SPEED_THRESHOLD_KMH]
+    # every window lies within the record; the window table's sample starts
+    # are the kept windows' half-block indices times 128
+    assert np.all(128 * starts + 256 <= n)
+    assert np.array_equal(pipeline.analyze_record(record)["window_start"], 128 * kept)
 
     wf = comfort.design_filter()
     x_filt = comfort.apply_filter(wf, ch["XACC"])
     y_filt = comfort.apply_filter(wf, ch["YACC"])
     want = {name: [] for name in ("msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg",
                                   "n_y", "fuel")}
-    for s in kept.tolist():
+    for s in (128 * kept).tolist():
         mx = np.sqrt(np.mean(x_filt[s:s + 256] ** 2))
         my = np.sqrt(np.mean(y_filt[s:s + 256] ** 2))
         x, y = ch["XACC"][s:s + 256], ch["YACC"][s:s + 256]
@@ -73,7 +77,7 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
     feats = features.compute_features(record, kept)
     for name in features.FEATURE_SIGNALS:
         base = "XACC" if name.startswith("XACC") else name
-        rows = [ch[base][s:s + 256] for s in kept.tolist()]
+        rows = [ch[base][s:s + 256] for s in (128 * kept).tolist()]
         if name == "XACC_pos":
             rows = [np.maximum(r, 0.0) for r in rows]
         elif name == "XACC_neg":

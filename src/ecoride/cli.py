@@ -90,8 +90,6 @@ def _print_profiles(tag: str, model: SomModel, profile: dict[str, np.ndarray]) -
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    if not out.is_dir():
-        raise DataError(f"output directory not found: {out}")
     written = []
     for label, spec in synthgen.style_grid(base_seed=args.seed, duration=args.duration):
         path = out / f"{label}.csv"
@@ -199,6 +197,32 @@ COMMANDS = {"synth": cmd_synth, "train": cmd_train, "classify": cmd_classify,
             "advise": cmd_advise, "report": cmd_report, "correlate": cmd_correlate}
 
 
+def _check_out(args) -> None:
+    """Raise DataError for an ``--out`` the command could not write, or one
+    that would put CSV files into ``--data``, where a later command would read
+    them as telemetry.  Reads no telemetry and creates nothing."""
+    out = Path(args.out)
+    if args.command == "synth":
+        if not out.is_dir():
+            raise DataError(f"output directory not found: {out}")
+        return
+    data = Path(args.data).resolve()
+    if args.command in ("classify", "correlate"):  # one CSV file
+        if out.is_dir():
+            raise DataError(f"--out {out} is a directory, not a CSV file path")
+        if not out.parent.is_dir():
+            raise DataError(f"--out {out}: directory {out.parent} not found")
+        if out.suffix == ".csv" and out.parent.resolve() == data:
+            raise DataError(f"--out {out} lies in the data directory {args.data}; "
+                            "a CSV file there would be read as telemetry")
+        return
+    if out.exists() and not out.is_dir():
+        raise DataError(f"--out {out} exists and is not a directory")
+    if args.command != "train" and out.resolve() == data:  # train writes no CSV
+        raise DataError(f"--out {out} resolves to the data directory {args.data}; "
+                        "CSV files there would be read as telemetry")
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 
@@ -239,6 +263,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # before any file is read or written
             raise DataError(f"seed must be an integer >= 0, got {args.seed}")
+        _check_out(args)
         code = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code

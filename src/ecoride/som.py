@@ -88,11 +88,12 @@ def init_random(rows: int, cols: int, data: np.ndarray, seed: int) -> SomGrid:
     return SomGrid(rows=rows, cols=cols, weights=weights, rng_seed=seed)
 
 
-BMU_CHUNK = 256
+BMU_CHUNK = 128
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances between the rows of a and b.
+    """(..., len(a), len(b)) squared Euclidean distances between the rows of
+    a and b; a may hold a leading axis of row sets, each against all of b.
 
     The squared feature differences are added column by column, left to
     right, through one reused term buffer.  numpy's ``add.reduce`` sums a
@@ -101,10 +102,10 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     axis=2)`` without its (len(a), len(b), dim) temporary; a test pins the two
     against each other.
     """
-    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    d2 = (a[..., None, 0] - b[:, 0]) ** 2
     term = np.empty_like(d2)
-    for j in range(1, a.shape[1]):
-        np.subtract(a[:, None, j], b[None, :, j], out=term)
+    for j in range(1, a.shape[-1]):
+        np.subtract(a[..., None, j], b[:, j], out=term)
         np.square(term, out=term)
         d2 += term
     return d2
@@ -268,44 +269,67 @@ def hit_histogram(grid: SomGrid, samples: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Prototype clustering (k-means with restarts)
 
-def _kmeans_once(points: np.ndarray, c: int, rng: np.random.Generator,
-                 max_iter: int = 200) -> tuple[np.ndarray, float, np.ndarray]:
-    """One Lloyd run from ``c`` distinct seeded points: (assignment, cost,
-    centers), each center the mean of its members in the final assignment.
+def _kmeans(prototypes: np.ndarray, hit_counts: np.ndarray, c: int,
+            rng: np.random.Generator, runs: int, max_iter: int = 200
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``runs`` Lloyd runs of k-means over the points ``np.repeat(prototypes,
+    hit_counts, axis=0)``, batched: (assignments (runs, n), costs (runs,),
+    centers (runs, c, dim)), each center the mean of its members in its run's
+    final assignment.  Each run's doubles are those of running it alone.
 
-    Distances are centers-major, (c, n), so the long axis is the inner one,
-    against a copy of the points that holds each feature as one contiguous
-    column.  Each center is the ``mean(axis=0)`` of its members, read as one contiguous
-    slice of the stably sorted points: the rows, their order and so the sum
-    of the boolean-mask selection ``points[assignment == cid]``.
+    Every run first draws its ``c`` distinct seed points from ``rng``, in run
+    order.  A pass searches each run's (c, hit prototypes) squared distances,
+    and each point takes the argmin of its prototype: equal rows give equal
+    doubles and equal ties.  The empty-cluster repair runs per run before the
+    convergence test, so it may move a center on a run's last pass; a run
+    whose assignment did not change then drops out and keeps its centers.
+    Each cluster sum is one ``np.bincount`` per feature, which adds the
+    members from +0.0 in ascending point order, as ``mean(axis=0)`` adds the
+    rows of a slice of two or more features (the maps have 5 and 2).  numpy
+    sums a single feature pairwise, so on a 1-feature map a center could
+    differ in its last bits from the mean of the same slice.  Each cost is the
+    row sum of its run's chosen squared distances, as ``np.sum`` adds them.
     """
-    n = points.shape[0]
-    columns = np.asfortranarray(points)
-    centers = points[rng.choice(n, size=c, replace=False)].copy()
-    assignment = np.full(n, -1)
+    hit = hit_counts > 0
+    counts = hit_counts[hit]
+    hit_protos = np.asfortranarray(prototypes[hit])  # each feature one contiguous column
+    owner = np.repeat(np.arange(len(counts)), counts)  # each point's row of hit_protos
+    points = hit_protos[owner]
+    n = len(points)
+    centers = np.stack([points[rng.choice(n, size=c, replace=False)] for _ in range(runs)])
+    assignment = np.full((runs, n), -1)
+    active = np.arange(runs)
     for _ in range(max_iter):
-        d2 = _sq_distances(centers, columns)
-        new_assignment = np.argmin(d2, axis=0)
-        sizes = np.bincount(new_assignment, minlength=c)
-        # repair empty clusters: split the largest at its farthest member.  As
-        # n >= c, the largest holds >= 2 points, so no repair empties a cluster.
-        for cid in np.flatnonzero(sizes == 0):
-            big = int(np.argmax(sizes))
-            members = np.flatnonzero(new_assignment == big)
-            far = members[np.argmax(_sq_distances(centers[big:big + 1], points[members])[0])]
-            new_assignment[far] = cid
-            centers[cid] = points[far]
-            sizes[big] -= 1
-            sizes[cid] = 1
-        if np.array_equal(new_assignment, assignment):
+        d2 = _sq_distances(centers[active], hit_protos)
+        new_assignment = np.repeat(d2.argmin(axis=1), counts, axis=1)
+        bins = np.arange(len(active))[:, None] * c + new_assignment
+        sizes = np.bincount(bins.ravel(), minlength=len(active) * c).reshape(-1, c)
+        for i in np.flatnonzero((sizes == 0).any(axis=1)):
+            run, run_assignment, run_sizes = active[i], new_assignment[i], sizes[i]
+            # repair empty clusters: split the largest at its farthest member.  As
+            # n >= c, the largest holds >= 2 points, so no repair empties a cluster.
+            for cid in np.flatnonzero(run_sizes == 0):
+                big = int(np.argmax(run_sizes))
+                members = np.flatnonzero(run_assignment == big)
+                far = members[np.argmax(
+                    _sq_distances(centers[run, big:big + 1], points[members])[0])]
+                run_assignment[far] = cid
+                centers[run, cid] = points[far]
+                run_sizes[big] -= 1
+                run_sizes[cid] = 1
+        changed = (new_assignment != assignment[active]).any(axis=1)
+        active, new_assignment = active[changed], new_assignment[changed]
+        if not len(active):
             break
-        assignment = new_assignment
-        by_cluster = points[np.argsort(assignment, kind="stable")]
-        ends = np.cumsum(sizes).tolist()
-        for cid, (lo, hi) in enumerate(zip([0, *ends], ends)):
-            centers[cid] = by_cluster[lo:hi].mean(axis=0)
-    d2 = _sq_distances(centers, columns)[assignment, np.arange(n)]
-    return assignment, float(np.sum(d2)), centers
+        assignment[active] = new_assignment
+        sizes = sizes[changed]
+        bins = (np.arange(len(active))[:, None] * c + new_assignment).ravel()
+        sums = np.stack([np.bincount(bins, weights=column, minlength=sizes.size)
+                         for column in np.tile(points.T, len(active))], axis=-1)
+        centers[active] = sums.reshape(len(active), c, -1) / sizes[..., None]
+    d2 = _sq_distances(centers, hit_protos)
+    costs = d2[np.arange(runs)[:, None], assignment, owner].sum(axis=1)
+    return assignment, costs, centers
 
 
 def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
@@ -330,10 +354,9 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
         raise DataError(
             f"only {np.count_nonzero(hit_counts)} hit neurons for "
             f"{cluster_count} clusters")
-    points = np.repeat(grid.weights, hit_counts, axis=0)
-    rng = np.random.default_rng(seed)
-    runs = (_kmeans_once(points, cluster_count, rng) for _ in range(restarts))
-    centers = min(runs, key=lambda run: run[1])[2]  # the first run of least cost
+    _, costs, centers = _kmeans(grid.weights, hit_counts, cluster_count,
+                                np.random.default_rng(seed), restarts)
+    centers = centers[np.argmin(costs)]  # the first run of least cost
     d2 = _sq_distances(grid.weights, centers)
     full = np.argmin(d2, axis=1)
     for cid in range(cluster_count):  # keep every cluster non-empty

@@ -276,6 +276,58 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"ecoride: error: model file not found: {bad / name}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, kind", [
+        ("classify", "no_parent"), ("classify", "directory"),
+        ("correlate", "no_parent"), ("correlate", "directory"),
+        ("train", "file"), ("advise", "file"), ("report", "file"),
+    ])
+    def test_bad_out_fails_before_any_telemetry_is_read(self, workspace, tmp_path, capsys,
+                                                        monkeypatch, command, kind):
+        _, data, models = workspace
+
+        def no_read(path):
+            raise AssertionError(f"telemetry read before --out was checked: {path}")
+
+        monkeypatch.setattr(telemetry, "load_csv", no_read)
+        if kind == "no_parent":
+            out = tmp_path / "missing" / "out.csv"
+            message = f"--out {out}: directory {out.parent} not found"
+        elif kind == "directory":
+            out = tmp_path / "out.csv"
+            out.mkdir()
+            message = f"--out {out} is a directory, not a CSV file path"
+        else:
+            out = tmp_path / "out"
+            out.write_text("kept\n")
+            message = f"--out {out} exists and is not a directory"
+        assert run(analysis_argv(command, data, models, out)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"ecoride: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "no_parent"
+                                                              else [out.name])
+        if kind == "file":
+            assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("classify", "classes.csv"), ("correlate", "correlations.csv"),
+        ("advise", None), ("report", None),
+    ])
+    def test_csv_output_into_the_data_directory_fails(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, command, name):
+        # those files would be read as telemetry by the next command on --data
+        _, corpus, models = workspace
+        data = tmp_path / "data"
+        shutil.copytree(corpus, data)
+        monkeypatch.chdir(data)
+        listing = sorted(p.name for p in data.iterdir())
+        out = Path(name) if name else Path(".")
+        assert run(analysis_argv(command, str(data), models, out)) == cli.EXIT_DATA
+        message = (f"--out {name} lies in the data directory {data}; a CSV file "
+                   "there would be read as telemetry" if name else
+                   f"--out . resolves to the data directory {data}; CSV files "
+                   "there would be read as telemetry")
+        assert capsys.readouterr().err == f"ecoride: error: {message}\n"
+        assert sorted(p.name for p in data.iterdir()) == listing
+
     @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_overflowing_window_fails_before_any_output(self, workspace, tmp_path,
                                                         capsys, command):

@@ -256,13 +256,15 @@ class TestTrainMatchesReference:
                                          seed + 1)
 
 
-def reference_kmeans_once(points, c, rng, max_iter=200, repairs=None):
-    """``som._kmeans_once`` as it was with ``np.sum`` distances, the reference.
-    Each empty-cluster repair appends the cluster id to ``repairs``."""
+def reference_kmeans_once(points, c, rng, max_iter=200, repairs=None, updates=None):
+    """One run of ``som._kmeans`` alone, with ``np.sum`` distances and mask
+    means: the reference.  Each empty-cluster repair appends the cluster id to
+    ``repairs``, each pass that moves the centers to their means its index to
+    ``updates``."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=c, replace=False)].copy()
     assignment = np.full(n, -1)
-    for _ in range(max_iter):
+    for step in range(max_iter):
         d2 = reference_sq_distances(points, centers)
         new_assignment = np.argmin(d2, axis=1)
         for cid in range(c):
@@ -281,6 +283,8 @@ def reference_kmeans_once(points, c, rng, max_iter=200, repairs=None):
         assignment = new_assignment
         for cid in range(c):
             centers[cid] = points[assignment == cid].mean(axis=0)
+        if updates is not None:
+            updates.append(step)
     d2 = np.sum((points - centers[assignment]) ** 2, axis=1)
     return assignment, float(np.sum(d2))
 
@@ -292,6 +296,39 @@ def spread_rows(rng, n, dim):
     rows = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
     rows[rng.integers(n, size=n // 4)] = rows[rng.integers(n, size=n // 4)]
     return rows
+
+
+def kmeans_cases(dim):
+    """(rng seed, prototypes, hit counts, clusters) of 24 k-means cases: 36
+    prototypes in 3 clusters, then 6 prototypes in 4 or 5 clusters.  With so
+    few distinct points two seeded centers often coincide, the higher one's
+    cluster comes out empty and the repair branch runs."""
+    rng = np.random.default_rng(20 + dim)
+    cases = [(36, 0, 3)] * 12 + [(6, 1, 4)] * 6 + [(6, 1, 5)] * 6
+    for seed, (n_protos, min_hits, c) in enumerate(cases):
+        protos = spread_rows(rng, n_protos, dim)
+        yield seed, protos, rng.integers(min_hits, 4, size=n_protos), c
+
+
+def assert_runs_match_reference(protos, counts, c, seed, runs):
+    """Check each run of one batched ``som._kmeans`` call against
+    ``reference_kmeans_once`` run alone from the same generator state; return
+    each run's (repairs, center updates) in the reference."""
+    points = np.repeat(protos, counts, axis=0)
+    assignments, costs, centers = som._kmeans(protos, counts, c,
+                                              np.random.default_rng(seed), runs)
+    rng = np.random.default_rng(seed)
+    made = []
+    for assignment, cost, run_centers in zip(assignments, costs, centers):
+        repairs, updates = [], []
+        ref_assignment, ref_cost = reference_kmeans_once(
+            points, c, rng, repairs=repairs, updates=updates)
+        assert np.array_equal(assignment, ref_assignment) and cost == ref_cost
+        # the returned centers are the mask means cluster_prototypes reads
+        assert np.array_equal(run_centers, np.array(
+            [points[assignment == cid].mean(axis=0) for cid in range(c)]))
+        made.append((len(repairs), len(updates)))
+    return made
 
 
 class TestDistanceOrder:
@@ -332,31 +369,43 @@ class TestDistanceOrder:
         assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
 
     @pytest.mark.parametrize("dim", [2, 5])
-    def test_kmeans_once_matches_np_sum(self, dim, monkeypatch):
-        # 36 prototypes in 3 clusters, then 6 prototypes in 4 or 5 clusters:
-        # with so few distinct points two seeded centers often coincide, the
-        # higher one's cluster comes out empty and the repair branch runs
-        rng = np.random.default_rng(20 + dim)
-        cases = [(36, 0, 3)] * 12 + [(6, 1, 4)] * 6 + [(6, 1, 5)] * 6
-        repairs, searches = [], []
+    def test_bmus_do_not_depend_on_the_chunk_size(self, dim, monkeypatch):
+        rng = np.random.default_rng(40 + dim)
+        weights = spread_rows(rng, 225, dim)
+        weights[17] = weights[3]  # a tied pair of prototypes
+        samples = np.vstack([spread_rows(rng, 300, dim), weights[:20]])
+        grid = som.SomGrid(rows=15, cols=15, weights=weights)
+        found = []
+        for chunk in (1, 7, 128, len(samples) + 1):
+            monkeypatch.setattr(som, "BMU_CHUNK", chunk)
+            found.append(som.bmus(grid, samples))
+        idx, dist = found[0]
+        assert idx[-3] == 3  # weights[17] finds the lower of the tied pair
+        for other_idx, other_dist in found[1:]:
+            assert np.array_equal(other_idx, idx) and np.array_equal(other_dist, dist)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_kmeans_runs_match_np_sum(self, dim, monkeypatch):
+        searches, repairs = [], 0
         sq_distances = som._sq_distances
         monkeypatch.setattr(som, "_sq_distances",
-                            lambda a, b: searches.append(len(a)) or sq_distances(a, b))
-        for seed, (n_protos, min_hits, c) in enumerate(cases):
-            protos = spread_rows(rng, n_protos, dim)
-            points = np.repeat(protos, rng.integers(min_hits, 4, size=n_protos), axis=0)
+                            lambda a, b: searches.append(a.shape[-2]) or sq_distances(a, b))
+        for seed, protos, counts, c in kmeans_cases(dim):
             searches.clear()
-            assignment, cost, centers = som._kmeans_once(points, c, np.random.default_rng(seed))
-            before = len(repairs)
-            ref_assignment, ref_cost = reference_kmeans_once(
-                points, c, np.random.default_rng(seed), repairs=repairs)
-            assert np.array_equal(assignment, ref_assignment) and cost == ref_cost
-            # the returned centers are the mask means cluster_prototypes reads
-            assert np.array_equal(centers, np.array(
-                [points[assignment == cid].mean(axis=0) for cid in range(c)]))
+            made = assert_runs_match_reference(protos, counts, c, seed, runs=4)
             # a repair's farthest-member search is the only one from one center
-            assert (1 in searches) == (len(repairs) > before)
-        assert len(repairs) >= 6
+            assert (1 in searches) == any(r for r, _ in made)
+            repairs += sum(r for r, _ in made)
+        assert repairs >= 6
+
+    def test_a_cycling_run_leaves_its_batch_alone(self):
+        # 6 prototypes (5 of them distinct) in 5 clusters: from rng seed 19 the
+        # first run repairs an empty cluster on every one of its 200 passes, as
+        # each mean step empties a cluster that the next repair refills
+        seed, protos, counts, c = list(kmeans_cases(5))[19]
+        made = assert_runs_match_reference(protos, counts, c, seed, runs=8)
+        assert made[0] == (200, 200)
+        assert sum(updates < 200 for _, updates in made) >= 2  # runs that converge
 
 
 class TestBmu:

@@ -107,10 +107,14 @@ def classify_window(columns: dict[str, np.ndarray],
                     models: list[SomModel]) -> dict[str, np.ndarray]:
     """Classify every window of a window table's feature ``columns`` with the
     ``MAPS`` maps ``models``, one batched BMU search per map: each map's
-    ``<tag>_bmu`` column and its label column of indices into LABELS."""
+    ``<tag>_bmu`` column and its label column of indices into LABELS.  A
+    failed search is a DataError naming the map."""
     out = {}
     for model, (tag, *_, label) in zip(models, MAPS):
-        out[f"{tag}_bmu"] = model.bmu_indices(feature_matrix(columns, model.feature_names))
+        try:
+            out[f"{tag}_bmu"] = model.bmu_indices(feature_matrix(columns, model.feature_names))
+        except DataError as exc:
+            raise DataError(f"{tag} map: {exc}") from None
         out[label] = model.labels_at(out[f"{tag}_bmu"])
     return out
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import signal
 
 from . import DataError
-from .telemetry import SAMPLE_RATE_HZ, WINDOW_STEP, DriveRecord, window_means
+from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_means, window_rows
 
 PEAK_THRESHOLD = 1.75  # m/s^2
 
@@ -80,38 +80,27 @@ def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
     return int(out) if np.ndim(out) == 0 else out
 
 
-def _window_peaks(above: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """``count_peaks`` of each window of ``telemetry.split_windows``, where
-    ``above`` is the whole record's ``signal > threshold``: the runs that
-    start in the window's two half-blocks, counted once per half-block, plus
-    one where the window opens inside a run that started before it."""
-    run_starts = np.flatnonzero(above[1:] > above[:-1]) + 1  # False -> True steps
-    per_half = np.bincount(run_starts // WINDOW_STEP, minlength=len(above) // WINDOW_STEP)
-    first = windows * WINDOW_STEP
-    open_run = above[first] & ((first == 0) | above[first - 1])
-    return per_half[windows] + per_half[windows + 1] + open_run
-
-
 def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """Per-window comfort metrics and mean fuel consumption: one column per
     metric, one entry per window of ``telemetry.split_windows``.
 
     The motion-sickness filter runs once over the full-length XACC/YACC
     channels, both in one call; windowing happens afterwards so filter
-    transients do not restart at every window.  Peaks are counted on the
-    whole record: as ``PEAK_THRESHOLD`` is positive, ``max(x, 0)`` exceeds it
-    where ``x`` does, and ``max(-x, 0)`` where ``x < -PEAK_THRESHOLD``.
+    transients do not restart at every window.  Peaks are ``count_peaks`` of
+    each window's samples: as ``PEAK_THRESHOLD`` is positive, ``max(x, 0)``
+    exceeds it where ``x`` does, and ``max(-x, 0)`` where ``-x`` does.
     """
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
     filtered = apply_filter(design_filter(), np.stack([xacc, yacc]))
     mx, my = msdv(filtered[0], windows), msdv(filtered[1], windows)
+    x_rows = window_rows(xacc, windows)
     return {
         "msdv_x": mx,
         "msdv_y": my,
         "vr": vomit_rate(mx, my),
-        "n_x_pos": _window_peaks(xacc > PEAK_THRESHOLD, windows),
-        "n_x_neg": _window_peaks(xacc < -PEAK_THRESHOLD, windows),
-        "n_y": _window_peaks(np.abs(yacc) > PEAK_THRESHOLD, windows),
+        "n_x_pos": count_peaks(x_rows),
+        "n_x_neg": count_peaks(-x_rows),
+        "n_y": count_peaks(np.abs(window_rows(yacc, windows))),
         "fuel": window_means(record.channels["FUEL"], windows),
     }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DataError, save_csv
-from .telemetry import WINDOW_LEN, DriveRecord, window_means, window_rows
+from .telemetry import DriveRecord, window_means, window_rows
 
 # Signals summarized per window (RMS + variance each).
 FEATURE_SIGNALS = ("SWA", "VS", "XACC", "XACC_neg", "XACC_pos", "YACC", "ERPM")
@@ -32,10 +32,8 @@ def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.n
     """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
     each driving signal, one entry per window of ``telemetry.split_windows``.
 
-    Means and RMS come from half-block sums (``telemetry.window_means``).
-    Each variance takes the steps of ``np.var`` over the window's gathered
-    samples, with the window mean from those sums: subtract it, square, sum
-    and divide by the window length.
+    RMS values come from half-block sums (``telemetry.window_means``), and each
+    variance is ``np.var`` of the window's samples (``telemetry.window_rows``).
     """
     xacc = record.channels["XACC"]
     signals = {name: record.channels[name] for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
@@ -44,11 +42,8 @@ def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.n
     columns = {}
     for name in FEATURE_SIGNALS:
         x = signals[name]
-        deviations = window_rows(x, windows)
-        deviations -= window_means(x, windows)[:, None]
-        np.square(deviations, out=deviations)
         columns[f"{name} RMS"] = np.sqrt(window_means(x**2, windows))
-        columns[f"{name} Var"] = deviations.sum(axis=1) / WINDOW_LEN
+        columns[f"{name} Var"] = window_rows(x, windows).var(axis=1)
     return columns
 
 

@@ -117,24 +117,27 @@ def bmus(grid: SomGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each index is that of the nearest prototype, ties to the lowest index,
     and each distance the root of the squared distance read at that index.
     Rows are searched ``BMU_CHUNK`` at a time, so the (rows, n_neurons)
-    distance array stays small for a whole training set too.  A nan or inf
-    sample raises DataError: it has no nearest prototype.
+    distance array stays small for a whole training set too.  A sample with
+    no finite distance to any prototype raises DataError naming its row: a
+    nan or inf sample, or one whose squared distances all overflow.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != grid.dim:
         raise DataError(f"dimension mismatch: samples {samples.shape}, grid {grid.dim}")
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite sample at row {int(np.argmin(finite))}")
     columns = np.asfortranarray(grid.weights)  # each feature one contiguous column
     idx = np.empty(len(samples), dtype=np.intp)
     dist = np.empty(len(samples))
-    for lo in range(0, len(samples), BMU_CHUNK):
-        chunk = samples[lo:lo + BMU_CHUNK]
-        d2 = _sq_distances(chunk, columns)
-        best = idx[lo:lo + len(chunk)]
-        d2.argmin(axis=1, out=best)
-        np.sqrt(d2[np.arange(len(chunk)), best], out=dist[lo:lo + len(chunk)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(samples), BMU_CHUNK):
+            chunk = samples[lo:lo + BMU_CHUNK]
+            d2 = _sq_distances(chunk, columns)
+            best = idx[lo:lo + len(chunk)]
+            d2.argmin(axis=1, out=best)
+            np.sqrt(d2[np.arange(len(chunk)), best], out=dist[lo:lo + len(chunk)])
+    finite = np.isfinite(dist)
+    if not finite.all():
+        raise DataError(f"no finite distance to any prototype at sample row "
+                        f"{int(np.argmin(finite))}")
     return idx, dist
 
 
@@ -391,7 +394,9 @@ class SomModel:
 
     def bmu_indices(self, raw_vectors: np.ndarray) -> np.ndarray:
         """BMU index of each row of unnormalized feature vectors."""
-        return bmus(self.grid, self.normalizer.transform(raw_vectors))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = self.normalizer.transform(raw_vectors)
+        return bmus(self.grid, vectors)[0]
 
     def labels_at(self, bmu_indices: np.ndarray) -> np.ndarray:
         """Index into LABELS of the label of the cluster that holds each BMU index."""

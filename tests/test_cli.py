@@ -549,6 +549,30 @@ class TestClassify:
         assert f"model file {path}" in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spoil", [
+        lambda m: m.__setitem__("prototypes", [[v * 1e200 for v in row]
+                                               for row in m["prototypes"]]),
+        lambda m: m["normalizer_mean"].__setitem__(0, 1e200),
+        lambda m: m["normalizer_std"].__setitem__(0, 1e-320),
+    ], ids=["prototypes", "normalizer_mean", "normalizer_std"])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_overflowing_model_file(self, workspace, tmp_path, capsys, spoil, command):
+        # every value passes the model-file checks, but every distance of the
+        # search overflows: argmin would hand neuron 0 every window
+        _, data, models = workspace
+        bad = tmp_path / "models"
+        shutil.copytree(models, bad)
+        path = bad / "main_som.json"
+        model = json.loads(path.read_text())
+        spoil(model)
+        path.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "ecoride: error: main map: no finite distance to any prototype "
+            "at sample row 0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     @pytest.mark.parametrize("name", ["main_som.json", "aux_som.json"])
     def test_non_utf8_model_file(self, workspace, tmp_path, capsys, name, command):

@@ -1,5 +1,10 @@
 """Window statistics from 128-sample half-block sums against the gather-based
-code they replaced, bit for bit."""
+code they replaced, bit for bit: the mean speed of the speed filter, the 7 RMS
+features, ``msdv_x``, ``msdv_y``, ``vr`` and ``fuel``.  The 3 peak counts and
+the 7 variances are ``count_peaks`` and ``np.var`` over ``window_rows`` in the
+program as in the reference; for them the comparison pins the dtypes, and
+that peaks counted on ``x`` and ``-x`` match those counted on ``max(x, 0)``
+and ``max(-x, 0)``."""
 
 import numpy as np
 from hypothesis import given, settings

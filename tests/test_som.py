@@ -105,7 +105,7 @@ class TestTraining:
         grid = som.init_random(4, 4, blobs(), seed=0)
         data = blobs()
         data[7, 1] = np.nan
-        with pytest.raises(DataError, match="non-finite sample at row 7"):
+        with pytest.raises(DataError, match="no finite distance to any prototype at sample row 7"):
             som.train([grid], [data], som.TrainingSchedule(total_iterations=10), [0])
 
     def test_schedule_decay(self):
@@ -435,8 +435,16 @@ class TestBmu:
         grid = som.init_random(3, 3, blobs(), seed=0)
         data = blobs(k=30)
         data[11, 0] = bad
-        with pytest.raises(DataError, match="non-finite sample at row 11"):
+        with pytest.raises(DataError, match="no finite distance to any prototype at sample row 11"):
             som.bmus(grid, data)
+
+    def test_rejects_overflowing_distances(self):
+        # finite samples and prototypes whose squared distances all overflow
+        # to inf: argmin alone would pick neuron 0 with distance inf
+        grid = som.init_random(3, 3, blobs(), seed=0)
+        grid.weights *= 1e200
+        with pytest.raises(DataError, match="no finite distance to any prototype at sample row 0"):
+            som.bmus(grid, blobs(k=30))
 
     def test_dimension_mismatch(self):
         grid = som.init_random(3, 3, blobs(), seed=0)

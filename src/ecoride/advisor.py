@@ -33,8 +33,6 @@ def profile_clusters(assignment, bmu_indices,
     window of ``columns``, in the same order.
     """
     bmu_indices = np.asarray(bmu_indices, dtype=int)
-    if len(bmu_indices) != len(columns["vr"]):
-        raise DataError("bmu assignment and metrics counts differ")
     cluster_ids = assignment[bmu_indices]
     members = [np.flatnonzero(cluster_ids == cid) for cid in range(len(LABELS))]
     for cid, member_idx in enumerate(members):
@@ -49,8 +47,6 @@ def label_clusters(averages) -> list[str]:
     """Tag three clusters Low/Medium/High by ascending average, one average
     per cluster id, and return the labels by cluster id.  Ties break toward
     the lower cluster id getting the lower label."""
-    if len(averages) != len(LABELS):
-        raise DataError(f"labeling requires exactly {len(LABELS)} clusters")
     ranks = np.argsort(np.argsort(averages, kind="stable"))
     return [LABELS[r] for r in ranks]
 

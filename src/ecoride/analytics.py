@@ -60,8 +60,6 @@ def kde2d(points: np.ndarray, resolution: int = 64) -> KdeSurface:
     if resolution < 2:
         raise DataError(f"KDE grid resolution {resolution} is below 2 points per axis")
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
-        raise DataError("need at least 2 (fuel, vr) points")
     x, y = points[:, 0], points[:, 1]
     for name, axis in (("fuel", x), ("vr", y)):
         if np.ptp(axis) == 0.0:

@@ -127,6 +127,9 @@ def cmd_classify(args) -> int:
 
 def cmd_advise(args) -> int:
     models, driver_ids, fleet = _classify(args)
+    if not len(fleet["driver"]):
+        raise DataError(f"no window at or above {telemetry.SPEED_THRESHOLD_KMH:g} km/h "
+                        f"in {args.data}: nothing to advise on")
     reports = []
     for model, (tag, _, report_metrics, _, _) in zip(models, MAPS):
         try:

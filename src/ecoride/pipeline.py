@@ -50,8 +50,6 @@ def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:
     From a generator, one record is held at a time: ``map`` drops each once
     its table is made, where a comprehension's variable would keep it."""
     tables = list(map(analyze_record, records))
-    if not tables:
-        raise DataError("no drive records to analyze")
     sizes = [len(t["window_start"]) for t in tables]
     return {"driver": np.repeat(np.arange(len(tables)), sizes),
             **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}

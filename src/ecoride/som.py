@@ -78,8 +78,6 @@ def default_schedule(n_samples: int, rows: int, cols: int) -> TrainingSchedule:
 
 def init_random(rows: int, cols: int, data: np.ndarray, seed: int) -> SomGrid:
     """Prototypes drawn uniformly from the per-feature [min, max] of ``data``."""
-    if rows < 1 or cols < 1:
-        raise DataError("grid dimensions must be positive")
     data = np.asarray(data, dtype=float)
     rng = np.random.default_rng(seed)
     lo = data.min(axis=0)
@@ -166,8 +164,8 @@ def train(grids: Sequence[SomGrid], samples: Sequence[np.ndarray],
     ``len(samples[m])`` iterations, the last of them taken at the trained
     weights, and the indices are those of that last search,
     ``bmus(trained, samples[m])[0]``.  The maps share ``schedule``, so they
-    must share their grid shape and their sample count (DataError
-    otherwise); their feature counts may differ.
+    must share their grid shape and their sample count, as
+    ``pipeline.train_models`` guarantees; their feature counts may differ.
 
     Each map's doubles are those of training it alone, one iteration at a
     time.  The sample indices are drawn up front in one call per map, which
@@ -190,20 +188,6 @@ def train(grids: Sequence[SomGrid], samples: Sequence[np.ndarray],
     """
     grids, seeds = list(grids), list(seeds)
     samples = [np.asarray(s, dtype=float) for s in samples]
-    if not len(grids) == len(samples) == len(seeds) >= 1:
-        raise DataError(f"{len(grids)} grids, {len(samples)} sample sets and "
-                        f"{len(seeds)} seeds: need one of each per map")
-    for m, (grid, data) in enumerate(zip(grids, samples)):
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise DataError(f"map {m}: empty training set")
-        if data.shape[1] != grid.dim:
-            raise DataError(f"map {m}: sample dimension does not match grid")
-        if (grid.rows, grid.cols) != (grids[0].rows, grids[0].cols):
-            raise DataError(f"map {m}: grid shape {grid.rows} x {grid.cols} differs "
-                            f"from map 0's {grids[0].rows} x {grids[0].cols}")
-        if len(data) != len(samples[0]):
-            raise DataError(f"map {m}: {len(data)} samples differ from map 0's "
-                            f"{len(samples[0])}")
     histories = [[] for _ in grids]
 
     def search(maps: Sequence[SomGrid]) -> list[np.ndarray]:
@@ -347,12 +331,7 @@ def cluster_prototypes(grid: SomGrid, cluster_count: int, restarts: int = 32,
     Prototypes themselves (hit or not) are then assigned to the nearest
     resulting center.  Equal counts weigh every prototype alike.
     """
-    m = grid.n_neurons
-    if not 1 <= cluster_count <= m:
-        raise DataError(f"cluster count {cluster_count} outside [1, {m}]")
     hit_counts = np.asarray(hit_counts, dtype=int)
-    if hit_counts.shape != (m,) or np.any(hit_counts < 0):
-        raise DataError("hit_counts must be one nonnegative count per neuron")
     if np.count_nonzero(hit_counts) < cluster_count:
         raise DataError(
             f"only {np.count_nonzero(hit_counts)} hit neurons for "

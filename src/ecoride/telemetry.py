@@ -113,9 +113,8 @@ def load_csv(path) -> list[RawChannel]:
         cols, width, _ = _header(reader, path)
         found = _parse_rows(reader, cols, width, path)
     table, line_of = found
-    table = table[:, :1 + len(CHANNELS)]
-    _check(table, line_of, path)
-    columns = np.ascontiguousarray(table.T)  # one contiguous row per column
+    columns = np.ascontiguousarray(table[:, :1 + len(CHANNELS)].T)  # one contiguous row per column
+    _check(columns, line_of, path)
     t = columns[0]
     return [RawChannel(name, t, columns[k], source=str(path))
             for k, name in enumerate(CHANNELS, start=1)]
@@ -206,23 +205,25 @@ def _parse_rows(reader, cols: list[int], width: int,
     return np.array(rows, dtype=float).reshape(-1, len(cols)), numbers.__getitem__
 
 
-def _check(table: np.ndarray, line_of: Callable[[int], int], path) -> None:
-    """The one check of a file's samples, in this order: at least 2 rows;
-    every cell finite and every channel within ``BOUNDS`` (naming the first
-    bad cell, by line and then column); times strictly increasing; a median
-    time step of at most ``MAX_MEDIAN_STEP_S``; a time span of at most
-    ``MAX_DURATION_S`` (naming the first line past it)."""
-    if len(table) < 2:
-        raise DataError(f"need at least 2 data rows, got {len(table)} in {path}")
-    bad = ~np.isfinite(table) | (table < _LOW) | (table > _HIGH)
+def _check(columns: np.ndarray, line_of: Callable[[int], int], path) -> None:
+    """The one check of a file's samples, held as one row per column of
+    ``t`` and ``CHANNELS``, in this order: at least 2 data rows; every cell
+    finite and every channel within ``BOUNDS`` (naming the first bad cell, by
+    line and then column); times strictly increasing; a median time step of
+    at most ``MAX_MEDIAN_STEP_S``; a time span of at most ``MAX_DURATION_S``
+    (naming the first line past it)."""
+    n = columns.shape[1]
+    if n < 2:
+        raise DataError(f"need at least 2 data rows, got {n} in {path}")
+    bad = ~np.isfinite(columns) | (columns < _LOW[:, None]) | (columns > _HIGH[:, None])
     if bad.any():
-        row, col = divmod(int(np.argmax(bad)), table.shape[1])
-        value = table[row, col]
+        row, col = divmod(int(np.argmax(bad.T)), len(columns))
+        value = columns[col, row]
         what = "timestamp" if col == 0 else f"{list(CHANNELS)[col - 1]} value"
         what = (f"{what} {value:g} outside [{_LOW[col]:g}, {_HIGH[col]:g}]"
                 if np.isfinite(value) else f"non-finite {what}")
         raise DataError(f"{what} at line {line_of(row)} in {path}")
-    t = table[:, 0]
+    t = columns[0]
     step = np.diff(t)
     bad = step <= 0  # bad[i]: row i + 1 does not increase
     if bad.any():

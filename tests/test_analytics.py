@@ -73,8 +73,6 @@ class TestKde2d:
         assert np.all(surface.density >= 0)
 
     def test_input_validation(self):
-        with pytest.raises(DataError, match=r"need at least 2 \(fuel, vr\) points"):
-            analytics.kde2d(np.zeros((1, 2)))
         with pytest.raises(DataError, match="zero spread"):
             analytics.kde2d(np.column_stack([np.ones(10), np.arange(10.0)]))
         # each flat axis is named, fuel first

@@ -696,6 +696,20 @@ class TestAdvise:
                             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_no_fast_window_names_the_speed_filter(self, workspace, tmp_path, capsys):
+        # a town drive never reaches 60 km/h: the filter, not a cluster, is named
+        _, _, models = workspace
+        slow = tmp_path / "data"
+        slow.mkdir()
+        spec = synthgen.StyleSpec(base_speed=30.0, duration=120.0)
+        synthgen.write_csv(synthgen.generate(spec, driver_id="slow"), slow / "slow.csv")
+        out = tmp_path / "reports"
+        assert run(["advise", "--data", str(slow), "--models", str(models),
+                    "--out", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"ecoride: error: no window at or above 60 km/h "
+                                           f"in {slow}: nothing to advise on\n")
+        assert not out.exists()
+
 
 class TestQuickStart:
     def test_bytes_are_pinned(self, workspace, tmp_path, capsys):

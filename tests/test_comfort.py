@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecoride import DataError, comfort, telemetry
+from ecoride import comfort, telemetry
 
 from conftest import make_record
 
@@ -49,11 +49,6 @@ class TestDesignFilter:
 
 
 class TestApplyFilter:
-    def test_empty_input(self):
-        f = comfort.design_filter()
-        with pytest.raises(DataError, match="empty"):
-            comfort.apply_filter(f, np.array([]))
-
     def test_causal_same_length(self):
         f = comfort.design_filter()
         x = np.random.default_rng(0).standard_normal(500)

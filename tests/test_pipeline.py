@@ -153,5 +153,3 @@ class TestTrainModels:
                       for name in ("SWA", "VS", "ERPM", "XACC", "YACC", "FUEL")})
         with pytest.raises(DataError, match="windows"):
             pipeline.train_models(pipeline.analyze_fleet([rec]))
-        with pytest.raises(DataError, match="no drive records"):
-            pipeline.analyze_fleet([])

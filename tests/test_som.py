@@ -93,14 +93,6 @@ class TestTraining:
             out.append(trained.weights)
         np.testing.assert_array_equal(out[0], out[1])
 
-    def test_input_validation(self):
-        grid = som.init_random(4, 4, blobs(), seed=0)
-        schedule = som.TrainingSchedule(total_iterations=10)
-        with pytest.raises(DataError, match="empty training set"):
-            som.train([grid], [np.empty((0, 2))], schedule, [0])
-        with pytest.raises(DataError, match="sample dimension does not match grid"):
-            som.train([grid], [np.ones((5, 3))], schedule, [0])
-
     def test_rejects_non_finite_samples(self):
         grid = som.init_random(4, 4, blobs(), seed=0)
         data = blobs()
@@ -233,17 +225,6 @@ class TestTrainMatchesReference:
             for m, grid in enumerate(grids):
                 padding = lockstep[m, grid.dim:]
                 assert not padding.any() and not np.signbit(padding).any()
-
-    def test_maps_must_share_grid_shape_and_sample_count(self):
-        data = blobs()
-        schedule = som.TrainingSchedule(total_iterations=10)
-        square, wide = som.init_random(4, 4, data, seed=0), som.init_random(4, 5, data, seed=0)
-        with pytest.raises(DataError, match="map 1: grid shape 4 x 5 differs from map 0's 4 x 4"):
-            som.train([square, wide], [data, data], schedule, [0, 1])
-        with pytest.raises(DataError, match="map 1: 119 samples differ from map 0's 120"):
-            som.train([square, square], [data, data[1:]], schedule, [0, 1])
-        with pytest.raises(DataError, match="2 grids, 2 sample sets and 1 seeds"):
-            som.train([square, square], [data, data], schedule, [0])
 
     def test_bit_identical_on_synthetic_fleet(self, small_corpus):
         analyzed = [pipeline.analyze_record(r) for r in small_corpus]
@@ -509,16 +490,6 @@ class TestClustering:
         assignment = som.cluster_prototypes(grid, 5, restarts=8, seed=3,
                                             hit_counts=np.ones(16, int))
         assert set(np.unique(assignment)) == set(range(5))
-
-    def test_invalid_inputs(self):
-        grid = som.init_random(3, 3, blobs(), seed=0)
-        ones = np.ones(9, int)
-        with pytest.raises(DataError, match=r"cluster count 0 outside \[1, 9\]"):
-            som.cluster_prototypes(grid, 0, hit_counts=ones)
-        with pytest.raises(DataError, match=r"cluster count 10 outside \[1, 9\]"):
-            som.cluster_prototypes(grid, 10, hit_counts=ones)
-        with pytest.raises(DataError, match="hit_counts"):
-            som.cluster_prototypes(grid, 2, hit_counts=np.ones(4, dtype=int))
 
     def test_hit_histogram_total(self):
         data = blobs(k=90, seed=1)

@@ -7,7 +7,6 @@ is supposed to recover, so generated corpora double as test oracles.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import numbers
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy import signal, stats
+from scipy import signal, special
 
 from . import DataError
 from .telemetry import BOUNDS, MAX_DURATION_S, SAMPLE_RATE_HZ, TIME_COLUMN, DriveRecord
@@ -103,6 +102,16 @@ def _pulses(rng: np.random.Generator, n: int, length: int, rate: float,
     return train
 
 
+def _wander(g: np.ndarray) -> np.ndarray:
+    """Standard-normal draws ``g`` mapped to Laplace ones of unit variance:
+    ``stats.laplace.ppf(stats.norm.cdf(g)) / sqrt(2)``, written out as the
+    expressions those calls evaluate behind their argument checks.  Where
+    ``ndtr`` rounds to 0 or 1 the log gives -inf or inf, as the calls do."""
+    q = special.ndtr(g)
+    with np.errstate(divide="ignore"):  # log(0) in the branch np.where drops, or at q = 0, 1
+        return np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q)) / np.sqrt(2.0)
+
+
 def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
     """Produce a 32 Hz DriveRecord for one style; deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
@@ -118,9 +127,9 @@ def generate(spec: StyleSpec, driver_id: str = "synthetic") -> DriveRecord:
     # wander is shared with the gearbox: easing off the gas goes together with
     # shifting down, so it raises ERPM as it lowers the pedal.  The wander has
     # heavy-tailed (Laplace) marginals, long calm stretches broken by strong
-    # slow-downs; the monotone transform keeps its band limitation.
-    g = _band_noise(rng, n, 0.01, 0.1)
-    wander = stats.laplace.ppf(stats.norm.cdf(g)) / np.sqrt(2.0)
+    # slow-downs: band-limited normal noise through ``_wander``, a monotone
+    # transform that keeps its band limitation.
+    wander = _wander(_band_noise(rng, n, 0.01, 0.1))
     gas = np.clip(0.55 * spec.gas_aggressiveness
                   + GAS_WANDER * wander
                   + GAS_SPIKE * spec.steering_aggressiveness * _band_noise(rng, n, 0.3, 2.0),
@@ -200,18 +209,19 @@ def write_csv(record: DriveRecord, path) -> None:
     """Write a record's ``CHANNELS`` in a CSV the loader reads: the time at
     ``%.6f``, every channel at ``%.8g``, CRLF line ends.
 
-    Rows go out ``WRITE_BLOCK`` at a time: a block is gathered into one
-    row-major buffer and formatted by a single ``%`` with the row format
-    repeated once per row, the same printf conversions of the same doubles
-    that ``np.savetxt`` makes row by row.
+    The file is opened binary and rows go out ``WRITE_BLOCK`` at a time: a
+    block is gathered into one row-major buffer and formatted by a single
+    bytes ``%`` with the row format repeated once per row.  Bytes ``%`` makes
+    the same printf conversions of the same doubles as str ``%`` and
+    ``np.savetxt``, so every cell is the same text.
     """
     n = record.n_total
     columns = [record.t_start + np.arange(n) / SAMPLE_RATE_HZ,
                *(record.channels[name] for name in CHANNELS)]
-    row = ",".join(["%.6f"] + ["%.8g"] * len(CHANNELS)) + "\r\n"
+    row = b",".join([b"%.6f"] + [b"%.8g"] * len(CHANNELS)) + b"\r\n"
     block = np.empty((WRITE_BLOCK, len(columns)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([TIME_COLUMN, *CHANNELS])
+    with open(path, "wb") as fh:
+        fh.write(",".join([TIME_COLUMN, *CHANNELS]).encode() + b"\r\n")
         for lo in range(0, n, WRITE_BLOCK):
             m = min(WRITE_BLOCK, n - lo)
             for j, column in enumerate(columns):

@@ -41,6 +41,11 @@ MAX_DURATION_S = 86_400.0
 # has a median step of ~31 at 32 Hz and would ask for a 1000-fold grid.
 MAX_MEDIAN_STEP_S = 1.0
 
+# Lowest sample rate a file may be logged at.  Re-logged at 12.8 Hz, one of
+# the 32 Hz fleet's styles kept under 95% of its labels (README, "Sample-rate
+# floor"); resample would make the rest up by interpolation.
+MIN_RATE_HZ = 16.0
+
 # How far a time may sit from its 32 Hz grid time and still count as on it:
 # the span of decimal times, say 0 to 119.96875 s logged from 11.276852 s,
 # can come out one rounding error short of a whole number of periods.
@@ -210,8 +215,9 @@ def _check(columns: np.ndarray, line_of: Callable[[int], int], path) -> None:
     ``t`` and ``CHANNELS``, in this order: at least 2 data rows; every cell
     finite and every channel within ``BOUNDS`` (naming the first bad cell, by
     line and then column); times strictly increasing; a median time step of
-    at most ``MAX_MEDIAN_STEP_S``; a time span of at most ``MAX_DURATION_S``
-    (naming the first line past it)."""
+    at most ``MAX_MEDIAN_STEP_S``, then of at most ``1 / MIN_RATE_HZ`` (2%
+    more passes, for times rounded to the millisecond); a time span of at
+    most ``MAX_DURATION_S`` (naming the first line past it)."""
     n = columns.shape[1]
     if n < 2:
         raise DataError(f"need at least 2 data rows, got {n} in {path}")
@@ -233,6 +239,9 @@ def _check(columns: np.ndarray, line_of: Callable[[int], int], path) -> None:
     if median > MAX_MEDIAN_STEP_S:
         raise DataError(f"median time step {median} s exceeds {MAX_MEDIAN_STEP_S:g} s "
                         f"in {path}: is the time column in seconds?")
+    if median > 1.02 / MIN_RATE_HZ:
+        raise DataError(f"median time step {median} s exceeds {1 / MIN_RATE_HZ:g} s, "
+                        f"the {MIN_RATE_HZ:g} Hz sample-rate floor, in {path}")
     if t[-1] - t[0] > MAX_DURATION_S:  # before resample allocates a grid of it
         row = int(np.argmax(t - t[0] > MAX_DURATION_S))
         raise DataError(f"time span {float(t[row] - t[0])} s exceeds {MAX_DURATION_S:g} s "

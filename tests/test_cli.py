@@ -173,6 +173,9 @@ class TestExitCodes:
         pytest.param("bad_utf8", "non-UTF-8 byte 0xff at line 6 in ", id="bad_utf8"),
         # logged in milliseconds: the median step, checked before the span
         pytest.param("ms_time", "median time step 31.25 s exceeds 1 s in ", id="ms_time"),
+        # every 32nd row: a 1 Hz log, under the sample-rate floor
+        pytest.param("coarse_log", "median time step 1.0 s exceeds 0.0625 s, "
+                                   "the 16 Hz sample-rate floor, in ", id="coarse_log"),
         pytest.param("day_span", "time span 1000000.0 s exceeds 86400 s (one day) "
                                  "at line 3841 in ", id="day_span"),
         # a second VS column of zeros, placed first, would be the one read
@@ -208,6 +211,8 @@ class TestExitCodes:
             for i in range(1, len(lines)):
                 t, rest = lines[i].split(",", 1)
                 lines[i] = f"{float(t) * 1000:.3f},{rest}"
+        elif fault == "coarse_log":
+            lines = [lines[0], *lines[1::32]]
         elif fault == "day_span":  # one wild last timestamp
             lines[-1] = "1e6" + lines[-1][lines[-1].index(","):]
         elif fault == "dup_column":

@@ -10,6 +10,7 @@ import csv
 import logging
 import math
 import re
+import statistics
 from unittest import mock
 
 import numpy as np
@@ -63,7 +64,9 @@ def reference_parse(path):
 def reference_check(rows, lines):
     """The message (without the file) of the first fault in the documented
     order, or None: the row count; every cell finite and within BOUNDS, line by
-    line and left to right; times strictly increasing."""
+    line and left to right; times strictly increasing; a median step within
+    the sample-rate floor (rows of 32 Hz times, rejected ones between them,
+    stay within 1 s and one day)."""
     if len(rows) < 2:
         return f"need at least 2 data rows, got {len(rows)}"
     for row, line in zip(rows, lines):
@@ -77,6 +80,9 @@ def reference_check(rows, lines):
     for prev, row, line in zip(rows, rows[1:], lines[1:]):
         if not row[0] > prev[0]:
             return f"non-monotonic timestamps at line {line}"
+    median = statistics.median(row[0] - prev[0] for prev, row in zip(rows, rows[1:]))
+    if median > 1.02 / 16.0:
+        return f"median time step {median} s exceeds 0.0625 s, the 16 Hz sample-rate floor"
     return None
 
 

@@ -131,6 +131,21 @@ def test_band_noise_matches_sosfilt_and_rms_bit_for_bit(seed, n, band):
     assert np.array_equal(got, reference_band_noise(np.random.default_rng(seed), n, *band))
 
 
+# Signed zeros and tiny draws, where q = 0.5; 8.3 and 8.5, where ndtr rounds q
+# to 1 and the wander is inf; -38.5 and -40, where it rounds q to 0 (-inf).
+WANDER_EDGES = (0.0, -0.0, 1e-300, -1e-300, 8.3, 8.5, -38.5, -40.0, np.inf, -np.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 500),
+       tails=st.lists(st.floats(-50.0, 50.0), max_size=20))
+def test_wander_matches_the_stats_calls_bit_for_bit(seed, n, tails):
+    # the stats calls are the reference; reference_channels covers typical draws
+    g = np.concatenate([np.random.default_rng(seed).standard_normal(n), tails, WANDER_EDGES])
+    want = stats.laplace.ppf(stats.norm.cdf(g)) / np.sqrt(2.0)
+    assert synthgen._wander(g).tobytes() == want.tobytes()
+
+
 def reference_channels(spec, rec):
     """SWA, PGP, ZACC, ERPM, GP and FUEL of ``generate(spec)`` from its rng
     stream drawn again in order, each expression written out with its
@@ -264,9 +279,17 @@ def reference_write_csv(record, path):
                              *[f"{record.channels[name][i]:.8g}" for name in names]])
 
 
-# Magnitudes from 1e-9 to 1e6 of either sign, signed zeros, integer values.
+# Magnitudes from 1e-9 to 1e6 and, by a decimal exponent, from 1e-300 to
+# 1e300, of either sign; subnormals; signed zeros; integer values.  %.8g
+# writes them in every form it has: "0.00012345", "1e-05", "1.2345678e+20",
+# "4.9406565e-324".  Past record_of's clip the wide ones survive in the
+# unbounded channels and large FUEL.
 SAMPLE_VALUES = st.one_of(
-    st.builds(lambda m, neg: -m if neg else m, st.floats(1e-9, 1e6), st.booleans()),
+    st.builds(lambda m, neg: -m if neg else m,
+              st.floats(1e-9, 1e6)
+              | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
+              | st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324),  # subnormals, exactly
+              st.booleans()),
     st.sampled_from([0.0, -0.0]),
     st.integers(-10**6, 10**6).map(float))
 

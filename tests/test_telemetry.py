@@ -302,14 +302,34 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("rate, step", [(1.0, None), (0.5, "2.0"), (0.032, "31.25")])
     def test_median_time_step_is_at_most_one_second(self, tmp_path, rate, step):
-        # 0.032: a 32 Hz drive logged in milliseconds
+        # 0.032: a 32 Hz drive logged in milliseconds.  None: a 1 Hz log keeps
+        # within 1 s, and the sample-rate floor rejects it next
         p = tmp_path / "a.csv"
         _write_csv(p, rate=rate)
         if step is None:
-            assert len(telemetry.load_csv(p)[0].timestamps) == 600
+            with pytest.raises(DataError, match=r"^median time step 1\.0 s exceeds 0\.0625 s, "
+                                                r"the 16 Hz sample-rate floor, in .*a\.csv$"):
+                telemetry.load_csv(p)
         else:
             with pytest.raises(DataError, match=rf"^median time step {re.escape(step)} s "
                                                 r"exceeds 1 s in .*a\.csv: "):
+                telemetry.load_csv(p)
+
+    @pytest.mark.parametrize("rate, places", [(16.0, 6), (16.0, 3), (15.0, 6), (12.8, 6)])
+    def test_median_time_step_is_at_most_the_sample_rate_floor(self, tmp_path, rate, places):
+        # times from 11.2764 s: at 16 Hz rounded to the millisecond, 300 of the
+        # 599 steps are 63 ms, so the median step is 0.063 s, which the floor's
+        # 2% takes
+        def mangle(lines):
+            return [lines[0], *(f"{11.2764 + i / rate:.{places}f}" + line[line.index(","):]
+                                for i, line in enumerate(lines[1:]))]
+        p = tmp_path / "a.csv"
+        _write_csv(p, mangle=mangle)
+        if rate >= telemetry.MIN_RATE_HZ:
+            assert len(telemetry.load_csv(p)[0].timestamps) == 600
+        else:
+            with pytest.raises(DataError, match=r"^median time step 0\.0[67]\d* s exceeds 0\.0625 s, "
+                                                r"the 16 Hz sample-rate floor, in .*a\.csv$"):
                 telemetry.load_csv(p)
 
     @pytest.mark.parametrize("last, span", [("86400", None), ("86400.5", "86400.5"),

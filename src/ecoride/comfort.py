@@ -12,7 +12,7 @@ import functools
 import numpy as np
 from scipy import signal
 
-from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_means, window_rows
+from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_rows
 
 PEAK_THRESHOLD = 1.75  # m/s^2
 
@@ -52,10 +52,9 @@ def weighted_rms(values: np.ndarray):
 
 
 def msdv(filtered_axis: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Per-window MSDV: the windowed RMS of the motion-sickness-filtered axis,
-    from half-block sums of its squares (``telemetry.window_means``)."""
-    filtered_axis = np.asarray(filtered_axis, dtype=float)
-    return np.sqrt(window_means(filtered_axis**2, windows))
+    """Per-window MSDV: ``weighted_rms`` of each window's samples of the
+    motion-sickness-filtered axis (``telemetry.window_rows``)."""
+    return weighted_rms(window_rows(filtered_axis, windows))
 
 
 def vomit_rate(msdv_x, msdv_y):
@@ -83,9 +82,11 @@ def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.nda
 
     The motion-sickness filter runs once over the full-length XACC/YACC
     channels, both in one call; windowing happens afterwards so filter
-    transients do not restart at every window.  Peaks are ``count_peaks`` of
-    each window's samples: as ``PEAK_THRESHOLD`` is positive, ``max(x, 0)``
-    exceeds it where ``x`` does, and ``max(-x, 0)`` where ``-x`` does.
+    transients do not restart at every window.  Each column reduces each
+    window's samples (``telemetry.window_rows``): ``msdv`` of the filtered
+    axes (and ``vr`` from it), ``count_peaks`` of the raw ones and the mean
+    of FUEL.  As ``PEAK_THRESHOLD`` is positive, ``max(x, 0)`` exceeds it
+    where ``x`` does, and ``max(-x, 0)`` where ``-x`` does.
     """
     xacc = record.channels["XACC"]
     yacc = record.channels["YACC"]
@@ -99,5 +100,5 @@ def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.nda
         "n_x_pos": count_peaks(x_rows),
         "n_x_neg": count_peaks(-x_rows),
         "n_y": count_peaks(np.abs(window_rows(yacc, windows))),
-        "fuel": window_means(record.channels["FUEL"], windows),
+        "fuel": window_rows(record.channels["FUEL"], windows).mean(axis=1),
     }

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DataError, save_csv
-from .telemetry import DriveRecord, window_means, window_rows
+from .comfort import weighted_rms
+from .telemetry import DriveRecord, window_rows
 
 # Signals summarized per window (RMS + variance each).
 FEATURE_SIGNALS = ("SWA", "VS", "XACC", "XACC_neg", "XACC_pos", "YACC", "ERPM")
@@ -32,8 +33,9 @@ def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.n
     """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
     each driving signal, one entry per window of ``telemetry.split_windows``.
 
-    RMS values come from half-block sums (``telemetry.window_means``), and each
-    variance is ``np.var`` of the window's samples (``telemetry.window_rows``).
+    Both come from each window's samples (``telemetry.window_rows``),
+    gathered once per signal: ``comfort.weighted_rms`` and ``np.var`` along
+    the row.
     """
     xacc = record.channels["XACC"]
     signals = {name: record.channels[name] for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
@@ -41,9 +43,9 @@ def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.n
     signals["XACC_neg"] = np.maximum(-xacc, 0.0)
     columns = {}
     for name in FEATURE_SIGNALS:
-        x = signals[name]
-        columns[f"{name} RMS"] = np.sqrt(window_means(x**2, windows))
-        columns[f"{name} Var"] = window_rows(x, windows).var(axis=1)
+        rows = window_rows(signals[name], windows)
+        columns[f"{name} RMS"] = weighted_rms(rows)
+        columns[f"{name} Var"] = rows.var(axis=1)
     return columns
 
 

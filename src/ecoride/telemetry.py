@@ -295,20 +295,8 @@ def window_rows(signal: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return halves[np.add.outer(windows, [0, 1])].reshape(-1, WINDOW_LEN)
 
 
-def window_means(values: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Mean of ``values`` over each window, from one sum per 128-sample
-    half-block: the doubles of ``np.mean(window_rows(values, windows), axis=1)``.
-
-    numpy's pairwise summation adds a contiguous run of 256 doubles as the
-    sum of its two 128-sample halves, each summed on its own as here; the
-    reduction starts from ``+0.0``, which turns a ``-0.0`` total into ``+0.0``
-    either way.  So each sample is summed once, not once per window.
-    """
-    halves = values[:len(values) // WINDOW_STEP * WINDOW_STEP].reshape(-1, WINDOW_STEP).sum(axis=1)
-    return (halves[windows] + halves[windows + 1]) / WINDOW_LEN
-
-
 def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray) -> np.ndarray:
     """The windows whose mean vehicle speed is at or above ``SPEED_THRESHOLD_KMH``."""
     windows = np.asarray(windows, dtype=np.intp)
-    return windows[window_means(record.channels["VS"], windows) >= SPEED_THRESHOLD_KMH]
+    speed = window_rows(record.channels["VS"], windows).mean(axis=1)
+    return windows[speed >= SPEED_THRESHOLD_KMH]

@@ -82,7 +82,7 @@ def reference_check(rows, lines):
             return f"non-monotonic timestamps at line {line}"
     median = statistics.median(row[0] - prev[0] for prev, row in zip(rows, rows[1:]))
     if median > 1.02 / 16.0:
-        return f"median time step {median} s exceeds 0.0625 s, the 16 Hz sample-rate floor"
+        return f"median time step {median} s exceeds 0.0625 s, the 16 Hz sample-rate floor,"
     return None
 
 
@@ -152,6 +152,11 @@ def csv_files(draw):
 
 @SETTINGS
 @given(text=csv_files())
+# rejected rows that leave a median step over the sample-rate floor: of six
+# 32 Hz rows, those on lines 3 to 5 have junk SWA, which leaves times 0,
+# 0.125 and 0.15625 and a median step of 0.078125 s
+@example(text=",".join(HEADER) + "\n" + "".join(
+    f"{i / 32},{'junk' if 1 <= i <= 3 else 0}{',0' * 9}\n" for i in range(6)))
 def test_load_csv_matches_reference_parser(tmp_path, caplog, text):
     path = tmp_path / "drive.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -44,11 +44,10 @@ def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return signal.sosfilt(np.array(sos), x)  # sosfilt needs a writable sos
 
 
-def weighted_rms(values: np.ndarray):
-    """RMS over the last axis: one window of samples, or one window per row."""
+def weighted_rms(values: np.ndarray) -> np.ndarray:
+    """RMS over the last axis: one window per row."""
     values = np.asarray(values, dtype=float)
-    out = np.sqrt(np.mean(values**2, axis=-1))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(np.mean(values**2, axis=-1))
 
 
 def msdv(filtered_axis: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -57,23 +56,21 @@ def msdv(filtered_axis: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return weighted_rms(window_rows(filtered_axis, windows))
 
 
-def vomit_rate(msdv_x, msdv_y):
-    """Combined longitudinal/lateral motion-sickness measure.
+def vomit_rate(msdv_x, msdv_y) -> np.ndarray:
+    """Combined longitudinal/lateral motion-sickness measure, one window per entry.
 
     VR = sqrt((1/3)^2 MSDV_x^2 + (sqrt(2)/3)^2 MSDV_y^2)
     """
     msdv_x = np.asarray(msdv_x, dtype=float)
     msdv_y = np.asarray(msdv_y, dtype=float)
-    out = np.sqrt((1.0 / 9.0) * msdv_x**2 + (2.0 / 9.0) * msdv_y**2)
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt((1.0 / 9.0) * msdv_x**2 + (2.0 / 9.0) * msdv_y**2)
 
 
-def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD):
+def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD) -> np.ndarray:
     """Number of exceedance events (maximal runs of samples above threshold)
-    over the last axis: one window, or one window per row."""
+    over the last axis: one window per row."""
     above = np.asarray(window_signal, dtype=float) > threshold
-    out = np.count_nonzero(above[..., 1:] & ~above[..., :-1], axis=-1) + above[..., 0]
-    return int(out) if np.ndim(out) == 0 else out
+    return np.count_nonzero(above[..., 1:] & ~above[..., :-1], axis=-1) + above[..., 0]
 
 
 def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:

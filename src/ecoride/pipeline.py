@@ -20,18 +20,16 @@ TRAIN_SPLIT = 0.75
 def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
     """A record's window table: ``window_start``, the first sample of each
     window kept by the speed filter, and the window's ``features.FEATURE_COLUMNS``
-    and ``comfort.window_metrics`` columns, one array entry per window.  Only
-    here is a window named by its first sample, 128 times its half-block index.
+    and ``comfort.window_metrics`` columns, one array entry per window.
 
     Raises DataError naming the record, the window and the field when a
     feature or metric comes out non-finite (say, a square that overflows), so
     that no such window reaches a map or an output file.
     """
-    windows = telemetry.filter_by_mean_speed(record, telemetry.split_windows(record))
+    starts = telemetry.filter_by_mean_speed(record, telemetry.split_windows(record))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        columns = {**features.compute_features(record, windows),
-                   **comfort.window_metrics(record, windows)}
-    starts = windows * telemetry.WINDOW_STEP
+        columns = {**features.compute_features(record, starts),
+                   **comfort.window_metrics(record, starts)}
     for name, values in columns.items():
         bad = ~np.isfinite(values)
         if bad.any():

@@ -217,7 +217,8 @@ def _check(columns: np.ndarray, line_of: Callable[[int], int], path) -> None:
     line and then column); times strictly increasing; a median time step of
     at most ``MAX_MEDIAN_STEP_S``, then of at most ``1 / MIN_RATE_HZ`` (2%
     more passes, for times rounded to the millisecond); a time span of at
-    most ``MAX_DURATION_S`` (naming the first line past it)."""
+    most ``MAX_DURATION_S`` (naming the first line past it); a mean time step
+    within the same floor, so gaps between fast samples cannot hide a slow log."""
     n = columns.shape[1]
     if n < 2:
         raise DataError(f"need at least 2 data rows, got {n} in {path}")
@@ -246,6 +247,10 @@ def _check(columns: np.ndarray, line_of: Callable[[int], int], path) -> None:
         row = int(np.argmax(t - t[0] > MAX_DURATION_S))
         raise DataError(f"time span {float(t[row] - t[0])} s exceeds {MAX_DURATION_S:g} s "
                         f"(one day) at line {line_of(row)} in {path}")
+    mean = float(t[-1] - t[0]) / (n - 1)
+    if mean > 1.02 / MIN_RATE_HZ:
+        raise DataError(f"mean time step {mean} s exceeds {1 / MIN_RATE_HZ:g} s, "
+                        f"the {MIN_RATE_HZ:g} Hz sample-rate floor, in {path}")
 
 
 def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
@@ -281,22 +286,19 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
 
 
 def split_windows(record: DriveRecord) -> np.ndarray:
-    """The 256-sample windows advancing by 128 samples (50% overlap).
-
-    A window is its half-block index ``b``: it covers samples ``128 * b`` to
-    ``128 * b + 255``, and ``window_rows`` gives them.
-    """
-    return np.arange(record.n_total // WINDOW_STEP - 1)
+    """The first samples of the 256-sample windows that fit in the record,
+    advancing by 128 samples (50% overlap); ``window_rows`` gives their samples."""
+    return np.arange(0, record.n_total - WINDOW_LEN + 1, WINDOW_STEP)
 
 
-def window_rows(signal: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """(len(windows), WINDOW_LEN) samples of ``signal``, one row per window."""
+def window_rows(signal: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(len(starts), WINDOW_LEN) samples of ``signal``, one row per window of
+    ``split_windows``, gathered as two rows each of its 128-sample reshape."""
     halves = signal[:len(signal) // WINDOW_STEP * WINDOW_STEP].reshape(-1, WINDOW_STEP)
-    return halves[np.add.outer(windows, [0, 1])].reshape(-1, WINDOW_LEN)
+    return halves[np.add.outer(starts // WINDOW_STEP, [0, 1])].reshape(-1, WINDOW_LEN)
 
 
-def filter_by_mean_speed(record: DriveRecord, windows: np.ndarray) -> np.ndarray:
+def filter_by_mean_speed(record: DriveRecord, starts: np.ndarray) -> np.ndarray:
     """The windows whose mean vehicle speed is at or above ``SPEED_THRESHOLD_KMH``."""
-    windows = np.asarray(windows, dtype=np.intp)
-    speed = window_rows(record.channels["VS"], windows).mean(axis=1)
-    return windows[speed >= SPEED_THRESHOLD_KMH]
+    speed = window_rows(record.channels["VS"], starts).mean(axis=1)
+    return starts[speed >= SPEED_THRESHOLD_KMH]

@@ -176,6 +176,10 @@ class TestExitCodes:
         # every 32nd row: a 1 Hz log, under the sample-rate floor
         pytest.param("coarse_log", "median time step 1.0 s exceeds 0.0625 s, "
                                    "the 16 Hz sample-rate floor, in ", id="coarse_log"),
+        # data rows 0, 2 and 4 of every 34: steps of 1/16, 1/16 and 15/16 s keep
+        # the median step at 1/16 s, and the mean step is about 0.35 s
+        pytest.param("gappy_log", "mean time step 0.35244082840236685 s exceeds 0.0625 s, "
+                                  "the 16 Hz sample-rate floor, in ", id="gappy_log"),
         pytest.param("day_span", "time span 1000000.0 s exceeds 86400 s (one day) "
                                  "at line 3841 in ", id="day_span"),
         # a second VS column of zeros, placed first, would be the one read
@@ -213,6 +217,8 @@ class TestExitCodes:
                 lines[i] = f"{float(t) * 1000:.3f},{rest}"
         elif fault == "coarse_log":
             lines = [lines[0], *lines[1::32]]
+        elif fault == "gappy_log":
+            lines = [lines[0], *(line for i, line in enumerate(lines[1:]) if i % 34 in (0, 2, 4))]
         elif fault == "day_span":  # one wild last timestamp
             lines[-1] = "1e6" + lines[-1][lines[-1].index(","):]
         elif fault == "dup_column":

@@ -132,7 +132,7 @@ class TestWindowMetrics:
         metrics = comfort.window_metrics(rec, ws)
         wf = comfort.design_filter()
         isolated = comfort.weighted_rms(
-            comfort.apply_filter(wf, rec.channels["XACC"][128 * ws[1]:128 * ws[1] + 256]))
+            comfort.apply_filter(wf, rec.channels["XACC"][ws[1]:ws[1] + 256]))
         assert metrics["msdv_x"][1] != pytest.approx(isolated, rel=1e-6)
 
     @settings(max_examples=50, deadline=None)

@@ -66,7 +66,7 @@ def reference_check(rows, lines):
     order, or None: the row count; every cell finite and within BOUNDS, line by
     line and left to right; times strictly increasing; a median step within
     the sample-rate floor (rows of 32 Hz times, rejected ones between them,
-    stay within 1 s and one day)."""
+    stay within 1 s and one day); a mean step within the same floor."""
     if len(rows) < 2:
         return f"need at least 2 data rows, got {len(rows)}"
     for row, line in zip(rows, lines):
@@ -83,6 +83,9 @@ def reference_check(rows, lines):
     median = statistics.median(row[0] - prev[0] for prev, row in zip(rows, rows[1:]))
     if median > 1.02 / 16.0:
         return f"median time step {median} s exceeds 0.0625 s, the 16 Hz sample-rate floor,"
+    mean = (rows[-1][0] - rows[0][0]) / (len(rows) - 1)
+    if mean > 1.02 / 16.0:
+        return f"mean time step {mean} s exceeds 0.0625 s, the 16 Hz sample-rate floor,"
     return None
 
 
@@ -157,6 +160,11 @@ def csv_files(draw):
 # 0.125 and 0.15625 and a median step of 0.078125 s
 @example(text=",".join(HEADER) + "\n" + "".join(
     f"{i / 32},{'junk' if 1 <= i <= 3 else 0}{',0' * 9}\n" for i in range(6)))
+# rejected rows that leave a mean step over the floor under a median step
+# within it: of eight 32 Hz rows, those on lines 5 to 8 have junk SWA, which
+# leaves steps of 1/32, 1/32 and 5/32 s and a mean step of 0.0729 s
+@example(text=",".join(HEADER) + "\n" + "".join(
+    f"{i / 32},{'junk' if 3 <= i <= 6 else 0}{',0' * 9}\n" for i in range(8)))
 def test_load_csv_matches_reference_parser(tmp_path, caplog, text):
     path = tmp_path / "drive.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -332,17 +332,37 @@ class TestLoadCsv:
                                                 r"the 16 Hz sample-rate floor, in .*a\.csv$"):
                 telemetry.load_csv(p)
 
+    def test_mean_time_step_is_at_most_the_sample_rate_floor(self, tmp_path):
+        # steps alternating 1/16 s and 1 s: the median step is 1/16 s, yet the
+        # log holds 1.89 samples a second, and resampling it would make up
+        # most of its 32 Hz grid
+        times = np.cumsum([0.0, *[0.0625, 1.0] * 150, 0.0625])
+
+        def mangle(lines):
+            return [lines[0], *(f"{t:.6f}" + line[line.index(","):]
+                                for t, line in zip(times, lines[1:]))]
+        p = tmp_path / "a.csv"
+        _write_csv(p, n=302, mangle=mangle)
+        with pytest.raises(DataError, match=r"^mean time step 0\.529\d* s exceeds 0\.0625 s, "
+                                            r"the 16 Hz sample-rate floor, in .*a\.csv$"):
+            telemetry.load_csv(p)
+
     @pytest.mark.parametrize("last, span", [("86400", None), ("86400.5", "86400.5"),
                                             ("1e6", "1000000.0")])
     def test_time_span_is_at_most_one_day(self, tmp_path, last, span):
-        # one wild last timestamp: the median step stays 1/32 s
+        # one wild last timestamp: the median step stays 1/32 s.  A span of
+        # one day passes the span rule, and the mean step of 599 steps over
+        # it fails the sample-rate floor next
         def mangle(lines):
             lines[-1] = last + lines[-1][lines[-1].index(","):]
             return lines
         p = tmp_path / "a.csv"
         _write_csv(p, mangle=mangle)
         if span is None:
-            assert telemetry.load_csv(p)[0].timestamps[-1] == 86400.0
+            with pytest.raises(DataError, match=rf"^mean time step {re.escape(str(86400 / 599))} s "
+                                                r"exceeds 0\.0625 s, the 16 Hz sample-rate floor, "
+                                                r"in .*a\.csv$"):
+                telemetry.load_csv(p)
         else:
             with pytest.raises(DataError, match=rf"^time span {re.escape(span)} s exceeds "
                                                 r"86400 s \(one day\) at line 601 in .*a\.csv$"):
@@ -467,12 +487,12 @@ class TestWindows:
     def test_starts_and_overlap(self):
         rec = make_record(n=512)
         ws = telemetry.split_windows(rec)
-        assert (WINDOW_STEP * ws).tolist() == [0, 128, 256]
+        assert ws.tolist() == [0, 128, 256]
         assert telemetry.window_rows(rec.channels["SWA"], ws).shape == (3, WINDOW_LEN)
-        assert WINDOW_STEP * (ws[1] - ws[0]) == WINDOW_STEP
+        assert ws[1] - ws[0] == WINDOW_STEP
 
     def test_channel_slice(self, record):
-        rows = telemetry.window_rows(record.channels["SWA"], np.array([128 // WINDOW_STEP]))
+        rows = telemetry.window_rows(record.channels["SWA"], np.array([128]))
         np.testing.assert_array_equal(rows[0], record.channels["SWA"][128:384])
 
 
@@ -487,7 +507,7 @@ class TestSpeedFilter:
         rec = make_record(n=512, speed=90.0)
         rec.channels["VS"][:256] = 20.0  # straddling window averages 55 km/h
         kept = telemetry.filter_by_mean_speed(rec, telemetry.split_windows(rec))
-        assert (WINDOW_STEP * kept).tolist() == [256]
+        assert kept.tolist() == [256]
 
 
 class TestDriveRecord:

@@ -75,10 +75,9 @@ def runs_above(window, threshold):
 
 
 def loop_kept(record, starts):
-    """The half-block indices of ``starts`` whose window's mean speed passes."""
+    """The window starts of ``starts`` whose window's mean speed passes."""
     vs = record.channels["VS"]
-    return [b for b in starts.tolist()
-            if np.mean(vs[128 * b:128 * b + 256]) >= SPEED_THRESHOLD_KMH]
+    return [s for s in starts.tolist() if np.mean(vs[s:s + 256]) >= SPEED_THRESHOLD_KMH]
 
 
 def loop_metrics(record, windows):
@@ -89,7 +88,7 @@ def loop_metrics(record, windows):
     y_filt = comfort.apply_filter(wf, ch["YACC"])
     want = {name: [] for name in ("msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg",
                                   "n_y", "fuel")}
-    for s in (128 * windows).tolist():
+    for s in windows.tolist():
         mx = np.sqrt(np.mean(x_filt[s:s + 256] ** 2))
         my = np.sqrt(np.mean(y_filt[s:s + 256] ** 2))
         x, y = ch["XACC"][s:s + 256], ch["YACC"][s:s + 256]
@@ -112,7 +111,7 @@ def loop_features(record, windows):
     want = {}
     for name in features.FEATURE_SIGNALS:
         base = "XACC" if name.startswith("XACC") else name
-        rows = [record.channels[base][s:s + 256] for s in (128 * windows).tolist()]
+        rows = [record.channels[base][s:s + 256] for s in windows.tolist()]
         if name == "XACC_pos":
             rows = [np.maximum(r, 0.0) for r in rows]
         elif name == "XACC_neg":
@@ -136,14 +135,13 @@ def test_windows_metrics_and_features_match_a_per_window_loop(record):
     n = record.n_total
     starts = telemetry.split_windows(record)
     count = (n - 256) // 128 + 1 if n >= 256 else 0
-    assert (128 * starts).tolist() == [128 * k for k in range(count)]
+    assert len(starts) == count and starts.tolist() == list(range(0, n - 255, 128))
 
     kept = telemetry.filter_by_mean_speed(record, starts)
     assert kept.tolist() == loop_kept(record, starts)
-    # every window lies within the record; the window table's sample starts
-    # are the kept windows' half-block indices times 128
-    assert np.all(128 * starts + 256 <= n)
-    assert np.array_equal(pipeline.analyze_record(record)["window_start"], 128 * kept)
+    # every window lies within the record; the window table's starts are the kept windows
+    assert np.all(starts + 256 <= n)
+    assert np.array_equal(pipeline.analyze_record(record)["window_start"], kept)
 
     assert_same_columns(comfort.window_metrics(record, kept), loop_metrics(record, kept))
     assert_same_columns(features.compute_features(record, kept), loop_features(record, kept))

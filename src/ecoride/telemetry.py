@@ -8,6 +8,7 @@ import io
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -57,10 +58,9 @@ BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
           "YACC": (-50.0, 50.0), "FUEL": (0.0, np.inf)}
 _LOW, _HIGH = np.array([BOUNDS.get(c, (-np.inf, np.inf)) for c in (TIME_COLUMN, *CHANNELS)]).T
 
-# Bytes that could make np.loadtxt see other cells or lines than csv.reader
-# over str.splitlines: the quote, and the ASCII line breaks of splitlines
-# that loadtxt does not break at (the non-ASCII ones are ruled out apart).
-_NOT_BULK = (b'"', b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# Bytes that np.loadtxt reads otherwise than csv.reader and float(): the
+# quote, and the ASCII separators, which loadtxt strips from a cell.
+_NOT_BULK = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass
@@ -101,23 +101,27 @@ def load_csv(path) -> list[RawChannel]:
 
     Only ``t`` and the ``CHANNELS`` columns are parsed and checked; the
     other columns count towards a row's width and are not read.  The file is
-    read once, skipping a leading UTF-8 byte-order mark.  ``_bulk_table``
-    parses its bytes in one call; a file that call cannot take as it stands
-    is decoded and read row by row by ``_parse_rows``.  Either way the table
-    is checked once by ``_check``.  Messages name this file and a line
-    counted from 1, header and blank lines included.
+    read once, skipping a leading UTF-8 byte-order mark, and checked as UTF-8.
+    Its lines are those of ``_lines``.  ``_bulk_table`` parses the bytes after
+    the header in one call; a file that call cannot take as it stands is read
+    on row by row by ``_parse_rows``.  Either way the table is checked once by
+    ``_check``.  Messages name this file and a line counted from 1, header and
+    blank lines included.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read().removeprefix(codecs.BOM_UTF8)
     except FileNotFoundError:
         raise DataError(f"telemetry file not found: {path}") from None
-    found = _bulk_table(data, path)
-    if found is None:
-        reader = csv.reader(_decoded_lines(data, path))
-        cols, width, _ = _header(reader, path)
-        found = _parse_rows(reader, cols, width, path)
-    table, line_of = found
+    try:  # not "utf-8-sig": its exc.start does not count the mark
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_lines(data[:exc.start] + b"x").readlines())
+        raise DataError(f"non-UTF-8 byte 0x{data[exc.start]:02x} at line {line} "
+                        f"in {path}") from None
+    reader = csv.reader(_lines(data))
+    cols, width, h = _header(reader, path)
+    table, line_of = _bulk_table(data, h, cols, width) or _parse_rows(reader, cols, width, path)
     columns = np.ascontiguousarray(table[:, :1 + len(CHANNELS)].T)  # one contiguous row per column
     _check(columns, line_of, path)
     t = columns[0]
@@ -125,14 +129,10 @@ def load_csv(path) -> list[RawChannel]:
             for k, name in enumerate(CHANNELS, start=1)]
 
 
-def _decoded_lines(data: bytes, path) -> list[str]:
-    try:  # not "utf-8-sig": its exc.start does not count the mark
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # the prefix decodes; count its line breaks as splitlines does
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise DataError(f"non-UTF-8 byte 0x{data[exc.start]:02x} at line {line} "
-                        f"in {path}") from None
+def _lines(data: bytes) -> io.TextIOWrapper:
+    """The text of UTF-8 ``data`` in lines that end at CRLF, CR or LF, as
+    ``csv.reader`` reads a file opened with ``newline=""``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
 def _header(reader, path) -> tuple[list[int], int, int]:
@@ -149,26 +149,18 @@ def _header(reader, path) -> tuple[list[int], int, int]:
     return [header.index(col) for col in (TIME_COLUMN, *CHANNELS)], len(header), h
 
 
-def _bulk_table(data: bytes, path) -> tuple[np.ndarray, Callable[[int], int]] | None:
-    """The data rows parsed in one ``np.loadtxt`` call on the bytes: columns
-    ``t`` and ``CHANNELS``, then 0.0 for the header's last column if unread,
-    and the file line of a row.  None where the file is to be decoded and read
-    row by row: a non-ASCII byte or one of ``_NOT_BULK``, a fault in the
-    header, a line break other than LF or CRLF before the data, no comma after
-    the header, and any row that is not empty but blank, of other than the
-    header's width or with a read cell that does not parse."""
-    if not data.isascii() or any(b in data for b in _NOT_BULK):
+def _bulk_table(data: bytes, h: int, cols: list[int],
+                width: int) -> tuple[np.ndarray, Callable[[int], int]] | None:
+    """The data rows after header line ``h``, parsed in one ``np.loadtxt`` call
+    on the bytes: columns ``cols``, then 0.0 for the header's last column if
+    unread, and the file line of a row.  None where the file is to be read row
+    by row: a byte of ``_NOT_BULK``, no comma after the header, a lone CR line
+    end within the data (loadtxt takes a CR only before LF or at the end), and
+    any row that is not empty but blank, of other than the header's ``width``
+    cells or with a read cell that does not parse."""
+    if any(b in data for b in _NOT_BULK):
         return None
-    fh = io.BytesIO(data)
-    reader = csv.reader(line.decode() for line in fh)  # lines that end at LF only
-    try:
-        cols, width, h = _header(reader, path)
-    except (csv.Error, DataError):  # the row-by-row path names a header fault
-        return None
-    start = fh.tell()  # past the header line
-    head = data[:start]
-    if head.count(b"\r") != head.count(b"\r\n"):
-        return None  # a lone CR ends a line that csv.reader read on past
+    start = sum(len(line.encode()) for line in islice(_lines(data), h))  # past the header
     commas = np.count_nonzero(np.frombuffer(data, np.uint8, offset=start) == ord(","))
     if not commas:
         return None  # no data row; on no row at all loadtxt would warn
@@ -177,6 +169,8 @@ def _bulk_table(data: bytes, path) -> tuple[np.ndarray, Callable[[int], int]] | 
     # header, so a wider one shows in the count of commas.  An unread last
     # column is read as 0.0 whatever its text, so text there keeps this path.
     last = {} if width - 1 in cols else {width - 1: lambda cell: 0.0}
+    fh = io.BytesIO(data)
+    fh.seek(start)
     try:
         table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=[*cols, *last],
                            converters=last, encoding="utf-8")
@@ -185,8 +179,8 @@ def _bulk_table(data: bytes, path) -> tuple[np.ndarray, Callable[[int], int]] | 
     if commas != len(table) * (width - 1):
         return None
     # the rows are the non-empty lines; worked out only for a message
-    return table, lambda row: [i for i, line in enumerate(data[start:].splitlines(), h + 1)
-                               if line][row]
+    return table, lambda row: [i for i, line in enumerate(_lines(data), 1)
+                               if i > h and line.rstrip("\r\n")][row]
 
 
 def _parse_rows(reader, cols: list[int], width: int,

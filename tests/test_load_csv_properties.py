@@ -4,7 +4,8 @@ blank rows, rejects rows whose cell count differs from the header's and rows
 with an unparseable cell in ``t`` or ``CHANNELS``, and checks the read cells
 of the accepted rows one by one; with one fault planted in a clean table,
 which must be named at its file line and channel; and the bulk parse against
-the row-by-row one on files with stray bytes."""
+the row-by-row one on files with stray bytes.  A line ends at CRLF, CR or LF,
+as in a file opened with ``newline=""``."""
 
 import csv
 import logging
@@ -153,8 +154,22 @@ def csv_files(draw):
     return eol.join(lines) + eol
 
 
+def unread_cell_text(stray):
+    """Text of a file of eight clean 32 Hz rows, with ``stray`` inside the
+    third one's PGP cell."""
+    rows = [[f"{i / 32}"] + ["0"] * len(FILE_NAMES) for i in range(8)]
+    rows[2][HEADER.index("PGP")] = f"1{stray}5"
+    return "".join(",".join(row) + "\n" for row in [HEADER, *rows])
+
+
 @SETTINGS
 @given(text=csv_files())
+# line breaks of str.splitlines but of no csv.reader over a file opened with
+# newline="", inside an unread cell: cell text, so every row is read
+@example(text=unread_cell_text("\x0b"))
+@example(text=unread_cell_text("\x0c"))
+@example(text=unread_cell_text("\x85"))
+@example(text=unread_cell_text("\u2028"))
 # rejected rows that leave a median step over the sample-rate floor: of six
 # 32 Hz rows, those on lines 3 to 5 have junk SWA, which leaves times 0,
 # 0.125 and 0.15625 and a median step of 0.078125 s
@@ -244,10 +259,11 @@ def test_planted_fault_is_named_at_its_line(tmp_path, case):
             telemetry.load_csv(path)
 
 
-# Characters at which the bulk parse and csv.reader over str.splitlines could
-# part ways: a quote, line breaks of both kinds, blanks, a NUL and a BOM.
-STRAYS = ('"', "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
-          "\u2029", "\t", " ", ",", "\x00", "\ufeff")
+# Characters at which np.loadtxt and csv.reader with float() could part ways:
+# a quote, line breaks, the ASCII separators, Unicode line separators,
+# blanks, a NUL and a BOM.
+STRAYS = ('"', "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+          "\u2028", "\u2029", "\t", " ", ",", "\x00", "\ufeff")
 
 
 def outcome(path, caplog):
@@ -285,10 +301,13 @@ def strayed_files(draw):
 
 @SETTINGS
 @given(text=strayed_files())
-# a lone CR before a header's or a blank line's CRLF: one more line to
-# splitlines, none more to a csv.reader over lines that end at LF
+# a lone CR before a header's or a blank line's CRLF: a line of its own
 @example(text=",".join(HEADER) + "\r\r\n" + ",".join(["0"] * 11) + "\r\nnan" + ",0" * 10)
 @example(text="\r\r\n" + ",".join(HEADER) + "\n" + ",".join(["0"] * 11) + "\nnan" + ",0" * 10)
+# a unit separator that np.loadtxt strips from a read cell and float() does
+# not: the row on line 3 of 40 is rejected on both paths
+@example(text=",".join(HEADER) + "\n" + "".join(
+    f"{i / 32},0,0,0,0,0,0,{chr(0x1f) * (i == 1)}0,0,0,0\n" for i in range(40)))
 def test_bulk_parse_agrees_with_row_by_row_parse(tmp_path, caplog, text):
     path = tmp_path / "drive.csv"
     path.write_bytes(text.encode("utf-8"))

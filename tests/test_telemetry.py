@@ -25,7 +25,11 @@ def _write_csv(path, n=600, rate=32.0, mangle=None):
         lines.append(",".join(row))
     if mangle:
         lines = mangle(lines)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _no_fallback(*args):
+    raise AssertionError("row-by-row parse used on a file the bulk parse takes")
 
 
 class TestLoadCsv:
@@ -60,9 +64,7 @@ class TestLoadCsv:
             telemetry.load_csv(p)
 
     def test_clean_file_takes_the_bulk_path(self, tmp_path, monkeypatch, caplog):
-        def no_fallback(*args):
-            raise AssertionError("row-by-row parse used on a clean file")
-        monkeypatch.setattr(telemetry, "_parse_rows", no_fallback)
+        monkeypatch.setattr(telemetry, "_parse_rows", _no_fallback)
         p = tmp_path / "a.csv"
         _write_csv(p)
         with caplog.at_level("DEBUG", logger="ecoride.telemetry"):
@@ -70,16 +72,36 @@ class TestLoadCsv:
         assert len(channels[0].values) == 600
         assert caplog.records == []
 
-    def test_trailing_text_column_takes_the_bulk_path(self, tmp_path):
-        # an unread last column of words is read as 0.0, not parsed as numbers
-        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+    def test_trailing_text_column_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        # an unread last column of words is read as 0.0, not parsed as numbers;
+        # a fault planted in the last row is named at that row's line, 601
+        def notes(lines):
+            return [f"{lines[0]},notes", *(f"{x},{'slow traffic' if i % 3 else 'ok'}"
+                                          for i, x in enumerate(lines[1:]))]
+
+        def fault(lines):
+            fields = lines[-1].split(",")
+            fields[HEADER.index("XACC")] = "nan"
+            return notes([*lines[:-1], ",".join(fields)])
+        plain, noted, faulty = (tmp_path / f"{name}.csv" for name in ("plain", "noted", "faulty"))
         _write_csv(plain)
-        _write_csv(noted, mangle=lambda ls: [f"{ls[0]},notes", *(
-            f"{x},{'slow traffic' if i % 3 else 'ok'}" for i, x in enumerate(ls[1:]))])
-        table, line_of = telemetry._bulk_table(noted.read_bytes(), noted)
-        want, _ = telemetry._bulk_table(plain.read_bytes(), plain)
-        assert np.array_equal(table, np.column_stack([want, np.zeros(600)]))
-        assert line_of(599) == 601
+        _write_csv(noted, mangle=notes)
+        _write_csv(faulty, mangle=fault)
+        want = telemetry.load_csv(plain)
+        monkeypatch.setattr(telemetry, "_parse_rows", _no_fallback)
+        self._same_table(telemetry.load_csv(noted), want)
+        with pytest.raises(DataError, match=r"^non-finite XACC value at line 601 in "):
+            telemetry.load_csv(faulty)
+
+    def test_non_ascii_column_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        # text outside ASCII in an unread first column, header and cells alike
+        plain, p = tmp_path / "plain.csv", tmp_path / "a.csv"
+        _write_csv(plain)
+        _write_csv(p, mangle=lambda ls: [f"Temp (°C),{ls[0]}",
+                                         *(f"{20 + i % 5}°,{x}" for i, x in enumerate(ls[1:]))])
+        want = telemetry.load_csv(plain)
+        monkeypatch.setattr(telemetry, "_parse_rows", _no_fallback)
+        self._same_table(telemetry.load_csv(p), want)
 
     @pytest.mark.parametrize("junk", [False, True])  # bulk path, row-by-row path
     def test_utf8_byte_order_mark(self, tmp_path, caplog, junk):
@@ -106,15 +128,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"^non-UTF-8 byte 0xff at line 3 in .*a\.csv$"):
             telemetry.load_csv(p)
 
-    @pytest.mark.parametrize("sep", [b"\r", b"\x1e"], ids=["cr", "record_sep"])
-    def test_bad_byte_line_counts_every_line_break(self, tmp_path, sep):
-        # CR-only and \x1e-separated files: line breaks as str.splitlines counts them
+    @pytest.mark.parametrize("sep,line", [(b"\r", 3), (b"\x1e", 1)], ids=["cr", "record_sep"])
+    def test_bad_byte_line_counts_every_line_break(self, tmp_path, sep, line):
+        # a CR-only file has the lines of an LF one; \x1e ends no line, as
+        # csv.reader reads a file opened with newline="", so its file is one line
         p = tmp_path / "a.csv"
         _write_csv(p, n=5)
         lines = p.read_bytes().split(b"\n")
         lines[2] = lines[2].replace(b",", b",\xff", 1)
         p.write_bytes(sep.join(lines))
-        with pytest.raises(DataError, match=r"^non-UTF-8 byte 0xff at line 3 in .*a\.csv$"):
+        with pytest.raises(DataError, match=rf"^non-UTF-8 byte 0xff at line {line} in .*a\.csv$"):
             telemetry.load_csv(p)
 
     @pytest.mark.parametrize("n", [0, 1])

@@ -49,17 +49,6 @@ def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.n
     return columns
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt(np.sum(dx**2))
-    sy = np.sqrt(np.sum(dy**2))
-    return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
-
-
 def feature_matrix(columns: dict[str, np.ndarray], names) -> np.ndarray:
     """(n_windows, n_features) matrix of the RMS columns of signals ``names``."""
     return np.column_stack([columns[f"{n} RMS"] for n in names])
@@ -70,16 +59,24 @@ def correlation_table(columns: dict[str, np.ndarray]) -> np.ndarray:
     windows of ``columns``: one row per ``CORRELATION_TARGETS`` entry, one
     column per ``FEATURE_COLUMNS`` entry, in their order.  A column that is
     the same in every window is a DataError naming it.
+
+    Every sum runs along one row of the (targets + features, windows) block,
+    so it adds the terms of a per-pair ``np.sum`` in the same order.
     """
-    n = len(columns["fuel"])
+    names = (*CORRELATION_TARGETS, *FEATURE_COLUMNS)
+    block = np.array([columns[name] for name in names], dtype=float)
+    n = block.shape[1]
     if n < 2:
         raise DataError("need at least 2 windows")
-    for name in (*CORRELATION_TARGETS, *FEATURE_COLUMNS):
-        if np.ptp(columns[name]) == 0.0:
-            raise DataError(f"{name} is the same in all {n} windows: "
-                            "its correlations are undefined")
-    return np.array([[pearson(columns[t], columns[c]) for c in FEATURE_COLUMNS]
-                     for t in CORRELATION_TARGETS])
+    flat = np.ptp(block, axis=1) == 0.0
+    if flat.any():
+        raise DataError(f"{names[np.argmax(flat)]} is the same in all {n} windows: "
+                        "its correlations are undefined")
+    d = block - block.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(d**2, axis=1))
+    k = len(CORRELATION_TARGETS)
+    sums = np.array([np.sum(target * d[k:], axis=1) for target in d[:k]])
+    return np.clip(sums / np.outer(norms[:k], norms[k:]), -1.0, 1.0)
 
 
 def write_correlation_csv(table: np.ndarray, path) -> None:

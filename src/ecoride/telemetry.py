@@ -120,8 +120,11 @@ def load_csv(path) -> list[RawChannel]:
         raise DataError(f"non-UTF-8 byte 0x{data[exc.start]:02x} at line {line} "
                         f"in {path}") from None
     reader = csv.reader(_lines(data))
-    cols, width, h = _header(reader, path)
-    table, line_of = _bulk_table(data, h, cols, width) or _parse_rows(reader, cols, width, path)
+    try:  # a cell over csv.field_size_limit(), a process-wide limit left as it is
+        cols, width, h = _header(reader, path)
+        table, line_of = _bulk_table(data, h, cols, width) or _parse_rows(reader, cols, width, path)
+    except csv.Error as exc:
+        raise DataError(f"{exc} at line {reader.line_num} in {path}") from None
     columns = np.ascontiguousarray(table[:, :1 + len(CHANNELS)].T)  # one contiguous row per column
     _check(columns, line_of, path)
     t = columns[0]
@@ -151,13 +154,12 @@ def _header(reader, path) -> tuple[list[int], int, int]:
 
 def _bulk_table(data: bytes, h: int, cols: list[int],
                 width: int) -> tuple[np.ndarray, Callable[[int], int]] | None:
-    """The data rows after header line ``h``, parsed in one ``np.loadtxt`` call
-    on the bytes: columns ``cols``, then 0.0 for the header's last column if
-    unread, and the file line of a row.  None where the file is to be read row
-    by row: a byte of ``_NOT_BULK``, no comma after the header, a lone CR line
-    end within the data (loadtxt takes a CR only before LF or at the end), and
-    any row that is not empty but blank, of other than the header's ``width``
-    cells or with a read cell that does not parse."""
+    """The data rows after header line ``h``, parsed in one ``np.loadtxt`` call:
+    columns ``cols``, then 0.0 for the header's last column if unread, and the
+    file line of a row.  None where the file is to be read row by row: a byte
+    of ``_NOT_BULK``, no comma after the header, and any row that is not empty
+    but blank, of other than the header's ``width`` cells or with a read cell
+    that does not parse."""
     if any(b in data for b in _NOT_BULK):
         return None
     start = sum(len(line.encode()) for line in islice(_lines(data), h))  # past the header
@@ -169,14 +171,21 @@ def _bulk_table(data: bytes, h: int, cols: list[int],
     # header, so a wider one shows in the count of commas.  An unread last
     # column is read as 0.0 whatever its text, so text there keeps this path.
     last = {} if width - 1 in cols else {width - 1: lambda cell: 0.0}
+
+    def parse(lines) -> np.ndarray | None:
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              usecols=[*cols, *last], converters=last, encoding="utf-8")
+        except ValueError:
+            return None
     fh = io.BytesIO(data)
     fh.seek(start)
-    try:
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=[*cols, *last],
-                           converters=last, encoding="utf-8")
-    except ValueError:
-        return None
-    if commas != len(table) * (width - 1):
+    table = parse(fh)
+    if table is None and data.count(b"\r") != data.count(b"\r\n"):
+        # loadtxt takes a CR in bytes only before LF or at the end; in the
+        # lines of _lines any CR ends a line, but they cost a decode
+        table = parse(islice(_lines(data), h, None))
+    if table is None or commas != len(table) * (width - 1):
         return None
     # the rows are the non-empty lines; worked out only for a message
     return table, lambda row: [i for i, line in enumerate(_lines(data), 1)

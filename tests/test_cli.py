@@ -360,6 +360,28 @@ class TestExitCodes:
         assert str(big_data / src.name) in err
         assert not out.exists()
 
+    def test_over_long_cell_fails_naming_file_and_line(self, workspace, tmp_path):
+        # a quoted 140,000-character note on line 21 of a 40-row drive is over
+        # csv.reader's cell limit: exit 2 and one message, not a traceback
+        _, data, _ = workspace
+        src = sorted(data.glob("*.csv"))[0]
+        lines = src.read_text().splitlines()[:41]
+        note = '"' + "x" * 140_000 + '"'
+        long_data = tmp_path / "data"
+        long_data.mkdir()
+        (long_data / src.name).write_text("".join(
+            f"{line},{'notes' if i == 1 else note if i == 21 else 'ok'}\n"
+            for i, line in enumerate(lines, 1)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ecoride.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "ecoride.cli",
+                               *analysis_argv("correlate", long_data, None, tmp_path / "c.csv")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (done.returncode, done.stderr) == (cli.EXIT_DATA, (
+            "ecoride: error: field larger than field limit (131072) "
+            f"at line 21 in {long_data / src.name}\n"))
+
     # buffered, the write fails at main's flush; unbuffered, at a print
     @pytest.mark.parametrize("buffered", [True, False])
     def test_closed_stdout_is_not_a_data_error(self, workspace, tmp_path, buffered):

@@ -1,9 +1,9 @@
-"""Window features, Pearson correlation and the z-score normalizer."""
+"""Window features, the Pearson correlation table and the z-score normalizer."""
 
 import numpy as np
 import pytest
 
-from ecoride import DataError, comfort, features, telemetry
+from ecoride import DataError, comfort, features, pipeline, telemetry
 
 from conftest import make_record
 
@@ -38,18 +38,75 @@ class TestComputeFeatures:
         assert features.feature_matrix(f, features.AUX_FEATURES).shape == (len(windows), 2)
 
 
-class TestPearson:
-    def test_known_value(self):
-        # hand-checked: r((1,2,3,4),(1,3,2,4)) = 0.8
-        assert features.pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+def pearson(x, y) -> float:
+    """The per-pair Pearson formula that ``correlation_table`` reproduces bit for bit."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = np.sqrt(np.sum(dx**2))
+    sy = np.sqrt(np.sum(dy**2))
+    return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
-    def test_perfect_correlation(self):
-        x = np.arange(10.0)
-        assert features.pearson(x, 3 * x + 2) == pytest.approx(1.0)
-        assert features.pearson(x, -x) == pytest.approx(-1.0)
+
+def per_pair_table(columns) -> np.ndarray:
+    return np.array([[pearson(columns[t], columns[c]) for c in features.FEATURE_COLUMNS]
+                     for t in features.CORRELATION_TARGETS])
+
+
+def random_columns(n, seed) -> dict[str, np.ndarray]:
+    """A seeded table of ``n`` windows: integer counts for the ``n_*`` targets,
+    floats of mixed offset and scale elsewhere, and one feature an exact
+    linear function of ``fuel``, whose correlation rounds to about 1."""
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in (*features.CORRELATION_TARGETS, *features.FEATURE_COLUMNS):
+        if name.startswith("n_"):
+            column = rng.integers(0, 9, n)
+            column[:2] = (0, 1)  # not constant at n = 2
+        else:
+            column = rng.normal(rng.uniform(-1e4, 1e4), 10.0 ** rng.uniform(-3, 3), n)
+        columns[name] = column
+    columns["VS RMS"] = 3.0 * columns["fuel"] + 2.0
+    return columns
 
 
 class TestCorrelationTable:
+    def test_known_value(self):
+        # hand-checked: r((1,3,2,4),(1,2,3,4)) = 0.8, in every cell
+        columns = {t: np.array([1, 3, 2, 4]) for t in features.CORRELATION_TARGETS}
+        columns.update((c, np.array([1.0, 2.0, 3.0, 4.0])) for c in features.FEATURE_COLUMNS)
+        table = features.correlation_table(columns)
+        assert table.shape == (6, 14)
+        np.testing.assert_allclose(table, 0.8)
+
+    def test_perfect_correlation(self):
+        # a feature 3x + 2 of every target x, or -x: each cell is +1 or -1
+        x = np.arange(10.0)
+        columns = {t: x for t in features.CORRELATION_TARGETS}
+        sign = np.where(np.arange(len(features.FEATURE_COLUMNS)) % 2, 1.0, -1.0)
+        columns.update((c, 3 * x + 2 if s > 0 else -x)
+                       for c, s in zip(features.FEATURE_COLUMNS, sign))
+        np.testing.assert_allclose(features.correlation_table(columns),
+                                   np.tile(sign, (6, 1)))
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_fleet_matches_per_pair_reference_bit_for_bit(self, small_corpus):
+        # the seed-42 120 s fleet's window table, integer counts included
+        columns = pipeline.analyze_fleet(small_corpus)
+        self._same_bits(features.correlation_table(columns), per_pair_table(columns))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 261, 1341, 4099])
+    def test_random_tables_match_per_pair_reference_bit_for_bit(self, n):
+        # lengths about numpy's pairwise-summation block (128) and unroll (8)
+        for seed in range(3):
+            columns = random_columns(n, seed=1000 * n + seed)
+            self._same_bits(features.correlation_table(columns), per_pair_table(columns))
+
     def test_shape_and_labels(self, tmp_path):
         rec = make_record(n=2048, seed=5)
         # constant VS would make its feature columns degenerate

@@ -154,12 +154,13 @@ def _header(reader, path) -> tuple[list[int], int, int]:
 
 def _bulk_table(data: bytes, h: int, cols: list[int],
                 width: int) -> tuple[np.ndarray, Callable[[int], int]] | None:
-    """The data rows after header line ``h``, parsed in one ``np.loadtxt`` call:
-    columns ``cols``, then 0.0 for the header's last column if unread, and the
-    file line of a row.  None where the file is to be read row by row: a byte
-    of ``_NOT_BULK``, no comma after the header, and any row that is not empty
-    but blank, of other than the header's ``width`` cells or with a read cell
-    that does not parse."""
+    """The data rows after header line ``h``, parsed in one ``np.loadtxt`` call
+    on the bytes: columns ``cols``, then 0.0 for the header's last column if
+    unread, and the file line of a row.  None where the file is to be read row
+    by row: a byte of ``_NOT_BULK``, no comma after the header, a lone CR line
+    end within the data (loadtxt takes a CR only before LF or at the end), and
+    any row that is not empty but blank, of other than the header's ``width``
+    cells or with a read cell that does not parse."""
     if any(b in data for b in _NOT_BULK):
         return None
     start = sum(len(line.encode()) for line in islice(_lines(data), h))  # past the header
@@ -171,21 +172,14 @@ def _bulk_table(data: bytes, h: int, cols: list[int],
     # header, so a wider one shows in the count of commas.  An unread last
     # column is read as 0.0 whatever its text, so text there keeps this path.
     last = {} if width - 1 in cols else {width - 1: lambda cell: 0.0}
-
-    def parse(lines) -> np.ndarray | None:
-        try:
-            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                              usecols=[*cols, *last], converters=last, encoding="utf-8")
-        except ValueError:
-            return None
     fh = io.BytesIO(data)
     fh.seek(start)
-    table = parse(fh)
-    if table is None and data.count(b"\r") != data.count(b"\r\n"):
-        # loadtxt takes a CR in bytes only before LF or at the end; in the
-        # lines of _lines any CR ends a line, but they cost a decode
-        table = parse(islice(_lines(data), h, None))
-    if table is None or commas != len(table) * (width - 1):
+    try:
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=[*cols, *last],
+                           converters=last, encoding="utf-8")
+    except ValueError:
+        return None
+    if commas != len(table) * (width - 1):
         return None
     # the rows are the non-empty lines; worked out only for a message
     return table, lambda row: [i for i, line in enumerate(_lines(data), 1)

@@ -100,7 +100,8 @@ class TestCorrelationTable:
         columns = pipeline.analyze_fleet(small_corpus)
         self._same_bits(features.correlation_table(columns), per_pair_table(columns))
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 261, 1341, 4099])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 261, 1341, 4099,
+                                   8193, 16411])
     def test_random_tables_match_per_pair_reference_bit_for_bit(self, n):
         # lengths about numpy's pairwise-summation block (128) and unroll (8)
         for seed in range(3):

@@ -103,23 +103,6 @@ class TestLoadCsv:
         monkeypatch.setattr(telemetry, "_parse_rows", _no_fallback)
         self._same_table(telemetry.load_csv(p), want)
 
-    def test_cr_only_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
-        # lines that end at a lone CR (classic Mac OS) are parsed in bulk, as
-        # the same file with CRLF; a fault in the last row is named at its line
-        crlf, cr, faulty = (tmp_path / f"{name}.csv" for name in ("crlf", "cr", "faulty"))
-        synthgen.write_csv(synthgen.generate(synthgen.StyleSpec(duration=20.0)), crlf)
-        lines = crlf.read_bytes().split(b"\r\n")
-        assert lines[-1] == b"" and all(b"\r" not in line for line in lines)
-        cr.write_bytes(b"\r".join(lines))
-        fields = lines[-2].split(b",")
-        fields[HEADER.index("XACC")] = b"nan"
-        faulty.write_bytes(b"\r".join([*lines[:-2], b",".join(fields), b""]))
-        want = telemetry.load_csv(crlf)
-        monkeypatch.setattr(telemetry, "_parse_rows", _no_fallback)
-        self._same_table(telemetry.load_csv(cr), want)
-        with pytest.raises(DataError, match=rf"^non-finite XACC value at line {len(lines) - 1} in "):
-            telemetry.load_csv(faulty)
-
     @pytest.mark.parametrize("line", [1, 21])  # the header, a quoted note on the row path
     def test_over_long_cell_is_a_data_error(self, tmp_path, line):
         # csv.reader's limit on a cell, 131,072 characters, is process-wide

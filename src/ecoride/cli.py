@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError, advisor, analytics, features, pipeline, save_csv, synthgen, telemetry
+from . import (DataError, advisor, analytics, comfort, features, pipeline, save_csv, synthgen,
+               telemetry)
 from .features import MAPS
 from .som import LABELS, SomModel
 
@@ -25,6 +26,18 @@ EXIT_PIPE = 141
 
 DATA_ERRORS = (DataError, OSError)
 
+# The window columns each analysis command has ``pipeline.analyze_record``
+# compute: those it reads.  Every command reads the maps' RMS features;
+# train, advise and report also the metrics their profiles, advice and
+# summaries average, and correlate every column.  classify reads no metric
+# but keeps fuel: with XACC, YACC, VS and ERPM bounded at load, and a
+# variance overflowing only where its RMS does, fuel is the one other column
+# a checked file can make non-finite, so classify rejects every record the
+# other commands reject.
+MAP_COLUMNS = tuple(dict.fromkeys(f"{name} RMS" for _, names, *_ in MAPS for name in names))
+CLASSIFY_COLUMNS = (*MAP_COLUMNS, "fuel")
+PROFILE_COLUMNS = (*MAP_COLUMNS, *comfort.METRICS)
+
 
 class CliParser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with code 1 instead of 2."""
@@ -34,9 +47,10 @@ class CliParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_fleet(data_dir) -> tuple[list[str], dict[str, np.ndarray]]:
+def _load_fleet(data_dir, columns) -> tuple[list[str], dict[str, np.ndarray]]:
     """The driver ids (file stems) and the ``pipeline.analyze_fleet`` window
-    table of the CSVs in ``data_dir``, read one file at a time in name order."""
+    table, holding the window ``columns``, of the CSVs in ``data_dir``, read
+    one file at a time in name order."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory not found: {data_dir}")
@@ -44,7 +58,7 @@ def _load_fleet(data_dir) -> tuple[list[str], dict[str, np.ndarray]]:
     if not paths:
         raise DataError(f"no telemetry CSV files in {data_dir}")
     fleet = pipeline.analyze_fleet(
-        telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths)
+        (telemetry.resample(telemetry.load_csv(p), driver_id=p.stem) for p in paths), columns)
     return [p.stem for p in paths], fleet
 
 
@@ -66,11 +80,11 @@ def _load_models(model_dir) -> list[SomModel]:
     return models
 
 
-def _classify(args):
+def _classify(args, columns):
     """(the ``MAPS`` models, driver ids, the fleet window table of
-    ``pipeline.analyze_fleet`` with its classification columns)."""
+    ``_load_fleet``'s ``columns`` with its classification columns)."""
     models = _load_models(args.models)
-    driver_ids, fleet = _load_fleet(args.data)
+    driver_ids, fleet = _load_fleet(args.data, columns)
     pipeline.classify_all(fleet, models)
     return models, driver_ids, fleet
 
@@ -101,7 +115,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    trained = pipeline.train_models(_load_fleet(args.data)[1], args.seed)
+    trained = pipeline.train_models(_load_fleet(args.data, PROFILE_COLUMNS)[1], args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for (model, _), (tag, *_) in zip(trained, MAPS):
@@ -115,7 +129,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, driver_ids, fleet = _classify(args)
+    _, driver_ids, fleet = _classify(args, CLASSIFY_COLUMNS)
     save_csv(args.out, ["driver_id", "window_start", "comfort", "fuel"],
              ([driver_ids[driver], start, LABELS[comfort], LABELS[fuel]]
               for driver, start, comfort, fuel in zip(fleet["driver"], fleet["window_start"],
@@ -126,7 +140,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    models, driver_ids, fleet = _classify(args)
+    models, driver_ids, fleet = _classify(args, PROFILE_COLUMNS)
     if not len(fleet["driver"]):
         raise DataError(f"no window at or above {telemetry.SPEED_THRESHOLD_KMH:g} km/h "
                         f"in {args.data}: nothing to advise on")
@@ -155,7 +169,7 @@ def cmd_advise(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _, driver_ids, fleet = _classify(args)
+    _, driver_ids, fleet = _classify(args, PROFILE_COLUMNS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -190,7 +204,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    table = features.correlation_table(_load_fleet(args.data)[1])
+    table = features.correlation_table(_load_fleet(args.data, pipeline.COLUMNS)[1])
     features.write_correlation_csv(table, args.out)
     print(f"correlation table ({table.shape[0]} x {table.shape[1]}) -> {args.out}")
     return EXIT_OK

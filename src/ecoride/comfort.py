@@ -19,6 +19,9 @@ PEAK_THRESHOLD = 1.75  # m/s^2
 # (low corner, high corner) in Hz of the motion-sickness weighting filter.
 FILTER_CORNERS = (0.02, 0.3)
 
+# The columns of ``window_metrics``, in its order.
+METRICS = ("msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel")
+
 
 @functools.cache
 def design_filter() -> np.ndarray:

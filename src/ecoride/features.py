@@ -29,24 +29,30 @@ MAPS = (("main", MAIN_FEATURES, ("vr", "msdv_y"), 0, "comfort_label"),
 CORRELATION_TARGETS = ("fuel", "n_x_pos", "n_x_neg", "n_y", "msdv_y", "vr")
 
 
-def compute_features(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``FEATURE_COLUMNS`` of one record: RMS and population variance of
-    each driving signal, one entry per window of ``telemetry.split_windows``.
+def compute_features(record: DriveRecord, windows: np.ndarray,
+                     columns=FEATURE_COLUMNS) -> dict[str, np.ndarray]:
+    """The ``FEATURE_COLUMNS`` named in ``columns`` (by default all of them)
+    of one record, in ``FEATURE_COLUMNS`` order: RMS and population variance
+    of each driving signal, one entry per window of ``telemetry.split_windows``.
 
     Both come from each window's samples (``telemetry.window_rows``),
-    gathered once per signal: ``comfort.weighted_rms`` and ``np.var`` along
-    the row.
+    gathered once per signal that has a named column: ``comfort.weighted_rms``
+    and ``np.var`` along the row.  Other names in ``columns`` are ignored.
     """
     xacc = record.channels["XACC"]
     signals = {name: record.channels[name] for name in ("SWA", "VS", "XACC", "YACC", "ERPM")}
     signals["XACC_pos"] = np.maximum(xacc, 0.0)
     signals["XACC_neg"] = np.maximum(-xacc, 0.0)
-    columns = {}
+    table = {}
     for name in FEATURE_SIGNALS:
-        rows = window_rows(signals[name], windows)
-        columns[f"{name} RMS"] = weighted_rms(rows)
-        columns[f"{name} Var"] = rows.var(axis=1)
-    return columns
+        rms, var = f"{name} RMS", f"{name} Var"
+        if rms in columns or var in columns:
+            rows = window_rows(signals[name], windows)
+            if rms in columns:
+                table[rms] = weighted_rms(rows)
+            if var in columns:
+                table[var] = rows.var(axis=1)
+    return table
 
 
 def feature_matrix(columns: dict[str, np.ndarray], names) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import repeat
 
 import numpy as np
 
@@ -16,21 +17,35 @@ from .telemetry import DriveRecord
 GRID_SHAPE = (15, 15)
 TRAIN_SPLIT = 0.75
 
+# Every window column of ``analyze_record``, in the order it checks them.
+COLUMNS = (*features.FEATURE_COLUMNS, *comfort.METRICS)
 
-def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
+
+def analyze_record(record: DriveRecord, columns=COLUMNS) -> dict[str, np.ndarray]:
     """A record's window table: ``window_start``, the first sample of each
-    window kept by the speed filter, and the window's ``features.FEATURE_COLUMNS``
-    and ``comfort.window_metrics`` columns, one array entry per window.
+    window kept by the speed filter, and the window columns named in
+    ``columns`` (by default every one of ``COLUMNS``), in ``COLUMNS`` order,
+    one array entry per window.
+
+    Only the named columns are computed: ``features.compute_features`` takes
+    the selection, and ``comfort.window_metrics``, with its filter and peak
+    counts, runs only where a metric other than ``fuel`` is named, and then
+    gives all of its columns.  ``fuel`` alone is the window mean of FUEL, as
+    ``window_metrics`` takes it.
 
     Raises DataError naming the record, the window and the field when a
-    feature or metric comes out non-finite (say, a square that overflows), so
+    computed column comes out non-finite (say, a square that overflows), so
     that no such window reaches a map or an output file.
     """
+    wanted = set(columns)
     starts = telemetry.filter_by_mean_speed(record, telemetry.split_windows(record))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        columns = {**features.compute_features(record, starts),
-                   **comfort.window_metrics(record, starts)}
-    for name, values in columns.items():
+        table = features.compute_features(record, starts, wanted)
+        if wanted & (set(comfort.METRICS) - {"fuel"}):
+            table.update(comfort.window_metrics(record, starts))
+        elif "fuel" in wanted:  # no filter or peak count for fuel alone
+            table["fuel"] = telemetry.window_rows(record.channels["FUEL"], starts).mean(axis=1)
+    for name, values in table.items():
         bad = ~np.isfinite(values)
         if bad.any():
             start = int(starts[np.argmax(bad)])
@@ -39,15 +54,16 @@ def analyze_record(record: DriveRecord) -> dict[str, np.ndarray]:
                 f"non-finite {name} in the window starting at sample {start} "
                 f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
                 f"of record {record.driver_id}{where}")
-    return {"window_start": starts, **columns}
+    return {"window_start": starts, **table}
 
 
-def analyze_fleet(records: Iterable[DriveRecord]) -> dict[str, np.ndarray]:
-    """The window tables of ``records`` joined record after record, plus a
-    ``driver`` column: the index in ``records`` of each window's record.
+def analyze_fleet(records: Iterable[DriveRecord], columns=COLUMNS) -> dict[str, np.ndarray]:
+    """The window tables of ``records``, each holding the window columns named
+    in ``columns`` (see ``analyze_record``), joined record after record, plus
+    a ``driver`` column: the index in ``records`` of each window's record.
     From a generator, one record is held at a time: ``map`` drops each once
     its table is made, where a comprehension's variable would keep it."""
-    tables = list(map(analyze_record, records))
+    tables = list(map(analyze_record, records, repeat(columns)))
     sizes = [len(t["window_start"]) for t in tables]
     return {"driver": np.repeat(np.arange(len(tables)), sizes),
             **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]}}

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecoride
-from ecoride import advisor, cli, pipeline, som, synthgen, telemetry
+from ecoride import advisor, cli, comfort, features, pipeline, som, synthgen, telemetry
 from ecoride.features import AUX_FEATURES, MAIN_FEATURES
 
 
@@ -360,6 +360,30 @@ class TestExitCodes:
         assert str(big_data / src.name) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_overflowing_fuel_fails_before_any_output(self, workspace, tmp_path,
+                                                      capsys, command):
+        # FUEL at 1e308 over samples 1024 to 1279: the sum of every window
+        # holding one of them overflows, so its mean fuel is inf.  classify
+        # reads no metric, but computes fuel to reject what the others reject.
+        _, data, models = workspace
+        src = sorted(data.glob("*.csv"))[0]
+        lines = src.read_text().splitlines()
+        col = lines[0].split(",").index("FUEL")
+        for i in range(1025, 1281):
+            fields = lines[i].split(",")
+            fields[col] = "1e308"
+            lines[i] = ",".join(fields)
+        big_data = tmp_path / "data"
+        big_data.mkdir()
+        (big_data / src.name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(analysis_argv(command, big_data, models, out)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "non-finite fuel in the window starting at sample 896" in err
+        assert str(big_data / src.name) in err
+        assert not out.exists()
+
     def test_over_long_cell_fails_naming_file_and_line(self, workspace, tmp_path):
         # a quoted 140,000-character note on line 21 of a 40-row drive is over
         # csv.reader's cell limit: exit 2 and one message, not a traceback
@@ -428,6 +452,30 @@ class TestIngestion:
         assert run(analysis_argv(command, data, models, tmp_path / "out")) == 0
         capsys.readouterr()
         assert len(built) == len(list(data.glob("*.csv")))
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_only_the_columns_a_command_reads_are_computed(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, command):
+        # the maps read the RMS of 5 signals; classify runs no comfort metric
+        # (its fuel is a plain window mean), and only correlate computes the
+        # variances and the RMS of VS and XACC
+        _, data, models = workspace
+        computed = set()
+
+        def spied(fn):
+            def wrapper(*args):
+                table = fn(*args)
+                computed.update(table)
+                return table
+            return wrapper
+        monkeypatch.setattr(features, "compute_features", spied(features.compute_features))
+        monkeypatch.setattr(comfort, "window_metrics", spied(comfort.window_metrics))
+        assert run(analysis_argv(command, data, models, tmp_path / "out")) == 0
+        capsys.readouterr()
+        maps = {f"{name} RMS" for name in ("SWA", "XACC_neg", "XACC_pos", "YACC", "ERPM")}
+        want = {"classify": maps, "correlate": set(pipeline.COLUMNS)}.get(
+            command, maps | {"msdv_x", "msdv_y", "vr", "n_x_pos", "n_x_neg", "n_y", "fuel"})
+        assert computed == want
 
 
 class TestSynth:

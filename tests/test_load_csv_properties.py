@@ -291,7 +291,7 @@ def strayed_files(draw):
     note = draw(st.booleans())
     lines = [",".join(HEADER + ["note"] * note)]
     lines += [",".join(row + [draw(st.sampled_from(NOTES))] * note) for row in rows]
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join(lines) + eol
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(text)))

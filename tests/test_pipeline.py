@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecoride import DataError, features, pipeline, synthgen, telemetry
+from ecoride import DataError, cli, features, pipeline, synthgen, telemetry
 from ecoride.features import MAIN_FEATURES
 
 from conftest import make_record
@@ -94,6 +94,19 @@ class TestAnalyzeFleet:
                 yield build(i)
         fleet = pipeline.analyze_fleet(records())
         np.testing.assert_array_equal(np.unique(fleet["driver"]), np.arange(4))
+
+    @pytest.mark.parametrize("command, columns", [
+        ("train", cli.PROFILE_COLUMNS), ("classify", cli.CLASSIFY_COLUMNS),
+        ("advise", cli.PROFILE_COLUMNS), ("report", cli.PROFILE_COLUMNS),
+        ("correlate", pipeline.COLUMNS)])
+    def test_a_command_gets_its_columns_of_the_full_table(self, small_corpus, fleet,
+                                                         command, columns):
+        got = pipeline.analyze_fleet(small_corpus, columns)
+        assert set(got) == {"driver", "window_start", *columns}
+        assert list(got) == [name for name in fleet if name in got]
+        for name, values in got.items():
+            assert values.dtype == fleet[name].dtype, name
+            assert values.tobytes() == fleet[name].tobytes(), name
 
 
 @pytest.fixture(scope="module")

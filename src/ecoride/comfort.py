@@ -76,6 +76,11 @@ def count_peaks(window_signal: np.ndarray, threshold: float = PEAK_THRESHOLD) ->
     return np.count_nonzero(above[..., 1:] & ~above[..., :-1], axis=-1) + above[..., 0]
 
 
+def window_fuel(record: DriveRecord, windows: np.ndarray) -> np.ndarray:
+    """Mean FUEL of each window: the ``fuel`` column of ``window_metrics``."""
+    return window_rows(record.channels["FUEL"], windows).mean(axis=1)
+
+
 def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.ndarray]:
     """Per-window comfort metrics and mean fuel consumption: one column per
     metric, one entry per window of ``telemetry.split_windows``.
@@ -100,5 +105,5 @@ def window_metrics(record: DriveRecord, windows: np.ndarray) -> dict[str, np.nda
         "n_x_pos": count_peaks(x_rows),
         "n_x_neg": count_peaks(-x_rows),
         "n_y": count_peaks(np.abs(window_rows(yacc, windows))),
-        "fuel": window_rows(record.channels["FUEL"], windows).mean(axis=1),
+        "fuel": window_fuel(record, windows),
     }

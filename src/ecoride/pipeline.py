@@ -30,8 +30,8 @@ def analyze_record(record: DriveRecord, columns=COLUMNS) -> dict[str, np.ndarray
     Only the named columns are computed: ``features.compute_features`` takes
     the selection, and ``comfort.window_metrics``, with its filter and peak
     counts, runs only where a metric other than ``fuel`` is named, and then
-    gives all of its columns.  ``fuel`` alone is the window mean of FUEL, as
-    ``window_metrics`` takes it.
+    gives all of its columns.  ``fuel`` alone is ``comfort.window_fuel``, the
+    function ``window_metrics`` takes it from.
 
     Raises DataError naming the record, the window and the field when a
     computed column comes out non-finite (say, a square that overflows), so
@@ -44,7 +44,7 @@ def analyze_record(record: DriveRecord, columns=COLUMNS) -> dict[str, np.ndarray
         if wanted & (set(comfort.METRICS) - {"fuel"}):
             table.update(comfort.window_metrics(record, starts))
         elif "fuel" in wanted:  # no filter or peak count for fuel alone
-            table["fuel"] = telemetry.window_rows(record.channels["FUEL"], starts).mean(axis=1)
+            table["fuel"] = comfort.window_fuel(record, starts)
     for name, values in table.items():
         bad = ~np.isfinite(values)
         if bad.any():

@@ -158,12 +158,9 @@ def _bulk_table(data: bytes, h: int, cols: list[int],
     on the bytes: columns ``cols``, then 0.0 for the header's last column if
     unread, and the file line of a row.  None where the file is to be read row
     by row: a byte of ``_NOT_BULK``, no comma after the header, a lone CR line
-    end within data that also holds LF (loadtxt takes a CR only before LF or
-    at the end), and any row that is not empty but blank, of other than the
-    header's ``width`` cells or with a read cell that does not parse.  Where
-    no LF follows the header, the lines end at CR alone, and loadtxt reads a
-    copy with each CR made LF; the comma count and the line numbers read
-    ``data`` itself."""
+    end within the data (loadtxt takes a CR only before LF or at the end), and
+    any row that is not empty but blank, of other than the header's ``width``
+    cells or with a read cell that does not parse."""
     if any(b in data for b in _NOT_BULK):
         return None
     start = sum(len(line.encode()) for line in islice(_lines(data), h))  # past the header
@@ -175,7 +172,7 @@ def _bulk_table(data: bytes, h: int, cols: list[int],
     # header, so a wider one shows in the count of commas.  An unread last
     # column is read as 0.0 whatever its text, so text there keeps this path.
     last = {} if width - 1 in cols else {width - 1: lambda cell: 0.0}
-    fh = io.BytesIO(data if data.find(b"\n", start) >= 0 else data.replace(b"\r", b"\n"))
+    fh = io.BytesIO(data)
     fh.seek(start)
     try:
         table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=[*cols, *last],

@@ -72,29 +72,6 @@ class TestLoadCsv:
         assert len(channels[0].values) == 600
         assert caplog.records == []
 
-    def test_cr_only_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
-        # loadtxt reads a copy with each CR made LF, while the lines counted for
-        # a message are the file's own; one CRLF among CRs keeps the row path
-        def fault(lines):
-            fields = lines[300].split(",")
-            fields[HEADER.index("XACC")] = "nan"
-            return [*lines[:300], ",".join(fields), *lines[301:]]
-        plain, cr, mixed, faulty = (tmp_path / f"{name}.csv"
-                                    for name in ("plain", "cr", "mixed", "faulty"))
-        _write_csv(plain)
-        _write_csv(faulty, mangle=fault)
-        cr.write_bytes(plain.read_bytes().replace(b"\n", b"\r"))
-        mixed.write_bytes(plain.read_bytes().replace(b"\n", b"\r").replace(b"\r", b"\r\n", 5))
-        faulty.write_bytes(faulty.read_bytes().replace(b"\n", b"\r"))
-        want = telemetry.load_csv(plain)
-        self._same_table(telemetry.load_csv(mixed), want)
-        monkeypatch.setattr(telemetry, "_parse_rows", _no_fallback)
-        self._same_table(telemetry.load_csv(cr), want)
-        with pytest.raises(DataError, match=r"^non-finite XACC value at line 301 in "):
-            telemetry.load_csv(faulty)
-        with pytest.raises(AssertionError, match="row-by-row parse used"):
-            telemetry.load_csv(mixed)
-
     def test_trailing_text_column_takes_the_bulk_path(self, tmp_path, monkeypatch):
         # an unread last column of words is read as 0.0, not parsed as numbers;
         # a fault planted in the last row is named at that row's line, 601

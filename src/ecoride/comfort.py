@@ -3,6 +3,8 @@
 Implements the motion-sickness band-pass weighting filter, the windowed motion
 sickness dose value (MSDV), the combined vomit rate, and threshold-based
 acceleration peak counting.
+
+scipy is imported at the first filter call: a command that never filters needs only numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import signal
 
 from .telemetry import SAMPLE_RATE_HZ, DriveRecord, window_rows
 
@@ -33,6 +34,8 @@ def design_filter() -> np.ndarray:
     the DC gain is exactly 0. Designed once per process; the array is
     read-only, as every caller shares it.
     """
+    from scipy import signal  # here, not at load, so classify and --help run without scipy
+
     lo, hi = FILTER_CORNERS
     hp = signal.butter(2, lo, btype="highpass", fs=SAMPLE_RATE_HZ, output="sos")
     lp = signal.butter(2, hi, btype="lowpass", fs=SAMPLE_RATE_HZ, output="sos")
@@ -43,6 +46,8 @@ def design_filter() -> np.ndarray:
 
 def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causal forward-only filtering; same length as the input."""
+    from scipy import signal  # here, not at load, so classify and --help run without scipy
+
     x = np.asarray(x, dtype=float)
     return signal.sosfilt(np.array(sos), x)  # sosfilt needs a writable sos
 

@@ -3,6 +3,8 @@
 Stands in for a real instrumented-car dataset: each record is produced from a
 StyleSpec whose aggressiveness knobs control the statistics that the pipeline
 is supposed to recover, so generated corpora double as test oracles.
+
+scipy is imported at the first ``generate`` call: importing this module needs only numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy import signal, special
 
 from . import DataError
 from .telemetry import BOUNDS, MAX_DURATION_S, SAMPLE_RATE_HZ, TIME_COLUMN, DriveRecord
@@ -77,6 +78,8 @@ def _band_sos(lo: float, hi: float) -> np.ndarray:
     """Second-order sections of the 2nd-order Butterworth band-pass
     ``lo``-``hi`` Hz, designed once per band; read-only, as every drive
     shares it."""
+    from scipy import signal  # here, not at load, so importing cli needs no scipy
+
     sos = signal.butter(2, [lo, hi], btype="bandpass", fs=SAMPLE_RATE_HZ, output="sos")
     sos.flags.writeable = False
     return sos
@@ -84,6 +87,8 @@ def _band_sos(lo: float, hi: float) -> np.ndarray:
 
 def _band_noise(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
     """Unit-RMS band-limited noise from filtered white noise."""
+    from scipy import signal  # here, not at load, so importing cli needs no scipy
+
     white = rng.standard_normal(n)
     y = signal.sosfilt(_band_sos(lo, hi).copy(), white)  # sosfilt needs a writable sos
     rms = np.sqrt(np.mean(y**2))
@@ -107,6 +112,8 @@ def _wander(g: np.ndarray) -> np.ndarray:
     ``stats.laplace.ppf(stats.norm.cdf(g)) / sqrt(2)``, written out as the
     expressions those calls evaluate behind their argument checks.  Where
     ``ndtr`` rounds to 0 or 1 the log gives -inf or inf, as the calls do."""
+    from scipy import special  # here, not at load, so importing cli needs no scipy
+
     q = special.ndtr(g)
     with np.errstate(divide="ignore"):  # log(0) in the branch np.where drops, or at q = 0, 1
         return np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q)) / np.sqrt(2.0)

@@ -81,6 +81,15 @@ DATA_COMMANDS = ("train", "classify", "advise", "report", "correlate")
 MODEL_COMMANDS = ("classify", "advise", "report")
 
 
+def checkout_env():
+    """This process's environment, with the ``ecoride`` under test first on
+    ``PYTHONPATH``, for a fresh Python process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ecoride.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 def analysis_argv(command, data, models, out):
     argv = [command, "--data", str(data), "--out", str(out)]
     if command in MODEL_COMMANDS:
@@ -396,12 +405,9 @@ class TestExitCodes:
         (long_data / src.name).write_text("".join(
             f"{line},{'notes' if i == 1 else note if i == 21 else 'ok'}\n"
             for i, line in enumerate(lines, 1)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ecoride.__file__).parents[1]),
-                                                          env.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-m", "ecoride.cli",
                                *analysis_argv("correlate", long_data, None, tmp_path / "c.csv")],
-                              capture_output=True, text=True, env=env, timeout=300)
+                              capture_output=True, text=True, env=checkout_env(), timeout=300)
         assert (done.returncode, done.stderr) == (cli.EXIT_DATA, (
             "ecoride: error: field larger than field limit (131072) "
             f"at line 21 in {long_data / src.name}\n"))
@@ -413,9 +419,8 @@ class TestExitCodes:
         # the exit status a shell shows for SIGPIPE, nothing on stderr, and the
         # output file of a normal run
         _, data, models = workspace
-        src = str(Path(ecoride.__file__).parents[1])
-        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = checkout_env()
+        env.pop("PYTHONUNBUFFERED", None)
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         out, want = tmp_path / "classes.csv", tmp_path / "want.csv"
@@ -815,6 +820,50 @@ class TestQuickStart:
                         for p in files)
         found += f"{hashlib.sha256(train.encode()).hexdigest()}  train.stdout\n"
         assert found == QUICKSTART_DIGESTS.read_text()
+
+
+def python_c(code, *args):
+    """``python -c code args`` in a fresh process (``checkout_env``): its exit
+    code, stdout and stderr."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=checkout_env(), timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+# cli.main in a process where any import of scipy fails
+WITHOUT_SCIPY = ("import sys; sys.modules['scipy'] = None; "
+                 "from ecoride import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+
+class TestWithoutScipy:
+    """Only filtering and generating import scipy: a command that does
+    neither, and every argument or path error, runs with numpy alone."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert python_c("import sys, ecoride.cli, ecoride.comfort, ecoride.synthgen; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+                        ) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("case, code", [
+        ("help", cli.EXIT_OK), ("usage", cli.EXIT_USAGE), ("no_models", cli.EXIT_DATA),
+        ("short_synth", cli.EXIT_DATA), ("classify", cli.EXIT_OK),
+    ])
+    def test_runs_as_in_process_without_scipy(self, workspace, tmp_path, capsys, monkeypatch,
+                                              case, code):
+        _, data, models = workspace
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+        out = tmp_path / "classes.csv"
+        argv = {"help": ["--help"],
+                "usage": ["classify", "--data", str(data)],
+                "no_models": analysis_argv("classify", data, tmp_path / "none", out),
+                "short_synth": ["synth", "--out", str(tmp_path), "--duration", "5"],
+                "classify": analysis_argv("classify", data, models, out)}[case]
+        got = python_c(WITHOUT_SCIPY, *argv)
+        written = out.read_bytes() if out.exists() else None
+        want = run(argv), *capsys.readouterr()
+        assert got == want
+        assert want[0] == code
+        assert written == (out.read_bytes() if case == "classify" else None)
 
 
 OUTPUT_FILES = ("classes.csv", "advice_events.txt", "intersection.csv",

@@ -206,31 +206,131 @@ def style_grid(base_seed: int = 0, duration: float = 60.0) -> list[tuple[str, St
     return out
 
 
-# Rows per formatted string. 32 keeps the benchmark's peak RSS flat; on its
-# urban_mix workload 128-row blocks raised it by 1-2 MB and 1,024-row blocks by
-# about 8 MB, for no measurable gain in time.
-WRITE_BLOCK = 32
+# Rows per block.  1,024 wrote the nine seed-42 600 s records fastest
+# in-process (medians 186 ms at 512 rows, 171 at 1,024, 249 at 2,048).  A
+# call's numpy arrays peak at about 2 MB (tracemalloc); the benchmark's
+# urban_mix peak_rss_mb read 120.4 MB with 32-row blocks formatted by bytes
+# `%` and 120.7 MB with these (medians of 10 runs each).
+WRITE_BLOCK = 1024
+
+# The format of a row that holds a cell the numpy path cannot prove.
+_ROW_FORMAT = b",".join([b"%.6f"] + [b"%.8g"] * len(CHANNELS)) + b"\r\n"
+# The numpy path lays each cell out in 24 bytes at fixed offsets: the sign,
+# 8 integer digits (right-aligned), ".", 11 fraction digits and a spare byte,
+# then the separator ("," or CRLF).  The bytes it leaves 0 are dropped.
+_CELL_BYTES = 24
+_POW10 = np.array([10.0**j for j in range(12)])  # every one exact
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables over the 4-digit groups 0-9999: the group's ASCII digits with
+    leading zeros, the first in the lowest byte of a uint64; for fraction
+    group j (0-2), the fraction's length up to its last non-zero digit when
+    that digit is in the group, else 0; a group's length without leading
+    zeros ("0" has one digit)."""
+    g = np.arange(10_000)
+    digits = np.array([g // 1000, g // 100 % 10, g // 10 % 10, g % 10])
+    ascii4 = np.bitwise_or.reduce([(d + ord("0")).astype(np.uint64) << np.uint64(8 * j)
+                                   for j, d in enumerate(digits)])
+    sig = np.max(np.arange(1, 5)[:, None] * (digits > 0), axis=0)
+    frac_len = np.array([np.where(sig > 0, 4 * j + sig, 0) for j in range(3)])
+    return ascii4, frac_len, 1 + (g >= 10) + (g >= 100) + (g >= 1000)
+
+
+_ASCII4, _FRAC_LEN, _INT_LEN = _digit_tables()
+# Byte masks by digit count: the last n of the 8 integer slots; the first f of
+# the 11 fraction slots, as a uint64 and a uint32.
+_INT_KEEP = np.array([(2**(8 * n) - 1) << 8 * (8 - n) for n in range(9)], dtype=np.uint64)
+_FRAC_KEEP8 = np.array([2**(8 * min(f, 8)) - 1 for f in range(12)], dtype=np.uint64)
+_FRAC_KEEP4 = np.array([2**(8 * max(f - 8, 0)) - 1 for f in range(12)], dtype=np.uint32)
+
+
+def _format_cells(block: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write into ``cells`` (``block.shape`` by ``_CELL_BYTES``, separators in
+    place) the text of each cell of ``block`` (the time, then the channels)
+    whose digits one IEEE multiply proves, and return where it did.
+
+    A value v is written from ``M = rint(s)``, ``s = |v| * 10**k`` with an
+    exact ``10**k``: ``k = 6`` for the time's ``%.6f``; ``k = 7 - X`` for
+    ``%.8g``, where ``np.log10`` proposes the decimal exponent X, clipped to
+    the fixed forms -4..7.  The product is correctly rounded and every
+    half-integer below 2**52 is a double, so s lies on the same side of each
+    half-integer as the exact ``|v| * 10**k``: where s is no half-integer, M
+    is the exact product rounded to an integer, the digits ``%`` writes.
+    ``%.8g`` also needs ``10**7 <= s`` and ``M < 10**8``: M has eight digits,
+    so the exponent ``%`` writes is X.  Zero is "0" or "-0".  Nothing else is
+    proven: an exponent form, NaN, inf, a tie (s a half-integer), a time of
+    10**4 s or more.
+    """
+    a = np.abs(block)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10 of 0, NaN and inf
+        k = np.fmin(np.fmax(7.0 - np.floor(np.log10(a)), 0.0), 11.0)  # fmax, fmin drop NaN
+        k[:, 0] = 6.0
+        k = k.astype(np.intp)
+        p = _POW10[k]
+        s = a * p
+        m = np.rint(s)
+        no_tie = np.abs(s - m) < 0.5  # s is no half-integer
+        ok = no_tie & (((s >= 1e7) & (m < 1e8)) | (a == 0.0))
+        ok[:, 0] = no_tie[:, 0] & (m[:, 0] < 1e10)
+    m[~ok] = 0.0
+    # M / 10**k as 8 integer and 11 fraction digits, in 4-digit groups.  An
+    # integer below 2**53 over a power of ten is an integer or at least 10**-11
+    # from one, far beyond the division's error, so each floor is exact.
+    i = np.floor(m / p)
+    f = (m - i * p) * _POW10[11 - k]
+    i_hi = np.floor(i / 1e4)
+    i_lo = (i - i_hi * 1e4).astype(np.intp)
+    f1 = np.floor(f / 1e7)
+    f -= f1 * 1e7
+    f2 = np.floor(f / 1e3)
+    f3 = ((f - f2 * 1e3) * 10.0).astype(np.intp)  # 3 digits and a 0
+    f1, f2 = f1.astype(np.intp), f2.astype(np.intp)
+    n_int = np.maximum(8 - k, 1)
+    n_int[:, 0] = _INT_LEN[i_lo[:, 0]]  # the time is below 10**4 s
+    n_frac = np.maximum(np.maximum(_FRAC_LEN[0, f1], _FRAC_LEN[1, f2]), _FRAC_LEN[2, f3])
+    n_frac[:, 0] = 6
+    cells[..., 0] = np.signbit(block) * np.uint8(ord("-"))
+    cells[..., 1:9].view("<u8")[..., 0] = (
+        (_ASCII4[i_hi.astype(np.intp)] | _ASCII4[i_lo] << np.uint64(32)) & _INT_KEEP[n_int])
+    cells[..., 9] = (n_frac > 0) * np.uint8(ord("."))
+    cells[..., 10:18].view("<u8")[..., 0] = (
+        (_ASCII4[f1] | _ASCII4[f2] << np.uint64(32)) & _FRAC_KEEP8[n_frac])
+    cells[..., 18:22].view("<u4")[..., 0] = _ASCII4[f3].astype(np.uint32) & _FRAC_KEEP4[n_frac]
+    return ok
 
 
 def write_csv(record: DriveRecord, path) -> None:
     """Write a record's ``CHANNELS`` in a CSV the loader reads: the time at
     ``%.6f``, every channel at ``%.8g``, CRLF line ends.
 
-    The file is opened binary and rows go out ``WRITE_BLOCK`` at a time: a
-    block is gathered into one row-major buffer and formatted by a single
-    bytes ``%`` with the row format repeated once per row.  Bytes ``%`` makes
-    the same printf conversions of the same doubles as str ``%`` and
-    ``np.savetxt``, so every cell is the same text.
+    The file is opened binary and rows go out ``WRITE_BLOCK`` at a time,
+    gathered into one row-major block.  numpy writes every cell whose digits
+    one multiply by a power of ten proves (``_format_cells``): a time below
+    10**4 s or a channel in ``%.8g``'s fixed form (1e-4 up to 1e8) or zero,
+    where the scaled product is no rounding tie.  A row
+    holding any other cell is written whole by one bytes ``%`` with the row
+    format, the same printf conversions of the same doubles as str ``%`` and
+    ``np.savetxt``.  So every cell is the text ``%`` makes.
     """
     n = record.n_total
     columns = [record.t_start + np.arange(n) / SAMPLE_RATE_HZ,
                *(record.channels[name] for name in CHANNELS)]
-    row = b",".join([b"%.6f"] + [b"%.8g"] * len(CHANNELS)) + b"\r\n"
     block = np.empty((WRITE_BLOCK, len(columns)))
+    cells = np.zeros((WRITE_BLOCK, len(columns), _CELL_BYTES), np.uint8)
+    cells[:, :-1, -2] = ord(",")
+    cells[:, -1, -2:] = list(b"\r\n")
     with open(path, "wb") as fh:
         fh.write(",".join([TIME_COLUMN, *CHANNELS]).encode() + b"\r\n")
         for lo in range(0, n, WRITE_BLOCK):
             m = min(WRITE_BLOCK, n - lo)
             for j, column in enumerate(columns):
                 block[:m, j] = column[lo:lo + m]
-            fh.write(row * m % tuple(block[:m].ravel().tolist()))
+            proven = _format_cells(block[:m], cells[:m]).all(axis=1)
+            start = 0
+            for r in [*np.flatnonzero(~proven).tolist(), m]:  # each unproven row, then the end
+                if start < r:
+                    fh.write(cells[start:r].tobytes().translate(None, b"\0"))
+                if r < m:
+                    fh.write(_ROW_FORMAT % tuple(block[r].tolist()))
+                start = r + 1

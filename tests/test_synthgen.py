@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import math
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -279,19 +281,24 @@ def reference_write_csv(record, path):
                              *[f"{record.channels[name][i]:.8g}" for name in names]])
 
 
-# Magnitudes from 1e-9 to 1e6 and, by a decimal exponent, from 1e-300 to
-# 1e300, of either sign; subnormals; signed zeros; integer values.  %.8g
-# writes them in every form it has: "0.00012345", "1e-05", "1.2345678e+20",
+# Magnitudes from 1e-9 to 1e6, from 1e-4 to 1e8 (%.8g's fixed form, which
+# the numpy path writes) and, by a decimal exponent, from 1e-300 to 1e300, of
+# either sign; subnormals; signed zeros; integer values.  %.8g writes them in
+# every form it has: "0.00012345", "1e-05", "1.2345678e+20",
 # "4.9406565e-324".  Past record_of's clip the wide ones survive in the
 # unbounded channels and large FUEL.
 SAMPLE_VALUES = st.one_of(
     st.builds(lambda m, neg: -m if neg else m,
               st.floats(1e-9, 1e6)
+              | st.floats(1e-4, 1e8)
               | st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
               | st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324),  # subnormals, exactly
               st.booleans()),
     st.sampled_from([0.0, -0.0]),
     st.integers(-10**6, 10**6).map(float))
+# Start times: below 4,000 s every time cell can take the numpy path, past
+# 10**4 s none does.
+T_STARTS = st.floats(0.0, 4000.0) | st.floats(0.0, 1e5)
 
 
 def record_of(channels_of, n, t_start):
@@ -307,7 +314,7 @@ def short_records(draw):
     n = draw(st.integers(2, 24))
     return record_of(lambda name: np.array(draw(st.lists(SAMPLE_VALUES, min_size=n,
                                                          max_size=n))),
-                     n, draw(st.floats(0.0, 1e5)))
+                     n, draw(T_STARTS))
 
 
 @st.composite
@@ -317,7 +324,7 @@ def multi_block_records(draw):
     n = draw(st.integers(synthgen.WRITE_BLOCK, 5 * synthgen.WRITE_BLOCK))
     pool = draw(st.lists(SAMPLE_VALUES, min_size=1, max_size=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return record_of(lambda name: rng.choice(pool, n), n, draw(st.floats(0.0, 1e5)))
+    return record_of(lambda name: rng.choice(pool, n), n, draw(T_STARTS))
 
 
 @settings(max_examples=150, deadline=None,
@@ -334,3 +341,109 @@ def test_write_csv_matches_reference_and_round_trips(tmp_path, record, block):
     for ch in telemetry.load_csv(path):
         assert ch.timestamps.tolist() == [float(f"{t:.6f}") for t in times]
         assert ch.values.tolist() == [float(f"{v:.8g}") for v in record.channels[ch.name]]
+
+
+class CountingRowFormat(bytes):
+    """``synthgen._ROW_FORMAT`` that counts the rows ``%`` formats."""
+
+    rows = 0
+
+    def __mod__(self, values):
+        self.rows += 1
+        return bytes(self) % values
+
+
+def test_blocks_of_unproven_mixed_and_proven_rows(tmp_path):
+    """With 4-row blocks: rows 0-3 each hold a cell the numpy path leaves to
+    ``%``, rows 4-7 mix both kinds, rows 8-11 are all numpy's, and rows 12-13
+    make a ragged mixed block."""
+    n = 14
+    rng = np.random.default_rng(7)
+    channels = {name: rng.uniform(-90.0, 90.0, n) for name in synthgen.CHANNELS}
+    # an exponent form each side of the fixed range, a tie (s = 12345678.5),
+    # NaN and inf
+    tie = float(Fraction(2 * 12345678 + 1, 2) * Fraction(10) ** -8)
+    for row, value in zip((0, 1, 2, 3, 5, 6, 13), (1e-7, 2e8, tie, np.nan, -np.inf, 1e-5,
+                                                    -3e9)):
+        channels[synthgen.CHANNELS[row % len(synthgen.CHANNELS)]][row] = value
+    record = telemetry.DriveRecord(driver_id="rt", channels=channels, t_start=12.5)
+    path, ref = tmp_path / "rt.csv", tmp_path / "ref.csv"
+    fmt = CountingRowFormat(synthgen._ROW_FORMAT)
+    with mock.patch.object(synthgen, "WRITE_BLOCK", 4), \
+         mock.patch.object(synthgen, "_ROW_FORMAT", fmt):
+        synthgen.write_csv(record, path)
+    reference_write_csv(record, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    assert fmt.rows == 7
+
+
+def test_numpy_path_writes_nearly_every_synth_row(tmp_path):
+    """Of the 17,280 rows of ``synth --seed 42 --duration 60``, 8 hold an
+    exponent form (a channel below 1e-4 in magnitude); at most 0.5% may be
+    left to ``%``."""
+    fmt = CountingRowFormat(synthgen._ROW_FORMAT)
+    rows = 0
+    with mock.patch.object(synthgen, "_ROW_FORMAT", fmt):
+        for label, spec in synthgen.style_grid(42, 60.0):
+            record = synthgen.generate(spec, label)
+            synthgen.write_csv(record, tmp_path / f"{label}.csv")
+            rows += record.n_total
+    assert rows == 17_280
+    assert fmt.rows <= 0.005 * rows
+
+
+def numpy_cells(values, column):
+    """The text the numpy path gives each of ``values`` in ``column`` (0 is
+    the time, 1-10 the channels), or None where it leaves the cell to ``%``."""
+    block = np.zeros((len(values), 1 + len(synthgen.CHANNELS)))
+    block[:, column] = values
+    cells = np.zeros(block.shape + (synthgen._CELL_BYTES,), np.uint8)
+    proven = synthgen._format_cells(block, cells)[:, column]
+    return [cells[i, column].tobytes().replace(b"\0", b"") if ok else None
+            for i, ok in enumerate(proven)]
+
+
+def with_neighbours(values, ulps=3):
+    """Each value and the ``ulps`` doubles each side of it."""
+    out = []
+    for x in values:
+        lo = hi = x
+        out.append(x)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return out
+
+
+def test_numpy_cells_match_percent_at_the_proof_boundaries():
+    rng = np.random.default_rng(37)
+    ten = Fraction(10)
+    # halfway points of random 8-digit M at exponents inside and around the
+    # fixed range, powers of ten, and the %g switch points (99999999.5 carries
+    # to 1e+08)
+    halves = [float((2 * int(m) + 1) * ten ** (x - 7) / 2)
+              for x in range(-6, 10) for m in rng.integers(10**7, 10**8, 25)]
+    powers = [float(ten**x) for x in range(-6, 10)]
+    channel = with_neighbours(halves + powers + [9.99999995e-05, 99999999.5])
+    channel += [-v for v in channel]
+    # %.6f: halfway points of microseconds up to past 10**4 s
+    micro = [int(k) for k in rng.integers(0, 2 * 10**10, 300)] + [10**10 - 1, 10**10]
+    time = with_neighbours([float(Fraction(2 * k + 1, 2 * 10**6)) for k in micro], ulps=1)
+    for column, fmt, values in ((0, b"%.6f", time), (3, b"%.8g", channel)):
+        wrong = [(x, got, fmt % x) for x, got in zip(values, numpy_cells(values, column))
+                 if got is not None and got != fmt % x]
+        assert not wrong, wrong[:5]
+
+    # what the proof must take: exact 8-digit values across the fixed range
+    # and integer powers of ten (M = 10**7, such as PGP = 100), zeros
+    exact = [float(int(m) * ten ** (x - 7)) for x in range(-4, 8)
+             for m in rng.integers(10**7, 10**8, 25)]
+    taken = exact + [10.0**x for x in range(8)] + [-100.0, 0.0, -0.0]
+    assert [c == b"%.8g" % x for c, x in zip(numpy_cells(taken, 3), taken)] == [True] * len(taken)
+    times = [0.0, -0.0, 1e-9, -1e-9, 0.03125, 600.0, 4294.0, 9999.999999]
+    assert numpy_cells(times, 0) == [b"%.6f" % t for t in times]
+    # and what it must leave to %: past the fixed range, NaN and inf
+    left = [1e-5, 9.9999e-05, 1e8, 1.5e8, 99999999.5, 1e300, 5e-324, math.nan, math.inf, -math.inf]
+    assert numpy_cells(left, 3) == [None] * len(left)
+    late = [1e4, 1e5, math.nan, math.inf, -math.inf]
+    assert numpy_cells(late, 0) == [None] * len(late)

@@ -29,13 +29,8 @@ DATA_ERRORS = (DataError, OSError)
 # The window columns each analysis command has ``pipeline.analyze_record``
 # compute: those it reads.  Every command reads the maps' RMS features;
 # train, advise and report also the metrics their profiles, advice and
-# summaries average, and correlate every column.  classify reads no metric
-# but keeps fuel: with XACC, YACC, VS and ERPM bounded at load, and a
-# variance overflowing only where its RMS does, fuel is the one other column
-# a checked file can make non-finite, so classify rejects every record the
-# other commands reject.
+# summaries average, and correlate every column.
 MAP_COLUMNS = tuple(dict.fromkeys(f"{name} RMS" for _, names, *_ in MAPS for name in names))
-CLASSIFY_COLUMNS = (*MAP_COLUMNS, "fuel")
 PROFILE_COLUMNS = (*MAP_COLUMNS, *comfort.METRICS)
 
 
@@ -129,7 +124,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, driver_ids, fleet = _classify(args, CLASSIFY_COLUMNS)
+    _, driver_ids, fleet = _classify(args, MAP_COLUMNS)
     save_csv(args.out, ["driver_id", "window_start", "comfort", "fuel"],
              ([driver_ids[driver], start, LABELS[comfort], LABELS[fuel]]
               for driver, start, comfort, fuel in zip(fleet["driver"], fleet["window_start"],

@@ -17,7 +17,7 @@ from .telemetry import DriveRecord
 GRID_SHAPE = (15, 15)
 TRAIN_SPLIT = 0.75
 
-# Every window column of ``analyze_record``, in the order it checks them.
+# Every window column of ``analyze_record``, in its order.
 COLUMNS = (*features.FEATURE_COLUMNS, *comfort.METRICS)
 
 
@@ -29,31 +29,15 @@ def analyze_record(record: DriveRecord, columns=COLUMNS) -> dict[str, np.ndarray
 
     Only the named columns are computed: ``features.compute_features`` takes
     the selection, and ``comfort.window_metrics``, with its filter and peak
-    counts, runs only where a metric other than ``fuel`` is named, and then
-    gives all of its columns.  ``fuel`` alone is ``comfort.window_fuel``, the
-    function ``window_metrics`` takes it from.
-
-    Raises DataError naming the record, the window and the field when a
-    computed column comes out non-finite (say, a square that overflows), so
-    that no such window reaches a map or an output file.
+    counts, runs only where a metric is named, and then gives all of its
+    columns.  On channels within ``telemetry.BOUNDS``, as ``load_csv`` and
+    ``resample`` give them, every column is finite.
     """
     wanted = set(columns)
     starts = telemetry.filter_by_mean_speed(record, telemetry.split_windows(record))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        table = features.compute_features(record, starts, wanted)
-        if wanted & (set(comfort.METRICS) - {"fuel"}):
-            table.update(comfort.window_metrics(record, starts))
-        elif "fuel" in wanted:  # no filter or peak count for fuel alone
-            table["fuel"] = comfort.window_fuel(record, starts)
-    for name, values in table.items():
-        bad = ~np.isfinite(values)
-        if bad.any():
-            start = int(starts[np.argmax(bad)])
-            where = f" in {record.source}" if record.source else ""
-            raise DataError(
-                f"non-finite {name} in the window starting at sample {start} "
-                f"(t = {record.t_start + start / telemetry.SAMPLE_RATE_HZ:.3f} s) "
-                f"of record {record.driver_id}{where}")
+    table = features.compute_features(record, starts, wanted)
+    if wanted & set(comfort.METRICS):
+        table.update(comfort.window_metrics(record, starts))
     return {"window_start": starts, **table}
 
 

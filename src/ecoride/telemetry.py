@@ -53,10 +53,15 @@ MIN_RATE_HZ = 16.0
 GRID_TOLERANCE_S = 1e-6
 
 
-# Plausibility bounds of the raw samples (inclusive); other channels are unbounded.
-BOUNDS = {"VS": (0.0, 400.0), "ERPM": (0.0, 20000.0), "XACC": (-50.0, 50.0),
-          "YACC": (-50.0, 50.0), "FUEL": (0.0, np.inf)}
-_LOW, _HIGH = np.array([BOUNDS.get(c, (-np.inf, np.inf)) for c in (TIME_COLUMN, *CHANNELS)]).T
+# Bounds of the raw samples of every channel (inclusive), past any real
+# logger's values.  SWA's is ten turns of the wheel.  FUEL in l/100 km grows
+# without limit near standstill, so its upper bound is no plausibility bound
+# but a guard that keeps window sums finite.  With every channel bounded, so
+# is every window column (README, "Window figures are finite by construction").
+BOUNDS = {"SWA": (-3600.0, 3600.0), "VS": (0.0, 400.0), "ERPM": (0.0, 20000.0),
+          "XACC": (-50.0, 50.0), "YACC": (-50.0, 50.0), "FUEL": (0.0, 1e6)}
+# the time column's, then the channels'
+_LOW, _HIGH = np.array([(-np.inf, np.inf), *(BOUNDS[c] for c in CHANNELS)]).T
 
 # Bytes that np.loadtxt reads otherwise than csv.reader and float(): the
 # quote, and the ASCII separators, which loadtxt strips from a cell.

@@ -249,6 +249,9 @@ class TestExitCodes:
           for name in (telemetry.TIME_COLUMN, *telemetry.CHANNELS)),
         *((name, f"{lo - 1:g}", f"{name} value {lo - 1:g} outside [{lo:g}, {hi:g}]")
           for name, (lo, hi) in telemetry.BOUNDS.items()),
+        # twice the bound, not hi + 1: FUEL's 1000001 is "1e+06" at %g, the bound itself
+        *((name, f"{2 * hi:g}", f"{name} value {2 * hi:g} outside [{lo:g}, {hi:g}]")
+          for name, (lo, hi) in telemetry.BOUNDS.items()),
     ])
     def test_read_fault_among_unread_garbage_fails(self, workspace, tmp_path, capsys,
                                                    column, cell, message):
@@ -351,8 +354,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_overflowing_window_fails_before_any_output(self, workspace, tmp_path,
                                                         capsys, command):
-        # a finite cell whose square overflows: every window holding it would
-        # get an infinite SWA RMS (an unbounded channel; XACC is bounded at load)
+        # a finite cell whose square overflows, in every window holding it,
+        # is past SWA's bound: the file fails at load, before any window
         _, data, models = workspace
         src = sorted(data.glob("*.csv"))[0]
         lines = src.read_text().splitlines()
@@ -365,16 +368,16 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(analysis_argv(command, big_data, models, out)) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert "non-finite SWA RMS in the window starting at sample 768" in err
-        assert str(big_data / src.name) in err
+        assert (f"SWA value 1e+200 outside [-3600, 3600] at line 1001 in {big_data / src.name}"
+                in err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", DATA_COMMANDS)
     def test_overflowing_fuel_fails_before_any_output(self, workspace, tmp_path,
                                                       capsys, command):
-        # FUEL at 1e308 over samples 1024 to 1279: the sum of every window
-        # holding one of them overflows, so its mean fuel is inf.  classify
-        # reads no metric, but computes fuel to reject what the others reject.
+        # FUEL at 1e308 over samples 1024 to 1279, whose window sums would
+        # overflow, is past FUEL's bound: the file fails at load, also for
+        # classify, which reads no fuel
         _, data, models = workspace
         src = sorted(data.glob("*.csv"))[0]
         lines = src.read_text().splitlines()
@@ -389,8 +392,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(analysis_argv(command, big_data, models, out)) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert "non-finite fuel in the window starting at sample 896" in err
-        assert str(big_data / src.name) in err
+        assert (f"FUEL value 1e+308 outside [0, 1e+06] at line 1026 in {big_data / src.name}"
+                in err)
         assert not out.exists()
 
     def test_over_long_cell_fails_naming_file_and_line(self, workspace, tmp_path):

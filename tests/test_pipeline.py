@@ -96,7 +96,7 @@ class TestAnalyzeFleet:
         np.testing.assert_array_equal(np.unique(fleet["driver"]), np.arange(4))
 
     @pytest.mark.parametrize("command, columns", [
-        ("train", cli.PROFILE_COLUMNS), ("classify", cli.CLASSIFY_COLUMNS),
+        ("train", cli.PROFILE_COLUMNS), ("classify", cli.MAP_COLUMNS),
         ("advise", cli.PROFILE_COLUMNS), ("report", cli.PROFILE_COLUMNS),
         ("correlate", pipeline.COLUMNS)])
     def test_a_command_gets_its_columns_of_the_full_table(self, small_corpus, fleet,

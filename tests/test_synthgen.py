@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal, stats
 
@@ -285,8 +285,9 @@ def reference_write_csv(record, path):
 # the numpy path writes) and, by a decimal exponent, from 1e-300 to 1e300, of
 # either sign; subnormals; signed zeros; integer values.  %.8g writes them in
 # every form it has: "0.00012345", "1e-05", "1.2345678e+20",
-# "4.9406565e-324".  Past record_of's clip the wide ones survive in the
-# unbounded channels and large FUEL.
+# "4.9406565e-324".  Past record_of's clip, cells of 1e8 and more survive
+# only in the channels without bounds, PGP, GP, BP and ZACC; small exponent
+# forms in every channel.
 SAMPLE_VALUES = st.one_of(
     st.builds(lambda m, neg: -m if neg else m,
               st.floats(1e-9, 1e6)
@@ -319,18 +320,35 @@ def short_records(draw):
 
 @st.composite
 def multi_block_records(draw):
-    """Records of one to five blocks at the default ``WRITE_BLOCK``, ragged or
-    whole; the cells are drawn from a small pool of sample values."""
-    n = draw(st.integers(synthgen.WRITE_BLOCK, 5 * synthgen.WRITE_BLOCK))
+    """(record, block): a record of one to five blocks of a small
+    ``WRITE_BLOCK``, ragged or whole; the cells are drawn from a small pool of
+    sample values, so that a block's rows are all left to ``%``, all numpy's
+    or mixed."""
+    block = draw(st.integers(1, 30))
+    n = draw(st.integers(max(block, 2), 5 * block))  # load_csv takes 2 rows or more
     pool = draw(st.lists(SAMPLE_VALUES, min_size=1, max_size=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return record_of(lambda name: rng.choice(pool, n), n, draw(T_STARTS))
+    return record_of(lambda name: rng.choice(pool, n), n, draw(T_STARTS)), block
+
+
+def boundary_record():
+    """``2 * WRITE_BLOCK + 1`` rows for the default block: a first block of
+    cells the numpy path writes, a second in which every other row holds an
+    exponent form (PGP 1e-7) and a last block of one such row (GP 3e9)."""
+    n = 2 * synthgen.WRITE_BLOCK + 1
+    rng = np.random.default_rng(3)
+    channels = {name: rng.uniform(-90.0, 90.0, n) for name in synthgen.CHANNELS}
+    channels["PGP"][synthgen.WRITE_BLOCK:-1:2] = 1e-7
+    channels["GP"][-1] = 3e9
+    return record_of(channels.__getitem__, n, 12.5)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(record=short_records() | multi_block_records(), block=st.none() | st.integers(1, 30))
-def test_write_csv_matches_reference_and_round_trips(tmp_path, record, block):
+@given(case=st.tuples(short_records(), st.none() | st.integers(1, 30)) | multi_block_records())
+@example(case=(boundary_record(), None))
+def test_write_csv_matches_reference_and_round_trips(tmp_path, case):
+    record, block = case
     path, ref = tmp_path / "rt.csv", tmp_path / "ref.csv"
     # small blocks make short records span blocks; None keeps the default
     with mock.patch.object(synthgen, "WRITE_BLOCK", block or synthgen.WRITE_BLOCK):

@@ -2,10 +2,13 @@
 speed filter's mean, the 7 comfort/fuel metrics and the 14 features, each
 taken from a slice of the record one window at a time, bit for bit and dtype
 for dtype; on records whose speed wanders across the filter threshold, and on
-records of extreme values."""
+records of extreme values.  And the bound that makes every window column
+finite: channels within ``telemetry.BOUNDS`` stay there through ``resample``
+and give finite columns, with no ``np.errstate`` (pytest turns a numpy
+overflow warning into an error)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecoride import comfort, features, pipeline, telemetry
@@ -159,6 +162,70 @@ def test_extreme_records_match_a_per_window_loop(record):
                                 loop_metrics(record, windows))
             assert_same_columns(features.compute_features(record, windows),
                                 loop_features(record, windows))
+
+
+@st.composite
+def bounded_channels(draw, n):
+    """``n`` samples of each ``telemetry.BOUNDS`` channel at or near its
+    bounds: runs of 1 to ``n`` samples at alternate bounds (a run of 64 to 200
+    is a square wave in the comfort filter's passband) or each sample at a
+    random bound, maybe pulled in by up to 10%."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = {}
+    for name, (lo, hi) in telemetry.BOUNDS.items():
+        run = draw(st.sampled_from([1, 2, 7, 64, 128, 200, n]))
+        high = (np.arange(n) // run % 2 == 1) if draw(st.booleans()) else rng.random(n) < 0.5
+        if draw(st.booleans()):
+            high = ~high
+        values = np.where(high, hi, lo)
+        channels[name] = values * rng.uniform(0.9, 1.0, n) if draw(st.booleans()) else values
+    return channels
+
+
+@st.composite
+def records_at_the_bounds(draw):
+    n = draw(st.integers(1, 1400))
+    return telemetry.DriveRecord(driver_id="b", channels=draw(bounded_channels(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records_at_the_bounds())
+def test_every_window_column_is_finite_at_the_bounds(record):
+    table = pipeline.analyze_record(record)
+    assert list(table) == ["window_start", *pipeline.COLUMNS]
+    for name in pipeline.COLUMNS:
+        assert np.isfinite(table[name]).all(), name
+
+
+@st.composite
+def logs_within_the_bounds(draw):
+    """The channels of a file logged at 16 to 200 Hz (above 33.6 Hz resample
+    averages before it interpolates), of ``bounded_channels``."""
+    n = draw(st.integers(2, 1400))
+    t = draw(st.floats(-10.0, 1e4)) + np.arange(n) / draw(st.floats(16.0, 200.0))
+    return [telemetry.RawChannel(name, t, values)
+            for name, values in draw(bounded_channels(n)).items()]
+
+
+# np.interp at a grid time a few ulps below a sample time near t = 0, between
+# the two bounds: the slope times the step rounds past the range, and SWA
+# comes out 3600.000000000001 at t = 0
+STEP_PAST_THE_BOUND = [
+    telemetry.RawChannel(name, np.array([-1 / 32, -0.022760182590370444, 1e-300, 0.05, 0.1]),
+                         np.array([lo, lo, hi, hi, hi]))
+    for name, (lo, hi) in telemetry.BOUNDS.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(logs_within_the_bounds())
+@example(STEP_PAST_THE_BOUND)
+def test_resample_keeps_channels_within_their_bounds(channels):
+    # to a few roundings: interpolation can step one rounding past a bound
+    record = telemetry.resample(channels)
+    for name, (lo, hi) in telemetry.BOUNDS.items():
+        slack = 4 * np.finfo(float).eps * (hi - lo)
+        values = record.channels[name]
+        assert ((lo - slack <= values) & (values <= hi + slack)).all(), name
 
 
 def test_count_columns_are_int():

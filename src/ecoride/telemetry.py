@@ -229,7 +229,10 @@ def _check(columns: np.ndarray, line_of: Callable[[int], int], path) -> None:
         row, col = divmod(int(np.argmax(bad.T)), len(columns))
         value = columns[col, row]
         what = "timestamp" if col == 0 else f"{list(CHANNELS)[col - 1]} value"
-        what = (f"{what} {value:g} outside [{_LOW[col]:g}, {_HIGH[col]:g}]"
+        text, lo, hi = (f"{v:g}" for v in (value, _LOW[col], _HIGH[col]))
+        if text in (lo, hi):  # a value that reads as its bound at %g is given in full
+            text = repr(float(value))
+        what = (f"{what} {text} outside [{lo}, {hi}]"
                 if np.isfinite(value) else f"non-finite {what}")
         raise DataError(f"{what} at line {line_of(row)} in {path}")
     t = columns[0]

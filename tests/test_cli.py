@@ -7,6 +7,7 @@ import importlib
 import inspect
 import io
 import json
+import logging
 import os
 import pkgutil
 import re
@@ -36,6 +37,39 @@ def run(argv):
     return cli.main(argv)
 
 
+def ecoride_command():
+    """The command that starts ``ecoride`` in a fresh process: the executable
+    ``ECORIDE_EXE`` names, such as the installed console script, if set, else
+    ``python -m ecoride.cli``."""
+    exe = os.environ.get("ECORIDE_EXE")
+    if exe is not None and not (os.path.isfile(exe) and os.access(exe, os.X_OK)):
+        raise RuntimeError(f"ECORIDE_EXE={exe} is not an executable file")
+    return [sys.executable, "-m", "ecoride.cli"] if exe is None else [exe]
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of ``ecoride argv``: ``cli.main`` in this
+    process, or with ``ECORIDE_EXE`` set, that executable in the current
+    directory.  The ``console`` tests run through it, and compare exit codes
+    with the documented numbers, not with ``cli``'s constants, which a wrong
+    constant would move with them."""
+    if "ECORIDE_EXE" in os.environ:
+        done = subprocess.run([*ecoride_command(), *argv], capture_output=True, text=True,
+                              timeout=300)
+        return done.returncode, done.stdout, done.stderr
+    out, err = io.StringIO(), io.StringIO()
+    # a fresh process has no log handler: logging's last resort prints warnings bare
+    handler = logging.StreamHandler(err)
+    handler.setLevel(logging.WARNING)
+    logging.getLogger().addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        logging.getLogger().removeHandler(handler)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="session")
 def workspace(tmp_path_factory):
     """Synthesized corpus + trained models shared by the CLI tests."""
@@ -48,6 +82,18 @@ def workspace(tmp_path_factory):
     assert run(["train", "--data", str(data), "--out", str(models),
                 "--seed", "5"]) == 0
     return root, data, models
+
+
+@pytest.fixture(scope="session")
+def bad_cell_data(workspace):
+    """A data directory whose one CSV, the workspace's first, has an XACC
+    cell past its bound on line 11: a command that reads it exits 2."""
+    root, data, _ = workspace
+    rows = [line.split(",") for line in (data / "c0_f0.csv").read_text().splitlines()]
+    rows[10][rows[0].index("XACC")] = "1e5"
+    (root / "bad").mkdir()
+    (root / "bad" / "c0_f0.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    return root / "bad"
 
 
 def copy_with_column(src_dir, dst_dir, column, value, names=None):
@@ -98,6 +144,15 @@ def analysis_argv(command, data, models, out):
 
 
 class TestExitCodes:
+    def test_run_cli_runs_main_or_the_named_executable(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ECORIDE_EXE", raising=False)
+        code, out, err = run_cli(["--help"])
+        assert (code, out.startswith("usage: ecoride "), err) == (0, True, "")
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("ECORIDE_EXE", str(missing))  # never a fall back to cli.main
+        with pytest.raises(RuntimeError, match=re.escape(f"ECORIDE_EXE={missing} is not")):
+            run_cli(["--help"])
+
     def test_usage_errors(self, capsys):
         assert run([]) == cli.EXIT_USAGE
         assert run(["bogus"]) == cli.EXIT_USAGE
@@ -152,21 +207,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == "ecoride: error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
-    def test_non_finite_telemetry(self, workspace, tmp_path, capsys):
-        _, data, models = workspace
-        src = sorted(data.glob("*.csv"))[0]
-        lines = src.read_text().splitlines()
-        fields = lines[5].split(",")
-        fields[lines[0].split(",").index("XACC")] = "nan"
-        lines[5] = ",".join(fields)
-        nan_data = tmp_path / "data"
-        nan_data.mkdir()
-        (nan_data / src.name).write_text("\n".join(lines) + "\n")
-        assert run(["classify", "--data", str(nan_data), "--models", str(models),
-                    "--out", str(tmp_path / "c.csv")]) == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert "non-finite XACC value at line 6" in err and src.name in err
-
+    @pytest.mark.console
     @pytest.mark.parametrize("fault,message", [
         pytest.param("nan_xacc", "non-finite XACC value at line 6 in ", id="nan_xacc"),
         pytest.param("xacc_bound", "XACC value 100000 outside [-50, 50] at line 6 in ",
@@ -196,8 +237,8 @@ class TestExitCodes:
                      id="dup_column"),
     ])
     @pytest.mark.parametrize("command", DATA_COMMANDS)
-    def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, capsys,
-                                               fault, message, command):
+    def test_bad_csv_fails_naming_file_and_row(self, workspace, tmp_path, fault, message,
+                                               command):
         _, data, models = workspace
         src = sorted(data.glob("*.csv"))[0]
         lines = src.read_text().splitlines()
@@ -239,8 +280,9 @@ class TestExitCodes:
         (bad_data / src.name).write_text("\n".join(lines) + "\n", encoding="utf-8",
                                          errors="surrogateescape")
         out = tmp_path / "out"
-        assert run(analysis_argv(command, bad_data, models, out)) == cli.EXIT_DATA
-        assert message + str(bad_data / src.name) in capsys.readouterr().err
+        code, _, err = run_cli(analysis_argv(command, bad_data, models, out))
+        tail = ": is the time column in seconds?" if fault == "ms_time" else ""
+        assert (code, err) == (2, f"ecoride: error: {message}{bad_data / src.name}{tail}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("column, cell, message", [
@@ -249,9 +291,11 @@ class TestExitCodes:
           for name in (telemetry.TIME_COLUMN, *telemetry.CHANNELS)),
         *((name, f"{lo - 1:g}", f"{name} value {lo - 1:g} outside [{lo:g}, {hi:g}]")
           for name, (lo, hi) in telemetry.BOUNDS.items()),
-        # twice the bound, not hi + 1: FUEL's 1000001 is "1e+06" at %g, the bound itself
         *((name, f"{2 * hi:g}", f"{name} value {2 * hi:g} outside [{lo:g}, {hi:g}]")
           for name, (lo, hi) in telemetry.BOUNDS.items()),
+        # past the bound, but its bound's text at %g: the value is given in full
+        ("FUEL", "1000000.5", "FUEL value 1000000.5 outside [0, 1e+06]"),
+        ("VS", "400.0000001", "VS value 400.0000001 outside [0, 400]"),
     ])
     def test_read_fault_among_unread_garbage_fails(self, workspace, tmp_path, capsys,
                                                    column, cell, message):
@@ -299,19 +343,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"ecoride: error: model file not found: {bad / name}\n"
         assert not out.exists()
 
+    @pytest.mark.console
     @pytest.mark.parametrize("command, kind", [
         ("classify", "no_parent"), ("classify", "directory"),
         ("correlate", "no_parent"), ("correlate", "directory"),
         ("train", "file"), ("advise", "file"), ("report", "file"),
     ])
-    def test_bad_out_fails_before_any_telemetry_is_read(self, workspace, tmp_path, capsys,
-                                                        monkeypatch, command, kind):
-        _, data, models = workspace
-
-        def no_read(path):
-            raise AssertionError(f"telemetry read before --out was checked: {path}")
-
-        monkeypatch.setattr(telemetry, "load_csv", no_read)
+    def test_bad_out_fails_before_any_telemetry_is_read(self, workspace, bad_cell_data, tmp_path,
+                                                        command, kind):
+        # the --out message alone: the bad cell in bad_cell_data is never reached
+        _, _, models = workspace
         if kind == "no_parent":
             out = tmp_path / "missing" / "out.csv"
             message = f"--out {out}: directory {out.parent} not found"
@@ -323,19 +364,20 @@ class TestExitCodes:
             out = tmp_path / "out"
             out.write_text("kept\n")
             message = f"--out {out} exists and is not a directory"
-        assert run(analysis_argv(command, data, models, out)) == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"ecoride: error: {message}\n"
+        code, _, err = run_cli(analysis_argv(command, bad_cell_data, models, out))
+        assert (code, err) == (2, f"ecoride: error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "no_parent"
                                                               else [out.name])
         if kind == "file":
             assert out.read_text() == "kept\n"
 
+    @pytest.mark.console
     @pytest.mark.parametrize("command, name", [
         ("classify", "classes.csv"), ("correlate", "correlations.csv"),
         ("advise", None), ("report", None),
     ])
-    def test_csv_output_into_the_data_directory_fails(self, workspace, tmp_path, capsys,
-                                                      monkeypatch, command, name):
+    def test_csv_output_into_the_data_directory_fails(self, workspace, tmp_path, monkeypatch,
+                                                      command, name):
         # those files would be read as telemetry by the next command on --data
         _, corpus, models = workspace
         data = tmp_path / "data"
@@ -343,12 +385,12 @@ class TestExitCodes:
         monkeypatch.chdir(data)
         listing = sorted(p.name for p in data.iterdir())
         out = Path(name) if name else Path(".")
-        assert run(analysis_argv(command, str(data), models, out)) == cli.EXIT_DATA
+        code, _, err = run_cli(analysis_argv(command, str(data), models, out))
         message = (f"--out {name} lies in the data directory {data}; a CSV file "
                    "there would be read as telemetry" if name else
                    f"--out . resolves to the data directory {data}; CSV files "
                    "there would be read as telemetry")
-        assert capsys.readouterr().err == f"ecoride: error: {message}\n"
+        assert (code, err) == (2, f"ecoride: error: {message}\n")
         assert sorted(p.name for p in data.iterdir()) == listing
 
     @pytest.mark.parametrize("command", DATA_COMMANDS)
@@ -396,6 +438,7 @@ class TestExitCodes:
                 in err)
         assert not out.exists()
 
+    @pytest.mark.console
     def test_over_long_cell_fails_naming_file_and_line(self, workspace, tmp_path):
         # a quoted 140,000-character note on line 21 of a 40-row drive is over
         # csv.reader's cell limit: exit 2 and one message, not a traceback
@@ -408,14 +451,17 @@ class TestExitCodes:
         (long_data / src.name).write_text("".join(
             f"{line},{'notes' if i == 1 else note if i == 21 else 'ok'}\n"
             for i, line in enumerate(lines, 1)))
-        done = subprocess.run([sys.executable, "-m", "ecoride.cli",
-                               *analysis_argv("correlate", long_data, None, tmp_path / "c.csv")],
+        out = tmp_path / "c.csv"
+        done = subprocess.run([*ecoride_command(),
+                               *analysis_argv("correlate", long_data, None, out)],
                               capture_output=True, text=True, env=checkout_env(), timeout=300)
-        assert (done.returncode, done.stderr) == (cli.EXIT_DATA, (
+        assert (done.returncode, done.stderr) == (2, (
             "ecoride: error: field larger than field limit (131072) "
             f"at line 21 in {long_data / src.name}\n"))
+        assert not out.exists()
 
     # buffered, the write fails at main's flush; unbuffered, at a print
+    @pytest.mark.console
     @pytest.mark.parametrize("buffered", [True, False])
     def test_closed_stdout_is_not_a_data_error(self, workspace, tmp_path, buffered):
         # stdout a pipe whose reader has gone, as in `ecoride classify ... | true`:
@@ -430,15 +476,43 @@ class TestExitCodes:
         read, write = os.pipe()
         os.close(read)
         try:
-            done = subprocess.run([sys.executable, "-m", "ecoride.cli",
+            done = subprocess.run([*ecoride_command(),
                                    *analysis_argv("classify", data, models, out)],
                                   stdout=write, stderr=subprocess.PIPE,
                                   env=env, timeout=300)
         finally:
             os.close(write)
         assert (done.returncode, done.stderr.decode()) == (141, "")
-        assert run(analysis_argv("classify", data, models, want)) == cli.EXIT_OK
+        assert run_cli(analysis_argv("classify", data, models, want))[0] == 0
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.console
+    @pytest.mark.parametrize("case", ["unread_cells", "unit_separator"])
+    def test_cells_classify_does_not_take_leave_it_running(self, workspace, reference_outputs,
+                                                           tmp_path, case):
+        # unread_cells: nan in every ZACC cell, junk in every GP cell and a last column
+        # of words, all lines LF-ended, none read: the untouched run's bytes.  unit_separator:
+        # a \x1f byte before line 11's XACC cell, which float() does not take (np.loadtxt
+        # would strip it): that row is rejected and logged with its line
+        _, data, models = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data, edited)
+        rows = [line.split(",") for line in (data / "c0_f0.csv").read_text().splitlines()]
+        if case == "unread_cells":
+            z, g = rows[0].index("ZACC"), rows[0].index("GP")
+            rows = [[*rows[0], "notes"], *([*("nan" if j == z else "junk" if j == g else cell
+                                              for j, cell in enumerate(row)), "ok"]
+                                           for row in rows[1:])]
+        else:
+            x = rows[0].index("XACC")
+            rows[10][x] = "\x1f" + rows[10][x]
+        (edited / "c0_f0.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "classes.csv"
+        code, _, err = run_cli(analysis_argv("classify", edited, models, out))
+        if case == "unread_cells":
+            assert (code, err, out.read_bytes()) == (0, "", reference_outputs["classes.csv"])
+        else:
+            assert (code, err) == (0, f"rejecting unparseable line 11 in {edited / 'c0_f0.csv'}\n")
 
 
 class TestIngestion:
@@ -623,8 +697,9 @@ class TestClassify:
         ("rows", lambda m: m.__setitem__("rows", True)),
         ("cols", lambda m: m.__setitem__("cols", True)),
     ])
+    @pytest.mark.console
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
-    def test_corrupt_model_file(self, workspace, tmp_path, capsys, field, spoil, command):
+    def test_corrupt_model_file(self, workspace, tmp_path, field, spoil, command):
         _, data, models = workspace
         bad = tmp_path / "models"
         shutil.copytree(models, bad)
@@ -633,9 +708,8 @@ class TestClassify:
         spoil(model)
         path.write_text(json.dumps(model))
         out = tmp_path / "out"
-        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"model file {path}" in err and field in err
+        code, _, err = run_cli(analysis_argv(command, data, bad, out))
+        assert code == 2 and err.startswith(f"ecoride: error: model file {path}: ") and field in err
         assert not out.exists()
 
     @pytest.mark.parametrize("spoil", [
@@ -644,8 +718,9 @@ class TestClassify:
         lambda m: m["normalizer_mean"].__setitem__(0, 1e200),
         lambda m: m["normalizer_std"].__setitem__(0, 1e-320),
     ], ids=["prototypes", "normalizer_mean", "normalizer_std"])
+    @pytest.mark.console
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
-    def test_overflowing_model_file(self, workspace, tmp_path, capsys, spoil, command):
+    def test_overflowing_model_file(self, workspace, tmp_path, spoil, command):
         # every value passes the model-file checks, but every distance of the
         # search overflows: argmin would hand neuron 0 every window
         _, data, models = workspace
@@ -656,10 +731,9 @@ class TestClassify:
         spoil(model)
         path.write_text(json.dumps(model))
         out = tmp_path / "out"
-        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
-        assert capsys.readouterr().err == (
-            "ecoride: error: main map: no finite distance to any prototype "
-            "at sample row 0\n")
+        code, _, err = run_cli(analysis_argv(command, data, bad, out))
+        assert (code, err) == (2, "ecoride: error: main map: no finite distance to any "
+                                  "prototype at sample row 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
@@ -676,12 +750,13 @@ class TestClassify:
         assert f"ecoride: error: model file {path}: " in err and "0xff" in err
         assert not out.exists()
 
+    @pytest.mark.console
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     @pytest.mark.parametrize("swap", ["aux_as_main", "main_as_aux", "both"])
-    def test_swapped_model_files(self, workspace, tmp_path, capsys, monkeypatch,
-                                 swap, command):
-        # a map file in the other map's place would fill the other label column
-        _, data, models = workspace
+    def test_swapped_model_files(self, workspace, bad_cell_data, tmp_path, swap, command):
+        # a map file in the other map's place would fill the other label column;
+        # the model files are checked before bad_cell_data's bad cell is reached
+        _, _, models = workspace
         main, aux = "main_som.json", "aux_som.json"
         bad = tmp_path / "models"
         bad.mkdir()
@@ -691,15 +766,10 @@ class TestClassify:
             shutil.copy(models / source, bad / name)
         named, held = (aux, main) if swap == "main_as_aux" else (main, aux)
         features = {main: MAIN_FEATURES, aux: AUX_FEATURES}
-
-        def no_read(path):
-            raise AssertionError(f"{path} read before the model files were checked")
-        monkeypatch.setattr(telemetry, "load_csv", no_read)
         out = tmp_path / "out"
-        assert run(analysis_argv(command, data, bad, out)) == cli.EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"ecoride: error: model file {bad / named}: feature_names "
-            f"{list(features[held])}, expected {list(features[named])}\n")
+        code, _, err = run_cli(analysis_argv(command, bad_cell_data, bad, out))
+        assert (code, err) == (2, f"ecoride: error: model file {bad / named}: feature_names "
+                                  f"{list(features[held])}, expected {list(features[named])}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
@@ -771,21 +841,22 @@ class TestAdvise:
         assert re.search(r"main map: msdv_y averages 0 in the (Low|Medium|High) cluster", err)
         assert not out.exists()
 
-    def test_one_driver_names_the_map_with_an_empty_cluster(self, workspace, tmp_path,
-                                                           capsys):
+    @pytest.mark.console
+    def test_one_driver_names_the_map_with_an_empty_cluster(self, workspace, tmp_path):
         # one drive fills too few neurons of the fleet's maps for every cluster
         _, data, models = workspace
         one = tmp_path / "data"
         one.mkdir()
         shutil.copy(data / "c0_f0.csv", one)
         out = tmp_path / "reports"
-        assert run(["advise", "--data", str(one), "--models", str(models),
-                    "--out", str(out)]) == cli.EXIT_DATA
+        code, _, err = run_cli(analysis_argv("advise", one, models, out))
+        assert code == 2
         assert re.fullmatch(r"ecoride: error: (main|aux) map: cluster \d has no member windows\n",
-                            capsys.readouterr().err)
+                            err)
         assert not out.exists()
 
-    def test_no_fast_window_names_the_speed_filter(self, workspace, tmp_path, capsys):
+    @pytest.mark.console
+    def test_no_fast_window_names_the_speed_filter(self, workspace, tmp_path):
         # a town drive never reaches 60 km/h: the filter, not a cluster, is named
         _, _, models = workspace
         slow = tmp_path / "data"
@@ -793,10 +864,9 @@ class TestAdvise:
         spec = synthgen.StyleSpec(base_speed=30.0, duration=120.0)
         synthgen.write_csv(synthgen.generate(spec, driver_id="slow"), slow / "slow.csv")
         out = tmp_path / "reports"
-        assert run(["advise", "--data", str(slow), "--models", str(models),
-                    "--out", str(out)]) == cli.EXIT_DATA
-        assert capsys.readouterr().err == (f"ecoride: error: no window at or above 60 km/h "
-                                           f"in {slow}: nothing to advise on\n")
+        code, _, err = run_cli(analysis_argv("advise", slow, models, out))
+        assert (code, err) == (2, f"ecoride: error: no window at or above 60 km/h in {slow}: "
+                                  "nothing to advise on\n")
         assert not out.exists()
 
 
@@ -889,18 +959,15 @@ def cli_outputs(data, models, out):
     ``data``, and under ``REPORT_STDOUT`` the lines ``report`` prints before
     the last one, which names ``out``."""
     out.mkdir()
-    assert run(["classify", "--data", str(data), "--models", str(models),
-                "--out", str(out / "classes.csv")]) == 0
-    assert run(["advise", "--data", str(data), "--models", str(models),
-                "--out", str(out)]) == 0
-    with contextlib.redirect_stdout(io.StringIO()) as printed:
-        assert run(["report", "--data", str(data), "--models", str(models),
-                    "--out", str(out)]) == 0
-    assert run(["correlate", "--data", str(data), "--out", str(out / "correlations.csv")]) == 0
+    assert run_cli(analysis_argv("classify", data, models, out / "classes.csv"))[0] == 0
+    assert run_cli(analysis_argv("advise", data, models, out))[0] == 0
+    code, printed, _ = run_cli(analysis_argv("report", data, models, out))
+    assert code == 0
+    assert run_cli(analysis_argv("correlate", data, models, out / "correlations.csv"))[0] == 0
     outputs = Outputs((p.name, p.read_bytes())
                       for pattern in ("heatmap_*", "kde_*") for p in out.glob(pattern))
     outputs.update((name, (out / name).read_bytes()) for name in OUTPUT_FILES)
-    lines = printed.getvalue().splitlines(keepends=True)
+    lines = printed.splitlines(keepends=True)
     assert lines[-1] == f"reports written to {out}\n"
     outputs[REPORT_STDOUT] = "".join(lines[:-1]).encode()
     return outputs
@@ -1065,6 +1132,7 @@ class TestMetamorphic:
                     for row in csv.reader(io.StringIO(reference_outputs[name].decode()))]
             assert list(csv.reader(io.StringIO(text))) == want, name
 
+    @pytest.mark.console
     def test_every_output_lists_drivers_in_file_name_order(self, workspace, tmp_path_factory):
         # "c0-1.csv" reads before "c0.csv" ("-" sorts before "."), while the
         # stem "c0" sorts before "c0-1": every output follows the file names

@@ -62,6 +62,14 @@ def reference_parse(path):
     return rows, lines, warned
 
 
+def outside(what, v, lo, hi):
+    """The message for ``v`` outside [lo, hi]: at %g, in full where that reads as a bound."""
+    text = f"{v:g}"
+    if text in (f"{lo:g}", f"{hi:g}"):
+        text = repr(v)
+    return f"{what} {text} outside [{lo:g}, {hi:g}]"
+
+
 def reference_check(rows, lines):
     """The message (without the file) of the first fault in the documented
     order, or None: the row count; every cell finite and within BOUNDS, line by
@@ -77,7 +85,7 @@ def reference_check(rows, lines):
                 return f"non-finite {what} at line {line}"
             lo, hi = BOUNDS.get(name, (-math.inf, math.inf))
             if not lo <= v <= hi:
-                return f"{what} {v:g} outside [{lo:g}, {hi:g}] at line {line}"
+                return f"{outside(what, v, lo, hi)} at line {line}"
     for prev, row, line in zip(rows, rows[1:], lines[1:]):
         if not row[0] > prev[0]:
             return f"non-monotonic timestamps at line {line}"
@@ -221,7 +229,7 @@ def planted_faults(draw):
         beyond = draw(st.floats(1.0, 1e6))
         value = hi + beyond if draw(st.booleans()) else lo - beyond
         rows[k][HEADER.index(name)] = fmt(value)
-        expected = f"{name} value {float(fmt(value)):g} outside [{lo:g}, {hi:g}]"
+        expected = outside(f"{name} value", float(fmt(value)), lo, hi)
     elif fault != "none":
         name = draw(st.sampled_from([telemetry.TIME_COLUMN, *NAMES]))
         rows[k][HEADER.index(name)] = fault

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 141 stdout closed early
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -25,6 +26,12 @@ EXIT_DATA = 2
 EXIT_PIPE = 141
 
 DATA_ERRORS = (DataError, OSError)
+
+# glibc's mallopt(3) parameters (malloc.h) and the values main sets: 32 MiB,
+# the largest mmap threshold on 64-bit, and a trim threshold twice that.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
 
 # The window columns each analysis command has ``pipeline.analyze_record``
 # compute: those it reads.  Every command reads the maps' RMS features;
@@ -235,6 +242,23 @@ def _check_out(args) -> None:
                         "CSV files there would be read as telemetry")
 
 
+def _keep_freed_memory() -> None:
+    """On glibc, fix the mmap and trim thresholds high, so that the buffers
+    of one telemetry file, freed, stay mapped for the next file's, and are not
+    handed back to the OS and faulted in again (README, "Memory").  Setting
+    them also stops glibc from raising the mmap threshold to each freed
+    block's size.  Elsewhere nothing happens."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if libc and libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 
@@ -276,6 +300,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # before any file is read or written
             raise DataError(f"seed must be an integer >= 0, got {args.seed}")
         _check_out(args)
+        _keep_freed_memory()
         code = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
         return code

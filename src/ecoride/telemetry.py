@@ -285,7 +285,14 @@ def resample(channels: list[RawChannel], driver_id: str = "") -> DriveRecord:
     out = {}
     for ch in channels:
         values = np.convolve(ch.values, kernel)[span] / reach if smooth else ch.values
-        out[ch.name] = values if on_grid else np.interp(grid, t, values)
+        if not on_grid:
+            # averaging and interpolating can round one step past the samples'
+            # range, so each channel is clamped into it; a NaN sample makes the
+            # range NaN, which fmin and fmax ignore
+            values = np.interp(grid, t, values)
+            np.fmin(values, ch.values.max(), out=values)
+            np.fmax(values, ch.values.min(), out=values)
+        out[ch.name] = values
     return DriveRecord(driver_id=driver_id, channels=out, t_start=t0,
                        source=channels[0].source)
 

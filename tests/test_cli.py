@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import importlib
 import inspect
@@ -17,6 +18,7 @@ import sys
 import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -937,6 +939,75 @@ class TestWithoutScipy:
         assert got == want
         assert want[0] == code
         assert written == (out.read_bytes() if case == "classify" else None)
+
+
+def glibc_version():
+    """``os.confstr("CS_GNU_LIBC_VERSION")``, or None where it fails."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+only_on_glibc = pytest.mark.skipif(not (glibc_version() or "").startswith("glibc"),
+                                   reason="the thresholds are set on glibc only")
+
+
+# classify twice through cli.main in a fresh process, whose heap holds no
+# test run's history; prints the minor page faults of the second run
+FAULTS_OF_A_SECOND_CLASSIFY = """
+import contextlib, io, resource, sys
+from ecoride import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapPolicy:
+    """On glibc ``cli.main`` fixes the mmap and trim thresholds high, so a
+    second pass over the fleet reuses the pages the first one freed."""
+
+    @only_on_glibc
+    def test_a_second_classify_takes_few_page_faults(self, workspace, tmp_path):
+        _, data, models = workspace
+        argv = analysis_argv("classify", data, models, tmp_path / "classes.csv")
+        code, out, err = python_c(FAULTS_OF_A_SECOND_CLASSIFY, *argv)
+        assert (code, err) == (0, "")
+        assert int(out) < 200  # about 1,600 with glibc's default thresholds
+
+    @only_on_glibc
+    def test_both_mallopt_calls_succeed_on_glibc(self, workspace, tmp_path, monkeypatch):
+        _, data, models = workspace
+        libc, calls = ctypes.CDLL(None), []
+
+        def mallopt(param, value):  # the real one, recording what it returns
+            calls.append((param, value, libc.mallopt(param, value)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert run_cli(analysis_argv("classify", data, models, tmp_path / "classes.csv"))[0] == 0
+        assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20, 1),
+                         (cli.M_TRIM_THRESHOLD, 64 << 20, 1)]
+
+    def test_off_glibc_a_command_runs_as_before_without_mallopt(self, workspace, tmp_path,
+                                                                 monkeypatch):
+        _, data, models = workspace
+        want = run_cli(analysis_argv("classify", data, models, tmp_path / "want.csv"))
+
+        def no_such_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        def no_mallopt(name):
+            raise AssertionError("the C library was opened off glibc")
+
+        monkeypatch.setattr(cli.os, "confstr", no_such_name)
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+        got = run_cli(analysis_argv("classify", data, models, tmp_path / "got.csv"))
+        assert got == (want[0], want[1].replace("want.csv", "got.csv"), want[2])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 OUTPUT_FILES = ("classes.csv", "advice_events.txt", "intersection.csv",

@@ -311,21 +311,15 @@ def record_of(channels_of, n, t_start):
 
 
 @st.composite
-def short_records(draw):
-    n = draw(st.integers(2, 24))
-    return record_of(lambda name: np.array(draw(st.lists(SAMPLE_VALUES, min_size=n,
-                                                         max_size=n))),
-                     n, draw(T_STARTS))
-
-
-@st.composite
 def multi_block_records(draw):
     """(record, block): a record of one to five blocks of a small
-    ``WRITE_BLOCK``, ragged or whole; the cells are drawn from a small pool of
-    sample values, so that a block's rows are all left to ``%``, all numpy's
-    or mixed."""
-    block = draw(st.integers(1, 30))
-    n = draw(st.integers(max(block, 2), 5 * block))  # load_csv takes 2 rows or more
+    ``WRITE_BLOCK``, ragged or whole, or with ``block`` None, of 2 to 24 rows
+    inside the default block; the cells are drawn from a small pool of sample
+    values, so that a block's rows are all left to ``%``, all numpy's or
+    mixed."""
+    block = draw(st.none() | st.integers(1, 30))
+    # load_csv takes 2 rows or more
+    n = draw(st.integers(2, 24) if block is None else st.integers(max(block, 2), 5 * block))
     pool = draw(st.lists(SAMPLE_VALUES, min_size=1, max_size=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return record_of(lambda name: rng.choice(pool, n), n, draw(T_STARTS)), block
@@ -345,7 +339,7 @@ def boundary_record():
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.tuples(short_records(), st.none() | st.integers(1, 30)) | multi_block_records())
+@given(case=multi_block_records())
 @example(case=(boundary_record(), None))
 def test_write_csv_matches_reference_and_round_trips(tmp_path, case):
     record, block = case

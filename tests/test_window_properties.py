@@ -220,12 +220,10 @@ STEP_PAST_THE_BOUND = [
 @given(logs_within_the_bounds())
 @example(STEP_PAST_THE_BOUND)
 def test_resample_keeps_channels_within_their_bounds(channels):
-    # to a few roundings: interpolation can step one rounding past a bound
     record = telemetry.resample(channels)
     for name, (lo, hi) in telemetry.BOUNDS.items():
-        slack = 4 * np.finfo(float).eps * (hi - lo)
         values = record.channels[name]
-        assert ((lo - slack <= values) & (values <= hi + slack)).all(), name
+        assert ((lo <= values) & (values <= hi)).all(), name
 
 
 def test_count_columns_are_int():
